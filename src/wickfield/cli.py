@@ -26,6 +26,7 @@ from .clustering import (
     lemma_check,
     theorem41_check,
 )
+from .cumulants import CumulantTable
 from .dnls import (
     DnlsConfig,
     correlation_series,
@@ -119,32 +120,36 @@ def cmd_verify_bounds(config_path, out, seed, max_order, rhs_scale):
     norm_box = [("phi", x) for x in range(-20, 21)]
     psi_norm_box = [("psi", x) for x in range(-20, 21)]
     X = Observable.of_site(("psi", 0))
+    # one memo per provider, shared by all of its checks
+    table = CumulantTable(spectral)
     for n in range(1, max_order + 1):
         for p in (1, 2):
             reports.append(theorem41_check(
-                spectral, X, n, p, phi_box, norm_box=norm_box))
+                spectral, X, n, p, phi_box, norm_box=norm_box, table=table))
             reports.append(lemma_check(
                 spectral, n, p, tuple(("phi", 0) for _ in range(n)),
                 norm_box if n == 1 else norm_box[15:26],
-                norm_box=norm_box))
+                norm_box=norm_box, table=table))
     for m in range(1, max_order + 1):
         for n in range(1, max_order + 1):
             for p in (1, 2):
                 reports.append(joint_theorem_check(
                     spectral, m, n, p, psi_box, phi_box,
-                    psi_norm_box=psi_norm_box, phi_norm_box=norm_box))
+                    psi_norm_box=psi_norm_box, phi_norm_box=norm_box,
+                    table=table))
 
     rng = np.random.default_rng(seed)
     for trial in range(5):
         sites = [("psi", 0), ("psi", 1), ("phi", 0), ("phi", 1)]
         fieldd = random_discrete_field(rng, sites=sites)
+        table = CumulantTable(fieldd)
         psi_sites = sites[:2]
         phi_sites = sites[2:]
         for m in range(1, max_order + 1):
             for n in range(1, max_order + 1):
                 for p in (1, 2):
                     reports.append(joint_theorem_check(
-                        fieldd, m, n, p, psi_sites, phi_sites))
+                        fieldd, m, n, p, psi_sites, phi_sites, table=table))
 
     for rep in reports:
         rep.rhs *= rhs_scale

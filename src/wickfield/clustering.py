@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from .cumulants import CumulantTable, MomentProvider
 from .indexing import SiteRef
-from .partitions import enumerate_partitions
+from .partitions import weighted_partition_sum
 from .reports import BoundReport
 
 #: the induction constant of the joint-cumulant bound; fixed, not tunable
@@ -95,10 +95,6 @@ def _field_id(provider) -> str:
     return getattr(provider, "name", type(provider).__name__)
 
 
-def _is_translation_invariant(provider) -> bool:
-    return getattr(provider, "translation_invariant", False) or provider.is_gaussian
-
-
 def _norm_accumulate(values, p: float) -> float:
     if p == math.inf:
         return max(values, default=0.0)
@@ -114,7 +110,7 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     if table is None:
         table = CumulantTable(provider)
     if anchors is None:
-        anchors = box_sites[:1] if _is_translation_invariant(provider) else box_sites
+        anchors = box_sites[:1] if provider.translation_invariant else box_sites
     tail = _tail_bound(provider, n)
     box_label = f"{len(box_sites)} sites"
     if provider.is_gaussian and n != 2:
@@ -138,7 +134,7 @@ def _tail_bound(provider, n: int):
     if hasattr(provider, "covariance_support_radius"):
         return 0.0
     if not provider.is_gaussian:
-        return 0.0 if not _is_translation_invariant(provider) else None
+        return 0.0 if not provider.translation_invariant else None
     return None
 
 
@@ -162,19 +158,52 @@ def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
 def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
                table: CumulantTable | None = None) -> KernelRow:
     """Phi_n(x', x) = E[ :phi(x'_1)* ... phi(x'_n)*: :phi(x_1) ... phi(x_n): ]
-    for every x in box^n, via the restricted-partition expansion."""
+    for every x in box^n, via the restricted-partition expansion.
+
+    For a Gaussian provider only cross pairings survive (Isserlis/Wick), so
+    the row is the permanent of the n x n cross-covariance matrix, evaluated
+    over all of box^n at once.
+    """
     from .cumulants import wick_product_expectation
 
     provider.check_order(2 * n)
+    row = KernelRow(order=n, xprime=tuple(xprime))
+    xs = product(box_sites, repeat=n)
+    if provider.is_gaussian:
+        row.values = dict(zip(xs, _permanent_row(provider, xprime, box_sites).tolist()))
+        return row
     if table is None:
         table = CumulantTable(provider)
     left = tuple(SiteRef(s, True) for s in xprime)
-    row = KernelRow(order=n, xprime=tuple(xprime))
-    for x in product(box_sites, repeat=n):
+    for x in xs:
         right = tuple(SiteRef(s) for s in x)
         row.values[x] = wick_product_expectation(provider, (left, right), (),
                                                  table=table)
     return row
+
+
+def _permanent_row(provider, xprime, box_sites) -> np.ndarray:
+    """sum over sigma in S_n of prod_i C[i, x_sigma(i)] for every x in box^n,
+    with C[i, s] = cov(phi(x'_i)*, phi(s)), raveled in product(box, repeat=n)
+    order.
+
+    Pairings are added in the order the restricted expansion enumerates them
+    (lexicographic in the left partner of each x_j) and factors are
+    multiplied in left-position order, so the rows match it bit for bit.
+    """
+    n = len(xprime)
+    cov = np.array([[provider.covariance(SiteRef(a, True), SiteRef(s))
+                     for s in box_sites] for a in xprime], dtype=complex)
+    total = np.zeros((len(box_sites),) * n, dtype=complex)
+    for partner in permutations(range(n)):
+        axis = np.argsort(partner)  # axis[i]: the x slot paired with x'_i
+        term = 1.0 + 0.0j
+        for i in range(n):
+            shape = [1] * n
+            shape[axis[i]] = -1
+            term = term * cov[i].reshape(shape)
+        total += term
+    return total.ravel()
 
 
 def _row_norm(row: KernelRow, p: float) -> float:
@@ -202,14 +231,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
     norms = {m: clustering_norm(provider, m, p, norm_box, anchors=anchors,
                                 table=table).value
              for m in range(1, 2 * n + 1)}
-    middle = 0.0
-    for part in enumerate_partitions(2 * n):
-        prod_val = 1.0
-        for block in part.blocks:
-            prod_val *= norms[len(block)]
-            if prod_val == 0.0:
-                break
-        middle += prod_val
+    middle = weighted_partition_sum(2 * n, norms)
     M = magnitude_constants(provider, p, 2 * n, norm_box, anchors=anchors,
                             table=table).top()
     rhs = M ** (2 * n) * math.e ** (2 * n) * math.factorial(2 * n)
@@ -273,7 +295,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
         lhs = math.sqrt(acc)
     else:
         if xprime_anchors is None:
-            if _is_translation_invariant(provider):
+            if provider.translation_invariant:
                 xprime_anchors = [tuple(box_sites[:1]) * n]
             else:
                 xprime_anchors = list(product(box_sites, repeat=n))
@@ -327,7 +349,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     if phi_norm_box is None:
         phi_norm_box = phi_box
     if xprime_tuples is None:
-        if _is_translation_invariant(provider):
+        if provider.translation_invariant:
             xprime_tuples = [tuple(psi_sites[:1]) * m]
         else:
             xprime_tuples = list(product(psi_sites, repeat=m))
@@ -350,6 +372,11 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
             vars_psi + tuple((r,) for r in refs_x(x)))) ** 2
             for x in product(phi_box, repeat=n)}
 
+    if p == 2 and y_tuples is None:
+        y_tuples = [tuple(phi_box[:1]) * n] if provider.translation_invariant \
+            else list(product(phi_box, repeat=n))
+    rows = {}  # Phi_n rows by weight anchor y; they do not depend on x'
+
     lhs = 0.0
     witness = None
     for xp in xprime_tuples:
@@ -361,13 +388,10 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
             if val > lhs:
                 lhs, witness = val, {"xprime": list(xp)}
         else:
-            if y_tuples is None:
-                ys = [tuple(phi_box[:1]) * n] if _is_translation_invariant(provider) \
-                    else list(product(phi_box, repeat=n))
-            else:
-                ys = y_tuples
-            for y in ys:
-                row = phi_kernel(provider, n, y, phi_box, table=table)
+            for y in y_tuples:
+                if y not in rows:
+                    rows[y] = phi_kernel(provider, n, y, phi_box, table=table)
+                row = rows[y]
                 val = math.sqrt(sum(abs(row.values[x]) * ksq[x] for x in ksq))
                 if val > lhs:
                     lhs, witness = val, {"xprime": list(xp), "y": list(y)}

@@ -45,6 +45,9 @@ class MomentProvider(ABC):
     #: set by jointly Gaussian providers; enables exact zero fast paths for
     #: cumulants of order != 2
     is_gaussian: bool = False
+    #: set by providers whose law is invariant under lattice shifts; a single
+    #: anchor then attains the sup over anchors in the clustering norms
+    translation_invariant: bool = False
 
     @abstractmethod
     def moment(self, sequence: IndexSequence) -> complex:

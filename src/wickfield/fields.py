@@ -151,6 +151,8 @@ def gaussian_moment(field: GaussianCovarianceField, sequence: IndexSequence) -> 
 class IidRealGaussianField(GaussianCovarianceField):
     """Independent real N(0, variance) variables at every site."""
 
+    translation_invariant = True
+
     def __init__(self, variance: float = 1.0, max_order: int = 8):
         self.variance = variance
         self.max_order = max_order
@@ -168,6 +170,8 @@ class IidRealGaussianField(GaussianCovarianceField):
 class IidComplexGaussianField(GaussianCovarianceField):
     """Independent circularly symmetric complex Gaussians: E[|phi|^2] =
     variance, E[phi^2] = 0."""
+
+    translation_invariant = True
 
     def __init__(self, variance: float = 1.0, max_order: int = 8):
         self.variance = variance
@@ -203,6 +207,8 @@ class SpectralGaussianField(GaussianCovarianceField):
     grid on the torus (one FFT yields the whole displacement table).  Closed
     forms, when supplied, take precedence over quadrature.
     """
+
+    translation_invariant = True
 
     def __init__(self, f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID,
                  closed_forms: dict | None = None, max_order: int = 8,

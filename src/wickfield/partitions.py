@@ -2,12 +2,14 @@
 
 Partitions of ``{0, ..., n-1}`` are streamed via restricted growth strings,
 so memory stays constant per item and consumers can fold bound checks
-incrementally.  Blocks are emitted sorted by their smallest element, which
-makes equality structural.
+incrementally.  Restricted partitions are the exception: they depend only on
+the shape of the groups, so each shape is built once and kept.  Blocks are
+emitted sorted by their smallest element, which makes equality structural.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -143,48 +145,77 @@ def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) 
     internal to any one group.  Blocks inside the tail are permitted.
 
     Only the lengths of the groups matter; positions are assigned in
-    concatenation order.
+    concatenation order.  Each shape is enumerated once per process and
+    replayed from then on.
     """
-    ranges, _ = group_ranges(groups, tail)
-    total = sum(len(g) for g in groups) + len(tail)
+    lengths = tuple(len(g) for g in groups)
+    total = sum(lengths) + len(tail)
     if total < 1:
         raise ValueError("need at least one position")
     _check_guard(total, size_guard)
+    yield from _restricted_shape(lengths, len(tail))
+
+
+@functools.lru_cache(maxsize=None)
+def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
+    """The restricted partitions of one shape, in enumeration order."""
+    total = sum(lengths) + tail_len
+    ranges, _ = group_ranges([range(k) for k in lengths])
     range_sets = [frozenset(r) for r in ranges]
-    for part in enumerate_partitions(total, size_guard=size_guard):
-        if is_restricted(part, range_sets):
-            yield part
+    return tuple(part for part in enumerate_partitions(total, size_guard=total)
+                 if is_restricted(part, range_sets))
 
 
-def factorial_partition_sum(n: int, size_guard: int = DEFAULT_SIZE_GUARD) -> int:
-    """Exact value of  sum over partitions pi of {1..n} of prod_{S in pi} |S|!.
+def weighted_partition_sum(n: int, w):
+    """sum over partitions pi of {1..n} of prod_{S in pi} w[|S|].
 
-    Computed by the recurrence obtained by conditioning on the block of the
-    last element (choose k-1 companions out of n-1, weight k!):
-    a(n) = sum_k C(n-1, k-1) k! a(n-k).  Exact integer arithmetic; the
-    streamed enumeration is kept as a test oracle at small n.
+    Exponential-formula recurrence (Stanley, EC2 5.1), conditioning on the
+    block of the last element (choose k-1 companions out of m-1):
+    a(m) = sum_k C(m-1, k-1) w[k] a(m-k), a(0) = 1.  O(n^2) terms and no
+    enumeration; exact for integer weights.  ``w`` is indexed by block size
+    1..n (a sequence or a mapping).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_guard(n, size_guard)
-    a = [1] * (n + 1)
+    a = [1]
     for m in range(1, n + 1):
-        a[m] = sum(
-            math.comb(m - 1, k - 1) * math.factorial(k) * a[m - k]
-            for k in range(1, m + 1)
-        )
+        a.append(sum(math.comb(m - 1, k - 1) * w[k] * a[m - k]
+                      for k in range(1, m + 1)))
     return a[n]
 
 
-def verify_comb_est(n: int, size_guard: int = DEFAULT_SIZE_GUARD):
-    """Check  sum_pi prod |S|!  <=  (2n)! e^(2n)  for partitions of 2n elements."""
+def factorial_partition_sum(n: int) -> int:
+    """Exact value of  sum over partitions pi of {1..n} of prod_{S in pi} |S|!,
+    the weighted partition sum with w_k = k!.  The streamed enumeration is
+    kept as a test oracle at small n."""
+    return weighted_partition_sum(n, [math.factorial(k) for k in range(n + 1)])
+
+
+def _float_or_inf(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def verify_comb_est(n: int):
+    """Check  sum_pi prod |S|!  <=  (2n)! e^(2n)  for partitions of 2n elements.
+
+    The flag compares natural logarithms, ln of the exact integer against
+    lgamma(2n+1) + 2n, so it stays decisive after the float sides overflow
+    (2n >= 170); the float lhs and rhs then read inf.
+    """
     from .reports import BoundReport
 
-    lhs = factorial_partition_sum(2 * n, size_guard=size_guard)
-    rhs = math.factorial(2 * n) * math.e ** (2 * n)
+    lhs = factorial_partition_sum(2 * n)
+    try:
+        rhs = math.factorial(2 * n) * math.e ** (2 * n)
+    except OverflowError:
+        rhs = math.inf
     return BoundReport(
         inequality_id="factorial-partition-sum",
-        lhs=float(lhs),
+        lhs=_float_or_inf(lhs),
         rhs=rhs,
         witnesses={"n": n, "elements": 2 * n, "lhs_exact": str(lhs)},
+        log_sides=(math.log(lhs), math.lgamma(2 * n + 1) + 2 * n),
     )

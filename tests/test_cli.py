@@ -31,6 +31,17 @@ def test_partition_stats(runner, tmp_path):
     assert manifest["tool_version"]
 
 
+def test_partition_stats_beyond_size_guard(runner, tmp_path):
+    # 2n = 16 exceeds the enumeration guard; the recurrence needs none
+    out = tmp_path / "ps8"
+    result = runner.invoke(main, ["partition-stats", "--n-max", "8",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    reports = json.loads((out / "partition_stats.json").read_text())
+    assert len(reports) == 8
+    assert all(r["flag"] for r in reports)
+
+
 def test_verify_bounds_default(runner, tmp_path):
     out = tmp_path / "vb"
     result = runner.invoke(main, ["verify-bounds", "--max-order", "1",
@@ -71,6 +82,19 @@ def test_verify_bounds_rerun_bit_identical(runner, tmp_path):
         assert result.exit_code == 0
     assert (tmp_path / "a" / "bound_reports.json").read_bytes() == \
         (tmp_path / "b" / "bound_reports.json").read_bytes()
+
+
+def test_verify_bounds_max_order_3(runner, tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        result = runner.invoke(main, ["verify-bounds", "--max-order", "3",
+                                      "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        outputs.append((tmp_path / name / "bound_reports.json").read_bytes())
+    reports = json.loads(outputs[0])
+    assert len(reports) == 120
+    assert all(r["flag"] for r in reports)
+    assert outputs[0] == outputs[1]
 
 
 def test_example_gaussian(runner, tmp_path):

@@ -15,14 +15,35 @@ from wickfield.clustering import (
     phi_kernel,
     theorem41_check,
 )
-from wickfield.cumulants import CumulantTable
+from wickfield.cumulants import CumulantTable, MomentProvider
 from wickfield.fields import (
+    GaussianCovarianceField,
     IidComplexGaussianField,
     IidRealGaussianField,
     random_discrete_field,
     sinc_coupling_example,
 )
 from wickfield.indexing import SiteRef
+
+
+class GrowingVarianceField(GaussianCovarianceField):
+    """Independent real Gaussians with variance 1 + s at site s: Gaussian,
+    but not translation invariant."""
+
+    def covariance(self, a, b):
+        return 1.0 + a.site if a.site == b.site else 0.0
+
+
+class NonGaussianView(MomentProvider):
+    """The same moments with the Gaussian flag off, which sends phi_kernel
+    down the restricted-partition expansion."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_order = inner.max_order
+
+    def moment(self, sequence):
+        return self.inner.moment(sequence)
 
 
 def test_gamma_constant():
@@ -57,6 +78,13 @@ def test_clustering_norm_discrete_anchor_sup(rng):
     assert rep.value == pytest.approx(max(per_anchor))
 
 
+def test_clustering_norm_inhomogeneous_gaussian_scans_anchors():
+    f = GrowingVarianceField()
+    box = [0, 1, 2, 3]
+    assert clustering_norm(f, 2, 1, box).value == pytest.approx(4.0)
+    assert clustering_norm(f, 2, 1, box, anchors=box).value == pytest.approx(4.0)
+
+
 def test_magnitude_constants_monotone():
     f = IidRealGaussianField()
     M = magnitude_constants(f, 1, 6, list(range(-3, 4)))
@@ -77,6 +105,20 @@ def test_phi_kernel_iid_complex_orthonormal():
     row2 = phi_kernel(f, 2, (0, 0), box)
     assert row2.values[(0, 0)] == pytest.approx(2.0)
     assert row2.values[(0, 1)] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("provider,box,xprime", [
+    (sinc_coupling_example(), [("phi", 0), ("psi", 1), ("psi", -2)],
+     (("phi", 0), ("psi", 0), ("phi", 1))),
+    (IidComplexGaussianField(variance=1.3), [0, 1], (0, 0, 1)),
+], ids=["sinc", "iid-complex"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_kernel_permanent_matches_restricted_expansion(provider, box, xprime, n):
+    fast = phi_kernel(provider, n, xprime[:n], box)
+    slow = phi_kernel(NonGaussianView(provider), n, xprime[:n], box)
+    assert list(fast.values) == list(slow.values)
+    for x, v in slow.values.items():
+        assert abs(fast.values[x] - v) <= 1e-12, x
 
 
 def test_lemma_chain_iid(rng):
@@ -179,6 +221,20 @@ def test_joint_theorem_discrete_all_orders(two_field_provider):
             for p in (1, 2):
                 rep = joint_theorem_check(f, m, n, p, psi_sites, phi_sites)
                 assert rep.flag, (m, n, p)
+
+
+def test_joint_theorem_shared_table_matches_fresh(two_field_provider):
+    f = two_field_provider
+    psi_sites = [("psi", 0), ("psi", 1)]
+    phi_sites = [("phi", 0), ("phi", 1)]
+    shared = CumulantTable(f)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for p in (1, 2):
+                a = joint_theorem_check(f, m, n, p, psi_sites, phi_sites,
+                                        table=shared)
+                b = joint_theorem_check(f, m, n, p, psi_sites, phi_sites)
+                assert (a.lhs, a.rhs) == (b.lhs, b.rhs), (m, n, p)
 
 
 def test_joint_theorem_lhs_matches_brute_force(two_field_provider):

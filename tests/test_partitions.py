@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from wickfield.partitions import (
@@ -12,7 +13,9 @@ from wickfield.partitions import (
     group_ranges,
     is_restricted,
     verify_comb_est,
+    weighted_partition_sum,
 )
+from wickfield.reports import BoundReport
 
 from conftest import brute_partitions
 
@@ -77,9 +80,42 @@ def test_factorial_partition_sum_matches_enumeration(n):
 
 
 def test_factorial_partition_sum_large_no_guard():
-    # closed recurrence has no blowup guard issue at n = 20
-    val = factorial_partition_sum(20, size_guard=40)
+    # the recurrence enumerates nothing, so no size guard applies at n = 20
+    val = factorial_partition_sum(20)
     assert val > 0
+
+
+def enumerated_weighted_sum(n, w):
+    total = 0
+    for part in enumerate_partitions(n):
+        total += math.prod(w[len(b)] for b in part.blocks)
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_weighted_partition_sum_matches_enumeration(n):
+    rng = np.random.default_rng(n)
+    ints = [0] + [int(v) for v in rng.integers(-3, 6, size=n)]
+    assert weighted_partition_sum(n, ints) == enumerated_weighted_sum(n, ints)
+    floats = {k: float(v) for k, v in enumerate(rng.random(n + 1))}
+    want = enumerated_weighted_sum(n, floats)
+    assert weighted_partition_sum(n, floats) == pytest.approx(want, rel=1e-12)
+
+
+def test_verify_comb_est_beyond_float_range():
+    # 2n = 170: (2n)! e^(2n) and the exact sum both overflow a float, so
+    # the flag must come from the log-space comparison
+    rep = verify_comb_est(85)
+    assert rep.lhs == math.inf and rep.rhs == math.inf
+    assert rep.flag
+    assert rep.log_sides[0] == pytest.approx(math.log(int(rep.witnesses["lhs_exact"])))
+    assert 0.0 <= rep.ratio < 1e-50
+
+
+def test_log_sides_decide_the_flag():
+    # overflowed sides read inf <= inf; the logs still reject a violation
+    rep = BoundReport("overflowed", math.inf, math.inf, log_sides=(800.0, 700.0))
+    assert not rep.flag
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -131,3 +167,36 @@ def test_restricted_matches_filter():
                 if is_restricted(p, ranges)]
     got = [as_sets(p) for p in enumerate_restricted(groups, tail=(5,))]
     assert got == expected
+
+
+def shapes(max_positions):
+    """Every (group lengths, tail length) with at most max_positions."""
+    def compositions(total):
+        if total == 0:
+            yield ()
+            return
+        for first in range(1, total + 1):
+            for rest in compositions(total - first):
+                yield (first,) + rest
+
+    for total in range(1, max_positions + 1):
+        for tail_len in range(total + 1):
+            for lengths in compositions(total - tail_len):
+                yield lengths, tail_len
+
+
+def test_restricted_every_shape_matches_filter():
+    for lengths, tail_len in shapes(7):
+        groups = tuple(tuple(range(k)) for k in lengths)
+        tail = tuple(range(tail_len))
+        ranges, _ = group_ranges(groups, tail)
+        expected = [p for p in enumerate_partitions(sum(lengths) + tail_len)
+                    if is_restricted(p, ranges)]
+        first = list(enumerate_restricted(groups, tail))
+        assert first == expected, (lengths, tail_len)
+        assert list(enumerate_restricted(groups, tail)) == first
+
+
+def test_restricted_keeps_size_guard():
+    with pytest.raises(CombinatorialBlowupError):
+        list(enumerate_restricted(((0, 1, 2),), tail=(3, 4), size_guard=4))
