@@ -4,7 +4,7 @@ time-correlation application."""
 
 __version__ = "0.1.0"
 
-from .indexing import SiteRef, canonical, conjugate_seq, seq, site
+from .indexing import SiteRef, canonical, site
 from .partitions import (
     CombinatorialBlowupError,
     SetPartition,
@@ -33,9 +33,6 @@ from .fields import (
     PSDViolationError,
     SpectralGaussianField,
     check_psd,
-    exact_moment,
-    gaussian_covariance,
-    gaussian_moment,
     sample_ensemble,
     sinc_coupling_example,
 )

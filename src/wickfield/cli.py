@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -209,15 +209,22 @@ def cmd_dnls_demo(config_path, out, seed):
     """Duhamel residual of the time-correlation against harmonic transport."""
     started = time.time()
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     if config_path:
         with open(config_path) as fh:
             raw = json.load(fh)
         couplings = raw.pop("couplings", [0.0, 0.01, 0.02, 0.05])
-        base = DnlsConfig(**raw)
+        try:
+            unknown = sorted(set(raw) - {f.name for f in fields(DnlsConfig)})
+            if unknown:
+                raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+            base = DnlsConfig(**raw)
+        except ValueError as exc:
+            click.echo(f"Error: {config_path}: {exc}", err=True)
+            sys.exit(2)
     else:
         couplings = [0.0, 0.01, 0.02, 0.05]
         base = DnlsConfig(seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
 
     all_rows = []
     fits = {}

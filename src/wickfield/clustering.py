@@ -2,7 +2,8 @@
 numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
-finite anchor set; for translation-invariant fields one anchor is exact.
+finite anchor set, chosen by ``_anchor_tuples``: one anchor for
+translation-invariant fields.
 Lattice sums are truncated to caller-supplied boxes; when the provider
 certifies compactly supported covariances the truncation tail is exactly
 zero, otherwise the report carries an unquantified-truncation flag.
@@ -30,7 +31,6 @@ class ClusteringReport:
     field_id: str
     n: int
     p: float
-    box: str
     value: float
     tail: float | None = None  # None = unquantified truncation
 
@@ -101,6 +101,13 @@ def _norm_accumulate(values, p: float) -> float:
     return sum(v ** p for v in values) ** (1.0 / p)
 
 
+def _anchor_tuples(provider, box, k: int) -> list:
+    """The anchor k-tuples a sup over anchors scans: the diagonal tuple of
+    the box's first site for a translation-invariant law, else all of box^k
+    in product order."""
+    return list(product(box[:1] if provider.translation_invariant else box, repeat=k))
+
+
 def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
                     anchors=None, table: CumulantTable | None = None) -> ClusteringReport:
     """Truncated clustering norm: sup over anchors of the lp-sum over
@@ -109,13 +116,10 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
         raise ValueError("n must be >= 1")
     if table is None:
         table = CumulantTable(provider)
+    if table.singletons_vanish(n):
+        return ClusteringReport(_field_id(provider), n, p, 0.0, tail=0.0)
     if anchors is None:
-        anchors = box_sites[:1] if provider.translation_invariant else box_sites
-    tail = _tail_bound(provider, n)
-    box_label = f"{len(box_sites)} sites"
-    if provider.is_gaussian and n != 2:
-        # zero mean and vanishing higher cumulants: norm is exactly 0
-        return ClusteringReport(_field_id(provider), n, p, box_label, 0.0, tail=0.0)
+        anchors = [a for (a,) in _anchor_tuples(provider, box_sites, 1)]
     best = 0.0
     for anchor in anchors:
         if n == 1:
@@ -126,7 +130,8 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
                     for combo in product(box_sites, repeat=n - 1))
             value = _norm_accumulate(vals, p)
         best = max(best, value)
-    return ClusteringReport(_field_id(provider), n, p, box_label, best, tail=tail)
+    return ClusteringReport(_field_id(provider), n, p, best,
+                            tail=_tail_bound(provider, n))
 
 
 def _tail_bound(provider, n: int):
@@ -143,16 +148,20 @@ def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
     """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n)."""
     if table is None:
         table = CumulantTable(provider)
-    raw = []
-    for n in range(1, N + 1):
-        rep = clustering_norm(provider, n, p, box_sites, anchors=anchors, table=table)
-        raw.append((rep.value / math.factorial(n)) ** (1.0 / n))
+    norms = [clustering_norm(provider, n, p, box_sites, anchors=anchors,
+                             table=table).value
+             for n in range(1, N + 1)]
+    return MagnitudeConstants(_field_id(provider), p, _running_maxima(norms))
+
+
+def _running_maxima(norms) -> tuple:
+    """M_1..M_N from the clustering norms of orders 1..N."""
     running = []
     best = 0.0
-    for v in raw:
-        best = max(best, v)
+    for n, value in enumerate(norms, start=1):
+        best = max(best, (value / math.factorial(n)) ** (1.0 / n))
         running.append(best)
-    return MagnitudeConstants(_field_id(provider), p, tuple(running))
+    return tuple(running)
 
 
 def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
@@ -232,8 +241,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
                                 table=table).value
              for m in range(1, 2 * n + 1)}
     middle = weighted_partition_sum(2 * n, norms)
-    M = magnitude_constants(provider, p, 2 * n, norm_box, anchors=anchors,
-                            table=table).top()
+    M = _running_maxima(norms.values())[-1]
     rhs = M ** (2 * n) * math.e ** (2 * n) * math.factorial(2 * n)
     slack = 1 + 1e-12
     return BoundReport(
@@ -248,14 +256,6 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
             "magnitude_constant": M,
         },
     )
-
-
-def _gaussian_singleton_zero(provider, X: Observable, order: int) -> bool:
-    """True when the cumulant is exactly zero by Gaussianity: all slots are
-    single field variables and the order exceeds 2.  (The vanishing of
-    higher Gaussian cumulants under the generic recursion is exercised by a
-    dedicated property test.)"""
-    return provider.is_gaussian and X.singleton_monomials() and order >= 3
 
 
 def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
@@ -279,7 +279,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     M = magnitude_constants(provider, float(p), 2 * n, norm_box,
                             anchors=anchors, table=table).top()
 
-    if _gaussian_singleton_zero(provider, X, 1 + n):
+    if X.singleton_monomials() and table.singletons_vanish(1 + n):
         lhs = 0.0
         witness_x = None
     elif p == 1:
@@ -295,10 +295,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
         lhs = math.sqrt(acc)
     else:
         if xprime_anchors is None:
-            if provider.translation_invariant:
-                xprime_anchors = [tuple(box_sites[:1]) * n]
-            else:
-                xprime_anchors = list(product(box_sites, repeat=n))
+            xprime_anchors = _anchor_tuples(provider, box_sites, n)
         kappa_sq = {x: abs(observable_cumulant(
             table, X, tuple(SiteRef(s) for s in x))) ** 2
             for x in product(box_sites, repeat=n)}
@@ -349,10 +346,9 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     if phi_norm_box is None:
         phi_norm_box = phi_box
     if xprime_tuples is None:
-        if provider.translation_invariant:
-            xprime_tuples = [tuple(psi_sites[:1]) * m]
-        else:
-            xprime_tuples = list(product(psi_sites, repeat=m))
+        xprime_tuples = _anchor_tuples(provider, psi_sites, m)
+    if p == 2 and y_tuples is None:
+        y_tuples = _anchor_tuples(provider, phi_box, n)
 
     M_psi = magnitude_constants(provider, math.inf, 2 * m, psi_norm_box,
                                 table=table).top()
@@ -360,29 +356,20 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
                                 table=table).top()
     M_joint = max(M_psi, M_phi)
 
-    order = m + n
-    all_singleton = provider.is_gaussian and order >= 3
-
     def kappa_sq_map(xp):
-        if all_singleton:
-            return None  # identically zero by Gaussianity
-        refs_x = lambda x: tuple(SiteRef(s) for s in x)
         vars_psi = tuple((SiteRef(s),) for s in xp)
         return {x: abs(table.joint_cumulant(
-            vars_psi + tuple((r,) for r in refs_x(x)))) ** 2
+            vars_psi + tuple((SiteRef(s),) for s in x))) ** 2
             for x in product(phi_box, repeat=n)}
 
-    if p == 2 and y_tuples is None:
-        y_tuples = [tuple(phi_box[:1]) * n] if provider.translation_invariant \
-            else list(product(phi_box, repeat=n))
     rows = {}  # Phi_n rows by weight anchor y; they do not depend on x'
 
+    if table.singletons_vanish(m + n):
+        xprime_tuples = []  # every cumulant in the sum is exactly zero
     lhs = 0.0
     witness = None
     for xp in xprime_tuples:
         ksq = kappa_sq_map(xp)
-        if ksq is None:
-            continue
         if p == 1:
             val = math.sqrt(sum(ksq.values()))
             if val > lhs:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import combinations
-from threading import Lock
 
 from .indexing import IndexSequence, SiteRef, canonical, seq_sort_key, subsequence
 from .partitions import (
@@ -42,8 +41,9 @@ class MomentProvider(ABC):
     """
 
     max_order: int = 8
-    #: set by jointly Gaussian providers; enables exact zero fast paths for
-    #: cumulants of order != 2
+    #: set by zero-mean jointly Gaussian providers; the cumulants of single
+    #: field variables of order != 2 are then exactly zero
+    #: (CumulantTable.singletons_vanish)
     is_gaussian: bool = False
     #: set by providers whose law is invariant under lattice shifts; a single
     #: anchor then attains the sup over anchors in the clustering norms
@@ -72,15 +72,19 @@ def _variable_moment(provider, variables) -> complex:
 class CumulantTable:
     """Memoized cumulants kappa[y_I] over a backing provider.
 
-    Entries are stored under the permutation-invariant canonical key; writes
-    of identical keys are idempotent, so concurrent readers/inserters are
-    safe under the GIL plus the insert lock.
+    Entries are stored under the permutation-invariant canonical key.  The
+    table is also the one place that applies the Gaussian rule.
     """
 
     def __init__(self, provider: MomentProvider):
         self.provider = provider
         self._memo = {}
-        self._lock = Lock()
+
+    def singletons_vanish(self, order: int) -> bool:
+        """True when every cumulant of ``order`` single field variables is
+        exactly zero: a zero-mean jointly Gaussian field has only second
+        cumulants."""
+        return self.provider.is_gaussian and order != 2
 
     def cumulant(self, sequence: IndexSequence, anchor: int = 0) -> complex:
         """kappa of single field variables, one per position of the sequence."""
@@ -98,16 +102,10 @@ class CumulantTable:
         total = sum(len(mono) for mono in variables)
         self.provider.check_order(total)
         if self.provider.is_gaussian and all(len(m) == 1 for m in variables):
-            return self._gaussian_cumulant(variables)
-        return self._recurse(tuple(sorted(variables, key=seq_sort_key)), anchor)
-
-    def _gaussian_cumulant(self, variables) -> complex:
-        # jointly Gaussian, zero mean: only the second cumulant survives
-        if len(variables) == 2:
+            if self.singletons_vanish(len(variables)):
+                return 0.0
             return self.provider.covariance(variables[0][0], variables[1][0])
-        if len(variables) == 1:
-            return self.provider.moment(variables[0])
-        return 0.0
+        return self._recurse(tuple(sorted(variables, key=seq_sort_key)), anchor)
 
     def _recurse(self, key, anchor: int) -> complex:
         if anchor == 0:
@@ -126,8 +124,7 @@ class CumulantTable:
                     comp = tuple(key[i] for i in rest if i not in extra)
                     value -= _variable_moment(self.provider, comp) * self._recurse(sub, 0)
         if anchor == 0:
-            with self._lock:
-                self._memo.setdefault(key, value)
+            self._memo[key] = value
         return value
 
 

@@ -84,10 +84,6 @@ class FiniteDiscreteField(MomentProvider):
         return complex(np.log(total))
 
 
-def exact_moment(field: FiniteDiscreteField, sequence: IndexSequence) -> complex:
-    return field.moment(sequence)
-
-
 def bernoulli_field(p: float, site=0) -> FiniteDiscreteField:
     return FiniteDiscreteField([site], [(1 - p, (0,)), (p, (1,))])
 
@@ -142,10 +138,6 @@ class GaussianCovarianceField(MomentProvider):
             if c != 0:
                 total += c * self._pairing_sum(rest[:i] + rest[i + 1:])
         return total
-
-
-def gaussian_moment(field: GaussianCovarianceField, sequence: IndexSequence) -> complex:
-    return field.moment(sequence)
 
 
 class IidRealGaussianField(GaussianCovarianceField):
@@ -252,6 +244,8 @@ class SpectralGaussianField(GaussianCovarianceField):
         return np.real_if_close(vals, tol=1e6)
 
     def pair_covariance(self, which, displacement) -> complex:
+        """Covariance of the selected pair ("psipsi", "phiphi" or "psiphi")
+        at a lattice displacement."""
         return complex(self.covariance_profile(which, np.asarray([displacement]))[0])
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
@@ -273,15 +267,6 @@ class SpectralGaussianField(GaussianCovarianceField):
             for b, tb in refs.items():
                 total += ta * tb * self.covariance(a, b)
         return 0.5 * total
-
-
-def gaussian_covariance(field: SpectralGaussianField, which: str,
-                        displacement: int) -> complex:
-    """Covariance of the selected pair at a lattice displacement.
-
-    ``which`` is one of "psipsi", "phiphi", "psiphi".
-    """
-    return field.pair_covariance(which, displacement)
 
 
 def _sinc_g(x):

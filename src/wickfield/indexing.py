@@ -29,18 +29,6 @@ def site(label, conj: bool = False) -> SiteRef:
     return SiteRef(label, conj)
 
 
-def seq(*labels) -> IndexSequence:
-    """Build an index sequence from bare labels and/or SiteRefs."""
-    out = []
-    for lab in labels:
-        out.append(lab if isinstance(lab, SiteRef) else SiteRef(lab))
-    return tuple(out)
-
-
-def conjugate_seq(sequence: IndexSequence) -> IndexSequence:
-    return tuple(ref.conjugate() for ref in sequence)
-
-
 def _sort_key(ref: SiteRef):
     # Site labels may be ints, strings or tuples; repr gives a stable total
     # order across mixed label types.

@@ -141,6 +141,23 @@ def test_dnls_demo_rerun_bit_identical(runner, tmp_path):
             (tmp_path / "b" / fname).read_bytes()
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"n_samples": 1}, "n_samples must be >= 2"),
+    ({"n_sample": 5}, "unknown key(s) 'n_sample'"),
+], ids=["one-sample", "unknown-key"])
+def test_dnls_demo_rejects_bad_config(runner, tmp_path, config, message):
+    cfg = tmp_path / "dnls.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "bad"
+    result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0], result.output
+    assert not out.exists()
+
+
 def test_env_var_override(runner, tmp_path):
     out = tmp_path / "env"
     result = runner.invoke(main, ["partition-stats", "--out", str(out)],

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from wickfield.clustering import (
     GAMMA,
     Observable,
+    _anchor_tuples,
     clustering_norm,
     joint_theorem_check,
     l1_divergence_probe,
@@ -119,6 +121,68 @@ def test_phi_kernel_permanent_matches_restricted_expansion(provider, box, xprime
     assert list(fast.values) == list(slow.values)
     for x, v in slow.values.items():
         assert abs(fast.values[x] - v) <= 1e-12, x
+
+
+# name: (Gaussian provider, 5-site box, psi sites, 3-site box)
+SMALL_BOXES = {
+    "iid-real": (IidRealGaussianField(variance=1.7), [0, 1, 2, 3, 4],
+                 [0, 1], [0, 1, 2]),
+    "sinc": (sinc_coupling_example(), [("phi", x) for x in range(-2, 3)],
+             [("psi", 0), ("psi", 1)], [("phi", x) for x in range(-1, 2)]),
+}
+
+
+def test_anchor_tuples_pin():
+    box = [3, 4, 5]
+    assert _anchor_tuples(IidRealGaussianField(), box, 1) == [(3,)]
+    assert _anchor_tuples(IidRealGaussianField(), box, 3) == [(3, 3, 3)]
+    view = NonGaussianView(IidRealGaussianField())
+    assert _anchor_tuples(view, box, 1) == [(3,), (4,), (5,)]
+    assert _anchor_tuples(view, box[:2], 2) == [(3, 3), (3, 4), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BOXES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clustering_norm_vanishing_matches_recursion(name, n):
+    provider, box, _, _ = SMALL_BOXES[name]
+    fast = clustering_norm(provider, n, 1, box, anchors=box)
+    slow = clustering_norm(NonGaussianView(provider), n, 1, box, anchors=box)
+    assert abs(fast.value - slow.value) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BOXES))
+@pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("degree", [1, 2], ids=["singleton", "compound"])
+def test_theorem41_vanishing_matches_recursion(name, n, p, degree):
+    # a compound monomial X has nonvanishing cumulants even when Gaussian
+    provider, _, _, small = SMALL_BOXES[name]
+    site = small[0] if name == "iid-real" else ("psi", 0)
+    X = Observable([(1.0, (SiteRef(site),) * degree)])
+    kwargs = dict(norm_box=small, anchors=small,
+                  xprime_anchors=[tuple(small[:1]) * n, tuple(small[-n:])])
+    fast = theorem41_check(provider, X, n, p, small, **kwargs)
+    slow = theorem41_check(NonGaussianView(provider), X, n, p, small, **kwargs)
+    if degree == 1:
+        assert fast.lhs == 0.0
+    elif n == 2:
+        assert fast.lhs > 0.1  # kappa[y^2, y, y] = 2 cov cov
+    assert fast.lhs == pytest.approx(slow.lhs, rel=1e-12, abs=1e-12)
+    assert fast.rhs == pytest.approx(slow.rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BOXES))
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_joint_theorem_vanishing_matches_recursion(name, m, n, p):
+    provider, _, psi_sites, phi_box = SMALL_BOXES[name]
+    kwargs = dict(xprime_tuples=list(product(psi_sites, repeat=m)),
+                  y_tuples=[tuple(phi_box[:1]) * n, tuple(phi_box[-n:])])
+    fast = joint_theorem_check(provider, m, n, p, psi_sites, phi_box, **kwargs)
+    slow = joint_theorem_check(NonGaussianView(provider), m, n, p, psi_sites,
+                               phi_box, **kwargs)
+    assert fast.lhs == 0.0
+    assert abs(fast.lhs - slow.lhs) <= 1e-12
+    assert fast.rhs == pytest.approx(slow.rhs, rel=1e-12, abs=1e-12)
 
 
 def test_lemma_chain_iid(rng):

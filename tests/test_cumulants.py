@@ -19,7 +19,6 @@ from wickfield.fields import (
     FiniteDiscreteField,
     IidRealGaussianField,
     bernoulli_field,
-    gaussian_moment,
     rademacher_field,
     random_discrete_field,
 )
@@ -223,7 +222,7 @@ def test_moments_from_cumulants_gaussian():
     table = CumulantTable(f)
     seq = refs(0, 0, 0, 0)
     assert moments_from_cumulants(table, seq) == pytest.approx(3.0)
-    assert gaussian_moment(f, seq) == pytest.approx(3.0)
+    assert f.moment(seq) == pytest.approx(3.0)
 
 
 def test_wick_expansion_algebra():

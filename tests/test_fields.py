@@ -15,8 +15,6 @@ from wickfield.fields import (
     check_psd,
     export_samples,
     field_from_config,
-    gaussian_covariance,
-    gaussian_moment,
     sample_ensemble,
     sinc_coupling_example,
     spectrum_from_config,
@@ -61,17 +59,17 @@ def test_discrete_unknown_site():
 
 def test_isserlis_moments():
     f = IidRealGaussianField(variance=2.0)
-    assert gaussian_moment(f, refs(0)) == 0
-    assert gaussian_moment(f, refs(0, 0)) == pytest.approx(2.0)
-    assert gaussian_moment(f, refs(0, 0, 0)) == 0
-    assert gaussian_moment(f, refs(0, 0, 0, 0)) == pytest.approx(3 * 4.0)
-    assert gaussian_moment(f, refs(0, 0, 0, 0, 0, 0)) == pytest.approx(15 * 8.0)
+    assert f.moment(refs(0)) == 0
+    assert f.moment(refs(0, 0)) == pytest.approx(2.0)
+    assert f.moment(refs(0, 0, 0)) == 0
+    assert f.moment(refs(0, 0, 0, 0)) == pytest.approx(3 * 4.0)
+    assert f.moment(refs(0, 0, 0, 0, 0, 0)) == pytest.approx(15 * 8.0)
 
 
 def test_isserlis_cross_site():
     f = IidRealGaussianField()
-    assert gaussian_moment(f, refs(0, 1)) == 0
-    assert gaussian_moment(f, refs(0, 0, 1, 1)) == pytest.approx(1.0)
+    assert f.moment(refs(0, 1)) == 0
+    assert f.moment(refs(0, 0, 1, 1)) == pytest.approx(1.0)
 
 
 def test_complex_iid_covariances():
@@ -81,7 +79,7 @@ def test_complex_iid_covariances():
     assert f.covariance(SiteRef(0, True), SiteRef(1)) == 0
     # E[|phi|^4] = 2 for a standard circular complex Gaussian
     seq = (SiteRef(0, True), SiteRef(0), SiteRef(0, True), SiteRef(0))
-    assert gaussian_moment(f, seq) == pytest.approx(2.0)
+    assert f.moment(seq) == pytest.approx(2.0)
 
 
 def test_gaussian_higher_cumulants_vanish():
@@ -138,7 +136,7 @@ def test_covariance_component_resolution():
     # G is even, so both orientations agree at displacement 1
     c, d = SiteRef(("phi", 0), True), SiteRef(("psi", 1))
     assert table.cumulant((c, d)) == pytest.approx(1 / math.pi)
-    assert gaussian_covariance(f, "psiphi", 1) == pytest.approx(1 / math.pi)
+    assert f.pair_covariance("psiphi", 1) == pytest.approx(1 / math.pi)
 
 
 def test_covariance_profile_vectorized():
