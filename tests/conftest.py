@@ -8,6 +8,9 @@ The oracles deliberately avoid the library's own recursions:
   partition lattice, kappa = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod E[y^A].
 * ``direct_wick_product_expectation`` multiplies out the Wick polynomials
   monomial by monomial and takes the expectation term-wise.
+* ``unfused_evolve`` takes every Strang step in full, half kick, nonlinear
+  phase, half kick, with two FFT pairs per step and no exact jump at
+  lambda = 0.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from wickfield.cumulants import WickExpansion, wick_expansion
+from wickfield.dnls import FieldState, hopping_symbol
 from wickfield.fields import random_discrete_field
 from wickfield.indexing import SiteRef, subsequence
 
@@ -54,6 +58,29 @@ def direct_wick_product_expectation(provider, groups, tail=()):
     if tail:
         poly = poly * WickExpansion({tuple(tail): 1.0 + 0.0j})
     return poly.expectation(provider)
+
+
+def unfused_evolve(state, until, config):
+    """Strang split-step to time ``until``, one full step at a time."""
+    span = until - state.t
+    if span == 0:
+        return FieldState(psi=state.psi.copy(), t=state.t)
+    dt = math.copysign(config.dt, span)
+    n_steps = round(span / dt)
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError("dt does not divide the requested interval")
+    lattice_axes = tuple(range(state.psi.ndim - config.dimension, state.psi.ndim))
+    half_kick = np.exp(-0.5j * dt * hopping_symbol(config))
+    lam = config.coupling
+    psi = state.psi.copy()
+    for _ in range(n_steps):
+        psi = np.fft.ifftn(half_kick * np.fft.fftn(psi, axes=lattice_axes),
+                           axes=lattice_axes)
+        if lam != 0.0:
+            psi = psi * np.exp(-1j * dt * lam * np.abs(psi) ** 2)
+        psi = np.fft.ifftn(half_kick * np.fft.fftn(psi, axes=lattice_axes),
+                           axes=lattice_axes)
+    return FieldState(psi=psi, t=state.t + n_steps * dt)
 
 
 def refs(*labels):

@@ -158,6 +158,37 @@ def test_dnls_demo_rejects_bad_config(runner, tmp_path, config, message):
     assert not out.exists()
 
 
+def test_dnls_demo_rejects_signal_free_ensemble(runner, tmp_path):
+    # psi underflows at this beta: every residual, noise scale and fitted C
+    # is 0, so the old gates passed vacuously
+    cfg = tmp_path / "dnls.json"
+    cfg.write_text(json.dumps({"beta": 1e300, "n_samples": 50, "length": 8}))
+    result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
+                                  "--out", str(tmp_path / "dd")])
+    assert result.exit_code == 1, result.output
+    assert "NOISE SCALE ZERO OR NOT FINITE" in result.output
+    assert "FITTED C NOT POSITIVE" in result.output
+
+
+@pytest.mark.parametrize("args,env,expected", [
+    ([], {}, 3),
+    (["--seed", "7"], {}, 7),
+    ([], {"WICKFIELD_DNLS_DEMO_SEED": "7"}, 7),
+], ids=["config-seed", "seed-option", "seed-env"])
+def test_dnls_demo_seed_precedence(runner, tmp_path, args, env, expected):
+    # an explicit --seed overrides the config's seed; the default does not
+    cfg = tmp_path / "dnls.json"
+    cfg.write_text(json.dumps({"length": 8, "n_samples": 50, "seed": 3,
+                               "couplings": [0.05]}))
+    out = tmp_path / "dd"
+    result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
+                                  "--out", str(out)] + args, env=env)
+    assert result.exit_code == 0, result.output
+    sidecar = json.loads((out / "dnls_run.json").read_text())
+    assert sidecar["config"]["seed"] == expected
+    assert json.loads((out / "manifest.json").read_text())["seed"] == expected
+
+
 def test_env_var_override(runner, tmp_path):
     out = tmp_path / "env"
     result = runner.invoke(main, ["partition-stats", "--out", str(out)],

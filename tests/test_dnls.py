@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unfused_evolve
 from wickfield.dnls import (
     CorrelationSeries,
     DnlsConfig,
@@ -109,6 +110,24 @@ def test_zero_coupling_exact_transport():
     expected = np.fft.ifft(np.exp(-1j * 7.0 * sym) * np.fft.fft(state.psi,
                                                                 axis=1), axis=1)
     assert np.max(np.abs(out.psi - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("dimension,length", [(1, 16), (2, 8)], ids=["d1", "d2"])
+@pytest.mark.parametrize("coupling", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("start,until", [(0.0, 2.0), (1.0, -1.0), (0.0, 0.05), (0.3, 0.25)],
+                         ids=["forward", "backward", "one-step", "one-step-back"])
+def test_evolve_matches_unfused_oracle(dimension, length, coupling, start, until):
+    # merged half kicks (lambda > 0) and the exact jump (lambda = 0) against
+    # full Strang steps; one step is where the last half kick matters
+    cfg = DnlsConfig(dimension=dimension, length=length, coupling=coupling,
+                     n_samples=20, seed=5)
+    state = FieldState(psi=sample_initial(cfg).psi, t=start)
+    before = state.psi.copy()
+    out = evolve(state, until, cfg)
+    expected = unfused_evolve(state, until, cfg)
+    assert np.array_equal(state.psi, before)
+    assert out.t == expected.t
+    assert np.max(np.abs(out.psi - expected.psi)) <= 1e-12 * np.max(np.abs(expected.psi))
 
 
 def test_strang_convergence_order():
