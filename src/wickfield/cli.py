@@ -7,6 +7,7 @@ can be overridden by environment variables with the ``WICKFIELD_`` prefix.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -36,7 +37,7 @@ from .dnls import (
 )
 from .fields import (
     check_psd,
-    load_field_config,
+    field_from_config,
     random_discrete_field,
     sinc_coupling_example,
 )
@@ -54,6 +55,32 @@ def _write_manifest(out: Path, subcommand: str, config_path, seed, started: floa
         "wall_clock_s": round(time.time() - started, 3),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def _read_config(path) -> dict:
+    """The JSON object in a config file; ValueError if there is none."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    return raw
+
+
+@contextlib.contextmanager
+def _config_errors(config_path):
+    """Report a config the body rejects as one line and exit with code 2.
+
+    Commands read their config in this block before they make the output
+    directory, so a bad config leaves nothing behind.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        click.echo(f"Error: {config_path}: {exc}", err=True)
+        sys.exit(2)
 
 
 def _write_reports(out: Path, name: str, reports):
@@ -108,13 +135,14 @@ def cmd_verify_bounds(config_path, out, seed, max_order, rhs_scale):
     """Certify the covariance and joint-cumulant bounds on example fields."""
     started = time.time()
     out = Path(out)
+    if config_path:
+        with _config_errors(config_path):
+            spectral = field_from_config(_read_config(config_path))
+    else:
+        spectral = sinc_coupling_example()
     out.mkdir(parents=True, exist_ok=True)
     reports = []
 
-    if config_path:
-        spectral = load_field_config(config_path)
-    else:
-        spectral = sinc_coupling_example()
     radius = 200
     phi_box = [("phi", x) for x in range(-radius, radius + 1)]
     psi_box = [("psi", x) for x in range(-radius, radius + 1)]
@@ -211,24 +239,25 @@ def cmd_dnls_demo(config_path, out, seed):
     """Duhamel residual of the time-correlation against harmonic transport."""
     started = time.time()
     out = Path(out)
+    couplings = [0.0, 0.01, 0.02, 0.05]
     if config_path:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-        couplings = raw.pop("couplings", [0.0, 0.01, 0.02, 0.05])
-        # an explicit --seed (command line or environment) beats the config's
-        source = click.get_current_context().get_parameter_source("seed")
-        if source is not ParameterSource.DEFAULT:
-            raw["seed"] = seed
-        try:
+        with _config_errors(config_path):
+            raw = _read_config(config_path)
+            couplings = raw.pop("couplings", couplings)
+            if not (isinstance(couplings, list) and couplings and all(
+                    isinstance(c, (int, float)) and not isinstance(c, bool)
+                    and math.isfinite(c) and c >= 0 for c in couplings)):
+                raise ValueError("couplings must be a non-empty list of "
+                                 "finite numbers >= 0")
+            # an explicit --seed (command line or environment) beats the config's
+            source = click.get_current_context().get_parameter_source("seed")
+            if source is not ParameterSource.DEFAULT:
+                raw["seed"] = seed
             unknown = sorted(set(raw) - {f.name for f in fields(DnlsConfig)})
             if unknown:
                 raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
             base = DnlsConfig(**raw)
-        except ValueError as exc:
-            click.echo(f"Error: {config_path}: {exc}", err=True)
-            sys.exit(2)
     else:
-        couplings = [0.0, 0.01, 0.02, 0.05]
         base = DnlsConfig(seed=seed)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -3,7 +3,9 @@ numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set, chosen by ``_anchor_tuples``: one anchor for
-translation-invariant fields.
+translation-invariant fields.  Cumulants are symmetric in their arguments,
+so every sum over box^k goes through ``_symmetric_walk``, which looks up one
+value per multiset of box sites.
 Lattice sums are truncated to caller-supplied boxes; when the provider
 certifies compactly supported covariances the truncation tail is exactly
 zero, otherwise the report carries an unquantified-truncation flag.
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -101,6 +104,28 @@ def _norm_accumulate(values, p: float) -> float:
     return sum(v ** p for v in values) ** (1.0 / p)
 
 
+@lru_cache(maxsize=32)
+def _multiset_expansion(size: int, k: int) -> tuple:
+    """The multisets of k positions in range(size), as sorted tuples in
+    combinations_with_replacement order, and for each x in
+    product(range(size), repeat=k), in product order, the index of the
+    multiset of x."""
+    multisets = tuple(combinations_with_replacement(range(size), k))
+    rank = {ms: i for i, ms in enumerate(multisets)}
+    return multisets, tuple(rank[tuple(sorted(x))]
+                            for x in product(range(size), repeat=k))
+
+
+def _symmetric_walk(value, box, k: int) -> list:
+    """[value(x) for x in product(box, repeat=k)], for a value symmetric in
+    its k arguments, such as |kappa| of the box sites with fixed other
+    arguments: value is called once per multiset of box positions, and the
+    list comes back in product order, so sums over it add in that order."""
+    multisets, expansion = _multiset_expansion(len(box), k)
+    once = [value(tuple(box[i] for i in ms)) for ms in multisets]
+    return [once[i] for i in expansion]
+
+
 def _anchor_tuples(provider, box, k: int) -> list:
     """The anchor k-tuples a sup over anchors scans: the diagonal tuple of
     the box's first site for a translation-invariant law, else all of box^k
@@ -125,9 +150,10 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
         if n == 1:
             value = abs(table.cumulant((SiteRef(anchor),)))
         else:
-            vals = (abs(table.cumulant((SiteRef(anchor),) +
-                                       tuple(SiteRef(s) for s in combo)))
-                    for combo in product(box_sites, repeat=n - 1))
+            pinned = (SiteRef(anchor),)
+            vals = _symmetric_walk(
+                lambda combo: abs(table.cumulant(pinned + tuple(SiteRef(s) for s in combo))),
+                box_sites, n - 1)
             value = _norm_accumulate(vals, p)
         best = max(best, value)
     return ClusteringReport(_field_id(provider), n, p, best,
@@ -279,34 +305,24 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     M = magnitude_constants(provider, float(p), 2 * n, norm_box,
                             anchors=anchors, table=table).top()
 
-    if X.singleton_monomials() and table.singletons_vanish(1 + n):
-        lhs = 0.0
-        witness_x = None
-    elif p == 1:
-        acc = 0.0
-        witness_x = None
-        best = -1.0
-        for x in product(box_sites, repeat=n):
-            val = abs(observable_cumulant(
-                table, X, tuple(SiteRef(s) for s in x))) ** 2
-            acc += val
-            if val > best:
-                best, witness_x = val, x
-        lhs = math.sqrt(acc)
-    else:
-        if xprime_anchors is None:
-            xprime_anchors = _anchor_tuples(provider, box_sites, n)
-        kappa_sq = {x: abs(observable_cumulant(
-            table, X, tuple(SiteRef(s) for s in x))) ** 2
-            for x in product(box_sites, repeat=n)}
-        lhs = 0.0
-        witness_x = None
-        for xp in xprime_anchors:
-            row = phi_kernel(provider, n, xp, box_sites, table=table)
-            val = math.sqrt(sum(abs(row.values[x]) * kappa_sq[x]
-                                for x in kappa_sq))
-            if val > lhs:
-                lhs, witness_x = val, xp
+    lhs = 0.0
+    witness_x = None
+    if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
+        kappa_sq = dict(zip(product(box_sites, repeat=n), _symmetric_walk(
+            lambda x: abs(observable_cumulant(table, X, tuple(SiteRef(s) for s in x))) ** 2,
+            box_sites, n)))
+        if p == 1:
+            lhs = math.sqrt(sum(kappa_sq.values()))
+            witness_x = max(kappa_sq, key=kappa_sq.get, default=None)
+        else:
+            if xprime_anchors is None:
+                xprime_anchors = _anchor_tuples(provider, box_sites, n)
+            for xp in xprime_anchors:
+                row = phi_kernel(provider, n, xp, box_sites, table=table)
+                val = math.sqrt(sum(abs(row.values[x]) * kappa_sq[x]
+                                    for x in kappa_sq))
+                if val > lhs:
+                    lhs, witness_x = val, xp
 
     if p == 1:
         rhs = math.sqrt(cov) * M ** n * math.e ** n * math.sqrt(math.factorial(2 * n))
@@ -358,9 +374,10 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
 
     def kappa_sq_map(xp):
         vars_psi = tuple((SiteRef(s),) for s in xp)
-        return {x: abs(table.joint_cumulant(
-            vars_psi + tuple((SiteRef(s),) for s in x))) ** 2
-            for x in product(phi_box, repeat=n)}
+        return dict(zip(product(phi_box, repeat=n), _symmetric_walk(
+            lambda x: abs(table.joint_cumulant(
+                vars_psi + tuple((SiteRef(s),) for s in x))) ** 2,
+            phi_box, n)))
 
     rows = {}  # Phi_n rows by weight anchor y; they do not depend on x'
 

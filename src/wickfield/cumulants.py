@@ -63,22 +63,21 @@ class MomentProvider(ABC):
             )
 
 
-def _variable_moment(provider, variables) -> complex:
-    """Moment of a product of monomial variables (each a tuple of SiteRefs)."""
-    flat = tuple(ref for mono in variables for ref in mono)
-    return provider.moment(flat)
-
-
 class CumulantTable:
     """Memoized cumulants kappa[y_I] over a backing provider.
 
     Entries are stored under the permutation-invariant canonical key.  The
-    table is also the one place that applies the Gaussian rule.
+    table is also the one place that applies the Gaussian rule.  Moments of
+    products of the variables are memoized too, each under its flat index
+    sequence in the order the recursion builds it; that key is deliberately
+    not canonicalised, because a provider may round a product differently
+    in another factor order.
     """
 
     def __init__(self, provider: MomentProvider):
         self.provider = provider
         self._memo = {}
+        self._moments = {}
 
     def singletons_vanish(self, order: int) -> bool:
         """True when every cumulant of ``order`` single field variables is
@@ -107,13 +106,22 @@ class CumulantTable:
             return self.provider.covariance(variables[0][0], variables[1][0])
         return self._recurse(tuple(sorted(variables, key=seq_sort_key)), anchor)
 
+    def _moment(self, variables) -> complex:
+        """E[product of the monomial variables], one provider call per flat
+        index sequence."""
+        flat = tuple(ref for mono in variables for ref in mono)
+        value = self._moments.get(flat)
+        if value is None:
+            value = self._moments[flat] = self.provider.moment(flat)
+        return value
+
     def _recurse(self, key, anchor: int) -> complex:
         if anchor == 0:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
         k = len(key)
-        value = _variable_moment(self.provider, key)
+        value = self._moment(key)
         if k > 1:
             rest = [i for i in range(k) if i != anchor]
             # subsets E with the anchor variable, E a proper subset
@@ -122,7 +130,7 @@ class CumulantTable:
                     positions = (anchor,) + extra
                     sub = tuple(sorted((key[i] for i in positions), key=seq_sort_key))
                     comp = tuple(key[i] for i in rest if i not in extra)
-                    value -= _variable_moment(self.provider, comp) * self._recurse(sub, 0)
+                    value -= self._moment(comp) * self._recurse(sub, 0)
         if anchor == 0:
             self._memo[key] = value
         return value

@@ -402,6 +402,9 @@ _SPECTRA = {
 
 
 def spectrum_from_config(cfg: dict):
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a spectrum must be an object with a 'name', "
+                         f"not {cfg!r}")
     try:
         builder = _SPECTRA[cfg["name"]]
     except KeyError:
@@ -420,6 +423,9 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
         raise ValueError(f"unknown field model {model!r}")
     if int(cfg.get("dimension", 1)) != 1:
         raise ValueError("only dimension 1 spectral fields are supported")
+    missing = [key for key in ("f1", "f2", "g") if key not in cfg]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
     return SpectralGaussianField(
         f1_hat=spectrum_from_config(cfg["f1"]),
         f2_hat=spectrum_from_config(cfg["f2"]),
@@ -427,11 +433,6 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
         grid=grid,
         name=cfg.get("name", "spectral-gaussian"),
     )
-
-
-def load_field_config(path) -> SpectralGaussianField:
-    with open(path) as fh:
-        return field_from_config(json.load(fh))
 
 
 def export_samples(est: EnsembleEstimator, basepath):

@@ -11,9 +11,13 @@ The oracles deliberately avoid the library's own recursions:
 * ``unfused_evolve`` takes every Strang step in full, half kick, nonlinear
   phase, half kick, with two FFT pairs per step and no exact jump at
   lambda = 0.
+* ``product_order_walk`` and ``product_order_clustering_norm`` evaluate a
+  box^k cumulant sum once per ordered tuple, in product order, without
+  using the symmetry of cumulants.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -81,6 +85,30 @@ def unfused_evolve(state, until, config):
         psi = np.fft.ifftn(half_kick * np.fft.fftn(psi, axes=lattice_axes),
                            axes=lattice_axes)
     return FieldState(psi=psi, t=state.t + n_steps * dt)
+
+
+def product_order_walk(value, box, k):
+    """[value(x) for x in product(box, repeat=k)], one call per ordered tuple."""
+    return [value(x) for x in product(box, repeat=k)]
+
+
+def product_order_clustering_norm(table, n, p, box, anchors):
+    """Sup over the anchors of the lp sum over box^(n-1) of |kappa| with the
+    anchor pinned in the first slot, walking every ordered tuple."""
+    best = 0.0
+    for anchor in anchors:
+        pinned = (SiteRef(anchor),)
+        vals = product_order_walk(
+            lambda x: abs(table.cumulant(pinned + tuple(SiteRef(s) for s in x))),
+            box, n - 1)
+        if n == 1:
+            value = vals[0]
+        elif p == math.inf:
+            value = max(vals)
+        else:
+            value = sum(v ** p for v in vals) ** (1.0 / p)
+        best = max(best, value)
+    return best
 
 
 def refs(*labels):

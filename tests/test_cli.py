@@ -141,21 +141,59 @@ def test_dnls_demo_rerun_bit_identical(runner, tmp_path):
             (tmp_path / "b" / fname).read_bytes()
 
 
-@pytest.mark.parametrize("config,message", [
-    ({"n_samples": 1}, "n_samples must be >= 2"),
-    ({"n_sample": 5}, "unknown key(s) 'n_sample'"),
-], ids=["one-sample", "unknown-key"])
-def test_dnls_demo_rejects_bad_config(runner, tmp_path, config, message):
-    cfg = tmp_path / "dnls.json"
-    cfg.write_text(json.dumps(config))
+def _assert_config_rejected(runner, tmp_path, command, text, message):
+    """The command prints one error line naming the config, exits 2 and
+    makes no output directory."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
     out = tmp_path / "bad"
-    result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
+    result = runner.invoke(main, [command, "--config", str(cfg),
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
-    assert len(lines) == 1 and message in lines[0], result.output
+    assert len(lines) == 1, result.output
+    assert lines[0].startswith(f"Error: {cfg}: ") and message in lines[0], result.output
     assert not out.exists()
+
+
+COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"n_samples": 1}), "n_samples must be >= 2"),
+    (json.dumps({"n_sample": 5}), "unknown key(s) 'n_sample'"),
+    (json.dumps({"couplings": [-0.1], "n_samples": 10, "length": 4}),
+     COUPLINGS_MESSAGE),
+    (json.dumps({"couplings": [], "n_samples": 10}), COUPLINGS_MESSAGE),
+    ('{"couplings": [0.01, NaN], "n_samples": 10}', COUPLINGS_MESSAGE),
+    (json.dumps({"couplings": ["0.1"], "n_samples": 10}), COUPLINGS_MESSAGE),
+    ("[1]", "config must be a JSON object"),
+    ('{"n_samples": 10,', "invalid JSON"),
+], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
+        "nan-coupling", "string-coupling", "not-an-object", "malformed-json"])
+def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
+    _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
+
+
+FLAT = {"name": "flat"}
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": {"name": "flat", "value": 2.0}}),
+     "spectra violate"),
+    (json.dumps({"f1": {"name": "wavy"}, "f2": FLAT, "g": FLAT}),
+     "unknown spectrum 'wavy'"),
+    (json.dumps({"f1": "flat", "f2": FLAT, "g": FLAT}),
+     "a spectrum must be an object"),
+    (json.dumps({"model": "mystery"}), "unknown field model 'mystery'"),
+    (json.dumps({"f1": FLAT, "f2": FLAT}), "missing key(s) 'g'"),
+    ("[1]", "config must be a JSON object"),
+    ('{"model": "spectral",', "invalid JSON"),
+], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
+        "unknown-model", "missing-key", "not-an-object", "malformed-json"])
+def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
+    _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 
 
 def test_dnls_demo_rejects_signal_free_ensemble(runner, tmp_path):

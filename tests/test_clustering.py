@@ -14,6 +14,7 @@ from wickfield.clustering import (
     lemma_check,
     magnitude_constants,
     observable_covariance,
+    observable_cumulant,
     phi_kernel,
     theorem41_check,
 )
@@ -23,9 +24,12 @@ from wickfield.fields import (
     IidComplexGaussianField,
     IidRealGaussianField,
     random_discrete_field,
+    sample_ensemble,
     sinc_coupling_example,
 )
 from wickfield.indexing import SiteRef
+
+from conftest import product_order_clustering_norm, product_order_walk
 
 
 class GrowingVarianceField(GaussianCovarianceField):
@@ -183,6 +187,90 @@ def test_joint_theorem_vanishing_matches_recursion(name, m, n, p):
     assert fast.lhs == 0.0
     assert abs(fast.lhs - slow.lhs) <= 1e-12
     assert fast.rhs == pytest.approx(slow.rhs, rel=1e-12, abs=1e-12)
+
+
+# Non-Gaussian fields whose sites all have different laws, so every box sum
+# mixes distinct cumulants and a wrong multiplicity or order changes it.
+WALK_FIELDS = {
+    "discrete-3": random_discrete_field(np.random.default_rng(3), sites=[0, 1, 2]),
+    "discrete-4": random_discrete_field(np.random.default_rng(4), sites=[0, 1, 2, 3]),
+    "ensemble": sample_ensemble(sinc_coupling_example(), box=2, n_samples=64, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+def test_clustering_norm_multiset_walk_matches_product_walk(name, n, p, explicit):
+    provider = WALK_FIELDS[name]
+    box = list(provider.sites)
+    anchors = [box[-1], box[1]] if explicit else None
+    got = clustering_norm(provider, n, p, box, anchors=anchors).value
+    want = product_order_clustering_norm(CumulantTable(provider), n, p, box,
+                                         anchors or box)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(WALK_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_theorem41_multiset_walk_matches_product_walk(name, n, p):
+    provider = WALK_FIELDS[name]
+    sites = list(provider.sites)
+    X, box = Observable.of_site(sites[0]), sites[1:]
+    xprime_anchors = [tuple(box[-1:]) * n, tuple(box[:n])]
+    table = CumulantTable(provider)
+    rep = theorem41_check(provider, X, n, p, box, xprime_anchors=xprime_anchors,
+                          table=table)
+    xs = list(product(box, repeat=n))
+    ksq = product_order_walk(
+        lambda x: abs(observable_cumulant(table, X, tuple(SiteRef(s) for s in x))) ** 2,
+        box, n)
+    if p == 1:
+        lhs, witness = math.sqrt(sum(ksq)), xs[ksq.index(max(ksq))]
+    else:
+        lhs, witness = 0.0, None
+        for xp in xprime_anchors:
+            row = phi_kernel(provider, n, xp, box, table=table)
+            val = math.sqrt(sum(abs(row.values[x]) * k for x, k in zip(xs, ksq)))
+            if val > lhs:
+                lhs, witness = val, xp
+    assert lhs > 0
+    assert rep.lhs == lhs
+    assert rep.witnesses["witness_x"] == list(witness)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_FIELDS))
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_joint_theorem_multiset_walk_matches_product_walk(name, m, n, p):
+    provider = WALK_FIELDS[name]
+    sites = list(provider.sites)
+    psi_sites, phi_box = sites[:2], sites[len(sites) // 2:]
+    table = CumulantTable(provider)
+    rep = joint_theorem_check(provider, m, n, p, psi_sites, phi_box, table=table)
+    xs = list(product(phi_box, repeat=n))
+    lhs, witness = 0.0, None
+    for xp in product(psi_sites, repeat=m):
+        ksq = product_order_walk(
+            lambda x: abs(table.joint_cumulant(
+                tuple((SiteRef(s),) for s in xp + x))) ** 2,
+            phi_box, n)
+        if p == 1:
+            candidates = [(math.sqrt(sum(ksq)), {"xprime": list(xp)})]
+        else:
+            candidates = []
+            for y in xs:
+                row = phi_kernel(provider, n, y, phi_box, table=table)
+                val = math.sqrt(sum(abs(row.values[x]) * k for x, k in zip(xs, ksq)))
+                candidates.append((val, {"xprime": list(xp), "y": list(y)}))
+        for val, where in candidates:
+            if val > lhs:
+                lhs, witness = val, where
+    assert lhs > 0
+    assert rep.lhs == lhs
+    assert rep.witnesses["witness"] == witness
 
 
 def test_lemma_chain_iid(rng):

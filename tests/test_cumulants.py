@@ -1,12 +1,15 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wickfield.clustering import magnitude_constants
 from wickfield.cumulants import (
     CumulantTable,
+    MomentProvider,
     OrderOverflowError,
     WickExpansion,
     cumulant,
@@ -21,6 +24,8 @@ from wickfield.fields import (
     bernoulli_field,
     rademacher_field,
     random_discrete_field,
+    sample_ensemble,
+    sinc_coupling_example,
 )
 from wickfield.indexing import SiteRef, canonical
 
@@ -233,3 +238,42 @@ def test_wick_expansion_algebra():
     assert prod.terms[refs(1)] == pytest.approx(1.0)
     s = a + a
     assert s.terms[refs(0)] == pytest.approx(4.0)
+
+
+class CountingProvider(MomentProvider):
+    """Delegates moments to ``inner`` and counts the calls per sequence."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_order = inner.max_order
+        self.calls = Counter()
+
+    def moment(self, sequence):
+        self.calls[sequence] += 1
+        return self.inner.moment(sequence)
+
+
+def test_table_evaluates_each_moment_once():
+    est = sample_ensemble(sinc_coupling_example(), box=2, n_samples=64, seed=5)
+    counting = CountingProvider(est)
+    table = CumulantTable(counting)
+    sites = list(est.sites)
+    for p in (1.0, math.inf):
+        magnitude_constants(counting, p, 4, sites, table=table)
+    # one moment per multiset of the 4 sites of order 1..4: 4 + 10 + 20 + 35
+    assert len(counting.calls) == 69
+    # compound variables flatten out of canonical order; the memo keeps that
+    # order, in which the estimator multiplies and rounds
+    psi0, phi0, phi1 = SiteRef(("psi", 0)), SiteRef(("phi", 0)), SiteRef(("phi", 1))
+    for variables in (((phi1,), (phi0, psi0)), ((phi1,), (phi0, psi0), (phi1, phi1))):
+        table.joint_cumulant(variables)
+    assert any(flat != canonical(flat) for flat in counting.calls)
+    assert set(counting.calls.values()) == {1}
+    assert table._moments.keys() == counting.calls.keys()
+    for flat, value in table._moments.items():
+        assert value == est.moment(flat), flat
+    for order in (2, 3, 4):
+        seq = canonical(SiteRef(s) for s in (sites * 2)[:order])
+        assert moments_from_cumulants(table, seq) == pytest.approx(
+            est.moment(seq), rel=1e-10, abs=1e-12)
+    assert set(counting.calls.values()) == {1}
