@@ -45,18 +45,6 @@ from .partitions import verify_comb_est
 from .reports import SCHEMA_VERSION
 
 
-def _write_manifest(out: Path, subcommand: str, config_path, seed, started: float):
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
-        "config": str(config_path) if config_path else None,
-        "seed": seed,
-        "tool_version": __version__,
-        "wall_clock_s": round(time.time() - started, 3),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
 def _read_config(path) -> dict:
     """The JSON object in a config file; ValueError if there is none."""
     with open(path) as fh:
@@ -73,8 +61,8 @@ def _read_config(path) -> dict:
 def _config_errors(config_path):
     """Report a config the body rejects as one line and exit with code 2.
 
-    Commands read their config in this block before they make the output
-    directory, so a bad config leaves nothing behind.
+    Nothing is written before ``_finish``, so a bad config leaves nothing
+    behind.
     """
     try:
         yield
@@ -83,13 +71,43 @@ def _config_errors(config_path):
         sys.exit(2)
 
 
-def _write_reports(out: Path, name: str, reports):
-    path = out / f"{name}.json"
-    records = [r.to_record() for r in reports]
-    for rec in records:
-        rec["manifest"] = "manifest.json"
-    path.write_text(json.dumps(records, indent=2, sort_keys=True))
-    return all(r.flag for r in reports)
+def _finish(out, subcommand: str, started: float, ok: bool, summary: str, *,
+            config_path=None, seed=None, reports=None, sidecar=None, table=None):
+    """Write a finished command's outputs, echo its summary and exit.
+
+    This is the only place a command writes: ``out`` is made here, after the
+    computation, so a command that fails part-way leaves nothing behind.
+    ``reports`` is (name, BoundReports), ``sidecar`` is (name, dict) and
+    ``table`` is (name, header, rows); every JSON data file points at the
+    manifest.  The exit code is 0 iff ``ok``.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    if reports is not None:
+        name, items = reports
+        records = [{**r.to_record(), "manifest": "manifest.json"} for r in items]
+        (out / f"{name}.json").write_text(json.dumps(records, indent=2, sort_keys=True))
+    if sidecar is not None:
+        name, record = sidecar
+        record = {"schema_version": SCHEMA_VERSION, **record, "manifest": "manifest.json"}
+        (out / f"{name}.json").write_text(json.dumps(record, indent=2))
+    if table is not None:
+        name, header, rows = table
+        with open(out / f"{name}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "config": str(config_path) if config_path else None,
+        "seed": seed,
+        "tool_version": __version__,
+        "wall_clock_s": round(time.time() - started, 3),
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    click.echo(f"{subcommand}: {summary}")
+    sys.exit(0 if ok else 1)
 
 
 @click.group(context_settings={"auto_envvar_prefix": "WICKFIELD"})
@@ -105,19 +123,14 @@ def main():
 def cmd_partition_stats(n_max, out):
     """Factorial-partition-sum bound sum_pi prod |S|! <= (2n)! e^(2n)."""
     started = time.time()
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     reports = [verify_comb_est(n) for n in range(1, n_max + 1)]
-    with open(out / "partition_stats.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lhs", "rhs", "ratio", "flag"])
-        for rep in reports:
-            writer.writerow([rep.witnesses["n"], f"{rep.lhs:.6g}",
-                             f"{rep.rhs:.6g}", f"{rep.ratio:.6g}", rep.flag])
-    ok = _write_reports(out, "partition_stats", reports)
-    _write_manifest(out, "partition-stats", None, None, started)
-    click.echo(f"partition-stats: {'all bounds hold' if ok else 'BOUND VIOLATION'}")
-    sys.exit(0 if ok else 1)
+    rows = [[rep.witnesses["n"], f"{rep.lhs:.6g}", f"{rep.rhs:.6g}",
+             f"{rep.ratio:.6g}", rep.flag] for rep in reports]
+    ok = all(rep.flag for rep in reports)
+    _finish(out, "partition-stats", started, ok,
+            "all bounds hold" if ok else "BOUND VIOLATION",
+            reports=("partition_stats", reports),
+            table=("partition_stats", ["n", "lhs", "rhs", "ratio", "flag"], rows))
 
 
 @main.command("verify-bounds")
@@ -129,21 +142,20 @@ def cmd_partition_stats(n_max, out):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-order", default=2, show_default=True,
               help="Check (m, n) up to this order.")
-@click.option("--rhs-scale", default=1.0, hidden=True,
-              help="Test hook: scale every RHS before flagging.")
-def cmd_verify_bounds(config_path, out, seed, max_order, rhs_scale):
+def cmd_verify_bounds(config_path, out, seed, max_order):
     """Certify the covariance and joint-cumulant bounds on example fields."""
     started = time.time()
-    out = Path(out)
+    radius = 200
     if config_path:
         with _config_errors(config_path):
             spectral = field_from_config(_read_config(config_path))
+            # the checks below pair sites up to 2 * radius apart; a config
+            # field has closed forms for every pair or for none
+            spectral.pair_covariance("psiphi", 2 * radius)
     else:
         spectral = sinc_coupling_example()
-    out.mkdir(parents=True, exist_ok=True)
     reports = []
 
-    radius = 200
     phi_box = [("phi", x) for x in range(-radius, radius + 1)]
     psi_box = [("psi", x) for x in range(-radius, radius + 1)]
     norm_box = [("phi", x) for x in range(-20, 21)]
@@ -180,13 +192,10 @@ def cmd_verify_bounds(config_path, out, seed, max_order, rhs_scale):
                     reports.append(joint_theorem_check(
                         fieldd, m, n, p, psi_sites, phi_sites, table=table))
 
-    for rep in reports:
-        rep.rhs *= rhs_scale
-    ok = _write_reports(out, "bound_reports", reports)
-    _write_manifest(out, "verify-bounds", config_path, seed, started)
-    click.echo(f"verify-bounds: {len(reports)} checks, "
-               f"{'all flags true' if ok else 'FLAG FALSE'}")
-    sys.exit(0 if ok else 1)
+    ok = all(rep.flag for rep in reports)
+    _finish(out, "verify-bounds", started, ok,
+            f"{len(reports)} checks, {'all flags true' if ok else 'FLAG FALSE'}",
+            config_path=config_path, seed=seed, reports=("bound_reports", reports))
 
 
 @main.command("example-gaussian")
@@ -196,36 +205,28 @@ def cmd_verify_bounds(config_path, out, seed, max_order, rhs_scale):
 def cmd_example_gaussian(out, radius):
     """The band-limited coupling pair: divergent l1 sum, finite l2 sum, PSD."""
     started = time.time()
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     fieldg = sinc_coupling_example()
     schedule = [r for r in (100, 1000, 10_000, radius) if r <= radius]
     schedule = sorted(set(schedule))
     probe1 = l1_divergence_probe(fieldg, schedule, exponent=1)
     probe2 = l1_divergence_probe(fieldg, schedule, exponent=2)
-    with open(out / "partial_sums.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "l1_partial_sum", "l2_partial_sum"])
-        for (r, s1), (_, s2) in zip(probe1.rows, probe2.rows):
-            writer.writerow([r, f"{s1:.8g}", f"{s2:.8g}"])
+    rows = [[r, f"{s1:.8g}", f"{s2:.8g}"]
+            for (r, s1), (_, s2) in zip(probe1.rows, probe2.rows)]
     psd_ok = check_psd(fieldg.f1_hat, fieldg.f2_hat, fieldg.g_hat)
     record = {
-        "schema_version": SCHEMA_VERSION,
         "psd_check": psd_ok,
         "l1_divergence_coefficient": probe1.odd_harmonic_coefficient,
         "l1_slope_vs_log_radius": probe1.slope_vs_log_radius,
         "l2_limit_estimate": probe2.rows[-1][1],
         "expected": {"coefficient": 2 / math.pi, "l2_limit": 0.5},
-        "manifest": "manifest.json",
     }
-    (out / "gaussian_example.json").write_text(json.dumps(record, indent=2))
-    _write_manifest(out, "example-gaussian", None, None, started)
     ok = psd_ok and abs(probe2.rows[-1][1] - 0.5) < 1e-3 \
         and abs(probe1.odd_harmonic_coefficient - 2 / math.pi) < 0.05 * 2 / math.pi
-    click.echo(f"example-gaussian: {'ok' if ok else 'MISMATCH'} "
-               f"(l2 -> {probe2.rows[-1][1]:.5f}, "
-               f"coefficient {probe1.odd_harmonic_coefficient:.5f})")
-    sys.exit(0 if ok else 1)
+    _finish(out, "example-gaussian", started, ok,
+            f"{'ok' if ok else 'MISMATCH'} (l2 -> {probe2.rows[-1][1]:.5f}, "
+            f"coefficient {probe1.odd_harmonic_coefficient:.5f})",
+            sidecar=("gaussian_example", record),
+            table=("partial_sums", ["radius", "l1_partial_sum", "l2_partial_sum"], rows))
 
 
 @main.command("dnls-demo")
@@ -238,7 +239,6 @@ def cmd_example_gaussian(out, radius):
 def cmd_dnls_demo(config_path, out, seed):
     """Duhamel residual of the time-correlation against harmonic transport."""
     started = time.time()
-    out = Path(out)
     couplings = [0.0, 0.01, 0.02, 0.05]
     if config_path:
         with _config_errors(config_path):
@@ -249,6 +249,8 @@ def cmd_dnls_demo(config_path, out, seed):
                     and math.isfinite(c) and c >= 0 for c in couplings)):
                 raise ValueError("couplings must be a non-empty list of "
                                  "finite numbers >= 0")
+            if 0 not in couplings:
+                raise ValueError("couplings must include 0 for the lambda = 0 gate")
             # an explicit --seed (command line or environment) beats the config's
             source = click.get_current_context().get_parameter_source("seed")
             if source is not ParameterSource.DEFAULT:
@@ -259,7 +261,6 @@ def cmd_dnls_demo(config_path, out, seed):
             base = DnlsConfig(**raw)
     else:
         base = DnlsConfig(seed=seed)
-    out.mkdir(parents=True, exist_ok=True)
 
     all_rows = []
     fits = {}
@@ -273,22 +274,6 @@ def cmd_dnls_demo(config_path, out, seed):
         all_rows.extend(rows)
         if lam > 0:
             fits[lam] = fit_residual_constant(rows, lam, t_max=1.0 / lam)
-    with open(out / "duhamel_residuals.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "coupling", "residual", "noise_scale"])
-        for row in all_rows:
-            writer.writerow([f"{row['t']:.6g}", row["coupling"],
-                             f"{row['residual']:.8g}", f"{row['noise_scale']:.8g}"])
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(base),
-        "couplings": couplings,
-        "fitted_constants": fits,
-        "run_hash": base.run_hash(),
-        "manifest": "manifest.json",
-    }
-    (out / "dnls_run.json").write_text(json.dumps(sidecar, indent=2))
-    _write_manifest(out, "dnls-demo", config_path, base.seed, started)
 
     # A zero noise scale or fitted C means the ensemble carried no signal
     # (psi underflows when beta is huge); the gates would then hold vacuously.
@@ -307,10 +292,18 @@ def cmd_dnls_demo(config_path, out, seed):
         fit_msg = "; FITTED C SPREAD ABOVE 25%"
     else:
         fit_msg = ""
-    ok = zero_msg == "ok" and not fit_msg
-    click.echo(f"dnls-demo: lambda=0 residuals {zero_msg}; "
-               f"fitted C per lambda: {fits}{fit_msg}")
-    sys.exit(0 if ok else 1)
+    sidecar = {
+        "config": asdict(base),
+        "couplings": couplings,
+        "fitted_constants": fits,
+        "run_hash": base.run_hash(),
+    }
+    _finish(out, "dnls-demo", started, zero_msg == "ok" and not fit_msg,
+            f"lambda=0 residuals {zero_msg}; fitted C per lambda: {fits}{fit_msg}",
+            config_path=config_path, seed=base.seed, sidecar=("dnls_run", sidecar),
+            table=("duhamel_residuals", ["t", "coupling", "residual", "noise_scale"],
+                   [[f"{row['t']:.6g}", row["coupling"], f"{row['residual']:.8g}",
+                     f"{row['noise_scale']:.8g}"] for row in all_rows]))
 
 
 if __name__ == "__main__":

@@ -6,9 +6,8 @@ finite anchor set, chosen by ``_anchor_tuples``: one anchor for
 translation-invariant fields.  Cumulants are symmetric in their arguments,
 so every sum over box^k goes through ``_symmetric_walk``, which looks up one
 value per multiset of box sites.
-Lattice sums are truncated to caller-supplied boxes; when the provider
-certifies compactly supported covariances the truncation tail is exactly
-zero, otherwise the report carries an unquantified-truncation flag.
+Lattice sums are truncated to caller-supplied boxes; no report bounds the
+tail beyond its box.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class ClusteringReport:
     n: int
     p: float
     value: float
-    tail: float | None = None  # None = unquantified truncation
 
 
 @dataclass
@@ -142,7 +140,7 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     if table is None:
         table = CumulantTable(provider)
     if table.singletons_vanish(n):
-        return ClusteringReport(_field_id(provider), n, p, 0.0, tail=0.0)
+        return ClusteringReport(_field_id(provider), n, p, 0.0)
     if anchors is None:
         anchors = [a for (a,) in _anchor_tuples(provider, box_sites, 1)]
     best = 0.0
@@ -156,17 +154,7 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
                 box_sites, n - 1)
             value = _norm_accumulate(vals, p)
         best = max(best, value)
-    return ClusteringReport(_field_id(provider), n, p, best,
-                            tail=_tail_bound(provider, n))
-
-
-def _tail_bound(provider, n: int):
-    # compactly supported covariances with an all-covering box: tail is 0
-    if hasattr(provider, "covariance_support_radius"):
-        return 0.0
-    if not provider.is_gaussian:
-        return 0.0 if not provider.translation_invariant else None
-    return None
+    return ClusteringReport(_field_id(provider), n, p, best)
 
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,

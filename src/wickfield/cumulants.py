@@ -20,12 +20,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .indexing import IndexSequence, SiteRef, canonical, seq_sort_key, subsequence
-from .partitions import (
-    DEFAULT_SIZE_GUARD,
-    enumerate_partitions,
-    enumerate_restricted,
-)
+from .indexing import IndexSequence, canonical, seq_sort_key, subsequence
+from .partitions import enumerate_partitions, enumerate_restricted
 
 
 class OrderOverflowError(ValueError):
@@ -52,9 +48,6 @@ class MomentProvider(ABC):
     @abstractmethod
     def moment(self, sequence: IndexSequence) -> complex:
         ...
-
-    def mean(self, ref: SiteRef) -> complex:
-        return self.moment((ref,))
 
     def check_order(self, order: int):
         if order > self.max_order:
@@ -141,17 +134,26 @@ def cumulant(provider: MomentProvider, sequence: IndexSequence, anchor: int = 0)
     return CumulantTable(provider).cumulant(sequence, anchor=anchor)
 
 
-def moments_from_cumulants(table: CumulantTable, sequence: IndexSequence,
-                           size_guard: int = DEFAULT_SIZE_GUARD) -> complex:
-    """E[y^I] = sum over partitions of I of the product of block cumulants."""
-    n = len(sequence)
+def _block_cumulant_sum(table: CumulantTable, flat: IndexSequence, partitions) -> complex:
+    """sum over the partitions of ``flat`` of the product of block cumulants.
+
+    A product stops at its first zero factor; with finite cumulants the rest
+    of it could only add +-0.
+    """
     total = 0.0 + 0.0j
-    for part in enumerate_partitions(n, size_guard=size_guard):
+    for part in partitions:
         prod = 1.0 + 0.0j
         for block in part.blocks:
-            prod *= table.cumulant(subsequence(sequence, block))
+            prod *= table.cumulant(subsequence(flat, block))
+            if prod == 0:
+                break
         total += prod
     return total
+
+
+def moments_from_cumulants(table: CumulantTable, sequence: IndexSequence) -> complex:
+    """E[y^I] = sum over partitions of I of the product of block cumulants."""
+    return _block_cumulant_sum(table, sequence, enumerate_partitions(len(sequence)))
 
 
 @dataclass
@@ -166,9 +168,6 @@ class WickExpansion:
 
     def expectation(self, provider: MomentProvider) -> complex:
         return sum(c * provider.moment(mono) for mono, c in self.terms.items())
-
-    def scaled(self, factor: complex) -> "WickExpansion":
-        return WickExpansion({m: factor * c for m, c in self.terms.items()})
 
     def __add__(self, other: "WickExpansion") -> "WickExpansion":
         out = dict(self.terms)
@@ -212,8 +211,7 @@ def wick_expansion(provider: MomentProvider, sequence: IndexSequence) -> WickExp
 
 
 def wick_product_expectation(provider: MomentProvider, groups, tail=(),
-                             table: CumulantTable | None = None,
-                             size_guard: int = DEFAULT_SIZE_GUARD) -> complex:
+                             table: CumulantTable | None = None) -> complex:
     """E[ prod_l :y^(J_l): * y^(J') ] via the restricted partition expansion.
 
     Sums the product of block cumulants over partitions of the concatenation
@@ -224,15 +222,7 @@ def wick_product_expectation(provider: MomentProvider, groups, tail=(),
     provider.check_order(len(flat))
     if table is None:
         table = CumulantTable(provider)
-    total = 0.0 + 0.0j
-    for part in enumerate_restricted(groups, tail, size_guard=size_guard):
-        prod = 1.0 + 0.0j
-        for block in part.blocks:
-            prod *= table.cumulant(subsequence(flat, block))
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _block_cumulant_sum(table, flat, enumerate_restricted(groups, tail))
 
 
 def generating_check(provider, sequence: IndexSequence, h: float = 1e-3,

@@ -20,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+import sys
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -37,12 +39,24 @@ class DnlsConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                ok, what = isinstance(value, numbers.Integral), "an integer"
+            else:
+                # the bound, not math.isfinite, so a huge int is refused, not raised
+                ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+                what = "a finite number"
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{f.name} must be {what}, not {value!r}")
+        if self.dt <= 0:
+            raise ValueError("dt must be > 0")
         if self.coupling < 0:
             raise ValueError("coupling must be >= 0")
         if self.beta <= 0 or self.mu <= 0:
             raise ValueError("beta and mu must be > 0")
         if self.dimension < 1 or self.length < 1:
-            raise ValueError("bad lattice shape")
+            raise ValueError("dimension and length must be >= 1")
         if self.n_samples < 2:
             # one member has no spread: every residual and fitted C would be 0
             raise ValueError("n_samples must be >= 2")

@@ -13,9 +13,7 @@ Three families:
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -155,9 +153,6 @@ class IidRealGaussianField(GaussianCovarianceField):
     def log_generating_function(self, lam: dict) -> complex:
         return 0.5 * self.variance * sum(t * t for t in lam.values())
 
-    def covariance_support_radius(self):
-        return 0
-
 
 class IidComplexGaussianField(GaussianCovarianceField):
     """Independent circularly symmetric complex Gaussians: E[|phi|^2] =
@@ -173,9 +168,6 @@ class IidComplexGaussianField(GaussianCovarianceField):
         if a.site != b.site:
             return 0.0
         return self.variance if a.conj != b.conj else 0.0
-
-    def covariance_support_radius(self):
-        return 0
 
 
 def check_psd(f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID,
@@ -237,8 +229,10 @@ class SpectralGaussianField(GaussianCovarianceField):
         fn = self.closed_forms.get(which)
         if fn is not None:
             return fn(displacements)
-        if np.max(np.abs(displacements)) >= self.grid // 2:
-            raise ValueError("displacement exceeds half the quadrature grid")
+        reach = int(np.max(np.abs(displacements)))
+        if reach >= self.grid // 2:
+            raise ValueError(f"quadrature grid {self.grid} is too small for "
+                             f"displacement {reach}: it needs at least {2 * reach + 2}")
         tab = self._table(which)
         vals = tab[np.mod(displacements, self.grid)]
         return np.real_if_close(vals, tol=1e6)
@@ -340,10 +334,9 @@ class EnsembleEstimator(MomentProvider):
     the provider moments at the Monte Carlo rate O(N^-1/2).
     """
 
-    def __init__(self, sites, samples: np.ndarray, seed=None, max_order: int = 8):
+    def __init__(self, sites, samples: np.ndarray, max_order: int = 8):
         self.sites = tuple(sites)
         self.samples = np.asarray(samples)
-        self.seed = seed
         self.max_order = max_order
         self._index = {s: i for i, s in enumerate(self.sites)}
         if self.samples.ndim != 2 or self.samples.shape[1] != len(self.sites):
@@ -385,11 +378,11 @@ def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
     psi, phi = sample_field_pair(field, box, n_samples, rng)
     sites = [("psi", x) for x in range(box)] + [("phi", x) for x in range(box)]
     samples = np.concatenate([psi, phi], axis=1)
-    return EnsembleEstimator(sites, samples, seed=seed)
+    return EnsembleEstimator(sites, samples)
 
 
 # ---------------------------------------------------------------------------
-# config files and sample export
+# config files
 
 _SPECTRA = {
     "flat": lambda params: (lambda k: np.full_like(np.asarray(k, dtype=float),
@@ -434,18 +427,3 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
         name=cfg.get("name", "spectral-gaussian"),
     )
 
-
-def export_samples(est: EnsembleEstimator, basepath):
-    """Write the sample matrix as flat complex128 binary plus a JSON header."""
-    base = Path(basepath)
-    data = np.ascontiguousarray(est.samples, dtype=np.complex128)
-    base.with_suffix(".bin").write_bytes(data.tobytes())
-    header = {
-        "schema_version": 1,
-        "dtype": "complex128",
-        "shape": list(data.shape),
-        "sites": [list(s) if isinstance(s, tuple) else s for s in est.sites],
-        "seed": est.seed,
-    }
-    base.with_suffix(".json").write_text(json.dumps(header, indent=2))
-    return base.with_suffix(".bin"), base.with_suffix(".json")

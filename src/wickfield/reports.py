@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,9 +53,6 @@ class BoundReport:
         if self.log_sides is not None:
             rec["log_lhs"], rec["log_rhs"] = self.log_sides
         return rec
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
 
 
 def _jsonable(obj):

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from wickfield import cli
 from wickfield.cli import main
 
 
@@ -53,11 +54,22 @@ def test_verify_bounds_default(runner, tmp_path):
     assert all(r["schema_version"] == 1 for r in reports)
 
 
-def test_verify_bounds_corrupted_rhs_fails(runner, tmp_path):
+def test_verify_bounds_corrupted_rhs_fails(runner, tmp_path, monkeypatch):
+    check = cli.joint_theorem_check
+
+    def shrunk(*args, **kwargs):
+        report = check(*args, **kwargs)
+        report.rhs *= 1e-6
+        return report
+
+    monkeypatch.setattr(cli, "joint_theorem_check", shrunk)
+    out = tmp_path / "vbf"
     result = runner.invoke(main, ["verify-bounds", "--max-order", "1",
-                                  "--rhs-scale", "1e-6",
-                                  "--out", str(tmp_path / "vbf")])
-    assert result.exit_code != 0
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "FLAG FALSE" in result.output
+    reports = json.loads((out / "bound_reports.json").read_text())
+    assert not all(r["flag"] for r in reports)
 
 
 def test_verify_bounds_custom_config(runner, tmp_path):
@@ -73,15 +85,6 @@ def test_verify_bounds_custom_config(runner, tmp_path):
                                   "--config", str(cfg),
                                   "--out", str(tmp_path / "vbc")])
     assert result.exit_code == 0, result.output
-
-
-def test_verify_bounds_rerun_bit_identical(runner, tmp_path):
-    for name in ("a", "b"):
-        result = runner.invoke(main, ["verify-bounds", "--max-order", "1",
-                                      "--out", str(tmp_path / name)])
-        assert result.exit_code == 0
-    assert (tmp_path / "a" / "bound_reports.json").read_bytes() == \
-        (tmp_path / "b" / "bound_reports.json").read_bytes()
 
 
 def test_verify_bounds_max_order_3(runner, tmp_path):
@@ -128,17 +131,52 @@ def test_dnls_demo(runner, tmp_path):
     assert rows[0] == ["t", "coupling", "residual", "noise_scale"]
 
 
-def test_dnls_demo_rerun_bit_identical(runner, tmp_path):
+MANIFEST_KEYS = {"schema_version", "subcommand", "config", "seed",
+                 "tool_version", "wall_clock_s"}
+
+
+@pytest.mark.parametrize("args,files", [
+    (["partition-stats"], ["partition_stats.csv", "partition_stats.json"]),
+    (["verify-bounds", "--max-order", "1"], ["bound_reports.json"]),
+    (["example-gaussian"], ["partial_sums.csv", "gaussian_example.json"]),
+    (["dnls-demo", "--config", "{config}"],
+     ["duhamel_residuals.csv", "dnls_run.json"]),
+], ids=["partition-stats", "verify-bounds", "example-gaussian", "dnls-demo"])
+def test_rerun_output_contract(runner, tmp_path, args, files):
+    # every command: byte-identical data files on rerun, each JSON data file
+    # versioned and pointing at the manifest, and one manifest key set
     cfg = tmp_path / "dnls.json"
     cfg.write_text(json.dumps({"length": 16, "n_samples": 200,
-                               "couplings": [0.05]}))
+                               "couplings": [0.0, 0.05]}))
+    args = [a.format(config=cfg) for a in args]
+    manifests = []
     for name in ("a", "b"):
-        result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
-                                      "--out", str(tmp_path / name)])
-        assert result.exit_code == 0
-    for fname in ("duhamel_residuals.csv", "dnls_run.json"):
-        assert (tmp_path / "a" / fname).read_bytes() == \
-            (tmp_path / "b" / fname).read_bytes()
+        out = tmp_path / name
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    for fname in files:
+        data = (tmp_path / "a" / fname).read_bytes()
+        assert data == (tmp_path / "b" / fname).read_bytes(), fname
+        if fname.endswith(".json"):
+            records = json.loads(data)
+            for rec in records if isinstance(records, list) else [records]:
+                assert rec["schema_version"] == 1
+                assert rec["manifest"] == "manifest.json"
+    assert set(manifests[0]) == set(manifests[1]) == MANIFEST_KEYS
+    assert manifests[0]["subcommand"] == args[0]
+
+
+def test_failed_computation_writes_nothing(runner, tmp_path, monkeypatch):
+    def broken(n):
+        raise RuntimeError("computation failed")
+
+    monkeypatch.setattr(cli, "verify_comb_est", broken)
+    out = tmp_path / "ps"
+    result = runner.invoke(main, ["partition-stats", "--out", str(out)])
+    assert isinstance(result.exception, RuntimeError)
+    assert not out.exists()
 
 
 def _assert_config_rejected(runner, tmp_path, command, text, message):
@@ -168,10 +206,19 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
     (json.dumps({"couplings": [], "n_samples": 10}), COUPLINGS_MESSAGE),
     ('{"couplings": [0.01, NaN], "n_samples": 10}', COUPLINGS_MESSAGE),
     (json.dumps({"couplings": ["0.1"], "n_samples": 10}), COUPLINGS_MESSAGE),
+    (json.dumps({"couplings": [0.05], "n_samples": 50, "length": 8}),
+     "couplings must include 0"),
+    (json.dumps({"n_samples": "5"}), "n_samples must be an integer, not '5'"),
+    (json.dumps({"dt": 0}), "dt must be > 0"),
+    ('{"beta": NaN}', "beta must be a finite number, not nan"),
+    (json.dumps({"mu": 10 ** 400}), "mu must be a finite number"),
+    (json.dumps({"seed": 1.5}), "seed must be an integer, not 1.5"),
     ("[1]", "config must be a JSON object"),
     ('{"n_samples": 10,', "invalid JSON"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
-        "nan-coupling", "string-coupling", "not-an-object", "malformed-json"])
+        "nan-coupling", "string-coupling", "no-zero-coupling", "string-n-samples",
+        "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "not-an-object",
+        "malformed-json"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
 
@@ -188,10 +235,13 @@ FLAT = {"name": "flat"}
      "a spectrum must be an object"),
     (json.dumps({"model": "mystery"}), "unknown field model 'mystery'"),
     (json.dumps({"f1": FLAT, "f2": FLAT}), "missing key(s) 'g'"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": {"name": "band"}, "grid": 256}),
+     "quadrature grid 256 is too small for displacement 400"),
     ("[1]", "config must be a JSON object"),
     ('{"model": "spectral",', "invalid JSON"),
 ], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
-        "unknown-model", "missing-key", "not-an-object", "malformed-json"])
+        "unknown-model", "missing-key", "small-grid", "not-an-object",
+        "malformed-json"])
 def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 
@@ -217,7 +267,7 @@ def test_dnls_demo_seed_precedence(runner, tmp_path, args, env, expected):
     # an explicit --seed overrides the config's seed; the default does not
     cfg = tmp_path / "dnls.json"
     cfg.write_text(json.dumps({"length": 8, "n_samples": 50, "seed": 3,
-                               "couplings": [0.05]}))
+                               "couplings": [0.0, 0.05]}))
     out = tmp_path / "dd"
     result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
                                   "--out", str(out)] + args, env=env)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from wickfield.fields import (
     PSDViolationError,
     SpectralGaussianField,
     check_psd,
-    export_samples,
     field_from_config,
     sample_ensemble,
     sinc_coupling_example,
@@ -210,13 +208,3 @@ def test_field_from_config_round_trip(tmp_path):
     with pytest.raises(ValueError):
         field_from_config({**cfg, "dimension": 2})
 
-
-def test_export_samples(tmp_path):
-    f = sinc_coupling_example()
-    est = sample_ensemble(f, box=8, n_samples=10, seed=1)
-    binpath, jsonpath = export_samples(est, tmp_path / "draw")
-    header = json.loads(jsonpath.read_text())
-    assert header["shape"] == [10, 16]
-    data = np.frombuffer(binpath.read_bytes(), dtype=np.complex128)
-    assert data.size == 160
-    assert np.allclose(data.reshape(10, 16), est.samples)
