@@ -116,7 +116,7 @@ def main():
 
 
 @main.command("partition-stats")
-@click.option("--n-max", default=6, show_default=True,
+@click.option("--n-max", type=click.IntRange(min=1), default=6, show_default=True,
               help="Check the factorial partition sum bound for n = 1..n_max.")
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True)
@@ -140,8 +140,8 @@ def cmd_partition_stats(n_max, out):
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-order", default=2, show_default=True,
-              help="Check (m, n) up to this order.")
+@click.option("--max-order", type=click.IntRange(min=1), default=2,
+              show_default=True, help="Check (m, n) up to this order.")
 def cmd_verify_bounds(config_path, out, seed, max_order):
     """Certify the covariance and joint-cumulant bounds on example fields."""
     started = time.time()
@@ -201,7 +201,9 @@ def cmd_verify_bounds(config_path, out, seed, max_order):
 @main.command("example-gaussian")
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True)
-@click.option("--radius", default=10_000, show_default=True)
+@click.option("--radius", type=click.IntRange(min=101), default=10_000,
+              show_default=True,
+              help="Largest partial-sum radius; above 100, so the l1 fit has two radii.")
 def cmd_example_gaussian(out, radius):
     """The band-limited coupling pair: divergent l1 sum, finite l2 sum, PSD."""
     started = time.time()

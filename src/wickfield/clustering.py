@@ -3,8 +3,9 @@ numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set, chosen by ``_anchor_tuples``: one anchor for
-translation-invariant fields.  Cumulants are symmetric in their arguments,
-so every sum over box^k goes through ``_symmetric_walk``, which looks up one
+translation-invariant fields.  Cumulants, and Wick kernel entries in x, are
+symmetric in their arguments, so every sum over box^k and every
+non-Gaussian kernel row goes through ``_symmetric_walk``, which looks up one
 value per multiset of box sites.
 Lattice sums are truncated to caller-supplied boxes; no report bounds the
 tail beyond its box.
@@ -181,7 +182,9 @@ def _running_maxima(norms) -> tuple:
 def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
                table: CumulantTable | None = None) -> KernelRow:
     """Phi_n(x', x) = E[ :phi(x'_1)* ... phi(x'_n)*: :phi(x_1) ... phi(x_n): ]
-    for every x in box^n, via the restricted-partition expansion.
+    for every x in box^n, via the restricted-partition expansion.  The Wick
+    product is symmetric in x, so the expansion runs once per multiset of
+    box sites.
 
     For a Gaussian provider only cross pairings survive (Isserlis/Wick), so
     the row is the permanent of the n x n cross-covariance matrix, evaluated
@@ -198,10 +201,10 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     if table is None:
         table = CumulantTable(provider)
     left = tuple(SiteRef(s, True) for s in xprime)
-    for x in xs:
-        right = tuple(SiteRef(s) for s in x)
-        row.values[x] = wick_product_expectation(provider, (left, right), (),
-                                                 table=table)
+    row.values = dict(zip(xs, _symmetric_walk(
+        lambda x: wick_product_expectation(
+            provider, (left, tuple(SiteRef(s) for s in x)), (), table=table),
+        box_sites, n)))
     return row
 
 

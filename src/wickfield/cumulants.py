@@ -79,8 +79,21 @@ class CumulantTable:
         return self.provider.is_gaussian and order != 2
 
     def cumulant(self, sequence: IndexSequence, anchor: int = 0) -> complex:
-        """kappa of single field variables, one per position of the sequence."""
-        return self.joint_cumulant(tuple((ref,) for ref in sequence), anchor=anchor)
+        """kappa of single field variables, one per position of the sequence.
+
+        Equal to ``joint_cumulant`` of the 1-tuples.  Outside the Gaussian
+        rule, which reads the variables in the caller's order, the canonical
+        key is built with one sort and the memo is probed first.
+        """
+        if self.provider.is_gaussian:
+            return self.joint_cumulant(tuple((ref,) for ref in sequence), anchor=anchor)
+        key = tuple((ref,) for ref in canonical(sequence))
+        if anchor == 0:
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
+        self._check(key)
+        return self._recurse(key, anchor)
 
     def joint_cumulant(self, variables, anchor: int = 0) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
@@ -89,15 +102,17 @@ class CumulantTable:
         products come from the backing provider.
         """
         variables = tuple(canonical(mono) for mono in variables)
-        if not variables:
-            raise ValueError("cumulant of an empty collection is undefined")
-        total = sum(len(mono) for mono in variables)
-        self.provider.check_order(total)
+        self._check(variables)
         if self.provider.is_gaussian and all(len(m) == 1 for m in variables):
             if self.singletons_vanish(len(variables)):
                 return 0.0
             return self.provider.covariance(variables[0][0], variables[1][0])
         return self._recurse(tuple(sorted(variables, key=seq_sort_key)), anchor)
+
+    def _check(self, variables):
+        if not variables:
+            raise ValueError("cumulant of an empty collection is undefined")
+        self.provider.check_order(sum(len(mono) for mono in variables))
 
     def _moment(self, variables) -> complex:
         """E[product of the monomial variables], one provider call per flat
@@ -120,8 +135,11 @@ class CumulantTable:
             # subsets E with the anchor variable, E a proper subset
             for size in range(0, k - 1):
                 for extra in combinations(rest, size):
-                    positions = (anchor,) + extra
-                    sub = tuple(sorted((key[i] for i in positions), key=seq_sort_key))
+                    # at anchor 0 the positions increase, so the sub-key of
+                    # the canonical key is canonical already
+                    sub = tuple(key[i] for i in (anchor,) + extra)
+                    if anchor != 0:
+                        sub = tuple(sorted(sub, key=seq_sort_key))
                     comp = tuple(key[i] for i in rest if i not in extra)
                     value -= self._moment(comp) * self._recurse(sub, 0)
         if anchor == 0:

@@ -29,10 +29,24 @@ def site(label, conj: bool = False) -> SiteRef:
     return SiteRef(label, conj)
 
 
+#: SiteRef -> (site label object, sort key); see _sort_key
+_SORT_KEYS: dict = {}
+
+
 def _sort_key(ref: SiteRef):
-    # Site labels may be ints, strings or tuples; repr gives a stable total
-    # order across mixed label types.
-    return (repr(ref.site), ref.conj)
+    """(repr(site), conj), computed once per site reference.
+
+    Site labels may be ints, strings or tuples; repr gives a stable total
+    order across mixed label types.  Labels that compare equal may print
+    differently (1, 1.0, True), so a cached key is used only for the very
+    label object it was computed from.  The cache holds that object, so its
+    id cannot be reused while the entry stands; it grows with the number of
+    distinct site references a process uses.
+    """
+    entry = _SORT_KEYS.get(ref)
+    if entry is None or entry[0] is not ref.site:
+        entry = _SORT_KEYS[ref] = (ref.site, (repr(ref.site), ref.conj))
+    return entry[1]
 
 
 def canonical(sequence: Iterable[SiteRef]) -> IndexSequence:

@@ -14,6 +14,8 @@ The oracles deliberately avoid the library's own recursions:
 * ``product_order_walk`` and ``product_order_clustering_norm`` evaluate a
   box^k cumulant sum once per ordered tuple, in product order, without
   using the symmetry of cumulants.
+* ``product_order_phi_row`` runs the restricted expansion of a Wick kernel
+  row once per ordered tuple x, without using its symmetry in x.
 """
 
 import math
@@ -22,7 +24,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from wickfield.cumulants import WickExpansion, wick_expansion
+from wickfield.cumulants import (
+    CumulantTable,
+    WickExpansion,
+    wick_expansion,
+    wick_product_expectation,
+)
 from wickfield.dnls import FieldState, hopping_symbol
 from wickfield.fields import random_discrete_field
 from wickfield.indexing import SiteRef, subsequence
@@ -109,6 +116,16 @@ def product_order_clustering_norm(table, n, p, box, anchors):
             value = sum(v ** p for v in vals) ** (1.0 / p)
         best = max(best, value)
     return best
+
+
+def product_order_phi_row(provider, n, xprime, box):
+    """{x: Phi_n(x', x)} for x in box^n, one restricted expansion per
+    ordered tuple, in product order."""
+    table = CumulantTable(provider)
+    left = tuple(SiteRef(s, True) for s in xprime)
+    return {x: wick_product_expectation(provider, (left, tuple(SiteRef(s) for s in x)),
+                                        (), table=table)
+            for x in product(box, repeat=n)}
 
 
 def refs(*labels):

@@ -100,6 +100,44 @@ def test_verify_bounds_max_order_3(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_verify_bounds_max_order_4(runner, tmp_path):
+    out = tmp_path / "vb4"
+    result = runner.invoke(main, ["verify-bounds", "--max-order", "4",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    reports = json.loads((out / "bound_reports.json").read_text())
+    assert len(reports) == 208
+    assert all(r["flag"] for r in reports)
+
+
+@pytest.mark.parametrize("args", [
+    ["partition-stats", "--n-max", "0"],
+    ["partition-stats", "--n-max", "-1"],
+    ["verify-bounds", "--max-order", "0"],
+    ["verify-bounds", "--max-order", "-1"],
+    ["example-gaussian", "--radius", "0"],
+    ["example-gaussian", "--radius", "1"],
+    ["example-gaussian", "--radius", "100"],
+], ids=lambda args: f"{args[1]}={args[2]}")
+def test_out_of_range_option_rejected(runner, tmp_path, args):
+    # no order to check would pass vacuously over no reports, and a radius
+    # of at most 100 leaves the l1 fit fewer than two radii
+    out = tmp_path / "bad"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{args[1]}'" in result.output
+    assert not out.exists()
+
+
+def test_example_gaussian_smallest_radius(runner, tmp_path):
+    out = tmp_path / "eg"
+    result = runner.invoke(main, ["example-gaussian", "--radius", "101",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / "partial_sums.csv") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["radius", "100", "101"]
+
+
 def test_example_gaussian(runner, tmp_path):
     out = tmp_path / "eg"
     result = runner.invoke(main, ["example-gaussian", "--out", str(out)])

@@ -1,9 +1,10 @@
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
+from wickfield import cumulants
 from wickfield.clustering import (
     GAMMA,
     Observable,
@@ -29,7 +30,12 @@ from wickfield.fields import (
 )
 from wickfield.indexing import SiteRef
 
-from conftest import product_order_clustering_norm, product_order_walk
+from conftest import (
+    direct_wick_product_expectation,
+    product_order_clustering_norm,
+    product_order_phi_row,
+    product_order_walk,
+)
 
 
 class GrowingVarianceField(GaussianCovarianceField):
@@ -125,6 +131,48 @@ def test_phi_kernel_permanent_matches_restricted_expansion(provider, box, xprime
     assert list(fast.values) == list(slow.values)
     for x, v in slow.values.items():
         assert abs(fast.values[x] - v) <= 1e-12, x
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_sites", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_kernel_multiset_row_matches_product_order(seed, n_sites, n):
+    # a non-Gaussian row expands once per multiset of box sites; entries
+    # cancel down to 1e-7 of the row's largest, so the tolerance is
+    # relative to that
+    rng = np.random.default_rng(seed)
+    f = random_discrete_field(rng, sites=list(range(n_sites)))
+    box = list(f.sites)
+    xprime = tuple(int(s) for s in rng.integers(0, n_sites, n))
+    got = phi_kernel(f, n, xprime, box).values
+    want = product_order_phi_row(f, n, xprime, box)
+    assert list(got) == list(want)
+    scale = max(abs(v) for v in want.values())
+    left = tuple(SiteRef(s, True) for s in xprime)
+    for x, v in want.items():
+        if list(x) == sorted(x):  # the multiset's own expansion
+            assert got[x] == v, x
+        direct = direct_wick_product_expectation(f, (left, tuple(SiteRef(s) for s in x)))
+        assert abs(got[x] - v) <= 1e-12 * scale, x
+        assert abs(got[x] - direct) <= 1e-12 * scale, x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phi_kernel_expands_once_per_multiset(monkeypatch, n):
+    calls = []
+    expand = cumulants.wick_product_expectation
+
+    def counting(provider, groups, *args, **kwargs):
+        calls.append(tuple(ref.site for ref in groups[1]))
+        return expand(provider, groups, *args, **kwargs)
+
+    monkeypatch.setattr(cumulants, "wick_product_expectation", counting)
+    f = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2])
+    box = list(f.sites)
+    row = phi_kernel(f, n, (0,) * n, box)
+    assert len(row.values) == len(box) ** n
+    assert len(calls) == math.comb(len(box) + n - 1, n)
+    assert calls == list(combinations_with_replacement(box, n))
 
 
 # name: (Gaussian provider, 5-site box, psi sites, 3-site box)

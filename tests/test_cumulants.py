@@ -27,7 +27,7 @@ from wickfield.fields import (
     sample_ensemble,
     sinc_coupling_example,
 )
-from wickfield.indexing import SiteRef, canonical
+from wickfield.indexing import SiteRef, canonical, seq_sort_key
 
 from conftest import direct_wick_product_expectation, mobius_cumulant, refs
 
@@ -85,6 +85,47 @@ def test_anchor_pick_independence(rng, anchor):
     seq = refs(0, 1, 0, 1, 1)
     assert cumulant(f, seq, anchor=anchor) == pytest.approx(
         cumulant(f, seq, anchor=0), abs=1e-12)
+
+
+@pytest.mark.parametrize("provider,sites", [
+    (random_discrete_field(np.random.default_rng(11), sites=[0, 1, 2]), [0, 1, 2]),
+    (sinc_coupling_example(), [("phi", -2), ("phi", 1), ("psi", 0)]),
+], ids=["discrete", "sinc"])
+def test_table_cumulant_equals_joint_cumulant_of_singletons(provider, sites):
+    # cumulant sorts once and probes the memo first; it must give the very
+    # value joint_cumulant gives the 1-tuples (repr tells 0j from 0.0), at
+    # every anchor and in every argument order, as both memos fill up.  A
+    # compound variable first memoises singleton keys from moments, which
+    # the Gaussian rule must outrank.
+    rng = np.random.default_rng(12)
+    fast, slow = CumulantTable(provider), CumulantTable(provider)
+    s0, s1, s2 = (SiteRef(s) for s in sites)
+    for table in (fast, slow):
+        table.joint_cumulant(((s0,), (s1,), (s0,), (s1,), (s2, s2)))
+    for order in range(1, 6):
+        seq = tuple(SiteRef(sites[i], bool(c)) for i, c in zip(
+            rng.integers(0, len(sites), order), rng.integers(0, 2, order)))
+        for perm in list(itertools.permutations(seq))[:12]:
+            for anchor in range(order):
+                want = slow.joint_cumulant(tuple((r,) for r in perm), anchor=anchor)
+                got = fast.cumulant(perm, anchor=anchor)
+                assert repr(got) == repr(want), (perm, anchor)
+    # every memo key stays canonical: canonical monomials in canonical order
+    for key in fast._memo:
+        assert key == tuple(sorted((canonical(m) for m in key), key=seq_sort_key))
+
+
+@pytest.mark.parametrize("calls", list(itertools.permutations([1, 1.0, True])),
+                         ids=lambda calls: "-".join(map(repr, calls)))
+def test_canonical_ignores_call_history_of_equal_labels(calls):
+    # 1 == 1.0 == True, but they print differently, and canonical order is
+    # by repr: no label may take the sort key of one seen before
+    for label in calls:
+        canonical((SiteRef(label), SiteRef(("phi", label))))
+    seq = tuple(SiteRef(label) for label in (True, 1.0, 0.5, 1, "1")) \
+        + tuple(SiteRef(("phi", label)) for label in (True, 1, 1.0))
+    want = sorted(seq, key=lambda r: (repr(r.site), r.conj))
+    assert [repr(r) for r in canonical(seq)] == [repr(r) for r in want]
 
 
 def test_joint_cumulant_anchor_independence(rng):
