@@ -139,7 +139,7 @@ def cmd_partition_stats(n_max, out):
               "coupling example plus random discrete providers.")
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--max-order", type=click.IntRange(min=1), default=2,
               show_default=True, help="Check (m, n) up to this order.")
 def cmd_verify_bounds(config_path, out, seed, max_order):
@@ -236,7 +236,7 @@ def cmd_example_gaussian(out, radius):
               default=None, help="DNLS config JSON.")
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True)
-@click.option("--seed", default=1, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True,
               help="Overrides the config's seed when given explicitly.")
 def cmd_dnls_demo(config_path, out, seed):
     """Duhamel residual of the time-correlation against harmonic transport."""

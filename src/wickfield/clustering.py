@@ -9,6 +9,13 @@ non-Gaussian kernel row goes through ``_symmetric_walk``, which looks up one
 value per multiset of box sites.
 Lattice sums are truncated to caller-supplied boxes; no report bounds the
 tail beyond its box.
+
+Every check on one ``CumulantTable`` shares what it derives from the
+cumulants: each clustering norm (by n, p, box and anchors), each Phi_n row
+(by n, x' in the order given and box) and each map of |kappa|^2 over box^n
+(by the fixed arguments, n and box) is built once per table, through
+``CumulantTable.derived``.  A call without a table builds a fresh one, so
+nothing is shared.
 """
 
 from __future__ import annotations
@@ -51,7 +58,10 @@ class MagnitudeConstants:
 
 @dataclass
 class KernelRow:
-    """One row x' -> { x : Phi_n(x', x) } of the order-n Wick kernel."""
+    """One row x' -> { x : Phi_n(x', x) } of the order-n Wick kernel.
+
+    ``values`` is the dict kept on the CumulantTable the row was built on,
+    so every check on that table reads the same one; do not change it."""
 
     order: int
     xprime: tuple
@@ -144,6 +154,13 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
         return ClusteringReport(_field_id(provider), n, p, 0.0)
     if anchors is None:
         anchors = [a for (a,) in _anchor_tuples(provider, box_sites, 1)]
+    box_sites, anchors = tuple(box_sites), tuple(anchors)
+    value = table.derived(("clustering_norm", n, p, box_sites, anchors),
+                          lambda: _sup_over_anchors(table, n, p, box_sites, anchors))
+    return ClusteringReport(_field_id(provider), n, p, value)
+
+
+def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites, anchors) -> float:
     best = 0.0
     for anchor in anchors:
         if n == 1:
@@ -155,7 +172,7 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
                 box_sites, n - 1)
             value = _norm_accumulate(vals, p)
         best = max(best, value)
-    return ClusteringReport(_field_id(provider), n, p, best)
+    return best
 
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
@@ -189,23 +206,30 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     For a Gaussian provider only cross pairings survive (Isserlis/Wick), so
     the row is the permanent of the n x n cross-covariance matrix, evaluated
     over all of box^n at once.
-    """
-    from .cumulants import wick_product_expectation
 
+    The row is built once per table, n, box and x' in the order given: it is
+    symmetric in x' too, but a permuted x' may round differently.
+    """
     provider.check_order(2 * n)
-    row = KernelRow(order=n, xprime=tuple(xprime))
-    xs = product(box_sites, repeat=n)
-    if provider.is_gaussian:
-        row.values = dict(zip(xs, _permanent_row(provider, xprime, box_sites).tolist()))
-        return row
     if table is None:
         table = CumulantTable(provider)
+    xprime, box_sites = tuple(xprime), tuple(box_sites)
+    values = table.derived(("phi_kernel", n, xprime, box_sites),
+                           lambda: _phi_row(provider, table, n, xprime, box_sites))
+    return KernelRow(order=n, xprime=xprime, values=values)
+
+
+def _phi_row(provider, table, n: int, xprime, box_sites) -> dict:
+    from .cumulants import wick_product_expectation
+
+    xs = product(box_sites, repeat=n)
+    if provider.is_gaussian:
+        return dict(zip(xs, _permanent_row(provider, xprime, box_sites).tolist()))
     left = tuple(SiteRef(s, True) for s in xprime)
-    row.values = dict(zip(xs, _symmetric_walk(
+    return dict(zip(xs, _symmetric_walk(
         lambda x: wick_product_expectation(
             provider, (left, tuple(SiteRef(s) for s in x)), (), table=table),
         box_sites, n)))
-    return row
 
 
 def _permanent_row(provider, xprime, box_sites) -> np.ndarray:
@@ -230,6 +254,16 @@ def _permanent_row(provider, xprime, box_sites) -> np.ndarray:
             term = term * cov[i].reshape(shape)
         total += term
     return total.ravel()
+
+
+def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> dict:
+    """{x: |kappa(x)|^2 for x in box^n} in product order, for a kappa of the
+    ``fixed`` arguments and the box sites x, symmetric in x; built once per
+    table, ``fixed``, n and box."""
+    box_sites = tuple(box_sites)
+    return table.derived(("kappa_sq", fixed, n, box_sites), lambda: dict(zip(
+        product(box_sites, repeat=n),
+        _symmetric_walk(lambda x: abs(kappa(x)) ** 2, box_sites, n))))
 
 
 def _row_norm(row: KernelRow, p: float) -> float:
@@ -299,9 +333,9 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     lhs = 0.0
     witness_x = None
     if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
-        kappa_sq = dict(zip(product(box_sites, repeat=n), _symmetric_walk(
-            lambda x: abs(observable_cumulant(table, X, tuple(SiteRef(s) for s in x))) ** 2,
-            box_sites, n)))
+        kappa_sq = _kappa_sq_map(
+            table, ("observable", X.terms), box_sites, n,
+            lambda x: observable_cumulant(table, X, tuple(SiteRef(s) for s in x)))
         if p == 1:
             lhs = math.sqrt(sum(kappa_sq.values()))
             witness_x = max(kappa_sq, key=kappa_sq.get, default=None)
@@ -363,30 +397,22 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
                                 table=table).top()
     M_joint = max(M_psi, M_phi)
 
-    def kappa_sq_map(xp):
-        vars_psi = tuple((SiteRef(s),) for s in xp)
-        return dict(zip(product(phi_box, repeat=n), _symmetric_walk(
-            lambda x: abs(table.joint_cumulant(
-                vars_psi + tuple((SiteRef(s),) for s in x))) ** 2,
-            phi_box, n)))
-
-    rows = {}  # Phi_n rows by weight anchor y; they do not depend on x'
-
     if table.singletons_vanish(m + n):
         xprime_tuples = []  # every cumulant in the sum is exactly zero
     lhs = 0.0
     witness = None
     for xp in xprime_tuples:
-        ksq = kappa_sq_map(xp)
+        vars_psi = tuple((SiteRef(s),) for s in xp)
+        ksq = _kappa_sq_map(
+            table, ("psi", tuple(xp)), phi_box, n,
+            lambda x: table.joint_cumulant(vars_psi + tuple((SiteRef(s),) for s in x)))
         if p == 1:
             val = math.sqrt(sum(ksq.values()))
             if val > lhs:
                 lhs, witness = val, {"xprime": list(xp)}
         else:
             for y in y_tuples:
-                if y not in rows:
-                    rows[y] = phi_kernel(provider, n, y, phi_box, table=table)
-                row = rows[y]
+                row = phi_kernel(provider, n, y, phi_box, table=table)
                 val = math.sqrt(sum(abs(row.values[x]) * ksq[x] for x in ksq))
                 if val > lhs:
                     lhs, witness = val, {"xprime": list(xp), "y": list(y)}

@@ -65,12 +65,29 @@ class CumulantTable:
     sequence in the order the recursion builds it; that key is deliberately
     not canonicalised, because a provider may round a product differently
     in another factor order.
+
+    ``derived`` keeps values built from these cumulants (the clustering
+    norms, Phi_n rows and |kappa|^2 maps of ``clustering``), so checks that
+    share a table build each of them once.
     """
 
     def __init__(self, provider: MomentProvider):
         self.provider = provider
         self._memo = {}
         self._moments = {}
+        self._derived = {}
+
+    def derived(self, key, build):
+        """The value ``build()`` returns, built once per table and ``key``.
+
+        The key must hold every argument the value is computed from, in the
+        order given: a value built from other arguments, even a permutation
+        of the same ones, may differ in the last bit.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def singletons_vanish(self, order: int) -> bool:
         """True when every cumulant of ``order`` single field variables is

@@ -57,6 +57,8 @@ class DnlsConfig:
             raise ValueError("beta and mu must be > 0")
         if self.dimension < 1 or self.length < 1:
             raise ValueError("dimension and length must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_samples < 2:
             # one member has no spread: every residual and fitted C would be 0
             raise ValueError("n_samples must be >= 2")

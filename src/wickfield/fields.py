@@ -14,6 +14,7 @@ Three families:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -409,7 +410,9 @@ def spectrum_from_config(cfg: dict):
 def field_from_config(cfg: dict) -> SpectralGaussianField:
     """Build a spectral Gaussian field from a declarative config dict."""
     model = cfg.get("model", "spectral")
-    grid = int(cfg.get("grid", DEFAULT_GRID))
+    grid = cfg.get("grid", DEFAULT_GRID)
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
+        raise ValueError(f"grid must be an integer >= 1, not {grid!r}")
     if model == "sinc_coupling":
         return sinc_coupling_example(grid=grid)
     if model != "spectral":

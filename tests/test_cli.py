@@ -118,10 +118,13 @@ def test_verify_bounds_max_order_4(runner, tmp_path):
     ["example-gaussian", "--radius", "0"],
     ["example-gaussian", "--radius", "1"],
     ["example-gaussian", "--radius", "100"],
+    pytest.param(["verify-bounds", "--seed", "-1"], id="verify-bounds--seed=-1"),
+    pytest.param(["dnls-demo", "--seed", "-1"], id="dnls-demo--seed=-1"),
 ], ids=lambda args: f"{args[1]}={args[2]}")
 def test_out_of_range_option_rejected(runner, tmp_path, args):
-    # no order to check would pass vacuously over no reports, and a radius
-    # of at most 100 leaves the l1 fit fewer than two radii
+    # no order to check would pass vacuously over no reports, a radius of at
+    # most 100 leaves the l1 fit fewer than two radii, and numpy seeds its
+    # generators from non-negative integers only
     out = tmp_path / "bad"
     result = runner.invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 2, result.output
@@ -251,12 +254,13 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
     ('{"beta": NaN}', "beta must be a finite number, not nan"),
     (json.dumps({"mu": 10 ** 400}), "mu must be a finite number"),
     (json.dumps({"seed": 1.5}), "seed must be an integer, not 1.5"),
+    (json.dumps({"seed": -3}), "seed must be >= 0"),
     ("[1]", "config must be a JSON object"),
     ('{"n_samples": 10,', "invalid JSON"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
         "nan-coupling", "string-coupling", "no-zero-coupling", "string-n-samples",
-        "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "not-an-object",
-        "malformed-json"])
+        "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
+        "not-an-object", "malformed-json"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
 
@@ -277,9 +281,15 @@ FLAT = {"name": "flat"}
      "quadrature grid 256 is too small for displacement 400"),
     ("[1]", "config must be a JSON object"),
     ('{"model": "spectral",', "invalid JSON"),
+    (json.dumps({"model": "sinc_coupling", "grid": 1000.7}),
+     "grid must be an integer >= 1, not 1000.7"),
+    (json.dumps({"model": "sinc_coupling", "grid": True}),
+     "grid must be an integer >= 1, not True"),
+    (json.dumps({"model": "sinc_coupling", "grid": 0}),
+     "grid must be an integer >= 1, not 0"),
 ], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
         "unknown-model", "missing-key", "small-grid", "not-an-object",
-        "malformed-json"])
+        "malformed-json", "fractional-grid", "boolean-grid", "zero-grid"])
 def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 
@@ -313,6 +323,16 @@ def test_dnls_demo_seed_precedence(runner, tmp_path, args, env, expected):
     sidecar = json.loads((out / "dnls_run.json").read_text())
     assert sidecar["config"]["seed"] == expected
     assert json.loads((out / "manifest.json").read_text())["seed"] == expected
+
+
+@pytest.mark.parametrize("command", ["verify-bounds", "dnls-demo"])
+def test_negative_seed_from_environment_rejected(runner, tmp_path, command):
+    out = tmp_path / "bad"
+    variable = f"WICKFIELD_{command.upper().replace('-', '_')}_SEED"
+    result = runner.invoke(main, [command, "--out", str(out)], env={variable: "-1"})
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--seed'" in result.output
+    assert not out.exists()
 
 
 def test_env_var_override(runner, tmp_path):

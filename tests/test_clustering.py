@@ -451,6 +451,130 @@ def test_joint_theorem_lhs_matches_brute_force(two_field_provider):
     assert rep.lhs == pytest.approx(best, abs=1e-12)
 
 
+def _reuse_calls(psi, phi, box):
+    """Certifier calls as (function, args, kwargs) whose arguments overlap,
+    among them pairs that a key missing an argument would merge: the same n
+    on another box, explicit anchors and None, p = 1, 1.0, 2 and inf, and an
+    x' next to its permutation."""
+    calls = []
+    for n in (1, 2, 3, 4):
+        for p in (1, 1.0, 2, math.inf):
+            for b in (phi, box):
+                for anchors in (None, b[-1:], b):
+                    calls.append((clustering_norm, (n, p, b), {"anchors": anchors}))
+    for p in (1, 2.0, math.inf):
+        for b in (phi, box):
+            for anchors in (None, b[:1]):
+                calls.append((magnitude_constants, (p, 4, b), {"anchors": anchors}))
+    for xp in ((phi[0],), (phi[0], phi[1]), (phi[0], phi[1], phi[1])):
+        for x in (xp, xp[::-1]):
+            for b in (phi, box):
+                calls.append((phi_kernel, (len(x), x, b), {}))
+    for n, xp in ((1, (phi[1],)), (2, (phi[0], phi[1]))):
+        for x in (xp, xp[::-1]):
+            for p in (1, 2):
+                calls.append((lemma_check, (n, p, x, phi), {"norm_box": box}))
+                calls.append((lemma_check, (n, p, x, phi),
+                              {"norm_box": box, "anchors": box[:1]}))
+    compound = Observable([(1.0, (SiteRef(psi[0]),)),
+                           (0.5, (SiteRef(psi[1]), SiteRef(psi[1])))])
+    for X in (Observable.of_site(psi[0]), compound):
+        for n in (1, 2):
+            for p in (1, 2):
+                calls.append((theorem41_check, (X, n, p, phi), {"norm_box": box}))
+                calls.append((theorem41_check, (X, n, p, box), {"norm_box": phi}))
+        for xp in ((phi[0], phi[1]), (phi[1], phi[0])):
+            calls.append((theorem41_check, (X, 2, 2, phi),
+                          {"norm_box": box, "xprime_anchors": [xp]}))
+    for m in (1, 2):
+        for n in (1, 2):
+            for p in (1, 2):
+                calls.append((joint_theorem_check, (m, n, p, psi, phi), {}))
+                calls.append((joint_theorem_check, (m, n, p, psi, box),
+                              {"phi_norm_box": phi}))
+    for p in (1, 2):
+        for xp in ((psi[0], psi[1]), (psi[1], psi[0])):
+            calls.append((joint_theorem_check, (2, 1, p, psi, phi),
+                          {"xprime_tuples": [xp]}))
+    for y in ((phi[0], phi[1], phi[1]), (phi[1], phi[1], phi[0])):
+        calls.append((joint_theorem_check, (1, 3, 2, psi, phi), {"y_tuples": [y]}))
+    return calls
+
+
+def _reuse_case(kind, seed):
+    """(provider, psi sites, phi sites, a wider box) for the reuse tests."""
+    psi = [("psi", 0), ("psi", 1)]
+    if kind == "sinc":
+        return (sinc_coupling_example(), psi, [("phi", x) for x in range(-1, 2)],
+                [("phi", x) for x in range(-2, 3)])
+    phi = [("phi", 0), ("phi", 1)]
+    field = random_discrete_field(np.random.default_rng(seed), sites=psi + phi)
+    return field, psi, phi, psi + phi
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["discrete", "sinc"])
+def test_shared_table_calls_equal_fresh_table_calls(kind, seed):
+    # every value a check keeps on a shared table equals the one a fresh
+    # table builds for the same arguments, in any order of the calls
+    provider, psi, phi, box = _reuse_case(kind, seed)
+    calls = _reuse_calls(psi, phi, box)
+    shared = CumulantTable(provider)
+    for i in np.random.default_rng(seed).permutation(len(calls)):
+        fn, args, kwargs = calls[i]
+        got = fn(provider, *args, table=shared, **kwargs)
+        want = fn(provider, *args, **kwargs)
+        assert got == want, (fn.__name__, args, kwargs)
+        if hasattr(want, "to_record"):
+            assert got.to_record() == want.to_record(), (fn.__name__, args, kwargs)
+
+
+def _count_calls(monkeypatch, owner, attr, calls):
+    original = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+
+
+def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
+                                                             two_field_provider):
+    f = two_field_provider
+    psi_sites = [("psi", 0), ("psi", 1)]
+    phi_sites = [("phi", 0), ("phi", 1)]
+    expansions, moments = [], []
+    _count_calls(monkeypatch, cumulants, "wick_product_expectation", expansions)
+    _count_calls(monkeypatch, f, "moment", moments)
+    table = CumulantTable(f)
+    first = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
+    assert expansions and moments
+    expansions.clear()
+    moments.clear()
+    again = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
+    assert (len(expansions), len(moments)) == (0, 0)
+    assert again.to_record() == first.to_record()
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2)])
+def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_provider,
+                                                      m, n):
+    # on a non-Gaussian provider only the |kappa|^2 maps call joint_cumulant;
+    # there is one per x' anchor, with one call per multiset of phi sites
+    f = two_field_provider
+    psi_sites = [("psi", 0), ("psi", 1)]
+    phi_sites = [("phi", 0), ("phi", 1)]
+    lookups = []
+    _count_calls(monkeypatch, CumulantTable, "joint_cumulant", lookups)
+    table = CumulantTable(f)
+    joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
+    assert len(lookups) == len(psi_sites) ** m * math.comb(len(phi_sites) + n - 1, n)
+    lookups.clear()
+    joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
+    assert lookups == []
+
+
 def test_observable_covariance_nonnegative(rng):
     f = random_discrete_field(rng, sites=[0, 1])
     table = CumulantTable(f)
