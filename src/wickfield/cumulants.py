@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .indexing import IndexSequence, canonical, seq_sort_key, subsequence
@@ -64,7 +65,9 @@ class CumulantTable:
     products of the variables are memoized too, each under its flat index
     sequence in the order the recursion builds it; that key is deliberately
     not canonicalised, because a provider may round a product differently
-    in another factor order.
+    in another factor order.  For the same reason the recursion subtracts
+    its subset terms in one fixed order, the ``combinations`` order, read
+    from a plan built once per (order, anchor).
 
     ``derived`` keeps values built from these cumulants (the clustering
     norms, Phi_n rows and |kappa|^2 maps of ``clustering``), so checks that
@@ -145,23 +148,28 @@ class CumulantTable:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        k = len(key)
         value = self._moment(key)
-        if k > 1:
-            rest = [i for i in range(k) if i != anchor]
-            # subsets E with the anchor variable, E a proper subset
-            for size in range(0, k - 1):
-                for extra in combinations(rest, size):
-                    # at anchor 0 the positions increase, so the sub-key of
-                    # the canonical key is canonical already
-                    sub = tuple(key[i] for i in (anchor,) + extra)
-                    if anchor != 0:
-                        sub = tuple(sorted(sub, key=seq_sort_key))
-                    comp = tuple(key[i] for i in rest if i not in extra)
-                    value -= self._moment(comp) * self._recurse(sub, 0)
+        for sub_positions, comp_positions in _subset_plan(len(key), anchor):
+            # at anchor 0 the positions increase, so the sub-key of the
+            # canonical key is canonical already
+            sub = tuple(key[i] for i in sub_positions)
+            if anchor != 0:
+                sub = tuple(sorted(sub, key=seq_sort_key))
+            comp = tuple(key[i] for i in comp_positions)
+            value -= self._moment(comp) * self._recurse(sub, 0)
         if anchor == 0:
             self._memo[key] = value
         return value
+
+
+@cache
+def _subset_plan(k: int, anchor: int) -> tuple:
+    """(anchor + extra, complement) positions of each proper subset E of
+    range(k) that holds the anchor, E by size and then in ``combinations``
+    order, so the recursion subtracts its terms in one fixed order."""
+    rest = tuple(i for i in range(k) if i != anchor)
+    return tuple(((anchor,) + extra, tuple(i for i in rest if i not in extra))
+                 for size in range(k - 1) for extra in combinations(rest, size))
 
 
 def cumulant(provider: MomentProvider, sequence: IndexSequence, anchor: int = 0) -> complex:

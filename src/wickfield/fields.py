@@ -331,39 +331,73 @@ def sample_field_pair(field: SpectralGaussianField, length: int, n_samples: int,
 class EnsembleEstimator(MomentProvider):
     """Plug-in empirical moments from a matrix of realizations.
 
-    ``samples`` has shape (count, n_sites); estimated moments converge to
-    the provider moments at the Monte Carlo rate O(N^-1/2).
+    ``samples`` has shape (count, n_sites), one realization per row; it must
+    have at least one row and only finite entries, and the site labels must
+    be distinct.  Estimated moments converge to the provider moments at the
+    Monte Carlo rate O(N^-1/2).
+
+    The samples are kept once, as C-contiguous columns of shape
+    (n_sites, count) in float64, or complex128 for complex samples;
+    ``samples`` is the transposed view of them.  A moment multiplies the
+    sequence's columns in that dtype, conjugating only complex columns, and
+    casts the product to complex once, before the mean.  For real samples a
+    complex running product from 1 would round each factor the same way,
+    and the cast keeps numpy's complex pairwise summation order, so every
+    moment is bit-identical to that running product's mean.
     """
 
     def __init__(self, sites, samples: np.ndarray, max_order: int = 8):
         self.sites = tuple(sites)
-        self.samples = np.asarray(samples)
-        self.max_order = max_order
-        self._index = {s: i for i, s in enumerate(self.sites)}
-        if self.samples.ndim != 2 or self.samples.shape[1] != len(self.sites):
+        samples = np.asarray(samples)
+        if samples.ndim != 2 or samples.shape[1] != len(self.sites):
             raise ValueError("samples must be (count, n_sites)")
+        if samples.shape[0] == 0:
+            raise ValueError("samples must hold at least one realization")
+        dtype = complex if np.iscomplexobj(samples) else float
+        self._columns = np.ascontiguousarray(samples.T, dtype=dtype)
+        # NaN propagates through min and max, and an infinite entry is one
+        # of them, so two reductions check every entry without a mask array
+        values = self._columns.view(float)
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise ValueError("samples must be finite, not NaN or inf")
+        self._index = {s: i for i, s in enumerate(self.sites)}
+        if len(self._index) != len(self.sites):
+            repeated = sorted({repr(s) for s in self.sites if self.sites.count(s) > 1})
+            raise ValueError(f"site labels must be distinct; repeated: "
+                             f"{', '.join(repeated)}")
+        self._complex = dtype is complex
+        self.max_order = max_order
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The (count, n_sites) realizations, a view of the stored columns."""
+        return self._columns.T
 
     @property
     def count(self) -> int:
-        return self.samples.shape[0]
+        return self._columns.shape[1]
 
     def _column(self, ref: SiteRef) -> np.ndarray:
-        col = self.samples[:, self._index[ref.site]]
-        return np.conj(col) if ref.conj else col
+        col = self._columns[self._index[ref.site]]
+        return np.conj(col) if ref.conj and self._complex else col
+
+    def _product(self, sequence: IndexSequence) -> np.ndarray:
+        """The product of the sequence's columns, cast to complex."""
+        if not sequence:
+            return np.ones(self.count, dtype=complex)
+        refs = iter(sequence)
+        prod = self._column(next(refs))
+        for ref in refs:
+            prod = prod * self._column(ref)
+        return prod.astype(complex, copy=False)
 
     def moment(self, sequence: IndexSequence) -> complex:
         if not sequence:
             return 1.0
-        prod = np.ones(self.count, dtype=complex)
-        for ref in sequence:
-            prod = prod * self._column(ref)
-        return complex(prod.mean())
+        return complex(self._product(sequence).mean())
 
     def moment_standard_error(self, sequence: IndexSequence) -> float:
-        prod = np.ones(self.count, dtype=complex)
-        for ref in sequence:
-            prod = prod * self._column(ref)
-        return float(np.std(prod) / math.sqrt(self.count))
+        return float(np.std(self._product(sequence)) / math.sqrt(self.count))
 
 
 def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
@@ -378,8 +412,11 @@ def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
     rng = np.random.default_rng(seed)
     psi, phi = sample_field_pair(field, box, n_samples, rng)
     sites = [("psi", x) for x in range(box)] + [("phi", x) for x in range(box)]
-    samples = np.concatenate([psi, phi], axis=1)
-    return EnsembleEstimator(sites, samples)
+    # stacked as columns, so the estimator keeps this array and copies none;
+    # psi and phi are views that keep their complex FFT outputs alive
+    columns = np.concatenate([psi.T, phi.T])
+    del psi, phi
+    return EnsembleEstimator(sites, columns.T)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +450,15 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
     grid = cfg.get("grid", DEFAULT_GRID)
     if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
         raise ValueError(f"grid must be an integer >= 1, not {grid!r}")
+    dimension = cfg.get("dimension", 1)
+    if isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral):
+        raise ValueError(f"dimension must be an integer, not {dimension!r}")
+    if dimension != 1:
+        raise ValueError("only dimension 1 spectral fields are supported")
     if model == "sinc_coupling":
         return sinc_coupling_example(grid=grid)
     if model != "spectral":
         raise ValueError(f"unknown field model {model!r}")
-    if int(cfg.get("dimension", 1)) != 1:
-        raise ValueError("only dimension 1 spectral fields are supported")
     missing = [key for key in ("f1", "f2", "g") if key not in cfg]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")

@@ -16,10 +16,15 @@ The oracles deliberately avoid the library's own recursions:
   using the symmetry of cumulants.
 * ``product_order_phi_row`` runs the restricted expansion of a Wick kernel
   row once per ordered tuple x, without using its symmetry in x.
+* ``complex_product_moment`` and ``complex_product_standard_error`` form a
+  plug-in moment as a complex running product from 1, multiplied column by
+  column, conjugating every column the sequence marks.
+* ``combinations_cumulant`` runs the anchored cumulant recursion with the
+  subsets enumerated by ``combinations`` inside every call.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from wickfield.cumulants import (
 )
 from wickfield.dnls import FieldState, hopping_symbol
 from wickfield.fields import random_discrete_field
-from wickfield.indexing import SiteRef, subsequence
+from wickfield.indexing import SiteRef, seq_sort_key, subsequence
 
 
 def brute_partitions(n):
@@ -126,6 +131,50 @@ def product_order_phi_row(provider, n, xprime, box):
     return {x: wick_product_expectation(provider, (left, tuple(SiteRef(s) for s in x)),
                                         (), table=table)
             for x in product(box, repeat=n)}
+
+
+def _complex_running_product(samples, sites, sequence):
+    index = {s: i for i, s in enumerate(sites)}
+    prod = np.ones(samples.shape[0], dtype=complex)
+    for ref in sequence:
+        col = samples[:, index[ref.site]]
+        prod = prod * (np.conj(col) if ref.conj else col)
+    return prod
+
+
+def complex_product_moment(samples, sites, sequence):
+    """Mean over the (count, n_sites) samples of the complex running product."""
+    return complex(_complex_running_product(samples, sites, sequence).mean())
+
+
+def complex_product_standard_error(samples, sites, sequence):
+    """Standard error of ``complex_product_moment``."""
+    prod = _complex_running_product(samples, sites, sequence)
+    return float(np.std(prod) / math.sqrt(samples.shape[0]))
+
+
+def combinations_cumulant(provider, key, anchor=0, memo=None):
+    """kappa of the sorted canonical monomials ``key``, anchored at position
+    ``anchor``, subtracting the subset terms in ``combinations`` order."""
+    if memo is None:
+        memo = {}
+    if anchor == 0 and key in memo:
+        return memo[key]
+    k = len(key)
+    value = provider.moment(tuple(ref for mono in key for ref in mono))
+    if k > 1:
+        rest = [i for i in range(k) if i != anchor]
+        for size in range(0, k - 1):
+            for extra in combinations(rest, size):
+                sub = tuple(key[i] for i in (anchor,) + extra)
+                if anchor != 0:
+                    sub = tuple(sorted(sub, key=seq_sort_key))
+                comp = tuple(key[i] for i in rest if i not in extra)
+                weight = provider.moment(tuple(ref for mono in comp for ref in mono))
+                value -= weight * combinations_cumulant(provider, sub, 0, memo)
+    if anchor == 0:
+        memo[key] = value
+    return value
 
 
 def refs(*labels):

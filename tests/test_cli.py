@@ -287,9 +287,19 @@ FLAT = {"name": "flat"}
      "grid must be an integer >= 1, not True"),
     (json.dumps({"model": "sinc_coupling", "grid": 0}),
      "grid must be an integer >= 1, not 0"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "dimension": 1.9}),
+     "dimension must be an integer, not 1.9"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "dimension": True}),
+     "dimension must be an integer, not True"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "dimension": "1"}),
+     "dimension must be an integer, not '1'"),
+    (json.dumps({"model": "sinc_coupling", "dimension": 2}),
+     "only dimension 1 spectral fields are supported"),
 ], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
         "unknown-model", "missing-key", "small-grid", "not-an-object",
-        "malformed-json", "fractional-grid", "boolean-grid", "zero-grid"])
+        "malformed-json", "fractional-grid", "boolean-grid", "zero-grid",
+        "fractional-dimension", "boolean-dimension", "string-dimension",
+        "sinc-dimension"])
 def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 

@@ -19,6 +19,7 @@ from wickfield.cumulants import (
     wick_product_expectation,
 )
 from wickfield.fields import (
+    EnsembleEstimator,
     FiniteDiscreteField,
     IidRealGaussianField,
     bernoulli_field,
@@ -29,7 +30,12 @@ from wickfield.fields import (
 )
 from wickfield.indexing import SiteRef, canonical, seq_sort_key
 
-from conftest import direct_wick_product_expectation, mobius_cumulant, refs
+from conftest import (
+    combinations_cumulant,
+    direct_wick_product_expectation,
+    mobius_cumulant,
+    refs,
+)
 
 
 def test_bernoulli_low_cumulants():
@@ -126,6 +132,47 @@ def test_canonical_ignores_call_history_of_equal_labels(calls):
         + tuple(SiteRef(("phi", label)) for label in (True, 1, 1.0))
     want = sorted(seq, key=lambda r: (repr(r.site), r.conj))
     assert [repr(r) for r in canonical(seq)] == [repr(r) for r in want]
+
+
+def _recursion_providers(seed):
+    rng = np.random.default_rng(seed)
+    complex_samples = rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))
+    return [
+        random_discrete_field(rng, sites=[0, 1, 2]),
+        random_discrete_field(rng, sites=[0, 1]),
+        sample_ensemble(sinc_coupling_example(), box=2, n_samples=300, seed=seed),
+        EnsembleEstimator([0, 1, 2], complex_samples),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recursion_plan_matches_inline_combinations(seed):
+    # the per-(order, anchor) subset plan subtracts the same terms in the
+    # same order as combinations enumerated inline, so every cumulant of
+    # single and compound variables is equal bit for bit, at every anchor
+    rng = np.random.default_rng(100 + seed)
+    for provider in _recursion_providers(seed):
+        sites = provider.sites
+        table = CumulantTable(provider)
+        memo = {}
+        for k in range(1, 7):
+            for compound in (False, True):
+                lengths = [1] * k
+                if compound:
+                    for i in rng.integers(0, k, 8 - k):
+                        lengths[i] = min(lengths[i] + 1, 3)
+                variables = tuple(
+                    tuple(SiteRef(sites[j], bool(c)) for j, c in zip(
+                        rng.integers(0, len(sites), n), rng.integers(0, 2, n)))
+                    for n in lengths)
+                key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
+                for anchor in range(k):
+                    want = combinations_cumulant(provider, key, anchor, memo)
+                    got = table.joint_cumulant(variables, anchor=anchor)
+                    assert got == want, (variables, anchor)
+                    if not compound:
+                        seq = tuple(m[0] for m in variables)
+                        assert table.cumulant(seq, anchor=anchor) == want, (seq, anchor)
 
 
 def test_joint_cumulant_anchor_independence(rng):

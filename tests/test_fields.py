@@ -19,7 +19,7 @@ from wickfield.fields import (
 )
 from wickfield.indexing import SiteRef
 
-from conftest import refs
+from conftest import complex_product_moment, complex_product_standard_error, refs
 
 
 # --- exact finite distributions -------------------------------------------
@@ -177,6 +177,74 @@ def test_ensemble_estimator_moment_plugin():
     est = EnsembleEstimator(["a"], samples)
     assert est.moment((SiteRef("a"),)) == pytest.approx(2.0)
     assert est.moment((SiteRef("a"), SiteRef("a"))) == pytest.approx(5.0)
+
+
+def _sample_matrix(rng, kind, count, n_sites):
+    if kind == "integer":
+        return rng.integers(-3, 4, size=(count, n_sites))
+    real = rng.normal(size=(count, n_sites))
+    if kind == "float32":
+        return real.astype(np.float32)
+    if kind == "complex":
+        return real + 1j * rng.normal(size=(count, n_sites))
+    return real
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["real", "complex", "integer", "float32"])
+def test_moment_equals_complex_running_product(kind, seed):
+    # the estimator multiplies in the samples' dtype and casts once before
+    # the mean; every moment and standard error equals the complex running
+    # product's bit for bit
+    rng = np.random.default_rng(seed)
+    sites = ["a", "b", "c"]
+    samples = _sample_matrix(rng, kind, 1000, len(sites))
+    est = EnsembleEstimator(sites, samples)
+    a, b = SiteRef("a"), SiteRef("b", True)
+    sequences = [(a,), (b,), (b, b), (a, b, a, b), (b,) * 6]
+    for order in range(1, 7):
+        for _ in range(8):
+            labels = rng.integers(0, len(sites), order)
+            conj = rng.integers(0, 2, order)
+            sequences.append(tuple(SiteRef(sites[i], bool(c))
+                                   for i, c in zip(labels, conj)))
+    for seq in sequences:
+        assert est.moment(seq) == complex_product_moment(samples, sites, seq), seq
+        assert est.moment_standard_error(seq) == \
+            complex_product_standard_error(samples, sites, seq), seq
+    # the product never writes into the stored columns
+    assert np.array_equal(est.samples, samples)
+
+
+def test_estimator_keeps_column_major_samples_without_copy():
+    est = sample_ensemble(sinc_coupling_example(), box=3, n_samples=50, seed=2)
+    columns = np.ascontiguousarray(est.samples.T)
+    kept = EnsembleEstimator(est.sites, columns.T)
+    assert np.shares_memory(kept.samples, columns)
+    assert est.samples.T.flags.c_contiguous
+
+
+def test_ensemble_estimator_rejects_empty_ensemble():
+    with pytest.raises(ValueError, match="at least one realization"):
+        EnsembleEstimator(["a"], np.empty((0, 1)))
+
+
+def test_ensemble_estimator_rejects_repeated_sites():
+    with pytest.raises(ValueError, match="site labels must be distinct; repeated: 'a'"):
+        EnsembleEstimator(["a", "b", "a"], np.zeros((4, 3)))
+    # the shape is checked before the labels
+    with pytest.raises(ValueError, match=r"samples must be \(count, n_sites\)"):
+        EnsembleEstimator(["a", "a"], np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                 complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "minus-inf", "complex-nan", "complex-inf"])
+def test_ensemble_estimator_rejects_non_finite_samples(bad):
+    samples = np.ones((5, 2), dtype=type(bad))
+    samples[3, 1] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        EnsembleEstimator(["a", "b"], samples)
 
 
 # --- configs and export ----------------------------------------------------
