@@ -4,7 +4,7 @@ time-correlation application."""
 
 __version__ = "0.1.0"
 
-from .indexing import SiteRef, canonical, site
+from .indexing import SiteRef, canonical
 from .partitions import (
     CombinatorialBlowupError,
     SetPartition,

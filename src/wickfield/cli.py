@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import click
@@ -39,6 +39,7 @@ from .fields import (
     check_psd,
     field_from_config,
     random_discrete_field,
+    reject_unknown_keys,
     sinc_coupling_example,
 )
 from .partitions import verify_comb_est
@@ -257,9 +258,7 @@ def cmd_dnls_demo(config_path, out, seed):
             source = click.get_current_context().get_parameter_source("seed")
             if source is not ParameterSource.DEFAULT:
                 raw["seed"] = seed
-            unknown = sorted(set(raw) - {f.name for f in fields(DnlsConfig)})
-            if unknown:
-                raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+            reject_unknown_keys(raw, {f.name for f in fields(DnlsConfig)})
             base = DnlsConfig(**raw)
     else:
         base = DnlsConfig(seed=seed)
@@ -267,7 +266,7 @@ def cmd_dnls_demo(config_path, out, seed):
     all_rows = []
     fits = {}
     for lam in couplings:
-        cfg = DnlsConfig(**{**asdict(base), "coupling": lam, "seed": base.seed})
+        cfg = replace(base, coupling=lam)
         horizon = 50.0 if lam == 0 else min(50.0, 1.0 / lam)
         times = np.linspace(0.0, horizon, 11)
         times = [round(t / cfg.dt) * cfg.dt for t in times]

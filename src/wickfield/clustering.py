@@ -21,7 +21,7 @@ nothing is shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
@@ -37,19 +37,9 @@ GAMMA = 2 * math.e
 
 
 @dataclass
-class ClusteringReport:
-    field_id: str
-    n: int
-    p: float
-    value: float
-
-
-@dataclass
 class MagnitudeConstants:
     """Running maxima M_1..M_N of (norm_n / n!)^(1/n); non-decreasing in N."""
 
-    field_id: str
-    p: float
     values: tuple
 
     def top(self) -> float:
@@ -63,9 +53,7 @@ class KernelRow:
     ``values`` is the dict kept on the CumulantTable the row was built on,
     so every check on that table reads the same one; do not change it."""
 
-    order: int
-    xprime: tuple
-    values: dict = field(default_factory=dict)
+    values: dict
 
 
 class Observable:
@@ -143,7 +131,7 @@ def _anchor_tuples(provider, box, k: int) -> list:
 
 
 def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
-                    anchors=None, table: CumulantTable | None = None) -> ClusteringReport:
+                    anchors=None, table: CumulantTable | None = None) -> float:
     """Truncated clustering norm: sup over anchors of the lp-sum over
     box^(n-1) of |kappa| with the anchor pinned in the first slot."""
     if n < 1:
@@ -151,13 +139,12 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     if table is None:
         table = CumulantTable(provider)
     if table.singletons_vanish(n):
-        return ClusteringReport(_field_id(provider), n, p, 0.0)
+        return 0.0
     if anchors is None:
         anchors = [a for (a,) in _anchor_tuples(provider, box_sites, 1)]
     box_sites, anchors = tuple(box_sites), tuple(anchors)
-    value = table.derived(("clustering_norm", n, p, box_sites, anchors),
-                          lambda: _sup_over_anchors(table, n, p, box_sites, anchors))
-    return ClusteringReport(_field_id(provider), n, p, value)
+    return table.derived(("clustering_norm", n, p, box_sites, anchors),
+                         lambda: _sup_over_anchors(table, n, p, box_sites, anchors))
 
 
 def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites, anchors) -> float:
@@ -180,10 +167,9 @@ def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
     """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n)."""
     if table is None:
         table = CumulantTable(provider)
-    norms = [clustering_norm(provider, n, p, box_sites, anchors=anchors,
-                             table=table).value
+    norms = [clustering_norm(provider, n, p, box_sites, anchors=anchors, table=table)
              for n in range(1, N + 1)]
-    return MagnitudeConstants(_field_id(provider), p, _running_maxima(norms))
+    return MagnitudeConstants(_running_maxima(norms))
 
 
 def _running_maxima(norms) -> tuple:
@@ -216,7 +202,7 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     xprime, box_sites = tuple(xprime), tuple(box_sites)
     values = table.derived(("phi_kernel", n, xprime, box_sites),
                            lambda: _phi_row(provider, table, n, xprime, box_sites))
-    return KernelRow(order=n, xprime=xprime, values=values)
+    return KernelRow(values)
 
 
 def _phi_row(provider, table, n: int, xprime, box_sites) -> dict:
@@ -288,8 +274,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
         norm_box = box_sites
     row = phi_kernel(provider, n, xprime, box_sites, table=table)
     lhs = _row_norm(row, p)
-    norms = {m: clustering_norm(provider, m, p, norm_box, anchors=anchors,
-                                table=table).value
+    norms = {m: clustering_norm(provider, m, p, norm_box, anchors=anchors, table=table)
              for m in range(1, 2 * n + 1)}
     middle = weighted_partition_sum(2 * n, norms)
     M = _running_maxima(norms.values())[-1]

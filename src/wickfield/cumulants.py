@@ -60,14 +60,15 @@ class MomentProvider(ABC):
 class CumulantTable:
     """Memoized cumulants kappa[y_I] over a backing provider.
 
-    Entries are stored under the permutation-invariant canonical key.  The
-    table is also the one place that applies the Gaussian rule.  Moments of
-    products of the variables are memoized too, each under its flat index
-    sequence in the order the recursion builds it; that key is deliberately
-    not canonicalised, because a provider may round a product differently
-    in another factor order.  For the same reason the recursion subtracts
-    its subset terms in one fixed order, the ``combinations`` order, read
-    from a plan built once per (order, anchor).
+    Entries are stored under the permutation-invariant canonical key.
+    ``cumulant`` is the one place that applies the Gaussian rule, and
+    ``joint_cumulant`` hands it every collection of single field variables.
+    Moments of products of the variables are memoized too, each under its
+    flat index sequence in the order the recursion builds it; that key is
+    deliberately not canonicalised, because a provider may round a product
+    differently in another factor order.  For the same reason the
+    recursion subtracts its subset terms in one fixed order, the
+    ``combinations`` order, read from a plan built once per (order, anchor).
 
     ``derived`` keeps values built from these cumulants (the clustering
     norms, Phi_n rows and |kappa|^2 maps of ``clustering``), so checks that
@@ -101,38 +102,34 @@ class CumulantTable:
     def cumulant(self, sequence: IndexSequence, anchor: int = 0) -> complex:
         """kappa of single field variables, one per position of the sequence.
 
-        Equal to ``joint_cumulant`` of the 1-tuples.  Outside the Gaussian
-        rule, which reads the variables in the caller's order, the canonical
-        key is built with one sort and the memo is probed first.
+        This is the one method that applies the Gaussian rule, which reads
+        the variables in the caller's order; otherwise the canonical key is
+        built with one sort.
         """
+        self._check(len(sequence))
         if self.provider.is_gaussian:
-            return self.joint_cumulant(tuple((ref,) for ref in sequence), anchor=anchor)
-        key = tuple((ref,) for ref in canonical(sequence))
-        if anchor == 0:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        self._check(key)
-        return self._recurse(key, anchor)
+            if self.singletons_vanish(len(sequence)):
+                return 0.0
+            return self.provider.covariance(sequence[0], sequence[1])
+        return self._recurse(tuple((ref,) for ref in canonical(sequence)), anchor)
 
     def joint_cumulant(self, variables, anchor: int = 0) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
 
-        Monomials act as compound random variables; moments of partial
-        products come from the backing provider.
+        Variables that are all single field variables go to ``cumulant``.
+        Otherwise the monomials act as compound random variables; moments of
+        partial products come from the backing provider.
         """
+        if all(len(mono) == 1 for mono in variables):
+            return self.cumulant(tuple(mono[0] for mono in variables), anchor=anchor)
         variables = tuple(canonical(mono) for mono in variables)
-        self._check(variables)
-        if self.provider.is_gaussian and all(len(m) == 1 for m in variables):
-            if self.singletons_vanish(len(variables)):
-                return 0.0
-            return self.provider.covariance(variables[0][0], variables[1][0])
+        self._check(sum(len(mono) for mono in variables))
         return self._recurse(tuple(sorted(variables, key=seq_sort_key)), anchor)
 
-    def _check(self, variables):
-        if not variables:
+    def _check(self, order: int):
+        if order == 0:
             raise ValueError("cumulant of an empty collection is undefined")
-        self.provider.check_order(sum(len(mono) for mono in variables))
+        self.provider.check_order(order)
 
     def _moment(self, variables) -> complex:
         """E[product of the monomial variables], one provider call per flat
@@ -268,13 +265,13 @@ def wick_product_expectation(provider: MomentProvider, groups, tail=(),
     return _block_cumulant_sum(table, flat, enumerate_restricted(groups, tail))
 
 
-def generating_check(provider, sequence: IndexSequence, h: float = 1e-3,
-                     tol: float | None = None):
+def generating_check(provider, sequence: IndexSequence):
     """Compare the cumulant against a finite difference of ln G_m at 0.
 
     The provider must expose ``log_generating_function(lam)`` with ``lam`` a
-    dict from site label to a real argument.  Central differences are O(h^2)
-    accurate; the default tolerance budgets rounding on top of that.
+    dict from site label to a real argument.  Central differences with step
+    h = 1e-3 are O(h^2) accurate; the tolerance budgets rounding on top of
+    that.
     """
     from .reports import BoundReport
 
@@ -282,6 +279,7 @@ def generating_check(provider, sequence: IndexSequence, h: float = 1e-3,
         raise TypeError("provider has no closed-form generating function")
     if len(sequence) > 4:
         raise OrderOverflowError("generating-function check supports order <= 4")
+    h = 1e-3
 
     def deriv(refs, lam):
         if not refs:
@@ -295,12 +293,10 @@ def generating_check(provider, sequence: IndexSequence, h: float = 1e-3,
 
     fd = deriv(tuple(sequence), {})
     exact = cumulant(provider, sequence)
-    if tol is None:
-        tol = 100 * h * h + 1e-9
     return BoundReport(
         inequality_id="generating-function-cumulant",
         lhs=abs(fd - exact),
-        rhs=tol,
+        rhs=100 * h * h + 1e-9,
         witnesses={"order": len(sequence), "h": h,
                    "finite_difference": fd, "cumulant": exact},
     )

@@ -43,11 +43,12 @@ class FiniteDiscreteField(MomentProvider):
     site.  Every moment is a weighted sum over atoms, exact up to rounding.
     """
 
-    def __init__(self, sites, atoms, max_order: int = 10):
+    max_order = 10
+
+    def __init__(self, sites, atoms):
         self.sites = tuple(sites)
         self.atoms = tuple((float(p), tuple(complex(v) for v in values))
                            for p, values in atoms)
-        self.max_order = max_order
         self._index = {s: i for i, s in enumerate(self.sites)}
         total = sum(p for p, _ in self.atoms)
         if any(p < 0 for p, _ in self.atoms):
@@ -91,17 +92,17 @@ def rademacher_field(site=0) -> FiniteDiscreteField:
     return FiniteDiscreteField([site], [(0.5, (1,)), (0.5, (-1,))])
 
 
-def random_discrete_field(rng, sites=None, n_atoms: int = 4,
-                          max_order: int = 10) -> FiniteDiscreteField:
-    """Random real-valued finite field; real atoms keep the field closed
-    under conjugation, as the bound certifiers assume."""
+def random_discrete_field(rng, sites=None) -> FiniteDiscreteField:
+    """Random real-valued finite field on four atoms; real atoms keep the
+    field closed under conjugation, as the bound certifiers assume."""
     if sites is None:
         sites = list(range(rng.integers(1, 5)))
+    n_atoms = 4
     probs = rng.random(n_atoms) + 0.05
     probs /= probs.sum()
     values = rng.uniform(-1.0, 1.0, size=(n_atoms, len(sites)))
     atoms = [(probs[i], tuple(values[i])) for i in range(n_atoms)]
-    return FiniteDiscreteField(sites, atoms, max_order=max_order)
+    return FiniteDiscreteField(sites, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,6 @@ class GaussianCovarianceField(MomentProvider):
     over a covariance kernel supplied by the subclass."""
 
     is_gaussian = True
-    max_order = 8
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         raise NotImplementedError
@@ -144,9 +144,8 @@ class IidRealGaussianField(GaussianCovarianceField):
 
     translation_invariant = True
 
-    def __init__(self, variance: float = 1.0, max_order: int = 8):
+    def __init__(self, variance: float = 1.0):
         self.variance = variance
-        self.max_order = max_order
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         return self.variance if a.site == b.site else 0.0
@@ -161,9 +160,8 @@ class IidComplexGaussianField(GaussianCovarianceField):
 
     translation_invariant = True
 
-    def __init__(self, variance: float = 1.0, max_order: int = 8):
+    def __init__(self, variance: float = 1.0):
         self.variance = variance
-        self.max_order = max_order
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         if a.site != b.site:
@@ -171,11 +169,17 @@ class IidComplexGaussianField(GaussianCovarianceField):
         return self.variance if a.conj != b.conj else 0.0
 
 
-def check_psd(f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID,
-              tol: float = 1e-12) -> bool:
-    """F1-hat >= 0, F2-hat >= 0 and |G-hat|^2 <= F1-hat * F2-hat on the grid."""
-    k = np.arange(grid) / grid
-    k = np.where(k >= 0.5, k - 1.0, k)
+def _torus_frequencies(n: int) -> np.ndarray:
+    """The n grid frequencies j / n of the torus, folded into [-1/2, 1/2)."""
+    k = np.arange(n) / n
+    return np.where(k >= 0.5, k - 1.0, k)
+
+
+def check_psd(f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID) -> bool:
+    """F1-hat >= 0, F2-hat >= 0 and |G-hat|^2 <= F1-hat * F2-hat on the grid,
+    up to 1e-12."""
+    tol = 1e-12
+    k = _torus_frequencies(grid)
     f1 = np.asarray(f1_hat(k), dtype=float)
     f2 = np.asarray(f2_hat(k), dtype=float)
     g = np.asarray(g_hat(k))
@@ -196,8 +200,7 @@ class SpectralGaussianField(GaussianCovarianceField):
     translation_invariant = True
 
     def __init__(self, f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID,
-                 closed_forms: dict | None = None, max_order: int = 8,
-                 name: str = "spectral-gaussian"):
+                 closed_forms: dict | None = None, name: str = "spectral-gaussian"):
         if not check_psd(f1_hat, f2_hat, g_hat, grid=grid):
             raise PSDViolationError(
                 "spectra violate F1>=0, F2>=0, |G|^2 <= F1*F2 on the grid")
@@ -206,7 +209,6 @@ class SpectralGaussianField(GaussianCovarianceField):
         self.g_hat = g_hat
         self.grid = grid
         self.closed_forms = dict(closed_forms or {})
-        self.max_order = max_order
         self.name = name
         self._tables = {}
 
@@ -218,8 +220,7 @@ class SpectralGaussianField(GaussianCovarianceField):
     def _table(self, which) -> np.ndarray:
         tab = self._tables.get(which)
         if tab is None:
-            k = np.arange(self.grid) / self.grid
-            k = np.where(k >= 0.5, k - 1.0, k)
+            k = _torus_frequencies(self.grid)
             tab = np.fft.ifft(np.asarray(self._spectrum(which)(k), dtype=complex))
             self._tables[which] = tab
         return tab
@@ -310,8 +311,7 @@ def sample_field_pair(field: SpectralGaussianField, length: int, n_samples: int,
     (Cholesky-style, robust to the semi-definite boundary) and applied to two
     independent hermitian-symmetric unit mode fields.
     """
-    k = np.arange(length) / length
-    k = np.where(k >= 0.5, k - 1.0, k)
+    k = _torus_frequencies(length)
     f1 = np.asarray(field.f1_hat(k), dtype=float)
     f2 = np.asarray(field.f2_hat(k), dtype=float)
     g = np.asarray(field.g_hat(k), dtype=float)
@@ -346,7 +346,7 @@ class EnsembleEstimator(MomentProvider):
     moment is bit-identical to that running product's mean.
     """
 
-    def __init__(self, sites, samples: np.ndarray, max_order: int = 8):
+    def __init__(self, sites, samples: np.ndarray):
         self.sites = tuple(sites)
         samples = np.asarray(samples)
         if samples.ndim != 2 or samples.shape[1] != len(self.sites):
@@ -366,7 +366,6 @@ class EnsembleEstimator(MomentProvider):
             raise ValueError(f"site labels must be distinct; repeated: "
                              f"{', '.join(repeated)}")
         self._complex = dtype is complex
-        self.max_order = max_order
 
     @property
     def samples(self) -> np.ndarray:
@@ -422,13 +421,25 @@ def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
 # ---------------------------------------------------------------------------
 # config files
 
+
+def reject_unknown_keys(cfg: dict, known: set) -> None:
+    """ValueError naming every key of ``cfg`` outside ``known``."""
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+#: spectrum name -> (the keys it reads, builder)
 _SPECTRA = {
-    "flat": lambda params: (lambda k: np.full_like(np.asarray(k, dtype=float),
-                                                   params.get("value", 1.0))),
-    "band": lambda params: (lambda k: params.get("height", 1.0) *
-                            (np.abs(np.asarray(k, dtype=float)) <
-                             params.get("halfwidth", 0.25)).astype(float)),
-    "zero": lambda params: (lambda k: np.zeros_like(np.asarray(k, dtype=float))),
+    "flat": ({"name", "value"},
+             lambda params: (lambda k: np.full_like(np.asarray(k, dtype=float),
+                                                    params.get("value", 1.0)))),
+    "band": ({"name", "height", "halfwidth"},
+             lambda params: (lambda k: params.get("height", 1.0) *
+                             (np.abs(np.asarray(k, dtype=float)) <
+                              params.get("halfwidth", 0.25)).astype(float))),
+    "zero": ({"name"},
+             lambda params: (lambda k: np.zeros_like(np.asarray(k, dtype=float)))),
 }
 
 
@@ -437,11 +448,16 @@ def spectrum_from_config(cfg: dict):
         raise ValueError(f"a spectrum must be an object with a 'name', "
                          f"not {cfg!r}")
     try:
-        builder = _SPECTRA[cfg["name"]]
+        keys, builder = _SPECTRA[cfg["name"]]
     except KeyError:
         raise ValueError(f"unknown spectrum {cfg.get('name')!r}; "
                          f"choose one of {sorted(_SPECTRA)}") from None
+    reject_unknown_keys(cfg, keys)
     return builder(cfg)
+
+
+#: the keys the sinc_coupling model reads; the spectral model reads more
+_SINC_KEYS = {"model", "grid", "dimension"}
 
 
 def field_from_config(cfg: dict) -> SpectralGaussianField:
@@ -456,9 +472,11 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
     if dimension != 1:
         raise ValueError("only dimension 1 spectral fields are supported")
     if model == "sinc_coupling":
+        reject_unknown_keys(cfg, _SINC_KEYS)
         return sinc_coupling_example(grid=grid)
     if model != "spectral":
         raise ValueError(f"unknown field model {model!r}")
+    reject_unknown_keys(cfg, _SINC_KEYS | {"f1", "f2", "g", "name"})
     missing = [key for key in ("f1", "f2", "g") if key not in cfg]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")

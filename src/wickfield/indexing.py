@@ -25,10 +25,6 @@ class SiteRef(NamedTuple):
 IndexSequence = tuple  # tuple[SiteRef, ...]
 
 
-def site(label, conj: bool = False) -> SiteRef:
-    return SiteRef(label, conj)
-
-
 #: SiteRef -> (site label object, sort key); see _sort_key
 _SORT_KEYS: dict = {}
 

@@ -295,11 +295,22 @@ FLAT = {"name": "flat"}
      "dimension must be an integer, not '1'"),
     (json.dumps({"model": "sinc_coupling", "dimension": 2}),
      "only dimension 1 spectral fields are supported"),
+    (json.dumps({"model": "sinc_coupling", "gird": 256}), "unknown key(s) 'gird'"),
+    (json.dumps({"model": "sinc_coupling", "name": "mine", "f1": FLAT}),
+     "unknown key(s) 'f1', 'name'"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "nmae": "mine"}),
+     "unknown key(s) 'nmae'"),
+    (json.dumps({"f1": FLAT, "f2": FLAT,
+                 "g": {"name": "band", "halfwdith": 0.1}}),
+     "unknown key(s) 'halfwdith'"),
+    (json.dumps({"f1": {"name": "flat", "height": 2.0}, "f2": FLAT, "g": FLAT}),
+     "unknown key(s) 'height'"),
 ], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
         "unknown-model", "missing-key", "small-grid", "not-an-object",
         "malformed-json", "fractional-grid", "boolean-grid", "zero-grid",
         "fractional-dimension", "boolean-dimension", "string-dimension",
-        "sinc-dimension"])
+        "sinc-dimension", "top-level-typo", "key-sinc-ignores", "spectral-typo",
+        "spectrum-typo", "key-of-another-spectrum"])
 def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 

@@ -65,17 +65,17 @@ def test_gamma_constant():
 def test_clustering_norm_iid_real():
     f = IidRealGaussianField()
     box = list(range(-5, 6))
-    assert clustering_norm(f, 2, 1, box).value == pytest.approx(1.0)
-    assert clustering_norm(f, 2, math.inf, box).value == pytest.approx(1.0)
-    assert clustering_norm(f, 3, 1, box).value == 0.0
-    assert clustering_norm(f, 1, 1, box).value == 0.0
+    assert clustering_norm(f, 2, 1, box) == pytest.approx(1.0)
+    assert clustering_norm(f, 2, math.inf, box) == pytest.approx(1.0)
+    assert clustering_norm(f, 3, 1, box) == 0.0
+    assert clustering_norm(f, 1, 1, box) == 0.0
 
 
 def test_clustering_norm_circular_complex_unconjugated():
     # the norm sums cumulants of the bare (unconjugated) variables; for a
     # circularly symmetric complex field E[phi phi] = 0, so the norm vanishes
     f = IidComplexGaussianField()
-    assert clustering_norm(f, 2, 1, list(range(-3, 4))).value == 0.0
+    assert clustering_norm(f, 2, 1, list(range(-3, 4))) == 0.0
 
 
 def test_clustering_norm_discrete_anchor_sup(rng):
@@ -87,14 +87,14 @@ def test_clustering_norm_discrete_anchor_sup(rng):
         per_anchor.append(sum(abs(table.cumulant((SiteRef(a), SiteRef(b))))
                               for b in f.sites))
     rep = clustering_norm(f, 2, 1, list(f.sites))
-    assert rep.value == pytest.approx(max(per_anchor))
+    assert rep == pytest.approx(max(per_anchor))
 
 
 def test_clustering_norm_inhomogeneous_gaussian_scans_anchors():
     f = GrowingVarianceField()
     box = [0, 1, 2, 3]
-    assert clustering_norm(f, 2, 1, box).value == pytest.approx(4.0)
-    assert clustering_norm(f, 2, 1, box, anchors=box).value == pytest.approx(4.0)
+    assert clustering_norm(f, 2, 1, box) == pytest.approx(4.0)
+    assert clustering_norm(f, 2, 1, box, anchors=box) == pytest.approx(4.0)
 
 
 def test_magnitude_constants_monotone():
@@ -199,7 +199,7 @@ def test_clustering_norm_vanishing_matches_recursion(name, n):
     provider, box, _, _ = SMALL_BOXES[name]
     fast = clustering_norm(provider, n, 1, box, anchors=box)
     slow = clustering_norm(NonGaussianView(provider), n, 1, box, anchors=box)
-    assert abs(fast.value - slow.value) <= 1e-12
+    assert abs(fast - slow) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_BOXES))
@@ -254,7 +254,7 @@ def test_clustering_norm_multiset_walk_matches_product_walk(name, n, p, explicit
     provider = WALK_FIELDS[name]
     box = list(provider.sites)
     anchors = [box[-1], box[1]] if explicit else None
-    got = clustering_norm(provider, n, p, box, anchors=anchors).value
+    got = clustering_norm(provider, n, p, box, anchors=anchors)
     want = product_order_clustering_norm(CumulantTable(provider), n, p, box,
                                          anchors or box)
     assert got == want

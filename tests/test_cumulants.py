@@ -98,11 +98,11 @@ def test_anchor_pick_independence(rng, anchor):
     (sinc_coupling_example(), [("phi", -2), ("phi", 1), ("psi", 0)]),
 ], ids=["discrete", "sinc"])
 def test_table_cumulant_equals_joint_cumulant_of_singletons(provider, sites):
-    # cumulant sorts once and probes the memo first; it must give the very
-    # value joint_cumulant gives the 1-tuples (repr tells 0j from 0.0), at
-    # every anchor and in every argument order, as both memos fill up.  A
-    # compound variable first memoises singleton keys from moments, which
-    # the Gaussian rule must outrank.
+    # joint_cumulant hands 1-tuples to cumulant; the two must give the very
+    # same value (repr tells 0j from 0.0), at every anchor and in every
+    # argument order, as both memos fill up.  A compound variable first
+    # memoises singleton keys from moments, which the Gaussian rule must
+    # outrank.
     rng = np.random.default_rng(12)
     fast, slow = CumulantTable(provider), CumulantTable(provider)
     s0, s1, s2 = (SiteRef(s) for s in sites)
@@ -237,6 +237,43 @@ def test_order_overflow():
 def test_empty_cumulant_rejected():
     with pytest.raises(ValueError):
         cumulant(bernoulli_field(0.5), ())
+
+
+GUARD_PROVIDERS = {
+    "iid-gaussian": IidRealGaussianField,
+    "discrete": lambda: random_discrete_field(np.random.default_rng(5), sites=[0, 1]),
+}
+SINGLE_ROUTES = {
+    "cumulant": lambda table, seq: table.cumulant(seq),
+    "joint_cumulant": lambda table, seq: table.joint_cumulant(tuple((r,) for r in seq)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SINGLE_ROUTES))
+@pytest.mark.parametrize("name", sorted(GUARD_PROVIDERS))
+def test_single_route_guards(name, route):
+    # both entry points of the table refuse an empty collection and an
+    # order past the provider's limit, Gaussian rule or not
+    provider = GUARD_PROVIDERS[name]()
+    table, kappa = CumulantTable(provider), SINGLE_ROUTES[route]
+    with pytest.raises(ValueError, match="empty collection"):
+        kappa(table, ())
+    with pytest.raises(OrderOverflowError):
+        kappa(table, refs(*([0] * (provider.max_order + 1))))
+    assert kappa(table, refs(*([0] * provider.max_order))) == cumulant(
+        provider, refs(*([0] * provider.max_order)))
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_PROVIDERS))
+def test_compound_cumulant_order_guard(name):
+    # the order of a compound collection counts every field variable
+    provider = GUARD_PROVIDERS[name]()
+    table = CumulantTable(provider)
+    limit = provider.max_order
+    with pytest.raises(OrderOverflowError):
+        table.joint_cumulant((refs(*([0] * (limit - 1))), refs(1, 1)))
+    at_limit = table.joint_cumulant((refs(*([0] * (limit - 2))), refs(1, 1)))
+    assert math.isfinite(abs(at_limit))
 
 
 def test_wick_expectation_vanishes(rng):
