@@ -36,6 +36,7 @@ from .dnls import (
     fit_residual_constant,
 )
 from .fields import (
+    FiniteDiscreteField,
     check_psd,
     field_from_config,
     random_discrete_field,
@@ -141,8 +142,9 @@ def cmd_partition_stats(n_max, out):
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--max-order", type=click.IntRange(min=1), default=2,
-              show_default=True, help="Check (m, n) up to this order.")
+# the discrete providers' checks take cumulants of twice the order
+@click.option("--max-order", type=click.IntRange(1, FiniteDiscreteField.max_order // 2),
+              default=2, show_default=True, help="Check (m, n) up to this order.")
 def cmd_verify_bounds(config_path, out, seed, max_order):
     """Certify the covariance and joint-cumulant bounds on example fields."""
     started = time.time()

@@ -4,8 +4,9 @@ numerical certification of the covariance and joint-cumulant bounds.
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set, chosen by ``_anchor_tuples``: one anchor for
 translation-invariant fields.  Cumulants, and Wick kernel entries in x, are
-symmetric in their arguments, so every sum over box^k and every
-non-Gaussian kernel row goes through ``_symmetric_walk``, which looks up one
+symmetric in their arguments, so every sum over box^k and every kernel row
+that is not a sum of pairings (``phi_kernel`` tells them apart by the
+restricted partitions) goes through ``_symmetric_walk``, which looks up one
 value per multiset of box sites.
 Lattice sums are truncated to caller-supplied boxes; no report bounds the
 tail beyond its box.
@@ -23,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .cumulants import CumulantTable, MomentProvider
 from .indexing import SiteRef
-from .partitions import weighted_partition_sum
-from .reports import BoundReport
+from .partitions import enumerate_restricted, weighted_partition_sum
+from .reports import FLAG_SLACK, BoundReport
 
 #: the induction constant of the joint-cumulant bound; fixed, not tunable
 GAMMA = 2 * math.e
@@ -185,59 +186,59 @@ def _running_maxima(norms) -> tuple:
 def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
                table: CumulantTable | None = None) -> KernelRow:
     """Phi_n(x', x) = E[ :phi(x'_1)* ... phi(x'_n)*: :phi(x_1) ... phi(x_n): ]
-    for every x in box^n, via the restricted-partition expansion.  The Wick
-    product is symmetric in x, so the expansion runs once per multiset of
-    box sites.
-
-    For a Gaussian provider only cross pairings survive (Isserlis/Wick), so
-    the row is the permanent of the n x n cross-covariance matrix, evaluated
-    over all of box^n at once.
+    for every x in box^n: the sum over the restricted partitions of the
+    n + n positions of the products of their block cumulants, less the
+    partitions with a block that ``CumulantTable.singletons_vanish``.  When
+    only pairings remain (every law at n = 1, a Gaussian law at every n),
+    the row is evaluated over all of box^n at once from the n x |box| pair
+    cumulants; otherwise the expansion runs once per multiset of box sites,
+    as the Wick product is symmetric in x.  Only the table checks orders.
 
     The row is built once per table, n, box and x' in the order given: it is
     symmetric in x' too, but a permuted x' may round differently.
     """
-    provider.check_order(2 * n)
     if table is None:
         table = CumulantTable(provider)
     xprime, box_sites = tuple(xprime), tuple(box_sites)
     values = table.derived(("phi_kernel", n, xprime, box_sites),
-                           lambda: _phi_row(provider, table, n, xprime, box_sites))
+                           lambda: _phi_row(table, n, xprime, box_sites))
     return KernelRow(values)
 
 
-def _phi_row(provider, table, n: int, xprime, box_sites) -> dict:
+def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
     from .cumulants import wick_product_expectation
 
-    xs = product(box_sites, repeat=n)
-    if provider.is_gaussian:
-        return dict(zip(xs, _permanent_row(provider, xprime, box_sites).tolist()))
     left = tuple(SiteRef(s, True) for s in xprime)
+    partitions = [part for part in enumerate_restricted((left, left))
+                  if not any(table.singletons_vanish(len(b)) for b in part.blocks)]
+    xs = product(box_sites, repeat=n)
+    if all(len(b) == 2 for part in partitions for b in part.blocks):
+        return dict(zip(xs, _pairing_row(table, left, partitions, box_sites).tolist()))
     return dict(zip(xs, _symmetric_walk(
         lambda x: wick_product_expectation(
-            provider, (left, tuple(SiteRef(s) for s in x)), (), table=table),
+            table.provider, (left, tuple(SiteRef(s) for s in x)), (), table=table),
         box_sites, n)))
 
 
-def _permanent_row(provider, xprime, box_sites) -> np.ndarray:
-    """sum over sigma in S_n of prod_i C[i, x_sigma(i)] for every x in box^n,
-    with C[i, s] = cov(phi(x'_i)*, phi(s)), raveled in product(box, repeat=n)
-    order.
+def _pairing_row(table: CumulantTable, left, pairings, box_sites) -> np.ndarray:
+    """sum over the pairings of prod over their blocks (i, n + j) of
+    kappa[left_i, phi(x_j)], for every x in box^n, raveled in
+    product(box, repeat=n) order.
 
-    Pairings are added in the order the restricted expansion enumerates them
-    (lexicographic in the left partner of each x_j) and factors are
-    multiplied in left-position order, so the rows match it bit for bit.
+    Pairings are added in the order given and each product multiplies its
+    blocks in order, as the restricted expansion does, so the rows match
+    it bit for bit.
     """
-    n = len(xprime)
-    cov = np.array([[provider.covariance(SiteRef(a, True), SiteRef(s))
-                     for s in box_sites] for a in xprime], dtype=complex)
+    n = len(left)
+    pair = np.array([[table.cumulant((a, SiteRef(s))) for s in box_sites]
+                     for a in left], dtype=complex)
     total = np.zeros((len(box_sites),) * n, dtype=complex)
-    for partner in permutations(range(n)):
-        axis = np.argsort(partner)  # axis[i]: the x slot paired with x'_i
+    for part in pairings:
         term = 1.0 + 0.0j
-        for i in range(n):
+        for i, j in part.blocks:
             shape = [1] * n
-            shape[axis[i]] = -1
-            term = term * cov[i].reshape(shape)
+            shape[j - n] = -1
+            term = term * pair[i].reshape(shape)
         total += term
     return total.ravel()
 
@@ -250,6 +251,19 @@ def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> dict
     return table.derived(("kappa_sq", fixed, n, box_sites), lambda: dict(zip(
         product(box_sites, repeat=n),
         _symmetric_walk(lambda x: abs(kappa(x)) ** 2, box_sites, n))))
+
+
+def _kernel_weighted_sup(table: CumulantTable, n: int, anchors, box_sites,
+                         kappa_sq: dict) -> tuple:
+    """max over the anchors y of sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]), and
+    the first y that attains it; (0.0, None) if no value is positive."""
+    best, witness = 0.0, None
+    for y in anchors:
+        row = phi_kernel(table.provider, n, y, box_sites, table=table).values
+        val = math.sqrt(sum(abs(row[x]) * kappa_sq[x] for x in kappa_sq))
+        if val > best:
+            best, witness = val, y
+    return best, witness
 
 
 def _row_norm(row: KernelRow, p: float) -> float:
@@ -279,7 +293,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
     middle = weighted_partition_sum(2 * n, norms)
     M = _running_maxima(norms.values())[-1]
     rhs = M ** (2 * n) * math.e ** (2 * n) * math.factorial(2 * n)
-    slack = 1 + 1e-12
+    slack = 1 + FLAG_SLACK
     return BoundReport(
         inequality_id="kernel-row-norm-chain",
         lhs=lhs,
@@ -327,12 +341,8 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
         else:
             if xprime_anchors is None:
                 xprime_anchors = _anchor_tuples(provider, box_sites, n)
-            for xp in xprime_anchors:
-                row = phi_kernel(provider, n, xp, box_sites, table=table)
-                val = math.sqrt(sum(abs(row.values[x]) * kappa_sq[x]
-                                    for x in kappa_sq))
-                if val > lhs:
-                    lhs, witness_x = val, xp
+            lhs, witness_x = _kernel_weighted_sup(table, n, xprime_anchors,
+                                                  box_sites, kappa_sq)
 
     if p == 1:
         rhs = math.sqrt(cov) * M ** n * math.e ** n * math.sqrt(math.factorial(2 * n))
@@ -396,11 +406,9 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
             if val > lhs:
                 lhs, witness = val, {"xprime": list(xp)}
         else:
-            for y in y_tuples:
-                row = phi_kernel(provider, n, y, phi_box, table=table)
-                val = math.sqrt(sum(abs(row.values[x]) * ksq[x] for x in ksq))
-                if val > lhs:
-                    lhs, witness = val, {"xprime": list(xp), "y": list(y)}
+            val, y = _kernel_weighted_sup(table, n, y_tuples, phi_box, ksq)
+            if val > lhs:
+                lhs, witness = val, {"xprime": list(xp), "y": list(y)}
 
     base = M_joint * GAMMA ** m
     if p == 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -256,14 +257,6 @@ class SpectralGaussianField(GaussianCovarianceField):
             return self.pair_covariance("psiphi", x - y)
         return self.pair_covariance("psiphi", y - x)
 
-    def log_generating_function(self, lam: dict) -> complex:
-        refs = {_as_ref(s): t for s, t in lam.items()}
-        total = 0.0 + 0.0j
-        for a, ta in refs.items():
-            for b, tb in refs.items():
-                total += ta * tb * self.covariance(a, b)
-        return 0.5 * total
-
 
 def _sinc_g(x):
     x = np.asarray(x, dtype=float)
@@ -447,12 +440,18 @@ def spectrum_from_config(cfg: dict):
     if not isinstance(cfg, dict):
         raise ValueError(f"a spectrum must be an object with a 'name', "
                          f"not {cfg!r}")
-    try:
-        keys, builder = _SPECTRA[cfg["name"]]
-    except KeyError:
-        raise ValueError(f"unknown spectrum {cfg.get('name')!r}; "
-                         f"choose one of {sorted(_SPECTRA)}") from None
+    name = cfg.get("name")
+    if not (isinstance(name, str) and name in _SPECTRA):
+        raise ValueError(f"unknown spectrum {name!r}; "
+                         f"choose one of {sorted(_SPECTRA)}")
+    keys, builder = _SPECTRA[name]
     reject_unknown_keys(cfg, keys)
+    for key in sorted(set(cfg) - {"name"}):
+        value = cfg[key]
+        # the bound, not math.isfinite, so a huge int is refused, not raised
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and abs(value) <= sys.float_info.max):
+            raise ValueError(f"{key} must be a finite number, not {value!r}")
     return builder(cfg)
 
 
@@ -480,11 +479,14 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
     missing = [key for key in ("f1", "f2", "g") if key not in cfg]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
+    name = cfg.get("name", "spectral-gaussian")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, not {name!r}")
     return SpectralGaussianField(
         f1_hat=spectrum_from_config(cfg["f1"]),
         f2_hat=spectrum_from_config(cfg["f2"]),
         g_hat=spectrum_from_config(cfg["g"]),
         grid=grid,
-        name=cfg.get("name", "spectral-gaussian"),
+        name=name,
     )
 

@@ -59,9 +59,6 @@ class SetPartition:
             parent_length = sum(len(b) for b in norm)
         return cls(norm, parent_length)
 
-    def __len__(self):
-        return len(self.blocks)
-
 
 def bell_number(n: int) -> int:
     """Bell number via the Bell triangle recurrence."""

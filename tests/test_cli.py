@@ -115,6 +115,7 @@ def test_verify_bounds_max_order_4(runner, tmp_path):
     ["partition-stats", "--n-max", "-1"],
     ["verify-bounds", "--max-order", "0"],
     ["verify-bounds", "--max-order", "-1"],
+    ["verify-bounds", "--max-order", "6"],
     ["example-gaussian", "--radius", "0"],
     ["example-gaussian", "--radius", "1"],
     ["example-gaussian", "--radius", "100"],
@@ -122,9 +123,10 @@ def test_verify_bounds_max_order_4(runner, tmp_path):
     pytest.param(["dnls-demo", "--seed", "-1"], id="dnls-demo--seed=-1"),
 ], ids=lambda args: f"{args[1]}={args[2]}")
 def test_out_of_range_option_rejected(runner, tmp_path, args):
-    # no order to check would pass vacuously over no reports, a radius of at
-    # most 100 leaves the l1 fit fewer than two radii, and numpy seeds its
-    # generators from non-negative integers only
+    # no order to check would pass vacuously over no reports, an order above
+    # 5 needs cumulants of the discrete providers above their max_order of
+    # 10, a radius of at most 100 leaves the l1 fit fewer than two radii,
+    # and numpy seeds its generators from non-negative integers only
     out = tmp_path / "bad"
     result = runner.invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 2, result.output
@@ -305,12 +307,24 @@ FLAT = {"name": "flat"}
      "unknown key(s) 'halfwdith'"),
     (json.dumps({"f1": {"name": "flat", "height": 2.0}, "f2": FLAT, "g": FLAT}),
      "unknown key(s) 'height'"),
+    (json.dumps({"f1": {"name": "flat", "value": "1"}, "f2": FLAT, "g": FLAT}),
+     "value must be a finite number, not '1'"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": {"name": "band", "height": True}}),
+     "height must be a finite number, not True"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": {"name": "band", "halfwidth": "0.3"}}),
+     "halfwidth must be a finite number, not '0.3'"),
+    (json.dumps({"f1": {"name": ["flat"]}, "f2": FLAT, "g": FLAT}),
+     "unknown spectrum ['flat']"),
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "name": 5}),
+     "name must be a string, not 5"),
 ], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
         "unknown-model", "missing-key", "small-grid", "not-an-object",
         "malformed-json", "fractional-grid", "boolean-grid", "zero-grid",
         "fractional-dimension", "boolean-dimension", "string-dimension",
         "sinc-dimension", "top-level-typo", "key-sinc-ignores", "spectral-typo",
-        "spectrum-typo", "key-of-another-spectrum"])
+        "spectrum-typo", "key-of-another-spectrum", "string-value",
+        "boolean-height", "string-halfwidth", "list-spectrum-name",
+        "integer-name"])
 def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -119,13 +119,21 @@ def test_phi_kernel_iid_complex_orthonormal():
     assert row2.values[(0, 1)] == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("provider,box,xprime", [
-    (sinc_coupling_example(), [("phi", 0), ("psi", 1), ("psi", -2)],
-     (("phi", 0), ("psi", 0), ("phi", 1))),
-    (IidComplexGaussianField(variance=1.3), [0, 1], (0, 0, 1)),
-], ids=["sinc", "iid-complex"])
+PAIRING_ROWS = {
+    "sinc": (sinc_coupling_example(), [("phi", 0), ("psi", 1), ("psi", -2)],
+             (("phi", 0), ("psi", 0), ("phi", 1))),
+    # psi against phi: sinc values of both signs, so the order in which the
+    # pairings are added shows in the last bits
+    "sinc-cross": (sinc_coupling_example(), [("phi", 0), ("phi", 1), ("phi", 3)],
+                   (("psi", 0), ("psi", 1), ("psi", 2))),
+    "iid-complex": (IidComplexGaussianField(variance=1.3), [0, 1], (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_ROWS))
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_phi_kernel_permanent_matches_restricted_expansion(provider, box, xprime, n):
+def test_phi_kernel_permanent_matches_restricted_expansion(name, n):
+    provider, box, xprime = PAIRING_ROWS[name]
     fast = phi_kernel(provider, n, xprime[:n], box)
     slow = phi_kernel(NonGaussianView(provider), n, xprime[:n], box)
     assert list(fast.values) == list(slow.values)
@@ -133,13 +141,52 @@ def test_phi_kernel_permanent_matches_restricted_expansion(provider, box, xprime
         assert abs(fast.values[x] - v) <= 1e-12, x
 
 
+@pytest.mark.parametrize("name", sorted(PAIRING_ROWS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_kernel_gaussian_row_equals_product_order(name, n):
+    # a Gaussian row adds its pairings over the whole box in the order the
+    # restricted expansion does, so it rounds as the expansion does
+    provider, box, xprime = PAIRING_ROWS[name]
+    got = phi_kernel(provider, n, xprime[:n], box).values
+    want = product_order_phi_row(provider, n, xprime[:n], box)
+    assert list(got) == list(want)
+    assert got == want
+
+
+def test_phi_kernel_gaussian_order_5_is_the_permanent():
+    # a Gaussian row needs pair cumulants only, whatever the provider's
+    # max_order.  The brute-force permanent pairs x_j with x'_tau(j) and
+    # adds the permutations tau in lexicographic order, the order in which
+    # the restricted expansion enumerates the pairings; each product
+    # multiplies its factors in the order of i, as the expansion does
+    provider = sinc_coupling_example()
+    box = [("phi", 0), ("phi", 1)]
+    xprime = (("psi", 0), ("psi", 1), ("psi", 2), ("psi", -1), ("psi", 3))
+    n = len(xprime)
+    assert 2 * n > provider.max_order
+    row = phi_kernel(provider, n, xprime, box).values
+    assert list(row) == list(product(box, repeat=n))
+    for x in product(box, repeat=n):
+        want = 0.0 + 0.0j
+        for tau in permutations(range(n)):
+            slot = {i: j for j, i in enumerate(tau)}
+            term = 1.0 + 0.0j
+            for i in range(n):
+                term *= complex(provider.covariance(SiteRef(xprime[i], True),
+                                                    SiteRef(x[slot[i]])))
+            want += term
+        assert row[x] == want, x
+    assert max(abs(v) for v in row.values()) > 0.01
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n_sites", [3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_phi_kernel_multiset_row_matches_product_order(seed, n_sites, n):
-    # a non-Gaussian row expands once per multiset of box sites; entries
-    # cancel down to 1e-7 of the row's largest, so the tolerance is
-    # relative to that
+    # a non-Gaussian row expands once per multiset of box sites, and an
+    # n = 1 row, a pairing row, takes the pair cumulants the expansion
+    # would; entries cancel down to 1e-7 of the row's largest, so the
+    # tolerance is relative to that
     rng = np.random.default_rng(seed)
     f = random_discrete_field(rng, sites=list(range(n_sites)))
     box = list(f.sites)
@@ -171,8 +218,13 @@ def test_phi_kernel_expands_once_per_multiset(monkeypatch, n):
     box = list(f.sites)
     row = phi_kernel(f, n, (0,) * n, box)
     assert len(row.values) == len(box) ** n
-    assert len(calls) == math.comb(len(box) + n - 1, n)
-    assert calls == list(combinations_with_replacement(box, n))
+    if n == 1:
+        # the one restricted partition at n = 1 is the pairing, evaluated
+        # from pair cumulants without the expansion
+        assert calls == []
+    else:
+        assert len(calls) == math.comb(len(box) + n - 1, n)
+        assert calls == list(combinations_with_replacement(box, n))
 
 
 # name: (Gaussian provider, 5-site box, psi sites, 3-site box)
