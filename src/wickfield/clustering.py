@@ -3,10 +3,9 @@ numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set, chosen by ``_anchor_tuples``: one anchor for
-translation-invariant fields.  Cumulants, and Wick kernel entries in x, are
-symmetric in their arguments, so every sum over box^k and every kernel row
-that is not a sum of pairings (``phi_kernel`` tells them apart by the
-restricted partitions) goes through ``_symmetric_walk``, which looks up one
+translation-invariant fields.  Cumulants are symmetric in their arguments,
+so every sum of cumulants over box^k, and every block of cumulants a Wick
+kernel row multiplies, goes through ``_symmetric_walk``, which looks up one
 value per multiset of box sites.
 Lattice sums are truncated to caller-supplied boxes; no report bounds the
 tail beyond its box.
@@ -188,59 +187,54 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     """Phi_n(x', x) = E[ :phi(x'_1)* ... phi(x'_n)*: :phi(x_1) ... phi(x_n): ]
     for every x in box^n: the sum over the restricted partitions of the
     n + n positions of the products of their block cumulants, less the
-    partitions with a block that ``CumulantTable.singletons_vanish``.  When
-    only pairings remain (every law at n = 1, a Gaussian law at every n),
-    the row is evaluated over all of box^n at once from the n x |box| pair
-    cumulants; otherwise the expansion runs once per multiset of box sites,
-    as the Wick product is symmetric in x.  Only the table checks orders.
+    partitions with a block that ``CumulantTable.singletons_vanish``.  Each
+    block's cumulants over the box are looked up once per multiset of box
+    sites and multiplied over all of box^n at once, so every entry adds the
+    partitions, and multiplies their blocks, in the order the restricted
+    expansion of that one x does.  Only the table checks orders.
 
     The row is built once per table, n, box and x' in the order given: it is
     symmetric in x' too, but a permuted x' may round differently.
     """
+    xprime, box_sites = tuple(xprime), tuple(box_sites)
+    if len(xprime) != n:
+        raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
     if table is None:
         table = CumulantTable(provider)
-    xprime, box_sites = tuple(xprime), tuple(box_sites)
     values = table.derived(("phi_kernel", n, xprime, box_sites),
                            lambda: _phi_row(table, n, xprime, box_sites))
     return KernelRow(values)
 
 
 def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
-    from .cumulants import wick_product_expectation
-
+    """The Phi_n row over box^n in product order.  A block with the x'
+    positions L and r x positions multiplies in its block tensor,
+    kappa[x'_L*, phi(z_1), ..., phi(z_r)] for z in box^r, on the axes of its
+    x positions; each (L, r) tensor is built once per row."""
     left = tuple(SiteRef(s, True) for s in xprime)
-    partitions = [part for part in enumerate_restricted((left, left))
-                  if not any(table.singletons_vanish(len(b)) for b in part.blocks)]
-    xs = product(box_sites, repeat=n)
-    if all(len(b) == 2 for part in partitions for b in part.blocks):
-        return dict(zip(xs, _pairing_row(table, left, partitions, box_sites).tolist()))
-    return dict(zip(xs, _symmetric_walk(
-        lambda x: wick_product_expectation(
-            table.provider, (left, tuple(SiteRef(s) for s in x)), (), table=table),
-        box_sites, n)))
-
-
-def _pairing_row(table: CumulantTable, left, pairings, box_sites) -> np.ndarray:
-    """sum over the pairings of prod over their blocks (i, n + j) of
-    kappa[left_i, phi(x_j)], for every x in box^n, raveled in
-    product(box, repeat=n) order.
-
-    Pairings are added in the order given and each product multiplies its
-    blocks in order, as the restricted expansion does, so the rows match
-    it bit for bit.
-    """
-    n = len(left)
-    pair = np.array([[table.cumulant((a, SiteRef(s))) for s in box_sites]
-                     for a in left], dtype=complex)
-    total = np.zeros((len(box_sites),) * n, dtype=complex)
-    for part in pairings:
+    size = len(box_sites)
+    tensors = {}
+    total = np.zeros((size,) * n, dtype=complex)
+    for part in enumerate_restricted((left, left)):
+        if any(table.singletons_vanish(len(b)) for b in part.blocks):
+            continue
         term = 1.0 + 0.0j
-        for i, j in part.blocks:
+        for block in part.blocks:
+            lefts = tuple(i for i in block if i < n)
+            r = len(block) - len(lefts)
+            if (lefts, r) not in tensors:
+                head = tuple(left[i] for i in lefts)
+                tensors[lefts, r] = np.array(_symmetric_walk(
+                    lambda z: table.cumulant(head + tuple(SiteRef(s) for s in z)),
+                    box_sites, r), dtype=complex)
+            # a block's positions are sorted: its x positions come last, in
+            # the order of the tensor's axes
             shape = [1] * n
-            shape[j - n] = -1
-            term = term * pair[i].reshape(shape)
+            for j in block[len(lefts):]:
+                shape[j - n] = size
+            term = term * tensors[lefts, r].reshape(shape)
         total += term
-    return total.ravel()
+    return dict(zip(product(box_sites, repeat=n), total.ravel().tolist()))
 
 
 def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> dict:
@@ -304,6 +298,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
             "flag_lhs_le_middle": lhs <= middle * slack,
             "flag_middle_le_rhs": middle <= rhs * slack,
             "magnitude_constant": M,
+            "field": _field_id(provider),
         },
     )
 

@@ -52,6 +52,7 @@ def test_verify_bounds_default(runner, tmp_path):
     assert reports
     assert all(r["flag"] for r in reports)
     assert all(r["schema_version"] == 1 for r in reports)
+    assert all(isinstance(r["witnesses"]["field"], str) for r in reports)
 
 
 def test_verify_bounds_corrupted_rhs_fails(runner, tmp_path, monkeypatch):
@@ -108,6 +109,7 @@ def test_verify_bounds_max_order_4(runner, tmp_path):
     reports = json.loads((out / "bound_reports.json").read_text())
     assert len(reports) == 208
     assert all(r["flag"] for r in reports)
+    assert all(isinstance(r["witnesses"]["field"], str) for r in reports)
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -141,14 +141,38 @@ def test_phi_kernel_permanent_matches_restricted_expansion(name, n):
         assert abs(fast.values[x] - v) <= 1e-12, x
 
 
-@pytest.mark.parametrize("name", sorted(PAIRING_ROWS))
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_phi_kernel_gaussian_row_equals_product_order(name, n):
-    # a Gaussian row adds its pairings over the whole box in the order the
-    # restricted expansion does, so it rounds as the expansion does
-    provider, box, xprime = PAIRING_ROWS[name]
-    got = phi_kernel(provider, n, xprime[:n], box).values
-    want = product_order_phi_row(provider, n, xprime[:n], box)
+def _discrete_row_case(n_sites, seed, n):
+    """A random discrete field on n_sites sites, its sites as the box, and
+    an x' of n sites drawn after the field."""
+    rng = np.random.default_rng(seed)
+    f = random_discrete_field(rng, sites=list(range(n_sites)))
+    return f, list(f.sites), tuple(int(s) for s in rng.integers(0, n_sites, n))
+
+
+# (law, n): the Gaussian rows of PAIRING_ROWS, and random discrete fields on
+# 3 and 4 sites, seeds 0-2
+ROW_CASES = (
+    [pytest.param(name, n, id=f"{name}-{n}")
+     for name in sorted(PAIRING_ROWS) for n in (1, 2, 3)]
+    + [pytest.param((n_sites, seed), n, id=f"discrete{n_sites}-seed{seed}-{n}")
+       for n_sites in (3, 4) for seed in range(3) for n in (1, 2, 3, 4)])
+
+
+def _row_case(law, n):
+    if law in PAIRING_ROWS:
+        provider, box, xprime = PAIRING_ROWS[law]
+        return provider, box, xprime[:n]
+    return _discrete_row_case(*law, n)
+
+
+@pytest.mark.parametrize("law,n", ROW_CASES)
+def test_phi_kernel_row_equals_product_order(law, n):
+    # every row adds the restricted partitions over the whole box in the
+    # order the restricted expansion of each x does, and multiplies each
+    # partition's blocks in order, so it rounds as that expansion does
+    provider, box, xprime = _row_case(law, n)
+    got = phi_kernel(provider, n, xprime, box).values
+    want = product_order_phi_row(provider, n, xprime, box)
     assert list(got) == list(want)
     assert got == want
 
@@ -182,49 +206,65 @@ def test_phi_kernel_gaussian_order_5_is_the_permanent():
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n_sites", [3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_phi_kernel_multiset_row_matches_product_order(seed, n_sites, n):
-    # a non-Gaussian row expands once per multiset of box sites, and an
-    # n = 1 row, a pairing row, takes the pair cumulants the expansion
-    # would; entries cancel down to 1e-7 of the row's largest, so the
-    # tolerance is relative to that
-    rng = np.random.default_rng(seed)
-    f = random_discrete_field(rng, sites=list(range(n_sites)))
-    box = list(f.sites)
-    xprime = tuple(int(s) for s in rng.integers(0, n_sites, n))
+def test_phi_kernel_row_matches_direct_wick_product(seed, n_sites, n):
+    # entries cancel down to 1e-7 of the row's largest, so the tolerance is
+    # relative to that
+    f, box, xprime = _discrete_row_case(n_sites, seed, n)
     got = phi_kernel(f, n, xprime, box).values
-    want = product_order_phi_row(f, n, xprime, box)
-    assert list(got) == list(want)
-    scale = max(abs(v) for v in want.values())
+    scale = max(abs(v) for v in got.values())
     left = tuple(SiteRef(s, True) for s in xprime)
-    for x, v in want.items():
-        if list(x) == sorted(x):  # the multiset's own expansion
-            assert got[x] == v, x
+    for x, v in got.items():
         direct = direct_wick_product_expectation(f, (left, tuple(SiteRef(s) for s in x)))
-        assert abs(got[x] - v) <= 1e-12 * scale, x
-        assert abs(got[x] - direct) <= 1e-12 * scale, x
+        assert abs(v - direct) <= 1e-12 * scale, x
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_phi_kernel_expands_once_per_multiset(monkeypatch, n):
-    calls = []
-    expand = cumulants.wick_product_expectation
-
-    def counting(provider, groups, *args, **kwargs):
-        calls.append(tuple(ref.site for ref in groups[1]))
-        return expand(provider, groups, *args, **kwargs)
-
-    monkeypatch.setattr(cumulants, "wick_product_expectation", counting)
-    f = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2])
-    box = list(f.sites)
-    row = phi_kernel(f, n, (0,) * n, box)
+def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
+    # a row runs no restricted expansion per x: the block tensor of each set
+    # L of x' positions and number r of x positions looks up one cumulant
+    # per multiset of r box sites
+    expansions, lookups = [], []
+    _count_calls(monkeypatch, cumulants, "wick_product_expectation", expansions)
+    _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
+    f = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2, 3])
+    box = [0, 1, 2]
+    xprime = tuple(range(n))  # distinct sites, so a lookup names its L
+    row = phi_kernel(f, n, xprime, box)
     assert len(row.values) == len(box) ** n
-    if n == 1:
-        # the one restricted partition at n = 1 is the pairing, evaluated
-        # from pair cumulants without the expansion
-        assert calls == []
-    else:
-        assert len(calls) == math.comb(len(box) + n - 1, n)
-        assert calls == list(combinations_with_replacement(box, n))
+    assert expansions == []
+    tensors = {}
+    for _, sequence in lookups:
+        lefts = tuple(ref.site for ref in sequence if ref.conj)
+        z = tuple(ref.site for ref in sequence if not ref.conj)
+        tensors.setdefault((lefts, len(z)), []).append(z)
+    # a block holds L and r x positions; what it leaves must pair up, so
+    # r < n unless L is all of x'
+    want = {(lefts, r) for k in range(1, n) for lefts in combinations(range(n), k)
+            for r in range(1, n)} | {(xprime, n)}
+    assert set(tensors) == want
+    for (lefts, r), multisets in tensors.items():
+        assert multisets == list(combinations_with_replacement(box, r)), (lefts, r)
+
+
+_DISCRETE = random_discrete_field(np.random.default_rng(2), sites=[0, 1, 2])
+
+
+@pytest.mark.parametrize("call,n,length", [
+    (lambda n, xp: phi_kernel(_DISCRETE, n, xp, [0, 1]), 1, 0),
+    (lambda n, xp: phi_kernel(_DISCRETE, n, xp, [0, 1]), 1, 2),
+    (lambda n, xp: phi_kernel(_DISCRETE, n, xp, [0, 1]), 3, 2),
+    (lambda n, xp: lemma_check(_DISCRETE, n, 1.0, xp, [0, 1]), 3, 2),
+    (lambda n, xp: theorem41_check(_DISCRETE, Observable.of_site(2), n, 2, [0, 1],
+                                   xprime_anchors=[xp]), 2, 3),
+    (lambda n, xp: joint_theorem_check(_DISCRETE, 1, n, 2, [2], [0, 1],
+                                       y_tuples=[xp]), 2, 1),
+], ids=["phi_kernel-1-0", "phi_kernel-1-2", "phi_kernel-3-2", "lemma-3-2",
+        "theorem41-2-3", "joint-2-1"])
+def test_phi_kernel_rejects_xprime_of_another_length(call, n, length):
+    # a Phi_n row pairs n conjugated sites with n sites; any other x' would
+    # be a kernel of another order
+    with pytest.raises(ValueError, match=f"x' has {length} sites, but a Phi_{n} row needs {n}"):
+        call(n, (0,) * length)
 
 
 # name: (Gaussian provider, 5-site box, psi sites, 3-site box)
@@ -319,7 +359,7 @@ def test_theorem41_multiset_walk_matches_product_walk(name, n, p):
     provider = WALK_FIELDS[name]
     sites = list(provider.sites)
     X, box = Observable.of_site(sites[0]), sites[1:]
-    xprime_anchors = [tuple(box[-1:]) * n, tuple(box[:n])]
+    xprime_anchors = [tuple(box[-1:]) * n, tuple(box[i % len(box)] for i in range(n))]
     table = CumulantTable(provider)
     rep = theorem41_check(provider, X, n, p, box, xprime_anchors=xprime_anchors,
                           table=table)
@@ -596,16 +636,16 @@ def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
     f = two_field_provider
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
-    expansions, moments = [], []
-    _count_calls(monkeypatch, cumulants, "wick_product_expectation", expansions)
+    lookups, moments = [], []
+    _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
     _count_calls(monkeypatch, f, "moment", moments)
     table = CumulantTable(f)
     first = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
-    assert expansions and moments
-    expansions.clear()
+    assert lookups and moments
+    lookups.clear()
     moments.clear()
     again = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
-    assert (len(expansions), len(moments)) == (0, 0)
+    assert (len(lookups), len(moments)) == (0, 0)
     assert again.to_record() == first.to_record()
 
 
