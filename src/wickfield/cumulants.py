@@ -131,10 +131,9 @@ class CumulantTable:
             raise ValueError("cumulant of an empty collection is undefined")
         self.provider.check_order(order)
 
-    def _moment(self, variables) -> complex:
-        """E[product of the monomial variables], one provider call per flat
-        index sequence."""
-        flat = tuple(ref for mono in variables for ref in mono)
+    def _moment(self, flat) -> complex:
+        """E[product over the flat index sequence], one provider call per
+        sequence."""
         value = self._moments.get(flat)
         if value is None:
             value = self._moments[flat] = self.provider.moment(flat)
@@ -145,14 +144,15 @@ class CumulantTable:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        value = self._moment(key)
+        # a moment is memoised under its variables' flat sequence in key order
+        value = self._moment(tuple(ref for mono in key for ref in mono))
         for sub_positions, comp_positions in _subset_plan(len(key), anchor):
             # at anchor 0 the positions increase, so the sub-key of the
             # canonical key is canonical already
             sub = tuple(key[i] for i in sub_positions)
             if anchor != 0:
                 sub = tuple(sorted(sub, key=seq_sort_key))
-            comp = tuple(key[i] for i in comp_positions)
+            comp = tuple(ref for i in comp_positions for ref in key[i])
             value -= self._moment(comp) * self._recurse(sub, 0)
         if anchor == 0:
             self._memo[key] = value

@@ -175,6 +175,25 @@ def test_recursion_plan_matches_inline_combinations(seed):
                         assert table.cumulant(seq, anchor=anchor) == want, (seq, anchor)
 
 
+@pytest.mark.parametrize("variables", [
+    (refs(0, 1), ()),
+    ((), refs(0), refs(1, 2)),
+    ((), refs(2, 0), refs(1), ()),
+])
+def test_joint_cumulant_with_constant_variable(rng, variables):
+    # the empty monomial is the constant 1, so with it beside longer
+    # monomials the flat sequence is as long as the key while not every
+    # variable is single; every complement must still be joined monomial by
+    # monomial, and a joint cumulant with a constant vanishes
+    provider = random_discrete_field(rng, sites=[0, 1, 2])
+    table = CumulantTable(provider)
+    key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
+    for anchor in range(len(variables)):
+        got = table.joint_cumulant(variables, anchor=anchor)
+        assert got == combinations_cumulant(provider, key, anchor), anchor
+        assert got == pytest.approx(0.0, abs=1e-12), anchor
+
+
 def test_joint_cumulant_anchor_independence(rng):
     f = random_discrete_field(rng, sites=[0, 1, 2])
     table = CumulantTable(f)

@@ -1,10 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import wickfield.dnls as dnls
 from conftest import unfused_evolve
 from wickfield.dnls import (
+    _MIN_CHUNK_SITES,
     CorrelationSeries,
     DnlsConfig,
     FieldState,
@@ -16,6 +19,7 @@ from wickfield.dnls import (
     hopping_symbol,
     initial_covariance,
     sample_initial,
+    _member_chunks,
 )
 
 
@@ -112,16 +116,34 @@ def test_zero_coupling_exact_transport():
     assert np.max(np.abs(out.psi - expected)) < 1e-12
 
 
+def fix_cpus(monkeypatch, cpus):
+    """evolve splits its members over the CPUs this process may use; make
+    that ``cpus`` whatever the host has."""
+    monkeypatch.setattr(dnls.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def fewest_split_members(sites_per_member):
+    """The fewest members whose lattice sites fill two chunks."""
+    return 2 * -(-_MIN_CHUNK_SITES // sites_per_member)
+
+
 @pytest.mark.parametrize("dimension,length", [(1, 16), (2, 8)], ids=["d1", "d2"])
 @pytest.mark.parametrize("coupling", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("start,until", [(0.0, 2.0), (1.0, -1.0), (0.0, 0.05), (0.3, 0.25)],
                          ids=["forward", "backward", "one-step", "one-step-back"])
-def test_evolve_matches_unfused_oracle(dimension, length, coupling, start, until):
+@pytest.mark.parametrize("members", ["few", "split"])
+def test_evolve_matches_unfused_oracle(monkeypatch, dimension, length, coupling, start,
+                                       until, members):
     # merged half kicks (lambda > 0) and the exact jump (lambda = 0) against
-    # full Strang steps; one step is where the last half kick matters
+    # full Strang steps; one step is where the last half kick matters, and
+    # "split" members are stepped on two threads
+    fix_cpus(monkeypatch, 2)
+    n = 20 if members == "few" else fewest_split_members(length ** dimension) + 1
     cfg = DnlsConfig(dimension=dimension, length=length, coupling=coupling,
-                     n_samples=20, seed=5)
+                     n_samples=n, seed=5)
     state = FieldState(psi=sample_initial(cfg).psi, t=start)
+    assert len(_member_chunks(n, length ** dimension)) == (1 if members == "few" else 2)
     before = state.psi.copy()
     out = evolve(state, until, cfg)
     expected = unfused_evolve(state, until, cfg)
@@ -186,3 +208,83 @@ def test_two_dimensional_evolution():
     n0 = state.l2_norm_sq(cfg.dimension)
     n1 = out.l2_norm_sq(cfg.dimension)
     assert np.max(np.abs(n1 - n0) / n0) < 1e-10
+
+
+@pytest.mark.parametrize("dimension,length", [(1, 32), (2, 8)], ids=["d1", "d2"])
+@pytest.mark.parametrize("cpus,offset,chunks", [(2, -1, 1), (2, 0, 2), (2, 1, 2), (2, 3, 2),
+                                                (3, 0, 2), (3, 800, 3)])
+@pytest.mark.parametrize("until", [0.5, -0.5], ids=["forward", "backward"])
+def test_split_evolve_equals_blocks_evolved_alone(monkeypatch, dimension, length, cpus,
+                                                  offset, chunks, until):
+    # members are independent, so stepping the ensemble split over threads
+    # gives the very bits of stepping blocks of it one at a time; offsets
+    # count members from the fewest that fill two chunks, and odd counts
+    # split unevenly
+    fix_cpus(monkeypatch, cpus)
+    n = fewest_split_members(length ** dimension) + offset
+    cfg = DnlsConfig(dimension=dimension, length=length, coupling=0.5, n_samples=n, seed=7)
+    state = sample_initial(cfg)
+    assert len(_member_chunks(n, length ** dimension)) == chunks
+    whole = evolve(state, until, cfg).psi
+    cuts = [0, 1, n // 3, n]  # each block too small to split
+    blocks = [evolve(FieldState(psi=state.psi[a:b]), until, cfg).psi
+              for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(blocks))
+
+
+def test_member_chunks_cover_the_members_in_order(monkeypatch):
+    for cpus in (1, 2, 3, 5):
+        fix_cpus(monkeypatch, cpus)
+        for n in (0, 1, 2, 7, 375, 376, 1001, 10_000):
+            chunks = _member_chunks(n, 64)
+            assert 1 <= len(chunks) <= max(1, min(cpus, n))
+            assert [i for c in chunks for i in range(n)[c]] == list(range(n))
+            sizes = [c.stop - c.start for c in chunks]
+            assert max(sizes) - min(sizes) <= 1
+            if len(chunks) > 1:
+                assert min(sizes) * 64 >= _MIN_CHUNK_SITES
+
+
+def test_unbatched_psi_evolves_as_one_member(monkeypatch):
+    fix_cpus(monkeypatch, 2)
+    cfg = DnlsConfig(length=16, coupling=0.5, n_samples=fewest_split_members(16), seed=3)
+    batch = sample_initial(cfg).psi
+    state = FieldState(psi=batch[0].copy())
+    before = state.psi.copy()
+    out = evolve(state, 1.0, cfg)
+    assert out.psi.shape == (16,) and out.t == 1.0
+    assert np.array_equal(state.psi, before)
+    assert np.array_equal(out.psi, evolve(FieldState(psi=batch), 1.0, cfg).psi[0])
+
+
+class _FailingCos:
+    """Stand-in for ``np`` in dnls whose ``cos`` raises on one chunk's
+    member count; every other attribute is numpy's own."""
+
+    def __init__(self, members):
+        self.members = members
+
+    def cos(self, x, *args, **kwargs):
+        if x.shape[0] == self.members:
+            raise RuntimeError(f"cos failed on {self.members} members")
+        return np.cos(x, *args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(np, attr)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "worker"])
+def test_chunk_exception_reaches_the_caller(monkeypatch, failing):
+    fix_cpus(monkeypatch, 2)
+    n = fewest_split_members(32) + 1  # odd, so the two chunks differ in size
+    cfg = DnlsConfig(length=32, coupling=0.5, n_samples=n, seed=3)
+    state = sample_initial(cfg)
+    chunks = _member_chunks(n, 32)
+    sizes = [c.stop - c.start for c in chunks]
+    assert len(sizes) == 2 and sizes[0] != sizes[1]
+    threads = threading.active_count()
+    monkeypatch.setattr(dnls, "np", _FailingCos(sizes[failing]))
+    with pytest.raises(RuntimeError, match=f"cos failed on {sizes[failing]} members"):
+        evolve(state, 1.0, cfg)
+    # every chunk's thread was joined before the error was raised
+    assert threading.active_count() == threads
