@@ -2,15 +2,19 @@
 
 The evolution  i d/dt psi = alpha * psi + lambda |psi|^2 psi  is integrated
 by Strang splitting: exact harmonic rotation in Fourier space composed with
-the exact pointwise nonlinear phase.  Both sub-flows conserve the l2 norm,
-so conservation holds to rounding per step.  Each step's trailing half kick
-is merged with the next step's leading one.  ``evolve`` splits a large
-ensemble's members into contiguous chunks, one per CPU the process may use,
-and steps each chunk on its own thread, so a step costs one FFT pair per
-chunk.  Each member evolves alone, by the same operations in the same
-order whichever chunk holds it, so the split leaves every bit unchanged.
-At lambda = 0 the flow is the harmonic rotation alone, and ``evolve`` jumps
-to the requested time with one exact Fourier rotation.
+the pointwise nonlinear phase e^{i theta}, theta = -dt lambda |psi|^2.  The
+phase is formed from one tangent of the half angle, t = tan(theta / 2), as
+((1 - t^2) + 2 i t) / (1 + t^2): for |theta| up to 1e6 it lies within
+2 eps of cos theta + i sin theta, and its modulus within 2 eps of 1.  Both
+sub-flows conserve the l2 norm, so conservation holds to rounding per step.
+Each step's trailing half kick is merged with the next step's leading
+one.  ``evolve`` splits a large ensemble's members into contiguous chunks,
+one per CPU the process may use, and steps each chunk on its own thread, so
+a step costs one FFT pair per chunk.  Each member evolves alone, by the
+same operations in the same order whichever chunk holds it, so the split
+leaves every bit unchanged.  At lambda = 0 the flow is the harmonic
+rotation alone, and ``evolve`` jumps to the requested time with one exact
+Fourier rotation.
 
 Initial data are drawn from the harmonic Gibbs surrogate: circularly
 symmetric complex Gaussian modes with spectral density 1/(beta (alpha_hat
@@ -132,12 +136,16 @@ def sample_initial(config: DnlsConfig) -> FieldState:
 # Fewest lattice sites (members times sites per member) a thread is given.
 # Below it, a second thread's start and its share of the per-step Python
 # work outweigh the FFT and phase work it takes over.  The value is tuned
-# for d = 1.  On 2 cores over 100 steps, split into two chunks:
-#   d = 1, L = 32:  6,400 sites a chunk lost 8%, 12,000 gained 40%;
-#   d = 2, L = 16:  8,192 sites a chunk lost 21%, 12,288 gained 26%;
-#   d = 2, L = 8:   4,096 sites a chunk already gained 13%.
-# So at d = 2, L = 8 ensembles under 24,000 sites stay in one thread
-# although a split would speed them up somewhat.
+# for d = 1.  On 2 cores over 100 steps at lambda = 0.05, split into two
+# chunks (median of 21 alternating pairs; the machine is shared, so single
+# pairs spread by +-20%):
+#   d = 1, L = 32:  6,400 sites a chunk lost 13%, 9,600 broke even,
+#                   12,000 gained 19%;
+#   d = 2, L = 16:  6,144 sites a chunk lost 10%, 8,192 gained 23%,
+#                   12,288 gained 24%;
+#   d = 2, L = 8:   2,048 sites a chunk lost 32%, 4,096 broke even.
+# So at d = 2, L = 16 ensembles of 16,384 to 24,000 sites stay in one
+# thread although a split would speed them up somewhat.
 _MIN_CHUNK_SITES = 12_000
 
 
@@ -180,6 +188,21 @@ def _run_chunks(work, chunks):
             raise exc
 
 
+def _unit_phase(half_angle, phase, scratch):
+    """Write e^{i theta} into ``phase`` from ``half_angle`` = theta / 2, by
+    the half-angle identity e^{i theta} = ((1 - t^2) + 2 i t) / (1 + t^2)
+    with t = tan(theta / 2): one vectorised ``tan`` costs a fraction of a
+    ``cos`` and a ``sin``.  theta = +-0 gives exactly 1, so a zero member
+    stays zero.  ``half_angle`` and ``scratch`` are overwritten."""
+    t = np.tan(half_angle, out=half_angle)
+    np.multiply(t, t, out=scratch)
+    np.subtract(1.0, scratch, out=phase.real)
+    scratch += 1.0
+    np.divide(phase.real, scratch, out=phase.real)
+    t += t
+    np.divide(t, scratch, out=phase.imag)
+
+
 def evolve(state: FieldState, until: float, config: DnlsConfig) -> FieldState:
     """Strang split-step to time ``until``; dt must divide the interval.
 
@@ -190,9 +213,11 @@ def evolve(state: FieldState, until: float, config: DnlsConfig) -> FieldState:
     chunks (``_member_chunks``).  The calling thread steps the first chunk
     and one more thread steps each other chunk, to the end, with one join;
     numpy's FFTs and ufuncs release the interpreter lock while they run.
-    Every operation of a step transforms or multiplies each member on its
-    own, so a member's bits do not depend on its chunk.  The step buffers
-    are allocated here, before the split, so no thread allocates its own.
+    Every operation of a step transforms or maps each member on its own,
+    and numpy's vectorised ``tan`` gives the same bits at every offset in
+    an array, so a member's bits do not depend on its chunk.  The step
+    buffers are allocated here, before the split, so no thread allocates
+    its own.
     """
     span = until - state.t
     if span == 0:
@@ -226,9 +251,8 @@ def evolve(state: FieldState, until: float, config: DnlsConfig) -> FieldState:
             np.multiply(psi_c.real, psi_c.real, out=angle_c)
             np.multiply(psi_c.imag, psi_c.imag, out=square_c)
             angle_c += square_c
-            angle_c *= -dt * lam
-            np.cos(angle_c, out=phase_c.real)
-            np.sin(angle_c, out=phase_c.imag)
+            angle_c *= -0.5 * dt * lam
+            _unit_phase(angle_c, phase_c, square_c)
             psi_c *= phase_c
             np.fft.fftn(psi_c, axes=lattice_axes, out=psi_c)
             psi_c *= kick if step < n_steps - 1 else half_kick

@@ -10,7 +10,7 @@ The oracles deliberately avoid the library's own recursions:
   monomial by monomial and takes the expectation term-wise.
 * ``unfused_evolve`` takes every Strang step in full, half kick, nonlinear
   phase, half kick, with two FFT pairs per step and no exact jump at
-  lambda = 0.
+  lambda = 0.  Its phase is numpy's complex ``exp``, not the half-angle form.
 * ``product_order_walk`` and ``product_order_clustering_norm`` evaluate a
   box^k cumulant sum once per ordered tuple, in product order, without
   using the symmetry of cumulants.
@@ -29,6 +29,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import wickfield.dnls as dnls
 from wickfield.cumulants import (
     CumulantTable,
     WickExpansion,
@@ -97,6 +98,13 @@ def unfused_evolve(state, until, config):
         psi = np.fft.ifftn(half_kick * np.fft.fftn(psi, axes=lattice_axes),
                            axes=lattice_axes)
     return FieldState(psi=psi, t=state.t + n_steps * dt)
+
+
+def fix_cpus(monkeypatch, cpus):
+    """evolve splits its members over the CPUs this process may use; make
+    that ``cpus`` whatever the host has."""
+    monkeypatch.setattr(dnls.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 def product_order_walk(value, box, k):

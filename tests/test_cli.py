@@ -4,8 +4,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import fix_cpus
 from wickfield import cli
 from wickfield.cli import main
+from wickfield.dnls import _member_chunks
 
 
 @pytest.fixture
@@ -211,6 +213,25 @@ def test_rerun_output_contract(runner, tmp_path, args, files):
                 assert rec["manifest"] == "manifest.json"
     assert set(manifests[0]) == set(manifests[1]) == MANIFEST_KEYS
     assert manifests[0]["subcommand"] == args[0]
+
+
+def test_dnls_demo_rerun_with_split_members(runner, tmp_path, monkeypatch):
+    # 1,501 members of 16 sites fill two chunks, so the lambda = 0.5 leg's
+    # 40 steps run on two threads; the data files match a one-CPU run
+    cfg = tmp_path / "dnls.json"
+    cfg.write_text(json.dumps({"length": 16, "n_samples": 1501,
+                               "couplings": [0.0, 0.5]}))
+    runs = {}
+    for name, cpus in (("a", 2), ("b", 2), ("one-cpu", 1)):
+        fix_cpus(monkeypatch, cpus)
+        assert len(_member_chunks(1501, 16)) == cpus
+        out = tmp_path / name
+        result = runner.invoke(main, ["dnls-demo", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs[name] = [(out / f).read_bytes()
+                      for f in ("duhamel_residuals.csv", "dnls_run.json")]
+    assert runs["a"] == runs["b"] == runs["one-cpu"]
 
 
 def test_failed_computation_writes_nothing(runner, tmp_path, monkeypatch):

@@ -3,9 +3,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wickfield.dnls as dnls
-from conftest import unfused_evolve
+from conftest import fix_cpus, unfused_evolve
 from wickfield.dnls import (
     _MIN_CHUNK_SITES,
     CorrelationSeries,
@@ -20,6 +21,7 @@ from wickfield.dnls import (
     initial_covariance,
     sample_initial,
     _member_chunks,
+    _unit_phase,
 )
 
 
@@ -81,7 +83,8 @@ def test_sample_initial_deterministic():
 
 
 def test_l2_conservation():
-    for lam in (0.0, 0.05, 0.5):
+    # at lambda = 40 a step's phase angle reaches 7 rad
+    for lam in (0.0, 0.05, 0.5, 40.0):
         cfg = small(coupling=lam)
         state = sample_initial(cfg)
         n0 = state.l2_norm_sq(cfg.dimension)
@@ -116,22 +119,23 @@ def test_zero_coupling_exact_transport():
     assert np.max(np.abs(out.psi - expected)) < 1e-12
 
 
-def fix_cpus(monkeypatch, cpus):
-    """evolve splits its members over the CPUs this process may use; make
-    that ``cpus`` whatever the host has."""
-    monkeypatch.setattr(dnls.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-
-
 def fewest_split_members(sites_per_member):
     """The fewest members whose lattice sites fill two chunks."""
     return 2 * -(-_MIN_CHUNK_SITES // sites_per_member)
 
 
+SPANS = {"forward": (0.0, 2.0), "backward": (1.0, -1.0), "one-step": (0.0, 0.05),
+         "one-step-back": (0.3, 0.25)}
+# lambda = 40 turns a step's phase past pi; over many steps the flow is
+# chaotic and rounding differences grow past the tolerance, so it is
+# compared over one step only
+ORACLE_CASES = [(span, lam) for span in SPANS for lam in (0.0, 0.05, 0.5)] + [
+    ("one-step", 40.0), ("one-step-back", 40.0)]
+
+
 @pytest.mark.parametrize("dimension,length", [(1, 16), (2, 8)], ids=["d1", "d2"])
-@pytest.mark.parametrize("coupling", [0.0, 0.05, 0.5])
-@pytest.mark.parametrize("start,until", [(0.0, 2.0), (1.0, -1.0), (0.0, 0.05), (0.3, 0.25)],
-                         ids=["forward", "backward", "one-step", "one-step-back"])
+@pytest.mark.parametrize("start,until,coupling", [
+    pytest.param(*SPANS[span], lam, id=f"{span}-{lam}") for span, lam in ORACLE_CASES])
 @pytest.mark.parametrize("members", ["few", "split"])
 def test_evolve_matches_unfused_oracle(monkeypatch, dimension, length, coupling, start,
                                        until, members):
@@ -210,7 +214,8 @@ def test_two_dimensional_evolution():
     assert np.max(np.abs(n1 - n0) / n0) < 1e-10
 
 
-@pytest.mark.parametrize("dimension,length", [(1, 32), (2, 8)], ids=["d1", "d2"])
+@pytest.mark.parametrize("dimension,length", [(1, 32), (2, 8), (1, 17)],
+                         ids=["d1", "d2", "d1-odd"])
 @pytest.mark.parametrize("cpus,offset,chunks", [(2, -1, 1), (2, 0, 2), (2, 1, 2), (2, 3, 2),
                                                 (3, 0, 2), (3, 800, 3)])
 @pytest.mark.parametrize("until", [0.5, -0.5], ids=["forward", "backward"])
@@ -219,7 +224,9 @@ def test_split_evolve_equals_blocks_evolved_alone(monkeypatch, dimension, length
     # members are independent, so stepping the ensemble split over threads
     # gives the very bits of stepping blocks of it one at a time; offsets
     # count members from the fewest that fill two chunks, and odd counts
-    # split unevenly
+    # split unevenly.  At the odd length 17 no chunk after the first starts
+    # on a multiple of the SIMD width, so the vectorised phase must give the
+    # same bits at any offset
     fix_cpus(monkeypatch, cpus)
     n = fewest_split_members(length ** dimension) + offset
     cfg = DnlsConfig(dimension=dimension, length=length, coupling=0.5, n_samples=n, seed=7)
@@ -257,17 +264,17 @@ def test_unbatched_psi_evolves_as_one_member(monkeypatch):
     assert np.array_equal(out.psi, evolve(FieldState(psi=batch), 1.0, cfg).psi[0])
 
 
-class _FailingCos:
-    """Stand-in for ``np`` in dnls whose ``cos`` raises on one chunk's
+class _FailingTan:
+    """Stand-in for ``np`` in dnls whose ``tan`` raises on one chunk's
     member count; every other attribute is numpy's own."""
 
     def __init__(self, members):
         self.members = members
 
-    def cos(self, x, *args, **kwargs):
+    def tan(self, x, *args, **kwargs):
         if x.shape[0] == self.members:
-            raise RuntimeError(f"cos failed on {self.members} members")
-        return np.cos(x, *args, **kwargs)
+            raise RuntimeError(f"tan failed on {self.members} members")
+        return np.tan(x, *args, **kwargs)
 
     def __getattr__(self, attr):
         return getattr(np, attr)
@@ -283,8 +290,37 @@ def test_chunk_exception_reaches_the_caller(monkeypatch, failing):
     sizes = [c.stop - c.start for c in chunks]
     assert len(sizes) == 2 and sizes[0] != sizes[1]
     threads = threading.active_count()
-    monkeypatch.setattr(dnls, "np", _FailingCos(sizes[failing]))
-    with pytest.raises(RuntimeError, match=f"cos failed on {sizes[failing]} members"):
+    monkeypatch.setattr(dnls, "np", _FailingTan(sizes[failing]))
+    with pytest.raises(RuntimeError, match=f"tan failed on {sizes[failing]} members"):
         evolve(state, 1.0, cfg)
     # every chunk's thread was joined before the error was raised
     assert threading.active_count() == threads
+
+
+EPS = np.finfo(float).eps
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.pi / 2,
+                     -math.pi / 2, math.pi, -math.pi, 1e6, -1e6]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.lists(ANGLES, min_size=1, max_size=40))
+def test_unit_phase_matches_cos_and_sin(theta):
+    # the half-angle phase against the cos + i sin it replaced, on arrays of
+    # every length so each lane of the vectorised tan is used
+    theta = np.asarray(theta)
+    phase, scratch = np.empty(theta.shape, complex), np.empty(theta.shape)
+    _unit_phase(theta / 2, phase, scratch)
+    assert np.all(np.abs(phase - (np.cos(theta) + 1j * np.sin(theta))) <= 2 * EPS)
+    assert np.all(np.abs(np.abs(phase) - 1) <= 2 * EPS)
+
+
+def test_zero_angle_phase_is_one_and_zero_member_stays_zero():
+    phase, scratch = np.empty(2, complex), np.empty(2)
+    _unit_phase(np.array([0.0, -0.0]), phase, scratch)
+    assert np.array_equal(phase, [1.0, 1.0])
+    cfg = small(coupling=40.0, n_samples=3)
+    psi = sample_initial(cfg).psi
+    psi[1] = 0
+    assert np.all(evolve(FieldState(psi=psi), 1.0, cfg).psi[1] == 0)
