@@ -95,6 +95,15 @@ def _field_id(provider) -> str:
     return getattr(provider, "name", type(provider).__name__)
 
 
+def _require_nonempty(name: str, items) -> tuple:
+    """The sites or anchors as a tuple; ValueError if there are none, since
+    a sum or sup over nothing is 0 and would pass a check vacuously."""
+    items = tuple(items)
+    if not items:
+        raise ValueError(f"{name} is empty")
+    return items
+
+
 def _norm_accumulate(values, p: float) -> float:
     if p == math.inf:
         return max(values, default=0.0)
@@ -136,27 +145,30 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     box^(n-1) of |kappa| with the anchor pinned in the first slot."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 1 <= p <= math.inf:
+        raise ValueError(f"p must be in [1, inf], not {p!r}")
+    box_sites = _require_nonempty("the norm box", box_sites)
     if table is None:
         table = CumulantTable(provider)
     if table.singletons_vanish(n):
         return 0.0
     if anchors is None:
         anchors = [a for (a,) in _anchor_tuples(provider, box_sites, 1)]
-    box_sites, anchors = tuple(box_sites), tuple(anchors)
+    anchors = _require_nonempty("the anchor set", anchors)
     return table.derived(("clustering_norm", n, p, box_sites, anchors),
                          lambda: _sup_over_anchors(table, n, p, box_sites, anchors))
 
 
 def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites, anchors) -> float:
+    refs = tuple(SiteRef(s) for s in box_sites)
     best = 0.0
     for anchor in anchors:
+        pinned = (SiteRef(anchor),)
         if n == 1:
-            value = abs(table.cumulant((SiteRef(anchor),)))
+            value = abs(table.cumulant(pinned))
         else:
-            pinned = (SiteRef(anchor),)
-            vals = _symmetric_walk(
-                lambda combo: abs(table.cumulant(pinned + tuple(SiteRef(s) for s in combo))),
-                box_sites, n - 1)
+            vals = _symmetric_walk(lambda combo: abs(table.cumulant(pinned + combo)),
+                                   refs, n - 1)
             value = _norm_accumulate(vals, p)
         best = max(best, value)
     return best
@@ -165,6 +177,8 @@ def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites, anchors
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
                         anchors=None, table: CumulantTable | None = None) -> MagnitudeConstants:
     """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n)."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if table is None:
         table = CumulantTable(provider)
     norms = [clustering_norm(provider, n, p, box_sites, anchors=anchors, table=table)
@@ -196,7 +210,7 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     The row is built once per table, n, box and x' in the order given: it is
     symmetric in x' too, but a permuted x' may round differently.
     """
-    xprime, box_sites = tuple(xprime), tuple(box_sites)
+    xprime, box_sites = tuple(xprime), _require_nonempty("the kernel box", box_sites)
     if len(xprime) != n:
         raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
     if table is None:
@@ -212,6 +226,7 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
     kappa[x'_L*, phi(z_1), ..., phi(z_r)] for z in box^r, on the axes of its
     x positions; each (L, r) tensor is built once per row."""
     left = tuple(SiteRef(s, True) for s in xprime)
+    right = tuple(SiteRef(s) for s in box_sites)
     size = len(box_sites)
     tensors = {}
     total = np.zeros((size,) * n, dtype=complex)
@@ -225,8 +240,7 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
             if (lefts, r) not in tensors:
                 head = tuple(left[i] for i in lefts)
                 tensors[lefts, r] = np.array(_symmetric_walk(
-                    lambda z: table.cumulant(head + tuple(SiteRef(s) for s in z)),
-                    box_sites, r), dtype=complex)
+                    lambda z: table.cumulant(head + z), right, r), dtype=complex)
             # a block's positions are sorted: its x positions come last, in
             # the order of the tensor's axes
             shape = [1] * n
@@ -239,12 +253,13 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
 
 def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> dict:
     """{x: |kappa(x)|^2 for x in box^n} in product order, for a kappa of the
-    ``fixed`` arguments and the box sites x, symmetric in x; built once per
-    table, ``fixed``, n and box."""
+    ``fixed`` arguments and the SiteRefs of the box sites x, symmetric in x;
+    built once per table, ``fixed``, n and box."""
     box_sites = tuple(box_sites)
     return table.derived(("kappa_sq", fixed, n, box_sites), lambda: dict(zip(
         product(box_sites, repeat=n),
-        _symmetric_walk(lambda x: abs(kappa(x)) ** 2, box_sites, n))))
+        _symmetric_walk(lambda x: abs(kappa(x)) ** 2,
+                        tuple(SiteRef(s) for s in box_sites), n))))
 
 
 def _kernel_weighted_sup(table: CumulantTable, n: int, anchors, box_sites,
@@ -316,6 +331,11 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    box_sites = _require_nonempty("the box", box_sites)
+    if xprime_anchors is not None:
+        xprime_anchors = _require_nonempty("the x' anchor set", xprime_anchors)
     if table is None:
         table = CumulantTable(provider)
     if norm_box is None:
@@ -329,7 +349,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
         kappa_sq = _kappa_sq_map(
             table, ("observable", X.terms), box_sites, n,
-            lambda x: observable_cumulant(table, X, tuple(SiteRef(s) for s in x)))
+            lambda x: observable_cumulant(table, X, x))
         if p == 1:
             lhs = math.sqrt(sum(kappa_sq.values()))
             witness_x = max(kappa_sq, key=kappa_sq.get, default=None)
@@ -370,6 +390,12 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
         raise ValueError("p must be 1 or 2")
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
+    psi_sites = _require_nonempty("the psi box", psi_sites)
+    phi_box = _require_nonempty("the phi box", phi_box)
+    if xprime_tuples is not None:
+        xprime_tuples = _require_nonempty("the x' anchor set", xprime_tuples)
+    if y_tuples is not None:
+        y_tuples = _require_nonempty("the y anchor set", y_tuples)
     if table is None:
         table = CumulantTable(provider)
     if psi_norm_box is None:
@@ -395,7 +421,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
         vars_psi = tuple((SiteRef(s),) for s in xp)
         ksq = _kappa_sq_map(
             table, ("psi", tuple(xp)), phi_box, n,
-            lambda x: table.joint_cumulant(vars_psi + tuple((SiteRef(s),) for s in x)))
+            lambda x: table.joint_cumulant(vars_psi + tuple(zip(x))))
         if p == 1:
             val = math.sqrt(sum(ksq.values()))
             if val > lhs:

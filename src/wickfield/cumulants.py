@@ -19,7 +19,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
+from numbers import Integral
+from operator import itemgetter
 
 from .indexing import IndexSequence, canonical, seq_sort_key, subsequence
 from .partitions import enumerate_partitions, enumerate_restricted
@@ -106,12 +108,17 @@ class CumulantTable:
         the variables in the caller's order; otherwise the canonical key is
         built with one sort.
         """
-        self._check(len(sequence))
+        self._check(len(sequence), len(sequence), anchor)
         if self.provider.is_gaussian:
             if self.singletons_vanish(len(sequence)):
                 return 0.0
             return self.provider.covariance(sequence[0], sequence[1])
-        return self._recurse(tuple((ref,) for ref in canonical(sequence)), anchor)
+        key = tuple(zip(canonical(sequence)))
+        if anchor == 0:
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
+        return self._recurse(key, anchor)
 
     def joint_cumulant(self, variables, anchor: int = 0) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
@@ -123,49 +130,76 @@ class CumulantTable:
         if all(len(mono) == 1 for mono in variables):
             return self.cumulant(tuple(mono[0] for mono in variables), anchor=anchor)
         variables = tuple(canonical(mono) for mono in variables)
-        self._check(sum(len(mono) for mono in variables))
-        return self._recurse(tuple(sorted(variables, key=seq_sort_key)), anchor)
-
-    def _check(self, order: int):
-        if order == 0:
-            raise ValueError("cumulant of an empty collection is undefined")
-        self.provider.check_order(order)
-
-    def _moment(self, flat) -> complex:
-        """E[product over the flat index sequence], one provider call per
-        sequence."""
-        value = self._moments.get(flat)
-        if value is None:
-            value = self._moments[flat] = self.provider.moment(flat)
-        return value
-
-    def _recurse(self, key, anchor: int) -> complex:
+        self._check(sum(len(mono) for mono in variables), len(variables), anchor)
+        key = tuple(sorted(variables, key=seq_sort_key))
         if anchor == 0:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        # a moment is memoised under its variables' flat sequence in key order
-        value = self._moment(tuple(ref for mono in key for ref in mono))
-        for sub_positions, comp_positions in _subset_plan(len(key), anchor):
+        return self._recurse(key, anchor)
+
+    def _check(self, order: int, k: int, anchor: int):
+        """Reject an empty collection, an order above the provider's limit,
+        and an anchor that is not a position of the k variables.  A float
+        anchor is rejected even when it equals a position: it would build
+        the subset plan cached for that position, which integer anchors
+        share."""
+        if order == 0:
+            raise ValueError("cumulant of an empty collection is undefined")
+        self.provider.check_order(order)
+        if not isinstance(anchor, Integral) or anchor not in range(k):
+            raise ValueError(f"anchor {anchor!r} is not a position of "
+                             f"{k} variable(s)")
+
+    def _recurse(self, key, anchor: int) -> complex:
+        """kappa of the canonical key by the anchored recursion, for a key
+        that is not memoised at this anchor; only anchor 0 is memoised.
+
+        A moment is memoised under its variables' flat sequence in key
+        order.  The moment and memo probes are inline, so a hit costs no
+        call.
+        """
+        moments, memo, moment = self._moments, self._memo, self.provider.moment
+        flat = tuple(chain.from_iterable(key))
+        value = moments.get(flat)
+        if value is None:
+            value = moments[flat] = moment(flat)
+        for sub_of, comp_of in _subset_plan(len(key), anchor):
             # at anchor 0 the positions increase, so the sub-key of the
             # canonical key is canonical already
-            sub = tuple(key[i] for i in sub_positions)
+            sub = sub_of(key)
             if anchor != 0:
                 sub = tuple(sorted(sub, key=seq_sort_key))
-            comp = tuple(ref for i in comp_positions for ref in key[i])
-            value -= self._moment(comp) * self._recurse(sub, 0)
+            comp = tuple(chain.from_iterable(comp_of(key)))
+            weight = moments.get(comp)
+            if weight is None:
+                weight = moments[comp] = moment(comp)
+            kappa = memo.get(sub)
+            if kappa is None:
+                kappa = self._recurse(sub, 0)
+            value -= weight * kappa
         if anchor == 0:
-            self._memo[key] = value
+            memo[key] = value
         return value
+
+
+def _tuple_getter(positions) -> itemgetter:
+    """An itemgetter of the positions that returns a tuple for any number of
+    them: a lone position is read as a one-item slice."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 @cache
 def _subset_plan(k: int, anchor: int) -> tuple:
-    """(anchor + extra, complement) positions of each proper subset E of
-    range(k) that holds the anchor, E by size and then in ``combinations``
-    order, so the recursion subtracts its terms in one fixed order."""
+    """Tuple getters of the (anchor + extra) and complement positions of
+    each proper subset E of range(k) that holds the anchor, E by size and
+    then in ``combinations`` order, so the recursion subtracts its terms in
+    one fixed order."""
     rest = tuple(i for i in range(k) if i != anchor)
-    return tuple(((anchor,) + extra, tuple(i for i in rest if i not in extra))
+    return tuple((_tuple_getter((anchor,) + extra),
+                  _tuple_getter(tuple(i for i in rest if i not in extra)))
                  for size in range(k - 1) for extra in combinations(rest, size))
 
 

@@ -374,13 +374,18 @@ class EnsembleEstimator(MomentProvider):
         return np.conj(col) if ref.conj and self._complex else col
 
     def _product(self, sequence: IndexSequence) -> np.ndarray:
-        """The product of the sequence's columns, cast to complex."""
+        """The product of the sequence's columns, cast to complex.  Only the
+        first multiply allocates; each later factor multiplies into its
+        result in place."""
         if not sequence:
             return np.ones(self.count, dtype=complex)
         refs = iter(sequence)
         prod = self._column(next(refs))
-        for ref in refs:
-            prod = prod * self._column(ref)
+        second = next(refs, None)
+        if second is not None:
+            prod = prod * self._column(second)
+            for ref in refs:
+                np.multiply(prod, self._column(ref), out=prod)
         return prod.astype(complex, copy=False)
 
     def moment(self, sequence: IndexSequence) -> complex:

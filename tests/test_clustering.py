@@ -467,6 +467,70 @@ def test_theorem41_rejects_bad_p():
         theorem41_check(f, Observable.of_site(0), 1, 3, [0])
 
 
+@pytest.mark.parametrize("p", [math.nan, -1, 0, 0.5, -math.inf])
+def test_clustering_norm_rejects_p_outside_one_to_inf(rng, p):
+    # p = -1 used to give a positive "norm" and p = nan 0.0; p = 0 divided
+    # by zero
+    f = random_discrete_field(rng, sites=[0, 1, 2])
+    gauss = IidRealGaussianField()
+    for provider, n in ((f, 2), (f, 1), (gauss, 3)):
+        with pytest.raises(ValueError, match="p must be in"):
+            clustering_norm(provider, n, p, [0, 1, 2])
+    with pytest.raises(ValueError, match="p must be in"):
+        magnitude_constants(f, p, 2, [0, 1, 2])
+
+
+def test_zero_orders_are_rejected(two_field_provider):
+    # no order-0 norm or constant exists; theorem41_check at n = 0 used to
+    # fail with a bare IndexError and magnitude_constants at N = 0 returned
+    # no constants
+    f = two_field_provider
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        magnitude_constants(f, 1, 0, [("phi", 0)])
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            theorem41_check(f, Observable.of_site(("psi", 0)), 0, p, [("phi", 0)])
+
+
+def test_clustering_norm_accepts_p_at_the_ends(rng):
+    f = random_discrete_field(rng, sites=[0, 1, 2])
+    for p in (1, 1.0, 1.5, math.inf):
+        assert clustering_norm(f, 2, p, [0, 1, 2]) > 0
+
+
+def test_empty_boxes_and_anchor_sets_are_rejected(two_field_provider):
+    # a sum or sup over nothing is 0, which no check may pass vacuously
+    f = two_field_provider
+    psi, phi = [("psi", 0), ("psi", 1)], [("phi", 0), ("phi", 1)]
+    X = Observable.of_site(("psi", 0))
+    calls = {
+        "the norm box": [lambda: clustering_norm(f, 2, 1, []),
+                         lambda: clustering_norm(IidRealGaussianField(), 3, 1, []),
+                         lambda: magnitude_constants(f, 1, 2, []),
+                         lambda: joint_theorem_check(f, 1, 1, 1, psi, phi,
+                                                     phi_norm_box=[])],
+        "the anchor set": [lambda: clustering_norm(f, 2, 1, phi, anchors=[])],
+        "the psi box": [lambda p=p: joint_theorem_check(f, 1, 1, p, [], phi)
+                        for p in (1, 2)],
+        "the phi box": [lambda p=p: joint_theorem_check(f, 1, 1, p, psi, [])
+                        for p in (1, 2)],
+        "the box": [lambda p=p: theorem41_check(f, X, 1, p, []) for p in (1, 2)],
+        "the kernel box": [lambda: phi_kernel(f, 1, [("phi", 0)], []),
+                           lambda: lemma_check(f, 1, 1, [("phi", 0)], [],
+                                               norm_box=phi)],
+        "the x' anchor set": [
+            lambda: theorem41_check(f, X, 1, 2, phi, xprime_anchors=[]),
+            lambda: joint_theorem_check(f, 1, 1, 1, psi, phi, xprime_tuples=[]),
+            lambda: joint_theorem_check(f, 1, 1, 2, psi, phi, xprime_tuples=[])],
+        "the y anchor set": [
+            lambda: joint_theorem_check(f, 1, 1, 2, psi, phi, y_tuples=[])],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=f"^{name} is empty$"):
+                call()
+
+
 def test_joint_theorem_sinc_m1_n1():
     f = sinc_coupling_example()
     phi_box = [("phi", x) for x in range(-2000, 2001)]

@@ -147,15 +147,16 @@ def _recursion_providers(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_recursion_plan_matches_inline_combinations(seed):
-    # the per-(order, anchor) subset plan subtracts the same terms in the
-    # same order as combinations enumerated inline, so every cumulant of
-    # single and compound variables is equal bit for bit, at every anchor
+    # the per-(order, anchor) plan of subset getters subtracts the same
+    # terms in the same order as combinations enumerated inline, so every
+    # cumulant of single and compound variables, up to order 8, is equal
+    # bit for bit, at every anchor
     rng = np.random.default_rng(100 + seed)
     for provider in _recursion_providers(seed):
         sites = provider.sites
         table = CumulantTable(provider)
         memo = {}
-        for k in range(1, 7):
+        for k in range(1, 9):
             for compound in (False, True):
                 lengths = [1] * k
                 if compound:
@@ -281,6 +282,52 @@ def test_single_route_guards(name, route):
         kappa(table, refs(*([0] * (provider.max_order + 1))))
     assert kappa(table, refs(*([0] * provider.max_order))) == cumulant(
         provider, refs(*([0] * provider.max_order)))
+
+
+ANCHOR_PROVIDERS = dict(GUARD_PROVIDERS, **{
+    "discrete-3": lambda: random_discrete_field(np.random.default_rng(5), sites=[0, 1, 2]),
+    "ensemble": lambda: EnsembleEstimator(
+        [0, 1, 2], np.random.default_rng(5).normal(size=(50, 3))),
+})
+
+
+@pytest.mark.parametrize("anchor", [-1, -3, 3, 4])
+@pytest.mark.parametrize("name", sorted(ANCHOR_PROVIDERS))
+def test_anchor_outside_the_positions_is_rejected(name, anchor):
+    # an anchor names one of the k variables; a negative one used to count
+    # from the end of the canonical key and return another value silently
+    provider = ANCHOR_PROVIDERS[name]()
+    table = CumulantTable(provider)
+    seq = refs(0, 1, 0)
+    calls = [
+        lambda: table.cumulant(seq, anchor=anchor),
+        lambda: table.joint_cumulant(tuple((r,) for r in seq), anchor=anchor),
+        lambda: table.joint_cumulant((refs(0, 1), refs(1), refs(0)), anchor=anchor),
+        lambda: cumulant(provider, seq, anchor=anchor),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"anchor {anchor} is not a position of 3"):
+            call()
+    assert not table._memo
+    # every anchor inside the positions gives the anchor-0 value up to rounding
+    want = table.cumulant(seq)
+    for inside in range(3):
+        assert table.cumulant(seq, anchor=inside) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ANCHOR_PROVIDERS))
+def test_float_anchor_is_rejected_and_leaves_integer_anchors_working(name):
+    # 1.0 == 1 and hashes alike, so a plan built for a float anchor would be
+    # the one cached for the integer anchor, and every later anchor-1 call
+    # in the process would fail on its float index
+    provider = ANCHOR_PROVIDERS[name]()
+    table = CumulantTable(provider)
+    seq = refs(0, 1, 0)
+    for variables in (tuple((r,) for r in seq), (refs(0, 1), refs(1), refs(0))):
+        with pytest.raises(ValueError, match="anchor 1.0 is not a position of 3"):
+            table.joint_cumulant(variables, anchor=1.0)
+        assert table.joint_cumulant(variables, anchor=np.int64(1)) \
+            == table.joint_cumulant(variables, anchor=1)
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_PROVIDERS))
