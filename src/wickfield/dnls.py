@@ -1,20 +1,37 @@
 """Desk-scale DNLS simulator on a periodic lattice.
 
 The evolution  i d/dt psi = alpha * psi + lambda |psi|^2 psi  is integrated
-by Strang splitting: exact harmonic rotation in Fourier space composed with
-the pointwise nonlinear phase e^{i theta}, theta = -dt lambda |psi|^2.  The
-phase is formed from one tangent of the half angle, t = tan(theta / 2), as
-((1 - t^2) + 2 i t) / (1 + t^2): for |theta| up to 1e6 it lies within
-2 eps of cos theta + i sin theta, and its modulus within 2 eps of 1.  Both
-sub-flows conserve the l2 norm, so conservation holds to rounding per step.
-Each step's trailing half kick is merged with the next step's leading
-one.  ``evolve`` splits a large ensemble's members into contiguous chunks,
-one per CPU the process may use, and steps each chunk on its own thread, so
-a step costs one FFT pair per chunk.  Each member evolves alone, by the
-same operations in the same order whichever chunk holds it, so the split
-leaves every bit unchanged.  At lambda = 0 the flow is the harmonic
-rotation alone, and ``evolve`` jumps to the requested time with one exact
-Fourier rotation.
+by Strang splitting: the exact harmonic rotation e^{-i s alpha_hat} (the
+kick) composed with the pointwise nonlinear phase e^{i theta}, theta =
+-dt lambda |psi|^2.  The phase is formed from one tangent of the half
+angle, t = tan(theta / 2), as ((1 - t^2) + 2 i t) / (1 + t^2): for |theta|
+up to 1e6 it lies within 2 eps of cos theta + i sin theta, and its modulus
+within 2 eps of 1.  Both sub-flows conserve the l2 norm, so conservation
+holds to rounding per step.  Each step's trailing half kick is merged with
+the next step's leading one.
+
+alpha_hat is a sum over the lattice axes, so the kick is one symmetric
+L x L circulant per axis, c[(j - k) mod L] with c = ifft(e^{-i s alpha_1}),
+and ``evolve`` applies it in real space as one matmul per axis: no FFT runs
+in the step loop.  Per site and axis the matmul does O(L) work where an FFT
+does O(log L).  On one thread (32,768 sites, whole steps) the circulant
+step took 0.6-0.8 of the FFT step's time at d = 1 for L = 16 to 48, about
+as long at L = 64 (0.95-1.24), and 1.2-2.0 times as long at L = 128 and
+256; at d = 2 it took 0.45-0.9 for L = 8 to 64, and at d = 3 0.36-0.52 for
+L = 8 and 16.  The demo, the benchmark and the tests use L <= 32, so there
+is one path, with no switch on L.
+
+``evolve`` splits a large ensemble's members into contiguous chunks, one
+per CPU the process may use, and steps each chunk on its own thread, with
+BLAS held at one thread meanwhile so that its workers do not compete with
+the other chunk.  Each member evolves alone, by the same operations in the
+same order whichever chunk holds it.  A BLAS gemm gives a row the same bits
+at every row count of two or more, but a one-row matmul goes to gemv,
+which rounds differently; so a lone member is stepped beside a zero one
+and every chunk holds at least two members.  The split therefore leaves
+every bit unchanged, and so does the BLAS thread count.  At lambda = 0 the
+flow is the harmonic rotation alone, and ``evolve`` jumps to the requested
+time with one exact Fourier rotation.
 
 Initial data are drawn from the harmonic Gibbs surrogate: circularly
 symmetric complex Gaussian modes with spectral density 1/(beta (alpha_hat
@@ -25,6 +42,7 @@ guaranteed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -85,16 +103,19 @@ class DnlsConfig:
 def hopping_symbol(config: DnlsConfig) -> np.ndarray:
     """alpha_hat on the discrete torus for nearest-neighbor hopping:
     alpha_hat(k) = 2 sum_i (1 - cos 2 pi k_i / L) >= 0."""
-    axes = []
-    for _ in range(config.dimension):
-        k = np.arange(config.length)
-        axes.append(2.0 * (1.0 - np.cos(2.0 * np.pi * k / config.length)))
+    axis_vals = _axis_symbol(config.length)
     symbol = np.zeros(config.shape)
-    for axis_idx, axis_vals in enumerate(axes):
+    for axis_idx in range(config.dimension):
         shape = [1] * config.dimension
         shape[axis_idx] = config.length
         symbol = symbol + axis_vals.reshape(shape)
     return symbol
+
+
+def _axis_symbol(length: int) -> np.ndarray:
+    """One lattice axis's term of alpha_hat: 2 (1 - cos 2 pi k / L)."""
+    k = np.arange(length)
+    return 2.0 * (1.0 - np.cos(2.0 * np.pi * k / length))
 
 
 def gibbs_spectral_density(config: DnlsConfig) -> np.ndarray:
@@ -135,29 +156,30 @@ def sample_initial(config: DnlsConfig) -> FieldState:
 
 # Fewest lattice sites (members times sites per member) a thread is given.
 # Below it, a second thread's start and its share of the per-step Python
-# work outweigh the FFT and phase work it takes over.  The value is tuned
-# for d = 1.  On 2 cores over 100 steps at lambda = 0.05, split into two
-# chunks (median of 21 alternating pairs; the machine is shared, so single
-# pairs spread by +-20%):
-#   d = 1, L = 32:  6,400 sites a chunk lost 13%, 9,600 broke even,
-#                   12,000 gained 19%;
-#   d = 2, L = 16:  6,144 sites a chunk lost 10%, 8,192 gained 23%,
-#                   12,288 gained 24%;
-#   d = 2, L = 8:   2,048 sites a chunk lost 32%, 4,096 broke even.
-# So at d = 2, L = 16 ensembles of 16,384 to 24,000 sites stay in one
-# thread although a split would speed them up somewhat.
-_MIN_CHUNK_SITES = 12_000
+# work outweigh the matmul and phase work it takes over.  On 2 cores over
+# 100 steps at lambda = 0.05, split into two chunks against one (median
+# gain of 21 alternating pairs, or of 31 where marked *; the machine is
+# shared, so single pairs spread by +-20%):
+#   d = 1, L = 32:  4,800 sites a chunk lost 15%, 6,400 lost 4% and 11%*,
+#                   7,200 gained 19%*, 8,000 gained 24%*, 9,600 gained
+#                   36% and 24%*, 12,000 gained 40%;
+#   d = 2, L = 16:  4,096 lost 14%, 6,144 broke even (+6%, -1%*),
+#                   8,192 gained 21% and 11%*, 12,288 gained 47%;
+#   d = 2, L = 8:   4,096 lost 19%, 6,144 gained 10% and 11%*,
+#                   8,192 gained 21% and 12%*.
+# So every case gains from 8,000 sites a chunk on.
+_MIN_CHUNK_SITES = 8_000
 
 
 def _member_chunks(n_members: int, member_sites: int) -> list:
     """Contiguous slices of the member axis, one per CPU this process may
-    use, each of at least ``_MIN_CHUNK_SITES`` lattice sites (one slice of
-    all members when there are too few for two)."""
+    use, each of at least ``_MIN_CHUNK_SITES`` lattice sites and two members
+    (one slice of all members when there are too few for two)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    fewest = -(-_MIN_CHUNK_SITES // member_sites)
+    fewest = max(2, -(-_MIN_CHUNK_SITES // member_sites))
     count = max(1, min(cpus, n_members // fewest))
     bounds = [n_members * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -203,21 +225,109 @@ def _unit_phase(half_angle, phase, scratch):
     np.divide(t, scratch, out=phase.imag)
 
 
+def _kick_matrix(length: int, s: float) -> np.ndarray:
+    """e^{-i s alpha_hat} along one lattice axis as an L x L circulant K: a
+    row psi along the axis maps to psi @ K.  K[k, j] = c[(j - k) mod L] with
+    c = ifft(e^{-i s alpha_1}), the axis's symbol.  alpha_1 is even in k, so
+    c is even up to rounding; c[m] is read as c[min(m, L - m)], which makes
+    K exactly symmetric, so K @ v applies it along a leading axis too."""
+    column = np.fft.ifft(np.exp(-1j * s * _axis_symbol(length)))
+    j = np.arange(length)
+    lag = (j[np.newaxis, :] - j[:, np.newaxis]) % length
+    return column[np.minimum(lag, length - lag)]
+
+
+def _kick(kick, src, spare):
+    """Apply the circulant ``kick`` along every lattice axis of the members
+    in ``src``, one matmul per axis, alternating between ``src`` and
+    ``spare`` as source and destination.  Returns (result, free), the two
+    buffers with the one that holds the result first."""
+    n, *lattice = src.shape
+    length = len(kick)
+    np.matmul(src.reshape(-1, length), kick, out=spare.reshape(-1, length))
+    src, spare = spare, src
+    for axis in range(len(lattice) - 2, -1, -1):
+        view = (n * length ** axis, length, -1)
+        np.matmul(kick, src.reshape(view), out=spare.reshape(view))
+        src, spare = spare, src
+    return src, spare
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the bundled OpenBLAS thread count, or None where numpy
+    links no OpenBLAS that exports them.  Looked up once; ``ctypes`` is
+    imported only here."""
+    import ctypes
+    from numpy._core import _multiarray_umath
+
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Context manager that holds BLAS at one thread, then restores its
+    count.  Each chunk of ``evolve`` already has a core; BLAS threads of
+    its own would take that core from the other chunk's phase.  Nested or
+    concurrent holders share one saved count, restored by the last to
+    leave.  Without the OpenBLAS calls it does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+
+    def __enter__(self):
+        calls = _blas_thread_calls()
+        if calls is not None:
+            get, put = calls
+            with self._lock:
+                if self._holders == 0:
+                    self._saved = get()
+                    put(1)
+                self._holders += 1
+
+    def __exit__(self, *exc_info):
+        calls = _blas_thread_calls()
+        if calls is not None:
+            _, put = calls
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    put(self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def evolve(state: FieldState, until: float, config: DnlsConfig) -> FieldState:
     """Strang split-step to time ``until``; dt must divide the interval.
 
     Negative intervals integrate backwards (exact reversal at lambda = 0).
     ``state`` is left unchanged.
 
-    At lambda > 0 the members of a batched ``psi`` are split into contiguous
-    chunks (``_member_chunks``).  The calling thread steps the first chunk
-    and one more thread steps each other chunk, to the end, with one join;
-    numpy's FFTs and ufuncs release the interpreter lock while they run.
-    Every operation of a step transforms or maps each member on its own,
-    and numpy's vectorised ``tan`` gives the same bits at every offset in
-    an array, so a member's bits do not depend on its chunk.  The step
-    buffers are allocated here, before the split, so no thread allocates
-    its own.
+    At lambda > 0 the harmonic kick is applied in real space, one matmul
+    per lattice axis (``_kick``), and the members of a batched ``psi`` are
+    split into contiguous chunks (``_member_chunks``).  The calling thread
+    steps the first chunk and one more thread steps each other chunk, to
+    the end, with one join; numpy's matmuls and ufuncs release the
+    interpreter lock while they run, and BLAS is held at one thread
+    meanwhile.  A member's bits do not depend on its chunk (see the module
+    docstring).  The step buffers are allocated here, before the split, so
+    no thread allocates its own.
     """
     span = until - state.t
     if span == 0:
@@ -226,44 +336,42 @@ def evolve(state: FieldState, until: float, config: DnlsConfig) -> FieldState:
     n_steps = round(span / dt)
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("dt does not divide the requested interval")
-    lattice_axes = tuple(range(state.psi.ndim - config.dimension, state.psi.ndim))
-    symbol = hopping_symbol(config)
     lam = config.coupling
-    # fftn allocates, so every later in-place step leaves state.psi alone
-    psi = np.fft.fftn(state.psi, axes=lattice_axes)
     if lam == 0.0:
-        psi *= np.exp(-1j * (n_steps * dt) * symbol)
+        lattice_axes = tuple(range(state.psi.ndim - config.dimension, state.psi.ndim))
+        psi = np.fft.fftn(state.psi, axes=lattice_axes)
+        psi *= np.exp(-1j * (n_steps * dt) * hopping_symbol(config))
         np.fft.ifftn(psi, axes=lattice_axes, out=psi)
         return FieldState(psi=psi, t=state.t + n_steps * dt)
     # first same as last: the half kicks that meet between two steps
-    # are applied as one full kick, so each step needs one FFT pair
-    half_kick = np.exp(-0.5j * dt * symbol)
-    kick = half_kick * half_kick
+    # are applied as one full kick
+    half_kick = _kick_matrix(config.length, 0.5 * dt)
+    kick = _kick_matrix(config.length, dt)
+    members = state.psi.reshape((-1,) + config.shape)
+    psi = np.zeros((max(2, len(members)),) + config.shape, complex)
+    psi[:len(members)] = members
     phase = np.empty_like(psi)
     angle = np.empty(psi.shape)
     square = np.empty(psi.shape)
-    psi *= half_kick
 
     def steps(rows):
-        psi_c, phase_c, angle_c, square_c = psi[rows], phase[rows], angle[rows], square[rows]
+        psi_c, angle_c, square_c = psi[rows], angle[rows], square[rows]
+        now, free = _kick(half_kick, psi_c, phase[rows])
         for step in range(n_steps):
-            np.fft.ifftn(psi_c, axes=lattice_axes, out=psi_c)
-            np.multiply(psi_c.real, psi_c.real, out=angle_c)
-            np.multiply(psi_c.imag, psi_c.imag, out=square_c)
+            np.multiply(now.real, now.real, out=angle_c)
+            np.multiply(now.imag, now.imag, out=square_c)
             angle_c += square_c
             angle_c *= -0.5 * dt * lam
-            _unit_phase(angle_c, phase_c, square_c)
-            psi_c *= phase_c
-            np.fft.fftn(psi_c, axes=lattice_axes, out=psi_c)
-            psi_c *= kick if step < n_steps - 1 else half_kick
-        np.fft.ifftn(psi_c, axes=lattice_axes, out=psi_c)
+            _unit_phase(angle_c, free, square_c)
+            free *= now
+            now, free = _kick(kick if step < n_steps - 1 else half_kick, free, now)
+        if now is not psi_c:
+            psi_c[...] = now
 
-    if psi.ndim > config.dimension:
-        chunks = _member_chunks(len(psi), math.prod(psi.shape[1:]))
-    else:
-        chunks = [slice(None)]
-    _run_chunks(steps, chunks)
-    return FieldState(psi=psi, t=state.t + n_steps * dt)
+    with _one_blas_thread:
+        _run_chunks(steps, _member_chunks(len(psi), math.prod(config.shape)))
+    return FieldState(psi=psi[:len(members)].reshape(state.psi.shape),
+                      t=state.t + n_steps * dt)
 
 
 @dataclass

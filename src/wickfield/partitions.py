@@ -10,6 +10,7 @@ emitted sorted by their smallest element, which makes equality structural.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -118,25 +119,6 @@ def enumerate_partitions(n: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Iterat
         yield _rgs_to_partition(a, n)
 
 
-def group_ranges(groups, tail=()):
-    """Position ranges of concatenated groups; tail occupies the last range."""
-    ranges = []
-    offset = 0
-    for g in groups:
-        ranges.append(range(offset, offset + len(g)))
-        offset += len(g)
-    return ranges, range(offset, offset + len(tail))
-
-
-def is_restricted(partition: SetPartition, ranges) -> bool:
-    """True when no block lies entirely inside a single group range."""
-    for block in partition.blocks:
-        for rng in ranges:
-            if all(pos in rng for pos in block):
-                return False
-    return True
-
-
 def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) -> Iterator[SetPartition]:
     """Partitions of the concatenation of groups and tail with no block
     internal to any one group.  Blocks inside the tail are permitted.
@@ -155,12 +137,60 @@ def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) 
 
 @functools.lru_cache(maxsize=None)
 def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
-    """The restricted partitions of one shape, in enumeration order."""
+    """The restricted partitions of one shape, in restricted-growth-string
+    order, as ``enumerate_partitions`` would stream them.
+
+    A depth-first walk gives each position in turn every open block, then a
+    new one.  A block whose positions all lie in one group must still be
+    joined by a later position from outside that group, and each later
+    position joins one block.  So a prefix is dropped once those blocks
+    outnumber the later positions, or once the blocks inside the group of
+    the next position outnumber the positions after that group.  The two
+    counts are Hall's condition for the nested sets of positions that can
+    still join them, so no restricted partition is lost, and at the last
+    position they leave exactly the restricted ones.
+    """
     total = sum(lengths) + tail_len
-    ranges, _ = group_ranges([range(k) for k in lengths])
-    range_sets = [frozenset(r) for r in ranges]
-    return tuple(part for part in enumerate_partitions(total, size_guard=total)
-                 if is_restricted(part, range_sets))
+    group_of = [g for g, k in enumerate(lengths) for _ in range(k)] + [None] * tail_len
+    beyond = [total - end for end in itertools.accumulate(lengths)]
+    blocks = []   # positions of each open block, in order of first position
+    inside = []   # the group each block lies inside, or None
+    lying = [0] * len(lengths)  # blocks lying inside each group
+    found = []
+
+    def place(pos, loose):
+        if loose > total - pos:
+            return
+        if pos == total:
+            found.append(SetPartition(tuple(map(tuple, blocks)), total))
+            return
+        g = group_of[pos]
+        if g is not None and lying[g] > beyond[g]:
+            return
+        for b, block in enumerate(blocks):
+            was = inside[b]
+            freed = was is not None and was != g
+            block.append(pos)
+            if freed:
+                inside[b] = None
+                lying[was] -= 1
+            place(pos + 1, loose - freed)
+            if freed:
+                inside[b] = was
+                lying[was] += 1
+            block.pop()
+        blocks.append([pos])
+        inside.append(g)
+        if g is not None:
+            lying[g] += 1
+        place(pos + 1, loose + (g is not None))
+        if g is not None:
+            lying[g] -= 1
+        inside.pop()
+        blocks.pop()
+
+    place(0, 0)
+    return tuple(found)
 
 
 def weighted_partition_sum(n: int, w):

@@ -4,6 +4,9 @@ The oracles deliberately avoid the library's own recursions:
 
 * ``brute_partitions`` enumerates set partitions by direct recursion
   (place element n into each existing block or a new one).
+* ``is_restricted`` (with ``group_ranges``) tests a partition for a block
+  that lies inside one group; filtering ``enumerate_partitions`` by it
+  gives the restricted partitions in the order the generator must yield.
 * ``mobius_cumulant`` computes cumulants by Mobius inversion over the
   partition lattice, kappa = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod E[y^A].
 * ``direct_wick_product_expectation`` multiplies out the Wick polynomials
@@ -53,6 +56,25 @@ def brute_partitions(n):
             out.append(frozenset(grown))
         out.append(frozenset(blocks + [frozenset({n - 1})]))
     return out
+
+
+def group_ranges(groups, tail=()):
+    """Position ranges of concatenated groups; tail occupies the last range."""
+    ranges = []
+    offset = 0
+    for g in groups:
+        ranges.append(range(offset, offset + len(g)))
+        offset += len(g)
+    return ranges, range(offset, offset + len(tail))
+
+
+def is_restricted(partition, ranges) -> bool:
+    """True when no block lies entirely inside a single group range."""
+    for block in partition.blocks:
+        for rng in ranges:
+            if all(pos in rng for pos in block):
+                return False
+    return True
 
 
 def mobius_cumulant(provider, sequence):

@@ -20,6 +20,7 @@ from wickfield.dnls import (
     hopping_symbol,
     initial_covariance,
     sample_initial,
+    _kick_matrix,
     _member_chunks,
     _unit_phase,
 )
@@ -119,6 +120,22 @@ def test_zero_coupling_exact_transport():
     assert np.max(np.abs(out.psi - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 8, 17, 32])
+@pytest.mark.parametrize("s", [0.025, -0.05, 0.5, 3.0])
+def test_kick_matrix_is_the_fourier_kick(length, s):
+    # symmetric bit for bit, unitary to rounding, and column j is the
+    # Fourier kick of the unit vector at j
+    kick = _kick_matrix(length, s)
+    assert np.array_equal(kick, kick.T)
+    assert np.max(np.abs(kick @ kick.conj().T - np.eye(length))) <= 1e-14
+    symbol = hopping_symbol(DnlsConfig(length=length))
+    for j in range(length):
+        delta = np.zeros(length)
+        delta[j] = 1.0
+        column = np.fft.ifft(np.exp(-1j * s * symbol) * np.fft.fft(delta))
+        assert np.max(np.abs(kick[:, j] - column)) <= 1e-14
+
+
 def fewest_split_members(sites_per_member):
     """The fewest members whose lattice sites fill two chunks."""
     return 2 * -(-_MIN_CHUNK_SITES // sites_per_member)
@@ -133,7 +150,8 @@ ORACLE_CASES = [(span, lam) for span in SPANS for lam in (0.0, 0.05, 0.5)] + [
     ("one-step", 40.0), ("one-step-back", 40.0)]
 
 
-@pytest.mark.parametrize("dimension,length", [(1, 16), (2, 8)], ids=["d1", "d2"])
+@pytest.mark.parametrize("dimension,length", [(1, 16), (2, 8), (3, 4)],
+                         ids=["d1", "d2", "d3"])
 @pytest.mark.parametrize("start,until,coupling", [
     pytest.param(*SPANS[span], lam, id=f"{span}-{lam}") for span, lam in ORACLE_CASES])
 @pytest.mark.parametrize("members", ["few", "split"])
@@ -214,8 +232,8 @@ def test_two_dimensional_evolution():
     assert np.max(np.abs(n1 - n0) / n0) < 1e-10
 
 
-@pytest.mark.parametrize("dimension,length", [(1, 32), (2, 8), (1, 17)],
-                         ids=["d1", "d2", "d1-odd"])
+@pytest.mark.parametrize("dimension,length", [(1, 32), (2, 8), (3, 4), (1, 17)],
+                         ids=["d1", "d2", "d3", "d1-odd"])
 @pytest.mark.parametrize("cpus,offset,chunks", [(2, -1, 1), (2, 0, 2), (2, 1, 2), (2, 3, 2),
                                                 (3, 0, 2), (3, 800, 3)])
 @pytest.mark.parametrize("until", [0.5, -0.5], ids=["forward", "backward"])
@@ -226,7 +244,8 @@ def test_split_evolve_equals_blocks_evolved_alone(monkeypatch, dimension, length
     # count members from the fewest that fill two chunks, and odd counts
     # split unevenly.  At the odd length 17 no chunk after the first starts
     # on a multiple of the SIMD width, so the vectorised phase must give the
-    # same bits at any offset
+    # same bits at any offset.  The block of one member is stepped beside a
+    # zero member, since a one-row matmul rounds differently
     fix_cpus(monkeypatch, cpus)
     n = fewest_split_members(length ** dimension) + offset
     cfg = DnlsConfig(dimension=dimension, length=length, coupling=0.5, n_samples=n, seed=7)
@@ -250,6 +269,11 @@ def test_member_chunks_cover_the_members_in_order(monkeypatch):
             assert max(sizes) - min(sizes) <= 1
             if len(chunks) > 1:
                 assert min(sizes) * 64 >= _MIN_CHUNK_SITES
+                assert min(sizes) >= 2
+    # huge members still go two to a chunk, so no chunk is a one-row matmul
+    fix_cpus(monkeypatch, 2)
+    assert len(_member_chunks(3, _MIN_CHUNK_SITES)) == 1
+    assert [c.stop - c.start for c in _member_chunks(4, _MIN_CHUNK_SITES)] == [2, 2]
 
 
 def test_unbatched_psi_evolves_as_one_member(monkeypatch):
@@ -295,6 +319,56 @@ def test_chunk_exception_reaches_the_caller(monkeypatch, failing):
         evolve(state, 1.0, cfg)
     # every chunk's thread was joined before the error was raised
     assert threading.active_count() == threads
+
+
+@pytest.fixture
+def blas_threads():
+    """get() of the OpenBLAS thread count, set to 2 for the test and
+    restored after it."""
+    calls = dnls._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count can be read")
+    get, put = calls
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+class _CountingTan:
+    """Stand-in for ``np`` in dnls whose ``tan`` records the BLAS thread
+    count it runs under."""
+
+    def __init__(self, get):
+        self.get, self.seen = get, set()
+
+    def tan(self, *args, **kwargs):
+        self.seen.add(self.get())
+        return np.tan(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(np, attr)
+
+
+@pytest.mark.parametrize("failing", [None, 0, 1], ids=["returns", "calling-thread", "worker"])
+def test_evolve_holds_blas_at_one_thread_and_restores_it(monkeypatch, blas_threads,
+                                                         failing):
+    fix_cpus(monkeypatch, 2)
+    n = fewest_split_members(32) + 1
+    cfg = DnlsConfig(length=32, coupling=0.5, n_samples=n, seed=3)
+    state = sample_initial(cfg)
+    before = blas_threads()
+    if failing is None:
+        counting = _CountingTan(blas_threads)
+        monkeypatch.setattr(dnls, "np", counting)
+        evolve(state, 1.0, cfg)
+        assert counting.seen == {1}
+    else:
+        sizes = [c.stop - c.start for c in _member_chunks(n, 32)]
+        monkeypatch.setattr(dnls, "np", _FailingTan(sizes[failing]))
+        with pytest.raises(RuntimeError):
+            evolve(state, 1.0, cfg)
+    assert blas_threads() == before
 
 
 EPS = np.finfo(float).eps

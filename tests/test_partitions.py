@@ -10,14 +10,12 @@ from wickfield.partitions import (
     enumerate_partitions,
     enumerate_restricted,
     factorial_partition_sum,
-    group_ranges,
-    is_restricted,
     verify_comb_est,
     weighted_partition_sum,
 )
 from wickfield.reports import BoundReport
 
-from conftest import brute_partitions
+from conftest import brute_partitions, group_ranges, is_restricted
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
 
