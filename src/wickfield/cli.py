@@ -39,6 +39,7 @@ from .fields import (
     FiniteDiscreteField,
     check_psd,
     field_from_config,
+    is_finite_number,
     random_discrete_field,
     reject_unknown_keys,
     sinc_coupling_example,
@@ -250,8 +251,7 @@ def cmd_dnls_demo(config_path, out, seed):
             raw = _read_config(config_path)
             couplings = raw.pop("couplings", couplings)
             if not (isinstance(couplings, list) and couplings and all(
-                    isinstance(c, (int, float)) and not isinstance(c, bool)
-                    and math.isfinite(c) and c >= 0 for c in couplings)):
+                    is_finite_number(c) and c >= 0 for c in couplings)):
                 raise ValueError("couplings must be a non-empty list of "
                                  "finite numbers >= 0")
             if 0 not in couplings:

@@ -15,7 +15,7 @@ cumulants: each clustering norm (by n, p, box and anchors), each Phi_n row
 (by n, x' in the order given and box) and each map of |kappa|^2 over box^n
 (by the fixed arguments, n and box) is built once per table, through
 ``CumulantTable.derived``.  A call without a table builds a fresh one, so
-nothing is shared.
+nothing is shared; a table built on another provider is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .cumulants import CumulantTable, MomentProvider
+from .cumulants import CumulantTable, MomentProvider, table_for
 from .indexing import SiteRef
 from .partitions import enumerate_restricted, weighted_partition_sum
 from .reports import FLAG_SLACK, BoundReport
@@ -148,8 +148,7 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     if not 1 <= p <= math.inf:
         raise ValueError(f"p must be in [1, inf], not {p!r}")
     box_sites = _require_nonempty("the norm box", box_sites)
-    if table is None:
-        table = CumulantTable(provider)
+    table = table_for(provider, table)
     if table.singletons_vanish(n):
         return 0.0
     if anchors is None:
@@ -179,8 +178,7 @@ def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
     """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if table is None:
-        table = CumulantTable(provider)
+    table = table_for(provider, table)
     norms = [clustering_norm(provider, n, p, box_sites, anchors=anchors, table=table)
              for n in range(1, N + 1)]
     return MagnitudeConstants(_running_maxima(norms))
@@ -213,8 +211,7 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     xprime, box_sites = tuple(xprime), _require_nonempty("the kernel box", box_sites)
     if len(xprime) != n:
         raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
-    if table is None:
-        table = CumulantTable(provider)
+    table = table_for(provider, table)
     values = table.derived(("phi_kernel", n, xprime, box_sites),
                            lambda: _phi_row(table, n, xprime, box_sites))
     return KernelRow(values)
@@ -291,8 +288,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
     Both flags travel in the witnesses; the top-level flag compares the
     outermost pair.
     """
-    if table is None:
-        table = CumulantTable(provider)
+    table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
     row = phi_kernel(provider, n, xprime, box_sites, table=table)
@@ -336,8 +332,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     box_sites = _require_nonempty("the box", box_sites)
     if xprime_anchors is not None:
         xprime_anchors = _require_nonempty("the x' anchor set", xprime_anchors)
-    if table is None:
-        table = CumulantTable(provider)
+    table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
     cov = observable_covariance(table, X)
@@ -396,8 +391,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
         xprime_tuples = _require_nonempty("the x' anchor set", xprime_tuples)
     if y_tuples is not None:
         y_tuples = _require_nonempty("the y anchor set", y_tuples)
-    if table is None:
-        table = CumulantTable(provider)
+    table = table_for(provider, table)
     if psi_norm_box is None:
         psi_norm_box = psi_sites
     if phi_norm_box is None:

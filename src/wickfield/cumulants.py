@@ -183,6 +183,16 @@ class CumulantTable:
         return value
 
 
+def table_for(provider: MomentProvider, table: CumulantTable | None) -> CumulantTable:
+    """``table``, or a fresh one on ``provider``; ValueError if ``table``
+    holds another provider's cumulants."""
+    if table is None:
+        return CumulantTable(provider)
+    if table.provider is not provider:
+        raise ValueError("table was built on another provider")
+    return table
+
+
 def _tuple_getter(positions) -> itemgetter:
     """An itemgetter of the positions that returns a tuple for any number of
     them: a lone position is read as a one-item slice."""
@@ -294,9 +304,8 @@ def wick_product_expectation(provider: MomentProvider, groups, tail=(),
     """
     flat = tuple(ref for g in groups for ref in g) + tuple(tail)
     provider.check_order(len(flat))
-    if table is None:
-        table = CumulantTable(provider)
-    return _block_cumulant_sum(table, flat, enumerate_restricted(groups, tail))
+    return _block_cumulant_sum(table_for(provider, table), flat,
+                               enumerate_restricted(groups, tail))
 
 
 def generating_check(provider, sequence: IndexSequence):

@@ -48,11 +48,12 @@ import json
 import math
 import numbers
 import os
-import sys
 import threading
 from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
+
+from .fields import is_finite_number
 
 
 @dataclass
@@ -72,9 +73,7 @@ class DnlsConfig:
             if f.type == "int":
                 ok, what = isinstance(value, numbers.Integral), "an integer"
             else:
-                # the bound, not math.isfinite, so a huge int is refused, not raised
-                ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-                what = "a finite number"
+                ok, what = is_finite_number(value), "a finite number"
             if isinstance(value, bool) or not ok:
                 raise ValueError(f"{f.name} must be {what}, not {value!r}")
         if self.dt <= 0:

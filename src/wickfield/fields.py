@@ -427,6 +427,14 @@ def reject_unknown_keys(cfg: dict, known: set) -> None:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def is_finite_number(value) -> bool:
+    """True for a real number in float range that is not a bool.
+
+    The bound, not math.isfinite, so a huge int is refused, not raised."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 #: spectrum name -> (the keys it reads, builder)
 _SPECTRA = {
     "flat": ({"name", "value"},
@@ -453,9 +461,7 @@ def spectrum_from_config(cfg: dict):
     reject_unknown_keys(cfg, keys)
     for key in sorted(set(cfg) - {"name"}):
         value = cfg[key]
-        # the bound, not math.isfinite, so a huge int is refused, not raised
-        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                           and abs(value) <= sys.float_info.max):
+        if not is_finite_number(value):
             raise ValueError(f"{key} must be a finite number, not {value!r}")
     return builder(cfg)
 

@@ -1,10 +1,11 @@
 """Set-partition enumeration and partition-weighted combinatorial sums.
 
-Partitions of ``{0, ..., n-1}`` are streamed via restricted growth strings,
-so memory stays constant per item and consumers can fold bound checks
-incrementally.  Restricted partitions are the exception: they depend only on
-the shape of the groups, so each shape is built once and kept.  Blocks are
-emitted sorted by their smallest element, which makes equality structural.
+One depth-first walk enumerates both plain and restricted partitions.
+Partitions of ``{0, ..., n-1}`` are streamed from it, so memory stays
+constant per item and consumers can fold bound checks incrementally.
+Restricted partitions depend only on the shape of the groups, so each
+shape's walk is run once and kept.  Blocks are emitted sorted by their
+smallest element, which makes equality structural.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 DEFAULT_SIZE_GUARD = 14
 
@@ -62,16 +63,10 @@ class SetPartition:
 
 
 def bell_number(n: int) -> int:
-    """Bell number via the Bell triangle recurrence."""
+    """Bell number: the weighted partition sum with every weight 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[0]
+    return weighted_partition_sum(n, [1] * (n + 1)) if n else 1
 
 
 def _check_guard(n: int, size_guard: int):
@@ -79,44 +74,13 @@ def _check_guard(n: int, size_guard: int):
         raise CombinatorialBlowupError(n, size_guard)
 
 
-def _rgs_strings(n: int) -> Iterator[list]:
-    """Restricted growth strings of length n, lexicographic order.
-
-    a[0] = 0 and a[i] <= 1 + max(a[:i]); each string encodes one partition,
-    with a[i] the block index of position i.
-    """
-    a = [0] * n
-    # mx[i] = max(a[:i]); position i is incrementable while a[i] <= mx[i]
-    mx = [0] * n
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] > mx[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, n):
-            mx[j] = max(mx[j - 1], a[j - 1])
-            a[j] = 0
-
-
-def _rgs_to_partition(a: Sequence[int], n: int) -> SetPartition:
-    blocks = [[] for _ in range(max(a) + 1)]
-    for pos, b in enumerate(a):
-        blocks[b].append(pos)
-    # block indices follow first occurrence, so blocks are already ordered
-    # by smallest element
-    return SetPartition(tuple(tuple(b) for b in blocks), n)
-
-
 def enumerate_partitions(n: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Iterator[SetPartition]:
-    """Stream every partition of ``{0, ..., n-1}`` exactly once."""
+    """Stream every partition of ``{0, ..., n-1}`` exactly once, in
+    restricted-growth-string order: the walk of a shape with no groups."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_guard(n, size_guard)
-    for a in _rgs_strings(n):
-        yield _rgs_to_partition(a, n)
+    yield from _walk((), n)
 
 
 def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) -> Iterator[SetPartition]:
@@ -137,8 +101,13 @@ def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) 
 
 @functools.lru_cache(maxsize=None)
 def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
+    """Every partition the walk of one shape yields, kept for the process."""
+    return tuple(_walk(lengths, tail_len))
+
+
+def _walk(lengths: tuple, tail_len: int) -> Iterator[SetPartition]:
     """The restricted partitions of one shape, in restricted-growth-string
-    order, as ``enumerate_partitions`` would stream them.
+    order.
 
     A depth-first walk gives each position in turn every open block, then a
     new one.  A block whose positions all lie in one group must still be
@@ -148,7 +117,8 @@ def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
     the next position outnumber the positions after that group.  The two
     counts are Hall's condition for the nested sets of positions that can
     still join them, so no restricted partition is lost, and at the last
-    position they leave exactly the restricted ones.
+    position they leave exactly the restricted ones.  With no groups
+    nothing is dropped, and the walk yields every partition.
     """
     total = sum(lengths) + tail_len
     group_of = [g for g, k in enumerate(lengths) for _ in range(k)] + [None] * tail_len
@@ -156,13 +126,12 @@ def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
     blocks = []   # positions of each open block, in order of first position
     inside = []   # the group each block lies inside, or None
     lying = [0] * len(lengths)  # blocks lying inside each group
-    found = []
 
     def place(pos, loose):
         if loose > total - pos:
             return
         if pos == total:
-            found.append(SetPartition(tuple(map(tuple, blocks)), total))
+            yield SetPartition(tuple(map(tuple, blocks)), total)
             return
         g = group_of[pos]
         if g is not None and lying[g] > beyond[g]:
@@ -174,7 +143,7 @@ def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
             if freed:
                 inside[b] = None
                 lying[was] -= 1
-            place(pos + 1, loose - freed)
+            yield from place(pos + 1, loose - freed)
             if freed:
                 inside[b] = was
                 lying[was] += 1
@@ -183,14 +152,13 @@ def _restricted_shape(lengths: tuple, tail_len: int) -> tuple:
         inside.append(g)
         if g is not None:
             lying[g] += 1
-        place(pos + 1, loose + (g is not None))
+        yield from place(pos + 1, loose + (g is not None))
         if g is not None:
             lying[g] -= 1
         inside.pop()
         blocks.pop()
 
-    place(0, 0)
-    return tuple(found)
+    yield from place(0, 0)
 
 
 def weighted_partition_sum(n: int, w):

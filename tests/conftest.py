@@ -4,8 +4,10 @@ The oracles deliberately avoid the library's own recursions:
 
 * ``brute_partitions`` enumerates set partitions by direct recursion
   (place element n into each existing block or a new one).
+* ``rgs_ordered_partitions`` sorts ``brute_partitions`` by restricted
+  growth string, the order ``enumerate_partitions`` must stream them in.
 * ``is_restricted`` (with ``group_ranges``) tests a partition for a block
-  that lies inside one group; filtering ``enumerate_partitions`` by it
+  that lies inside one group; filtering ``rgs_ordered_partitions`` by it
   gives the restricted partitions in the order the generator must yield.
 * ``mobius_cumulant`` computes cumulants by Mobius inversion over the
   partition lattice, kappa = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod E[y^A].
@@ -42,6 +44,7 @@ from wickfield.cumulants import (
 from wickfield.dnls import FieldState, hopping_symbol
 from wickfield.fields import random_discrete_field
 from wickfield.indexing import SiteRef, seq_sort_key, subsequence
+from wickfield.partitions import SetPartition
 
 
 def brute_partitions(n):
@@ -56,6 +59,19 @@ def brute_partitions(n):
             out.append(frozenset(grown))
         out.append(frozenset(blocks + [frozenset({n - 1})]))
     return out
+
+
+def rgs_ordered_partitions(n):
+    """``brute_partitions(n)`` as SetPartitions, sorted by their restricted
+    growth strings: entry i is the index of the block holding i, with the
+    blocks ordered by their smallest element."""
+    def growth_string(blocks):
+        block_of = {pos: b for b, block in enumerate(blocks) for pos in block}
+        return [block_of[pos] for pos in range(n)]
+
+    ordered = sorted((tuple(sorted(tuple(sorted(b)) for b in part))
+                      for part in brute_partitions(n)), key=growth_string)
+    return [SetPartition(blocks, n) for blocks in ordered]
 
 
 def group_ranges(groups, tail=()):

@@ -271,6 +271,7 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
      COUPLINGS_MESSAGE),
     (json.dumps({"couplings": [], "n_samples": 10}), COUPLINGS_MESSAGE),
     ('{"couplings": [0.01, NaN], "n_samples": 10}', COUPLINGS_MESSAGE),
+    (json.dumps({"couplings": [0, 10 ** 400], "n_samples": 10}), COUPLINGS_MESSAGE),
     (json.dumps({"couplings": ["0.1"], "n_samples": 10}), COUPLINGS_MESSAGE),
     (json.dumps({"couplings": [0.05], "n_samples": 50, "length": 8}),
      "couplings must include 0"),
@@ -283,8 +284,8 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
     ("[1]", "config must be a JSON object"),
     ('{"n_samples": 10,', "invalid JSON"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
-        "nan-coupling", "string-coupling", "no-zero-coupling", "string-n-samples",
-        "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
+        "nan-coupling", "huge-coupling", "string-coupling", "no-zero-coupling",
+        "string-n-samples", "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
         "not-an-object", "malformed-json"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)

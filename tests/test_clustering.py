@@ -267,6 +267,29 @@ def test_phi_kernel_rejects_xprime_of_another_length(call, n, length):
         call(n, (0,) * length)
 
 
+_OTHER_DISCRETE = random_discrete_field(np.random.default_rng(3), sites=[0, 1, 2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda table: clustering_norm(_DISCRETE, 2, 1, [0, 1], table=table),
+    lambda table: magnitude_constants(_DISCRETE, 1.0, 2, [0, 1], table=table),
+    lambda table: phi_kernel(_DISCRETE, 1, (0,), [0, 1], table=table),
+    lambda table: lemma_check(_DISCRETE, 1, 1.0, (0,), [0, 1], table=table),
+    lambda table: theorem41_check(_DISCRETE, Observable.of_site(2), 1, 2, [0, 1],
+                                  table=table),
+    lambda table: joint_theorem_check(_DISCRETE, 1, 1, 2, [2], [0, 1], table=table),
+    lambda table: cumulants.wick_product_expectation(
+        _DISCRETE, ((SiteRef(0), SiteRef(1)),), (SiteRef(2),), table=table),
+], ids=["clustering_norm", "magnitude_constants", "phi_kernel", "lemma",
+        "theorem41", "joint", "wick_product_expectation"])
+def test_table_of_another_provider_is_refused(call):
+    # its cumulants would stand in for the provider's, while anchors and
+    # witnesses still came from the provider
+    call(CumulantTable(_DISCRETE))
+    with pytest.raises(ValueError, match="table was built on another provider"):
+        call(CumulantTable(_OTHER_DISCRETE))
+
+
 # name: (Gaussian provider, 5-site box, psi sites, 3-site box)
 SMALL_BOXES = {
     "iid-real": (IidRealGaussianField(variance=1.7), [0, 1, 2, 3, 4],

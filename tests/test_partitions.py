@@ -15,7 +15,7 @@ from wickfield.partitions import (
 )
 from wickfield.reports import BoundReport
 
-from conftest import brute_partitions, group_ranges, is_restricted
+from conftest import brute_partitions, group_ranges, is_restricted, rgs_ordered_partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
 
@@ -27,6 +27,8 @@ def as_sets(partition: SetPartition):
 @pytest.mark.parametrize("n", range(13))
 def test_bell_numbers(n):
     assert bell_number(n) == BELL[n]
+    with pytest.raises(ValueError):
+        bell_number(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -34,6 +36,11 @@ def test_enumeration_matches_brute_force(n):
     ours = [as_sets(p) for p in enumerate_partitions(n)]
     assert len(ours) == len(set(ours)) == bell_number(n)
     assert set(ours) == set(brute_partitions(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_streams_restricted_growth_string_order(n):
+    assert list(enumerate_partitions(n)) == rgs_ordered_partitions(n)
 
 
 def test_partitions_are_valid():
@@ -161,7 +168,7 @@ def test_restricted_tail_blocks_allowed():
 def test_restricted_matches_filter():
     groups = ((0, 1, 2), (3, 4))
     ranges, _ = group_ranges(groups, tail=(5,))
-    expected = [as_sets(p) for p in enumerate_partitions(6)
+    expected = [as_sets(p) for p in rgs_ordered_partitions(6)
                 if is_restricted(p, ranges)]
     got = [as_sets(p) for p in enumerate_restricted(groups, tail=(5,))]
     assert got == expected
@@ -184,11 +191,12 @@ def shapes(max_positions):
 
 
 def test_restricted_every_shape_matches_filter():
+    oracle = {n: rgs_ordered_partitions(n) for n in range(1, 8)}
     for lengths, tail_len in shapes(7):
         groups = tuple(tuple(range(k)) for k in lengths)
         tail = tuple(range(tail_len))
         ranges, _ = group_ranges(groups, tail)
-        expected = [p for p in enumerate_partitions(sum(lengths) + tail_len)
+        expected = [p for p in oracle[sum(lengths) + tail_len]
                     if is_restricted(p, ranges)]
         first = list(enumerate_restricted(groups, tail))
         assert first == expected, (lengths, tail_len)
