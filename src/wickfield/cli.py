@@ -235,6 +235,13 @@ def cmd_example_gaussian(out, radius):
             table=("partial_sums", ["radius", "l1_partial_sum", "l2_partial_sum"], rows))
 
 
+def _dnls_times(coupling: float, dt: float) -> list:
+    """The times dnls-demo records for one coupling: 11 points from 0 to
+    min(50, 1/coupling), each rounded to the dt grid."""
+    horizon = 50.0 if coupling == 0 else min(50.0, 1.0 / coupling)
+    return [round(t / dt) * dt for t in np.linspace(0.0, horizon, 11)]
+
+
 @main.command("dnls-demo")
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="DNLS config JSON.")
@@ -262,6 +269,12 @@ def cmd_dnls_demo(config_path, out, seed):
                 raw["seed"] = seed
             reject_unknown_keys(raw, {f.name for f in fields(DnlsConfig)})
             base = DnlsConfig(**raw)
+            for lam in couplings:
+                if lam > 0 and not any(0 < t <= 1.0 / lam
+                                       for t in _dnls_times(lam, base.dt)):
+                    raise ValueError(
+                        f"couplings: {lam!r} leaves no recorded time in "
+                        f"(0, 1/coupling] on the dt = {base.dt!r} grid to fit")
     else:
         base = DnlsConfig(seed=seed)
 
@@ -269,10 +282,7 @@ def cmd_dnls_demo(config_path, out, seed):
     fits = {}
     for lam in couplings:
         cfg = replace(base, coupling=lam)
-        horizon = 50.0 if lam == 0 else min(50.0, 1.0 / lam)
-        times = np.linspace(0.0, horizon, 11)
-        times = [round(t / cfg.dt) * cfg.dt for t in times]
-        series = correlation_series(cfg, times)
+        series = correlation_series(cfg, _dnls_times(lam, cfg.dt))
         rows = duhamel_residual(series, cfg)
         all_rows.extend(rows)
         if lam > 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations
 from numbers import Integral
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .indexing import IndexSequence, canonical, seq_sort_key, subsequence
 from .partitions import enumerate_partitions, enumerate_restricted
@@ -70,7 +70,10 @@ class CumulantTable:
     deliberately not canonicalised, because a provider may round a product
     differently in another factor order.  For the same reason the
     recursion subtracts its subset terms in one fixed order, the
-    ``combinations`` order, read from a plan built once per (order, anchor).
+    ``combinations`` order, read from a plan built once per (order, anchor,
+    runs of equal variables).  Subsets that pick the same sub-multiset have
+    the same term, so the term is built once per such class and subtracted
+    once per subset: the same floats in the same order.
 
     ``derived`` keeps values built from these cumulants (the clustering
     norms, Phi_n rows and |kappa|^2 maps of ``clustering``), so checks that
@@ -157,14 +160,17 @@ class CumulantTable:
 
         A moment is memoised under its variables' flat sequence in key
         order.  The moment and memo probes are inline, so a hit costs no
-        call.
+        call.  One term is built per class of the subset plan, and the
+        terms are subtracted in ``combinations`` order, one per subset.
         """
         moments, memo, moment = self._moments, self._memo, self.provider.moment
         flat = tuple(chain.from_iterable(key))
         value = moments.get(flat)
         if value is None:
             value = moments[flat] = moment(flat)
-        for sub_of, comp_of in _subset_plan(len(key), anchor):
+        distinct, order = _subset_plan(len(key), anchor, tuple(map(eq, key, key[1:])))
+        terms = []
+        for sub_of, comp_of in distinct:
             # at anchor 0 the positions increase, so the sub-key of the
             # canonical key is canonical already
             sub = sub_of(key)
@@ -177,7 +183,9 @@ class CumulantTable:
             kappa = memo.get(sub)
             if kappa is None:
                 kappa = self._recurse(sub, 0)
-            value -= weight * kappa
+            terms.append(weight * kappa)
+        for i in order:
+            value -= terms[i]
         if anchor == 0:
             memo[key] = value
         return value
@@ -202,15 +210,35 @@ def _tuple_getter(positions) -> itemgetter:
 
 
 @cache
-def _subset_plan(k: int, anchor: int) -> tuple:
-    """Tuple getters of the (anchor + extra) and complement positions of
-    each proper subset E of range(k) that holds the anchor, E by size and
-    then in ``combinations`` order, so the recursion subtracts its terms in
-    one fixed order."""
+def _subset_plan(k: int, anchor: int, same: tuple) -> tuple:
+    """The recursion's plan for a key of k variables anchored at ``anchor``,
+    where ``same[i]`` tells whether variables i and i + 1 are equal.
+
+    The subsets E of range(k) that the recursion subtracts are the proper
+    ones that hold the anchor, by size and then in ``combinations`` order.
+    A canonical key holds equal variables next to each other, so two subsets
+    that take as many positions from every run of equal variables pick the
+    same sub-key and the same complement: one class, one term.  Returns
+    (distinct, order): ``distinct`` holds the tuple getters of the (anchor +
+    extra) and complement positions of the first subset of each class, and
+    ``order`` the class of every subset, in subset order.  There are
+    r_anchor * prod(r + 1) - 1 classes, with r_anchor the length of the
+    anchor's run and r those of the other runs.
+    """
+    run = [0]
+    for equal in same:
+        run.append(run[-1] + (not equal))
     rest = tuple(i for i in range(k) if i != anchor)
-    return tuple((_tuple_getter((anchor,) + extra),
-                  _tuple_getter(tuple(i for i in rest if i not in extra)))
-                 for size in range(k - 1) for extra in combinations(rest, size))
+    distinct, classes, order = [], {}, []
+    for size in range(k - 1):
+        for extra in combinations(rest, size):
+            chosen = sorted((anchor,) + extra)
+            cls = classes.setdefault(tuple(run[i] for i in chosen), len(classes))
+            if cls == len(distinct):
+                distinct.append((_tuple_getter((anchor,) + extra),
+                                 _tuple_getter(tuple(i for i in rest if i not in extra))))
+            order.append(cls)
+    return tuple(distinct), tuple(order)
 
 
 def cumulant(provider: MomentProvider, sequence: IndexSequence, anchor: int = 0) -> complex:

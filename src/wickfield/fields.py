@@ -212,6 +212,7 @@ class SpectralGaussianField(GaussianCovarianceField):
         self.closed_forms = dict(closed_forms or {})
         self.name = name
         self._tables = {}
+        self._pairs = {}
 
     # spectra by pair key
     def _spectrum(self, which):
@@ -242,8 +243,13 @@ class SpectralGaussianField(GaussianCovarianceField):
 
     def pair_covariance(self, which, displacement) -> complex:
         """Covariance of the selected pair ("psipsi", "phiphi" or "psiphi")
-        at a lattice displacement."""
-        return complex(self.covariance_profile(which, np.asarray([displacement]))[0])
+        at a lattice displacement, memoised per (which, displacement)."""
+        key = (which, displacement)
+        value = self._pairs.get(key)
+        if value is None:
+            value = self._pairs[key] = complex(
+                self.covariance_profile(which, np.asarray([displacement]))[0])
+        return value
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         # real-valued fields: the conjugation flags are inert
@@ -332,11 +338,18 @@ class EnsembleEstimator(MomentProvider):
     The samples are kept once, as C-contiguous columns of shape
     (n_sites, count) in float64, or complex128 for complex samples;
     ``samples`` is the transposed view of them.  A moment multiplies the
-    sequence's columns in that dtype, conjugating only complex columns, and
-    casts the product to complex once, before the mean.  For real samples a
-    complex running product from 1 would round each factor the same way,
-    and the cast keeps numpy's complex pairwise summation order, so every
-    moment is bit-identical to that running product's mean.
+    sequence's columns left to right in that dtype, conjugating only
+    complex columns.  For real samples the last factor is written into the
+    real view of a complex buffer whose imaginary part is zero, so the mean
+    is taken over complex values.  A complex running product from 1 would
+    round each factor the same way, and numpy's complex pairwise summation
+    sees the same values, so every moment is bit-identical to that running
+    product's mean.
+
+    The products of the prefixes of the last sequence are kept, one buffer
+    per prefix length, and a new sequence starts from the longest prefix it
+    shares with the last one.  These buffers make an estimator unsafe to
+    share across threads.
     """
 
     def __init__(self, sites, samples: np.ndarray):
@@ -359,6 +372,11 @@ class EnsembleEstimator(MomentProvider):
             raise ValueError(f"site labels must be distinct; repeated: "
                              f"{', '.join(repeated)}")
         self._complex = dtype is complex
+        # _product's state: the first n - 1 references of the last sequence,
+        # the products of its prefixes of length 2, 3, ... and the product
+        self._path = ()
+        self._prefixes = []
+        self._out = np.zeros(self.count, dtype=complex)
 
     @property
     def samples(self) -> np.ndarray:
@@ -374,24 +392,45 @@ class EnsembleEstimator(MomentProvider):
         return np.conj(col) if ref.conj and self._complex else col
 
     def _product(self, sequence: IndexSequence) -> np.ndarray:
-        """The product of the sequence's columns, cast to complex.  Only the
-        first multiply allocates; each later factor multiplies into its
-        result in place."""
-        if not sequence:
-            return np.ones(self.count, dtype=complex)
-        refs = iter(sequence)
-        prod = self._column(next(refs))
-        second = next(refs, None)
-        if second is not None:
-            prod = prod * self._column(second)
-            for ref in refs:
-                np.multiply(prod, self._column(ref), out=prod)
-        return prod.astype(complex, copy=False)
+        """The product of the sequence's columns as a complex array, in a
+        buffer that the next call overwrites.
+
+        The prefix products of length 2 to n - 1 go to buffers allocated on
+        first use and kept for the next sequence, which starts from the
+        longest prefix it shares with this one.  The path is cut to the
+        shared prefix before any buffer is written, so a call that fails
+        part-way leaves no stale prefix behind.
+        """
+        out = self._out
+        n = len(sequence)
+        if n == 0:
+            out.fill(1)
+            return out
+        path, prefixes = self._path, self._prefixes
+        shared = 0
+        for known, ref in zip(path, sequence[:n - 1]):
+            if known != ref:
+                break
+            shared += 1
+        self._path = path[:shared]
+        prod = prefixes[shared - 2] if shared >= 2 else self._column(sequence[0])
+        for j in range(max(shared, 1), n - 1):
+            if j > len(prefixes):
+                prefixes.append(np.empty(self.count, dtype=self._columns.dtype))
+            prod = np.multiply(prod, self._column(sequence[j]), out=prefixes[j - 1])
+        self._path = tuple(sequence[:n - 1])
+        last = out if self._complex else out.real
+        if n == 1:
+            np.copyto(last, prod)
+        else:
+            np.multiply(prod, self._column(sequence[-1]), out=last)
+        return out
 
     def moment(self, sequence: IndexSequence) -> complex:
         if not sequence:
             return 1.0
-        return complex(self._product(sequence).mean())
+        # the mean as numpy's _methods._mean takes it, without its Python layer
+        return complex(np.add.reduce(self._product(sequence)) / self.count)
 
     def moment_standard_error(self, sequence: IndexSequence) -> float:
         return float(np.std(self._product(sequence)) / math.sqrt(self.count))

@@ -283,10 +283,16 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
     (json.dumps({"seed": -3}), "seed must be >= 0"),
     ("[1]", "config must be a JSON object"),
     ('{"n_samples": 10,', "invalid JSON"),
+    # no recorded time in (0, 1/coupling] on the dt = 0.05 grid: nothing to fit
+    (json.dumps({"n_samples": 2, "length": 2, "couplings": [0, 30]}),
+     "couplings: 30 leaves no recorded time in (0, 1/coupling]"),
+    (json.dumps({"n_samples": 2, "length": 2, "couplings": [0, 1e308]}),
+     "couplings: 1e+308 leaves no recorded time in (0, 1/coupling]"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
         "nan-coupling", "huge-coupling", "string-coupling", "no-zero-coupling",
         "string-n-samples", "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
-        "not-an-object", "malformed-json"])
+        "not-an-object", "malformed-json", "coupling-above-one-over-dt",
+        "max-float-coupling"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
 

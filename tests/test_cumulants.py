@@ -12,6 +12,7 @@ from wickfield.cumulants import (
     MomentProvider,
     OrderOverflowError,
     WickExpansion,
+    _subset_plan,
     cumulant,
     generating_check,
     moments_from_cumulants,
@@ -174,6 +175,73 @@ def test_recursion_plan_matches_inline_combinations(seed):
                     if not compound:
                         seq = tuple(m[0] for m in variables)
                         assert table.cumulant(seq, anchor=anchor) == want, (seq, anchor)
+
+
+#: runs of repeated variables, as (site position, conj) per variable
+_REPEATED_KEYS = [
+    ((0, 0), (0, 0), (0, 0), (1, 0)),
+    ((0, 0), (0, 0), (1, 0), (1, 0), (2, 1)),
+    ((0, 0),) * 6,
+    ((0, 1), (0, 1), (0, 0), (0, 0), (1, 1)),
+    ((1, 0), (1, 0), (1, 0), (1, 0), (0, 0), (0, 0), (0, 0)),
+]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("spec", _REPEATED_KEYS, ids=lambda spec: "".join(
+    "abc"[i] + "*" * c for i, c in spec))
+def test_class_plan_matches_per_subset_oracle(seed, spec):
+    # one term per class of subsets that pick the same sub-multiset,
+    # subtracted once per subset, equals the per-subset recursion bit for
+    # bit, at every anchor
+    for provider in _recursion_providers(seed):
+        sites = provider.sites
+        # a provider of two sites folds c onto a
+        seq = tuple(SiteRef(sites[i % len(sites)], bool(c)) for i, c in spec)
+        key = tuple(zip(canonical(seq)))
+        memo = {}
+        for anchor in range(len(seq)):
+            want = combinations_cumulant(provider, key, anchor, memo)
+            assert CumulantTable(provider).cumulant(seq, anchor=anchor) == want, anchor
+            assert CumulantTable(provider).joint_cumulant(
+                tuple((ref,) for ref in seq), anchor=anchor) == want, anchor
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_class_plan_matches_per_subset_oracle_on_compound_keys(seed):
+    for provider in _recursion_providers(seed):
+        sites = provider.sites
+        a, b, c = (SiteRef(sites[i % len(sites)]) for i in range(3))
+        for variables in [((a, b), (a, b), (c,)),
+                          ((a,), (a,), (a, b), (a, b)),
+                          ((a, b),) * 4,
+                          ((b, c), (a,), (b, c), (a,), (b, c))]:
+            key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
+            memo = {}
+            table = CumulantTable(provider)
+            for anchor in range(len(variables)):
+                want = combinations_cumulant(provider, key, anchor, memo)
+                assert table.joint_cumulant(variables, anchor=anchor) == want, \
+                    (variables, anchor)
+
+
+@pytest.mark.parametrize("runs", [(1,), (3, 1), (2, 2, 1), (6,), (1, 1, 1, 1), (2, 1, 3)])
+def test_subset_plan_has_one_class_per_sub_multiset(runs):
+    # a class per choice of 1..r_anchor positions from the anchor's run and
+    # 0..r from every other run, less the whole key
+    k = sum(runs)
+    same = tuple(itertools.chain.from_iterable(
+        [True] * (r - 1) + [False] for r in runs))[:-1]
+    starts = list(itertools.accumulate((0,) + runs[:-1]))
+    for anchor in range(k):
+        mine = max(i for i, start in enumerate(starts) if start <= anchor)
+        want = runs[mine] * math.prod(r + 1 for i, r in enumerate(runs) if i != mine) - 1
+        distinct, order = _subset_plan(k, anchor, same)
+        assert len(distinct) == want, anchor
+        assert len(order) == 2 ** (k - 1) - 1
+        # classes are numbered by first appearance
+        firsts = [order.index(cls) for cls in range(len(distinct))]
+        assert firsts == sorted(firsts) and set(order) == set(range(len(distinct)))
 
 
 @pytest.mark.parametrize("variables", [

@@ -137,6 +137,23 @@ def test_covariance_component_resolution():
     assert f.pair_covariance("psiphi", 1) == pytest.approx(1 / math.pi)
 
 
+def test_pair_covariance_memo_keeps_values_and_grid_error():
+    # a memoised covariance is the profile's value, and a displacement past
+    # the quadrature grid raises on every lookup, since a miss is not kept
+    f = SpectralGaussianField(
+        f1_hat=lambda k: np.ones_like(np.asarray(k, dtype=float)),
+        f2_hat=lambda k: np.ones_like(np.asarray(k, dtype=float)),
+        g_hat=lambda k: (np.abs(np.asarray(k, dtype=float)) < 0.25).astype(float),
+        grid=64,
+    )
+    for x in (0, 1, -3, 31, 1, 0):
+        want = complex(f.covariance_profile("psiphi", np.asarray([x]))[0])
+        assert f.pair_covariance("psiphi", x) == want
+    for _ in range(2):
+        with pytest.raises(ValueError, match="quadrature grid 64 is too small"):
+            f.pair_covariance("psiphi", 32)
+
+
 def test_covariance_profile_vectorized():
     f = sinc_coupling_example()
     xs = np.arange(-5, 6)
@@ -193,9 +210,9 @@ def _sample_matrix(rng, kind, count, n_sites):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["real", "complex", "integer", "float32"])
 def test_moment_equals_complex_running_product(kind, seed):
-    # the estimator multiplies in the samples' dtype and casts once before
-    # the mean; every moment and standard error equals the complex running
-    # product's bit for bit
+    # the estimator multiplies in the samples' dtype and writes the last
+    # factor into a complex buffer; every moment and standard error equals
+    # the complex running product's bit for bit
     rng = np.random.default_rng(seed)
     sites = ["a", "b", "c"]
     samples = _sample_matrix(rng, kind, 1000, len(sites))
@@ -214,6 +231,42 @@ def test_moment_equals_complex_running_product(kind, seed):
             complex_product_standard_error(samples, sites, seq), seq
     # the product never writes into the stored columns
     assert np.array_equal(est.samples, samples)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_prefix_products_never_go_stale(kind):
+    # sequences that share a prefix and then diverge, shrink, grow, drop to
+    # order 1 and to the empty sequence, asked of two estimators in turn:
+    # each answer is the oracle's, so no kept prefix product outlives the
+    # path it belongs to, and the estimators share no buffer
+    rng = np.random.default_rng(7)
+    sites = ["a", "b", "c", "d"]
+    a, b, c, d = (SiteRef(s) for s in sites)
+    bc, dc = SiteRef("b", True), SiteRef("d", True)
+    path = [
+        (a, b, c, d), (a, b, c, a), (a, b, d, d, c), (a, b), (a, b, c, d, a, b),
+        (a, bc, c), (a, b, c), (b,), (a, b, c, d, a), (), (a, b, c, d, a, c),
+        (a, b, c, d, a, c), (a, b, c, dc, a, c), (bc, bc), (bc, bc, bc, a),
+        (a,), (a, b, c, d), (c, b, a), (a, b, c, d, a, b, c, d),
+    ]
+    samples = [_sample_matrix(rng, kind, 200, len(sites)) for _ in range(2)]
+    estimators = [EnsembleEstimator(sites, m) for m in samples]
+    kept = [m.copy() for m in samples]
+    for seq in path:
+        for est, m in zip(estimators, samples):
+            assert est.moment(seq) == complex_product_moment(m, sites, seq), seq
+            assert est.moment_standard_error(seq) == \
+                complex_product_standard_error(m, sites, seq), seq
+    # a sequence that fails part-way leaves no stale prefix behind
+    est, m = estimators[0], samples[0]
+    est.moment((a, b, c, d))
+    with pytest.raises(KeyError):
+        est.moment((a, b, d, SiteRef("z"), c))
+    for seq in [(a, b, c, d), (a, b, d, c), (a, b, d, a, c)]:
+        assert est.moment(seq) == complex_product_moment(m, sites, seq), seq
+    for est, m, copy in zip(estimators, samples, kept):
+        assert np.array_equal(est.samples, copy)
+        assert np.array_equal(m, copy)
 
 
 def test_estimator_keeps_column_major_samples_without_copy():
