@@ -283,7 +283,7 @@ def cmd_dnls_demo(config_path, out, seed):
     for lam in couplings:
         cfg = replace(base, coupling=lam)
         series = correlation_series(cfg, _dnls_times(lam, cfg.dt))
-        rows = duhamel_residual(series, cfg)
+        rows = duhamel_residual(series)
         all_rows.extend(rows)
         if lam > 0:
             fits[lam] = fit_residual_constant(rows, lam, t_max=1.0 / lam)

@@ -336,6 +336,9 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     if norm_box is None:
         norm_box = box_sites
     cov = observable_covariance(table, X)
+    if not cov > 0:
+        raise ValueError(f"cov(X*, X) = {cov!r} is not positive: the observable "
+                         f"{X.terms!r} does not vary")
     M = magnitude_constants(provider, float(p), 2 * n, norm_box,
                             anchors=anchors, table=table).top()
 
@@ -389,6 +392,9 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     phi_box = _require_nonempty("the phi box", phi_box)
     if xprime_tuples is not None:
         xprime_tuples = _require_nonempty("the x' anchor set", xprime_tuples)
+        for xp in xprime_tuples:
+            if len(xp) != m:
+                raise ValueError(f"x' {tuple(xp)!r} has {len(xp)} sites, but m = {m}")
     if y_tuples is not None:
         y_tuples = _require_nonempty("the y anchor set", y_tuples)
     table = table_for(provider, table)
@@ -451,8 +457,8 @@ class DivergenceProbe:
 
 
 def l1_divergence_probe(field, radii, exponent: int = 1) -> DivergenceProbe:
-    """Partial sums S_R = sum_{|x| <= R} |G(x)|^exponent for the cross
-    covariance of a translation-invariant spectral pair.
+    """Partial sums S_R = sum_{|x| <= R} |G(x)|^exponent, R >= 1, for the
+    cross covariance of a translation-invariant spectral pair.
 
     Two fits are reported for exponent 1: the raw slope of S_R against
     ln R, and the coefficient of S_R against the odd-harmonic partial sum
@@ -460,6 +466,8 @@ def l1_divergence_probe(field, radii, exponent: int = 1) -> DivergenceProbe:
     coupling example the latter recovers the divergence coefficient 2/pi.
     """
     radii = sorted(int(r) for r in radii)
+    if len(set(radii)) < 2 or radii[0] < 1:
+        raise ValueError(f"a fit needs two or more distinct radii >= 1, not {radii!r}")
     rmax = radii[-1]
     y = np.arange(1, rmax + 1)
     g_pos = np.abs(np.asarray(field.covariance_profile("psiphi", y))) ** exponent

@@ -4,8 +4,8 @@ Cumulants follow the anchored recursion
 
     kappa[y_I] = E[y^I] - sum_{E: x in E, E proper subset of I} E[y^(I\\E)] kappa[y_E]
 
-with the anchor x taken as the first position in canonical order (any anchor
-gives the same value; pick-independence is a property test).  Wick polynomials
+with the anchor x always the first position in canonical order (any anchor
+gives the same value up to rounding, which the tests check).  Wick polynomials
 follow
 
     :y^I: = y^I - sum_{E proper subset of I} E[y^(I\\E)] :y^E:
@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations
-from numbers import Integral
 from operator import eq, itemgetter
 
 from .indexing import IndexSequence, canonical, seq_sort_key, subsequence
@@ -70,8 +69,8 @@ class CumulantTable:
     deliberately not canonicalised, because a provider may round a product
     differently in another factor order.  For the same reason the
     recursion subtracts its subset terms in one fixed order, the
-    ``combinations`` order, read from a plan built once per (order, anchor,
-    runs of equal variables).  Subsets that pick the same sub-multiset have
+    ``combinations`` order, read from a plan built once per (order, runs of
+    equal variables).  Subsets that pick the same sub-multiset have
     the same term, so the term is built once per such class and subtracted
     once per subset: the same floats in the same order.
 
@@ -104,26 +103,23 @@ class CumulantTable:
         cumulants."""
         return self.provider.is_gaussian and order != 2
 
-    def cumulant(self, sequence: IndexSequence, anchor: int = 0) -> complex:
+    def cumulant(self, sequence: IndexSequence) -> complex:
         """kappa of single field variables, one per position of the sequence.
 
         This is the one method that applies the Gaussian rule, which reads
         the variables in the caller's order; otherwise the canonical key is
         built with one sort.
         """
-        self._check(len(sequence), len(sequence), anchor)
+        self._check(len(sequence))
         if self.provider.is_gaussian:
             if self.singletons_vanish(len(sequence)):
                 return 0.0
             return self.provider.covariance(sequence[0], sequence[1])
         key = tuple(zip(canonical(sequence)))
-        if anchor == 0:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        return self._recurse(key, anchor)
+        hit = self._memo.get(key)
+        return self._recurse(key) if hit is None else hit
 
-    def joint_cumulant(self, variables, anchor: int = 0) -> complex:
+    def joint_cumulant(self, variables) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
 
         Variables that are all single field variables go to ``cumulant``.
@@ -131,32 +127,23 @@ class CumulantTable:
         partial products come from the backing provider.
         """
         if all(len(mono) == 1 for mono in variables):
-            return self.cumulant(tuple(mono[0] for mono in variables), anchor=anchor)
+            return self.cumulant(tuple(mono[0] for mono in variables))
         variables = tuple(canonical(mono) for mono in variables)
-        self._check(sum(len(mono) for mono in variables), len(variables), anchor)
+        self._check(sum(len(mono) for mono in variables))
         key = tuple(sorted(variables, key=seq_sort_key))
-        if anchor == 0:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        return self._recurse(key, anchor)
+        hit = self._memo.get(key)
+        return self._recurse(key) if hit is None else hit
 
-    def _check(self, order: int, k: int, anchor: int):
-        """Reject an empty collection, an order above the provider's limit,
-        and an anchor that is not a position of the k variables.  A float
-        anchor is rejected even when it equals a position: it would build
-        the subset plan cached for that position, which integer anchors
-        share."""
+    def _check(self, order: int):
+        """Reject an empty collection and an order above the provider's
+        limit."""
         if order == 0:
             raise ValueError("cumulant of an empty collection is undefined")
         self.provider.check_order(order)
-        if not isinstance(anchor, Integral) or anchor not in range(k):
-            raise ValueError(f"anchor {anchor!r} is not a position of "
-                             f"{k} variable(s)")
 
-    def _recurse(self, key, anchor: int) -> complex:
+    def _recurse(self, key) -> complex:
         """kappa of the canonical key by the anchored recursion, for a key
-        that is not memoised at this anchor; only anchor 0 is memoised.
+        that is not memoised yet; the value is memoised.
 
         A moment is memoised under its variables' flat sequence in key
         order.  The moment and memo probes are inline, so a hit costs no
@@ -168,26 +155,23 @@ class CumulantTable:
         value = moments.get(flat)
         if value is None:
             value = moments[flat] = moment(flat)
-        distinct, order = _subset_plan(len(key), anchor, tuple(map(eq, key, key[1:])))
+        distinct, order = _subset_plan(len(key), tuple(map(eq, key, key[1:])))
         terms = []
         for sub_of, comp_of in distinct:
-            # at anchor 0 the positions increase, so the sub-key of the
-            # canonical key is canonical already
+            # the positions increase, so the sub-key of the canonical key is
+            # canonical already
             sub = sub_of(key)
-            if anchor != 0:
-                sub = tuple(sorted(sub, key=seq_sort_key))
             comp = tuple(chain.from_iterable(comp_of(key)))
             weight = moments.get(comp)
             if weight is None:
                 weight = moments[comp] = moment(comp)
             kappa = memo.get(sub)
             if kappa is None:
-                kappa = self._recurse(sub, 0)
+                kappa = self._recurse(sub)
             terms.append(weight * kappa)
         for i in order:
             value -= terms[i]
-        if anchor == 0:
-            memo[key] = value
+        memo[key] = value
         return value
 
 
@@ -210,40 +194,40 @@ def _tuple_getter(positions) -> itemgetter:
 
 
 @cache
-def _subset_plan(k: int, anchor: int, same: tuple) -> tuple:
-    """The recursion's plan for a key of k variables anchored at ``anchor``,
+def _subset_plan(k: int, same: tuple) -> tuple:
+    """The recursion's plan for a key of k variables anchored at position 0,
     where ``same[i]`` tells whether variables i and i + 1 are equal.
 
     The subsets E of range(k) that the recursion subtracts are the proper
-    ones that hold the anchor, by size and then in ``combinations`` order.
+    ones that hold position 0, by size and then in ``combinations`` order.
     A canonical key holds equal variables next to each other, so two subsets
     that take as many positions from every run of equal variables pick the
     same sub-key and the same complement: one class, one term.  Returns
-    (distinct, order): ``distinct`` holds the tuple getters of the (anchor +
-    extra) and complement positions of the first subset of each class, and
+    (distinct, order): ``distinct`` holds the tuple getters of the chosen
+    and complement positions of the first subset of each class, and
     ``order`` the class of every subset, in subset order.  There are
-    r_anchor * prod(r + 1) - 1 classes, with r_anchor the length of the
-    anchor's run and r those of the other runs.
+    r_first * prod(r + 1) - 1 classes, with r_first the length of the first
+    run and r those of the other runs.
     """
     run = [0]
     for equal in same:
         run.append(run[-1] + (not equal))
-    rest = tuple(i for i in range(k) if i != anchor)
+    rest = range(1, k)
     distinct, classes, order = [], {}, []
     for size in range(k - 1):
         for extra in combinations(rest, size):
-            chosen = sorted((anchor,) + extra)
+            chosen = (0,) + extra
             cls = classes.setdefault(tuple(run[i] for i in chosen), len(classes))
             if cls == len(distinct):
-                distinct.append((_tuple_getter((anchor,) + extra),
+                distinct.append((_tuple_getter(chosen),
                                  _tuple_getter(tuple(i for i in rest if i not in extra))))
             order.append(cls)
     return tuple(distinct), tuple(order)
 
 
-def cumulant(provider: MomentProvider, sequence: IndexSequence, anchor: int = 0) -> complex:
+def cumulant(provider: MomentProvider, sequence: IndexSequence) -> complex:
     """kappa[y_I] of single field variables; convenience over CumulantTable."""
-    return CumulantTable(provider).cumulant(sequence, anchor=anchor)
+    return CumulantTable(provider).cumulant(sequence)
 
 
 def _block_cumulant_sum(table: CumulantTable, flat: IndexSequence, partitions) -> complex:

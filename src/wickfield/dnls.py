@@ -383,7 +383,7 @@ class CorrelationSeries:
     g: np.ndarray
     f_se: np.ndarray
     g_se: np.ndarray
-    config: DnlsConfig = field(repr=False, default=None)
+    config: DnlsConfig = field(repr=False)
 
 
 def _covariance_estimate(a: np.ndarray, b: np.ndarray):
@@ -417,14 +417,13 @@ def correlation_series(config: DnlsConfig, times) -> CorrelationSeries:
                              g_se=np.asarray(g_ses), config=config)
 
 
-def duhamel_residual(series: CorrelationSeries, config: DnlsConfig | None = None):
+def duhamel_residual(series: CorrelationSeries):
     """Residual table: || f_hat_t - exp(-i t alpha_hat) f_hat_0 ||_{L2(torus)}
     per recorded time, with the Monte Carlo noise scale of the residual.
 
     Returns a list of dict rows (t, coupling, residual, noise_scale).
     """
-    if config is None:
-        config = series.config
+    config = series.config
     symbol = hopping_symbol(config)
     volume = config.length ** config.dimension
     lattice_axes = tuple(range(1, config.dimension + 1))

@@ -13,6 +13,7 @@ Three families:
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import sys
@@ -33,6 +34,15 @@ def _as_ref(s) -> SiteRef:
     return s if isinstance(s, SiteRef) else SiteRef(s)
 
 
+def _site_index(sites: tuple) -> dict:
+    """The column of each site label; ValueError if a label repeats."""
+    index = {s: i for i, s in enumerate(sites)}
+    if len(index) != len(sites):
+        repeated = sorted({repr(s) for s in sites if sites.count(s) > 1})
+        raise ValueError(f"site labels must be distinct; repeated: {', '.join(repeated)}")
+    return index
+
+
 # ---------------------------------------------------------------------------
 # exact finite distributions
 
@@ -41,7 +51,8 @@ class FiniteDiscreteField(MomentProvider):
     """Exact finite distribution over a handful of sites.
 
     ``atoms`` is a list of (probability, value-vector) pairs, one value per
-    site.  Every moment is a weighted sum over atoms, exact up to rounding.
+    site; the sites are distinct and every number finite.  Every moment is
+    a weighted sum over atoms, exact up to rounding.
     """
 
     max_order = 10
@@ -50,10 +61,12 @@ class FiniteDiscreteField(MomentProvider):
         self.sites = tuple(sites)
         self.atoms = tuple((float(p), tuple(complex(v) for v in values))
                            for p, values in atoms)
-        self._index = {s: i for i, s in enumerate(self.sites)}
+        self._index = _site_index(self.sites)
+        # a NaN compares false, so it fails the range check too
+        if not all(0 <= p <= 1 and all(map(cmath.isfinite, values))
+                   for p, values in self.atoms):
+            raise ValueError("atom probabilities must lie in [0, 1] and values be finite")
         total = sum(p for p, _ in self.atoms)
-        if any(p < 0 for p, _ in self.atoms):
-            raise ValueError("negative atom probability")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
         for _, values in self.atoms:
@@ -366,11 +379,7 @@ class EnsembleEstimator(MomentProvider):
         values = self._columns.view(float)
         if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("samples must be finite, not NaN or inf")
-        self._index = {s: i for i, s in enumerate(self.sites)}
-        if len(self._index) != len(self.sites):
-            repeated = sorted({repr(s) for s in self.sites if self.sites.count(s) > 1})
-            raise ValueError(f"site labels must be distinct; repeated: "
-                             f"{', '.join(repeated)}")
+        self._index = _site_index(self.sites)
         self._complex = dtype is complex
         # _product's state: the first n - 1 references of the last sequence,
         # the products of its prefixes of length 2, 3, ... and the product

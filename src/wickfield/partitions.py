@@ -16,20 +16,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-DEFAULT_SIZE_GUARD = 14
+SIZE_GUARD = 14
 
 
 class CombinatorialBlowupError(ValueError):
-    """Raised when an enumeration would exceed the configured size guard."""
+    """Raised when an enumeration would exceed the size guard."""
 
-    def __init__(self, n: int, guard: int):
+    def __init__(self, n: int):
         super().__init__(
             f"refusing to enumerate partitions of {n} elements "
-            f"(Bell({n}) = {bell_number(n)} items exceeds guard of {guard} elements); "
-            "raise size_guard to opt in"
+            f"(Bell({n}) = {bell_number(n)} items exceeds guard of {SIZE_GUARD} elements)"
         )
         self.n = n
-        self.guard = guard
 
 
 @dataclass(frozen=True)
@@ -69,21 +67,21 @@ def bell_number(n: int) -> int:
     return weighted_partition_sum(n, [1] * (n + 1)) if n else 1
 
 
-def _check_guard(n: int, size_guard: int):
-    if n > size_guard:
-        raise CombinatorialBlowupError(n, size_guard)
+def _check_guard(n: int):
+    if n > SIZE_GUARD:
+        raise CombinatorialBlowupError(n)
 
 
-def enumerate_partitions(n: int, size_guard: int = DEFAULT_SIZE_GUARD) -> Iterator[SetPartition]:
+def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     """Stream every partition of ``{0, ..., n-1}`` exactly once, in
     restricted-growth-string order: the walk of a shape with no groups."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_guard(n, size_guard)
+    _check_guard(n)
     yield from _walk((), n)
 
 
-def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) -> Iterator[SetPartition]:
+def enumerate_restricted(groups, tail=()) -> Iterator[SetPartition]:
     """Partitions of the concatenation of groups and tail with no block
     internal to any one group.  Blocks inside the tail are permitted.
 
@@ -95,7 +93,7 @@ def enumerate_restricted(groups, tail=(), size_guard: int = DEFAULT_SIZE_GUARD) 
     total = sum(lengths) + len(tail)
     if total < 1:
         raise ValueError("need at least one position")
-    _check_guard(total, size_guard)
+    _check_guard(total)
     yield from _restricted_shape(lengths, len(tail))
 
 

@@ -19,7 +19,6 @@ from wickfield.clustering import (
 )
 from wickfield.cumulants import (
     CumulantTable,
-    cumulant,
     moments_from_cumulants,
     wick_expansion,
     wick_product_expectation,
@@ -37,10 +36,15 @@ from wickfield.fields import (
     random_discrete_field,
     sinc_coupling_example,
 )
-from wickfield.indexing import SiteRef
+from wickfield.indexing import SiteRef, canonical
 from wickfield.partitions import factorial_partition_sum, verify_comb_est
 
-from conftest import direct_wick_product_expectation, mobius_cumulant, refs
+from conftest import (
+    combinations_cumulant,
+    direct_wick_product_expectation,
+    mobius_cumulant,
+    refs,
+)
 
 
 def announce(capsys, num, ok, detail):
@@ -193,7 +197,8 @@ def test_criterion_6_cumulant_machinery(capsys):
     perm_err = max(abs(table.cumulant(tuple(seq5[i] for i in perm)) - base)
                    for perm in itertools.islice(
                        itertools.permutations(range(5)), 0, None, 7))
-    anchor_err = max(abs(cumulant(f, seq5, anchor=a) - base)
+    key5 = tuple(zip(canonical(seq5)))
+    anchor_err = max(abs(combinations_cumulant(f, key5, a) - base)
                      for a in range(5))
     wick_err = max(abs(wick_expansion(f, refs(*labels)).expectation(f))
                    for labels in [(0,), (0, 1), (0, 1, 2), (0, 0, 1, 1),
@@ -210,7 +215,7 @@ def test_criterion_7_duhamel_residual(capsys):
     zero_ok = True
     cfg0 = DnlsConfig(length=32, n_samples=10_000, coupling=0.0, seed=1)
     times0 = [round(t / cfg0.dt) * cfg0.dt for t in np.linspace(0, 50, 11)]
-    for row in duhamel_residual(correlation_series(cfg0, times0), cfg0):
+    for row in duhamel_residual(correlation_series(cfg0, times0)):
         zero_ok = zero_ok and row["residual"] <= 3 * row["noise_scale"] + 1e-12
 
     fits = {}
@@ -219,7 +224,7 @@ def test_criterion_7_duhamel_residual(capsys):
         horizon = min(50.0, 1.0 / lam)
         times = [round(t / cfg.dt) * cfg.dt
                  for t in np.linspace(0, horizon, 11)]
-        rows = duhamel_residual(correlation_series(cfg, times), cfg)
+        rows = duhamel_residual(correlation_series(cfg, times))
         fits[lam] = fit_residual_constant(rows, lam, t_max=1.0 / lam)
     cvals = list(fits.values())
     spread = (max(cvals) - min(cvals)) / max(cvals)

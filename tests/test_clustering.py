@@ -21,6 +21,7 @@ from wickfield.clustering import (
 )
 from wickfield.cumulants import CumulantTable, MomentProvider
 from wickfield.fields import (
+    FiniteDiscreteField,
     GaussianCovarianceField,
     IidComplexGaussianField,
     IidRealGaussianField,
@@ -490,6 +491,21 @@ def test_theorem41_rejects_bad_p():
         theorem41_check(f, Observable.of_site(0), 1, 3, [0])
 
 
+@pytest.mark.parametrize("probs,value", [((0.5, 0.5), 1.0), ((0.1,) * 10, 0.1)],
+                         ids=["zero", "below-zero"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_theorem41_rejects_an_observable_that_does_not_vary(probs, value, p):
+    # site 1 takes one value on every atom, so cov(X*, X) is 0 up to
+    # rounding: at 0.0 the check used to flag false, and at -3.5e-18 sqrt
+    # failed with a bare math domain error
+    f = FiniteDiscreteField([0, 1], [(q, (i, value)) for i, q in enumerate(probs)])
+    X = Observable.of_site(1)
+    with pytest.raises(ValueError, match=r"cov\(X\*, X\) = .* is not positive: "
+                                         r"the observable .*SiteRef\(site=1"):
+        theorem41_check(f, X, 1, p, [0, 1])
+    assert theorem41_check(f, Observable.of_site(0), 1, p, [0, 1]).flag
+
+
 @pytest.mark.parametrize("p", [math.nan, -1, 0, 0.5, -math.inf])
 def test_clustering_norm_rejects_p_outside_one_to_inf(rng, p):
     # p = -1 used to give a positive "norm" and p = nan 0.0; p = 0 divided
@@ -552,6 +568,21 @@ def test_empty_boxes_and_anchor_sets_are_rejected(two_field_provider):
         for call in group:
             with pytest.raises(ValueError, match=f"^{name} is empty$"):
                 call()
+
+
+@pytest.mark.parametrize("m,xprime", [
+    (1, (("psi", 0), ("psi", 1), ("psi", 0))),
+    (1, ()),
+    (2, (("psi", 0),)),
+], ids=["m1-three-sites", "m1-no-site", "m2-one-site"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_joint_theorem_rejects_xprime_of_another_length(two_field_provider, m, xprime, p):
+    # an x' of three sites at m = 1 used to take order-4 cumulants and
+    # report them as m = 1
+    f = two_field_provider
+    psi, phi = [("psi", 0), ("psi", 1)], [("phi", 0), ("phi", 1)]
+    with pytest.raises(ValueError, match=f"has {len(xprime)} sites, but m = {m}$"):
+        joint_theorem_check(f, m, 1, p, psi, phi, xprime_tuples=[(psi[0],) * m, xprime])
 
 
 def test_joint_theorem_sinc_m1_n1():
@@ -766,6 +797,14 @@ def test_observable_conjugate():
     Xc = X.conjugate()
     assert Xc.terms[0][0] == -1j
     assert Xc.terms[0][1][0].conj is True
+
+
+@pytest.mark.parametrize("radii", [[0, 10], [0.5, 10], [-3, 10], [], [10], [10, 10]])
+def test_divergence_probe_rejects_bad_radii(radii):
+    # [0, 10] read the whole partial-sum array's last entry as S_0, [] failed
+    # with IndexError and [10] fitted a line through one point
+    with pytest.raises(ValueError, match="two or more distinct radii >= 1"):
+        l1_divergence_probe(sinc_coupling_example(), radii)
 
 
 def test_divergence_probe_sinc():

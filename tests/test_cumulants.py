@@ -88,10 +88,14 @@ def test_permutation_invariance(perm):
 
 @pytest.mark.parametrize("anchor", range(5))
 def test_anchor_pick_independence(rng, anchor):
+    # the library anchors at position 0; the oracle anchored anywhere else
+    # gives the same value up to rounding
     f = random_discrete_field(rng, sites=[0, 1])
     seq = refs(0, 1, 0, 1, 1)
-    assert cumulant(f, seq, anchor=anchor) == pytest.approx(
-        cumulant(f, seq, anchor=0), abs=1e-12)
+    key = tuple(zip(canonical(seq)))
+    got = cumulant(f, seq)
+    assert got == combinations_cumulant(f, key, 0)
+    assert combinations_cumulant(f, key, anchor) == pytest.approx(got, abs=1e-12)
 
 
 @pytest.mark.parametrize("provider,sites", [
@@ -100,23 +104,30 @@ def test_anchor_pick_independence(rng, anchor):
 ], ids=["discrete", "sinc"])
 def test_table_cumulant_equals_joint_cumulant_of_singletons(provider, sites):
     # joint_cumulant hands 1-tuples to cumulant; the two must give the very
-    # same value (repr tells 0j from 0.0), at every anchor and in every
-    # argument order, as both memos fill up.  A compound variable first
-    # memoises singleton keys from moments, which the Gaussian rule must
-    # outrank.
+    # same value (repr tells 0j from 0.0) in every argument order, as both
+    # memos fill up.  A compound variable first memoises singleton keys from
+    # moments, which the Gaussian rule must outrank.  Without the Gaussian
+    # rule the value is the anchor-0 oracle's, bit for bit; the oracle at
+    # every other anchor agrees up to rounding.
     rng = np.random.default_rng(12)
     fast, slow = CumulantTable(provider), CumulantTable(provider)
     s0, s1, s2 = (SiteRef(s) for s in sites)
     for table in (fast, slow):
         table.joint_cumulant(((s0,), (s1,), (s0,), (s1,), (s2, s2)))
+    memo = {}
     for order in range(1, 6):
         seq = tuple(SiteRef(sites[i], bool(c)) for i, c in zip(
             rng.integers(0, len(sites), order), rng.integers(0, 2, order)))
+        key = tuple(zip(canonical(seq)))
         for perm in list(itertools.permutations(seq))[:12]:
-            for anchor in range(order):
-                want = slow.joint_cumulant(tuple((r,) for r in perm), anchor=anchor)
-                got = fast.cumulant(perm, anchor=anchor)
-                assert repr(got) == repr(want), (perm, anchor)
+            want = slow.joint_cumulant(tuple((r,) for r in perm))
+            got = fast.cumulant(perm)
+            assert repr(got) == repr(want), perm
+        if not provider.is_gaussian:
+            assert got == combinations_cumulant(provider, key, 0, memo), seq
+        for anchor in range(order):
+            assert combinations_cumulant(provider, key, anchor, memo) == pytest.approx(
+                got, abs=1e-12), (seq, anchor)
     # every memo key stays canonical: canonical monomials in canonical order
     for key in fast._memo:
         assert key == tuple(sorted((canonical(m) for m in key), key=seq_sort_key))
@@ -148,10 +159,10 @@ def _recursion_providers(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_recursion_plan_matches_inline_combinations(seed):
-    # the per-(order, anchor) plan of subset getters subtracts the same
-    # terms in the same order as combinations enumerated inline, so every
+    # the per-order plan of subset getters subtracts the same terms in the
+    # same order as combinations enumerated inline at anchor 0, so every
     # cumulant of single and compound variables, up to order 8, is equal
-    # bit for bit, at every anchor
+    # bit for bit; the oracle at every other anchor agrees up to rounding
     rng = np.random.default_rng(100 + seed)
     for provider in _recursion_providers(seed):
         sites = provider.sites
@@ -168,13 +179,14 @@ def test_recursion_plan_matches_inline_combinations(seed):
                         rng.integers(0, len(sites), n), rng.integers(0, 2, n)))
                     for n in lengths)
                 key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
-                for anchor in range(k):
-                    want = combinations_cumulant(provider, key, anchor, memo)
-                    got = table.joint_cumulant(variables, anchor=anchor)
-                    assert got == want, (variables, anchor)
-                    if not compound:
-                        seq = tuple(m[0] for m in variables)
-                        assert table.cumulant(seq, anchor=anchor) == want, (seq, anchor)
+                got = table.joint_cumulant(variables)
+                assert got == combinations_cumulant(provider, key, 0, memo), variables
+                if not compound:
+                    seq = tuple(m[0] for m in variables)
+                    assert table.cumulant(seq) == got, seq
+                for anchor in range(1, k):
+                    assert combinations_cumulant(provider, key, anchor, memo) \
+                        == pytest.approx(got, abs=1e-12), (variables, anchor)
 
 
 #: runs of repeated variables, as (site position, conj) per variable
@@ -192,19 +204,21 @@ _REPEATED_KEYS = [
     "abc"[i] + "*" * c for i, c in spec))
 def test_class_plan_matches_per_subset_oracle(seed, spec):
     # one term per class of subsets that pick the same sub-multiset,
-    # subtracted once per subset, equals the per-subset recursion bit for
-    # bit, at every anchor
+    # subtracted once per subset, equals the per-subset recursion at anchor
+    # 0 bit for bit; the oracle at every other anchor agrees up to rounding
     for provider in _recursion_providers(seed):
         sites = provider.sites
         # a provider of two sites folds c onto a
         seq = tuple(SiteRef(sites[i % len(sites)], bool(c)) for i, c in spec)
         key = tuple(zip(canonical(seq)))
         memo = {}
-        for anchor in range(len(seq)):
-            want = combinations_cumulant(provider, key, anchor, memo)
-            assert CumulantTable(provider).cumulant(seq, anchor=anchor) == want, anchor
-            assert CumulantTable(provider).joint_cumulant(
-                tuple((ref,) for ref in seq), anchor=anchor) == want, anchor
+        got = CumulantTable(provider).cumulant(seq)
+        assert got == combinations_cumulant(provider, key, 0, memo)
+        assert CumulantTable(provider).joint_cumulant(
+            tuple((ref,) for ref in seq)) == got
+        for anchor in range(1, len(seq)):
+            assert combinations_cumulant(provider, key, anchor, memo) == pytest.approx(
+                got, abs=1e-12), anchor
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -218,30 +232,26 @@ def test_class_plan_matches_per_subset_oracle_on_compound_keys(seed):
                           ((b, c), (a,), (b, c), (a,), (b, c))]:
             key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
             memo = {}
-            table = CumulantTable(provider)
-            for anchor in range(len(variables)):
-                want = combinations_cumulant(provider, key, anchor, memo)
-                assert table.joint_cumulant(variables, anchor=anchor) == want, \
-                    (variables, anchor)
+            got = CumulantTable(provider).joint_cumulant(variables)
+            assert got == combinations_cumulant(provider, key, 0, memo), variables
+            for anchor in range(1, len(variables)):
+                assert combinations_cumulant(provider, key, anchor, memo) \
+                    == pytest.approx(got, abs=1e-12), (variables, anchor)
 
 
 @pytest.mark.parametrize("runs", [(1,), (3, 1), (2, 2, 1), (6,), (1, 1, 1, 1), (2, 1, 3)])
 def test_subset_plan_has_one_class_per_sub_multiset(runs):
-    # a class per choice of 1..r_anchor positions from the anchor's run and
-    # 0..r from every other run, less the whole key
+    # a class per choice of 1..r_first positions from the first run, which
+    # holds the anchor, and 0..r from every other run, less the whole key
     k = sum(runs)
     same = tuple(itertools.chain.from_iterable(
         [True] * (r - 1) + [False] for r in runs))[:-1]
-    starts = list(itertools.accumulate((0,) + runs[:-1]))
-    for anchor in range(k):
-        mine = max(i for i, start in enumerate(starts) if start <= anchor)
-        want = runs[mine] * math.prod(r + 1 for i, r in enumerate(runs) if i != mine) - 1
-        distinct, order = _subset_plan(k, anchor, same)
-        assert len(distinct) == want, anchor
-        assert len(order) == 2 ** (k - 1) - 1
-        # classes are numbered by first appearance
-        firsts = [order.index(cls) for cls in range(len(distinct))]
-        assert firsts == sorted(firsts) and set(order) == set(range(len(distinct)))
+    distinct, order = _subset_plan(k, same)
+    assert len(distinct) == runs[0] * math.prod(r + 1 for r in runs[1:]) - 1
+    assert len(order) == 2 ** (k - 1) - 1
+    # classes are numbered by first appearance
+    firsts = [order.index(cls) for cls in range(len(distinct))]
+    assert firsts == sorted(firsts) and set(order) == set(range(len(distinct)))
 
 
 @pytest.mark.parametrize("variables", [
@@ -257,20 +267,23 @@ def test_joint_cumulant_with_constant_variable(rng, variables):
     provider = random_discrete_field(rng, sites=[0, 1, 2])
     table = CumulantTable(provider)
     key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
-    for anchor in range(len(variables)):
-        got = table.joint_cumulant(variables, anchor=anchor)
-        assert got == combinations_cumulant(provider, key, anchor), anchor
-        assert got == pytest.approx(0.0, abs=1e-12), anchor
+    got = table.joint_cumulant(variables)
+    assert got == combinations_cumulant(provider, key, 0)
+    assert got == pytest.approx(0.0, abs=1e-12)
+    for anchor in range(1, len(variables)):
+        assert combinations_cumulant(provider, key, anchor) == pytest.approx(
+            got, abs=1e-12), anchor
 
 
 def test_joint_cumulant_anchor_independence(rng):
     f = random_discrete_field(rng, sites=[0, 1, 2])
     table = CumulantTable(f)
     variables = (refs(0, 1), refs(2), refs(0, 2))
-    base = table.joint_cumulant(variables, anchor=0)
+    key = tuple(sorted((canonical(m) for m in variables), key=seq_sort_key))
+    base = table.joint_cumulant(variables)
+    assert base == combinations_cumulant(f, key, 0)
     for anchor in (1, 2):
-        assert table.joint_cumulant(variables, anchor=anchor) == pytest.approx(
-            base, abs=1e-12)
+        assert combinations_cumulant(f, key, anchor) == pytest.approx(base, abs=1e-12)
 
 
 def test_joint_cumulant_compound_vs_mobius(rng):
@@ -350,52 +363,6 @@ def test_single_route_guards(name, route):
         kappa(table, refs(*([0] * (provider.max_order + 1))))
     assert kappa(table, refs(*([0] * provider.max_order))) == cumulant(
         provider, refs(*([0] * provider.max_order)))
-
-
-ANCHOR_PROVIDERS = dict(GUARD_PROVIDERS, **{
-    "discrete-3": lambda: random_discrete_field(np.random.default_rng(5), sites=[0, 1, 2]),
-    "ensemble": lambda: EnsembleEstimator(
-        [0, 1, 2], np.random.default_rng(5).normal(size=(50, 3))),
-})
-
-
-@pytest.mark.parametrize("anchor", [-1, -3, 3, 4])
-@pytest.mark.parametrize("name", sorted(ANCHOR_PROVIDERS))
-def test_anchor_outside_the_positions_is_rejected(name, anchor):
-    # an anchor names one of the k variables; a negative one used to count
-    # from the end of the canonical key and return another value silently
-    provider = ANCHOR_PROVIDERS[name]()
-    table = CumulantTable(provider)
-    seq = refs(0, 1, 0)
-    calls = [
-        lambda: table.cumulant(seq, anchor=anchor),
-        lambda: table.joint_cumulant(tuple((r,) for r in seq), anchor=anchor),
-        lambda: table.joint_cumulant((refs(0, 1), refs(1), refs(0)), anchor=anchor),
-        lambda: cumulant(provider, seq, anchor=anchor),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=f"anchor {anchor} is not a position of 3"):
-            call()
-    assert not table._memo
-    # every anchor inside the positions gives the anchor-0 value up to rounding
-    want = table.cumulant(seq)
-    for inside in range(3):
-        assert table.cumulant(seq, anchor=inside) == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("name", sorted(ANCHOR_PROVIDERS))
-def test_float_anchor_is_rejected_and_leaves_integer_anchors_working(name):
-    # 1.0 == 1 and hashes alike, so a plan built for a float anchor would be
-    # the one cached for the integer anchor, and every later anchor-1 call
-    # in the process would fail on its float index
-    provider = ANCHOR_PROVIDERS[name]()
-    table = CumulantTable(provider)
-    seq = refs(0, 1, 0)
-    for variables in (tuple((r,) for r in seq), (refs(0, 1), refs(1), refs(0))):
-        with pytest.raises(ValueError, match="anchor 1.0 is not a position of 3"):
-            table.joint_cumulant(variables, anchor=1.0)
-        assert table.joint_cumulant(variables, anchor=np.int64(1)) \
-            == table.joint_cumulant(variables, anchor=1)
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_PROVIDERS))

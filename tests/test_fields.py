@@ -27,10 +27,30 @@ from conftest import complex_product_moment, complex_product_standard_error, ref
 def test_discrete_validation():
     with pytest.raises(ValueError):
         FiniteDiscreteField([0], [(0.5, (1,)), (0.6, (0,))])  # sums to 1.1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         FiniteDiscreteField([0], [(-0.1, (1,)), (1.1, (0,))])
     with pytest.raises(ValueError):
         FiniteDiscreteField([0, 1], [(1.0, (1,))])  # wrong vector length
+
+
+def test_discrete_rejects_repeated_sites():
+    # with two columns for site 0, E[y_0] used to read the second one
+    with pytest.raises(ValueError, match="site labels must be distinct; repeated: 0"):
+        FiniteDiscreteField([0, 0], [(0.5, (1, 2)), (0.5, (3, 10))])
+
+
+@pytest.mark.parametrize("atoms", [
+    [(math.nan, (1,)), (1.0, (0,))],
+    [(math.inf, (1,)), (0.0, (0,))],
+    [(0.5, (math.nan,)), (0.5, (1,))],
+    [(0.5, (-math.inf,)), (0.5, (1,))],
+    [(0.5, (complex(1.0, math.nan),)), (0.5, (1,))],
+], ids=["nan-probability", "inf-probability", "nan-value", "minus-inf-value",
+        "complex-nan-value"])
+def test_discrete_rejects_non_finite_atoms(atoms):
+    # a NaN probability passed the sum check and made every moment NaN
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\] and values be finite"):
+        FiniteDiscreteField([0], atoms)
 
 
 def test_discrete_moments_exact():

@@ -57,10 +57,10 @@ def test_blocks_sorted_by_minimum():
 
 
 def test_size_guard():
-    with pytest.raises(CombinatorialBlowupError):
+    with pytest.raises(CombinatorialBlowupError, match="partitions of 15 elements") as err:
         list(enumerate_partitions(15))
-    with pytest.raises(CombinatorialBlowupError):
-        list(enumerate_partitions(5, size_guard=4))
+    assert err.value.n == 15
+    assert "size_guard" not in str(err.value)
 
 
 def test_from_blocks_validation():
@@ -204,5 +204,6 @@ def test_restricted_every_shape_matches_filter():
 
 
 def test_restricted_keeps_size_guard():
-    with pytest.raises(CombinatorialBlowupError):
-        list(enumerate_restricted(((0, 1, 2),), tail=(3, 4), size_guard=4))
+    with pytest.raises(CombinatorialBlowupError, match="partitions of 15 elements"):
+        list(enumerate_restricted((tuple(range(5)), tuple(range(5, 10))),
+                                  tail=tuple(range(10, 15))))
