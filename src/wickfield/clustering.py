@@ -10,10 +10,18 @@ value per multiset of box sites.
 Lattice sums are truncated to caller-supplied boxes; no report bounds the
 tail beyond its box.
 
+A Phi_n row is one gather per chunk of box^n: ``_row_plan``, built once
+per process for each n, box size and vanishing rule, enumerates the
+restricted partitions once and records, for each block, where its block
+tensor starts in one vector and how the x digits index it; the row fills
+that vector and multiplies and adds the gathered values along outer axes,
+which numpy folds left to right.
+
 Every check on one ``CumulantTable`` shares what it derives from the
 cumulants: each clustering norm (by n, p, box and anchors), each Phi_n row
-(by n, x' in the order given and box) and each map of |kappa|^2 over box^n
-(by the fixed arguments, n and box) is built once per table, through
+(by n, x' in the order given and box), each block tensor of a row (by its
+x' sites, its number of x sites and box) and each map of |kappa|^2 over
+box^n (by the fixed arguments, n and box) is built once per table, through
 ``CumulantTable.derived``.  A call without a table builds a fresh one, so
 nothing is shared; a table built on another provider is refused.
 """
@@ -21,6 +29,7 @@ nothing is shared; a table built on another provider is refused.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -97,11 +106,25 @@ def _field_id(provider) -> str:
 
 def _require_nonempty(name: str, items) -> tuple:
     """The sites or anchors as a tuple; ValueError if there are none, since
-    a sum or sup over nothing is 0 and would pass a check vacuously."""
+    a sum or sup over nothing is 0 and would pass a check vacuously, or if
+    one repeats, since a sum would count it twice where a dict row over the
+    same box counts it once."""
     items = tuple(items)
     if not items:
         raise ValueError(f"{name} is empty")
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{name} repeats {item!r}")
+        seen.add(item)
     return items
+
+
+def _require_p(p) -> None:
+    """The weighted checks exist for p = 1 and p = 2 only; p is an int, so
+    the report's id and witnesses name it as the caller meant it."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, not {p!r}")
 
 
 def _norm_accumulate(values, p: float) -> float:
@@ -201,13 +224,16 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     n + n positions of the products of their block cumulants, less the
     partitions with a block that ``CumulantTable.singletons_vanish``.  Each
     block's cumulants over the box are looked up once per multiset of box
-    sites and multiplied over all of box^n at once, so every entry adds the
+    sites and kept on the table; the row gathers them through a plan of
+    the partitions, about 2^18 values at a time, so every entry adds the
     partitions, and multiplies their blocks, in the order the restricted
     expansion of that one x does.  Only the table checks orders.
 
     The row is built once per table, n, box and x' in the order given: it is
     symmetric in x' too, but a permuted x' may round differently.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     xprime, box_sites = tuple(xprime), _require_nonempty("the kernel box", box_sites)
     if len(xprime) != n:
         raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
@@ -217,35 +243,104 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     return KernelRow(values)
 
 
+#: about this many block values are gathered per chunk of a Phi_n row
+_GATHER_CHUNK = 1 << 18
+
+
+@lru_cache(maxsize=32)
+def _row_plan(n: int, size: int, vanish: tuple) -> tuple:
+    """How every Phi_n row over a box of ``size`` sites is gathered.
+
+    ``vanish[k]`` tells whether every cumulant of k single field variables
+    is zero; the restricted partitions of the n + n positions with such a
+    block are dropped.  A block with the x' positions L and r x positions
+    reads its block tensor, kappa[x'_L*, phi(z_1), ..., phi(z_r)] for z in
+    box^r in product order, at the digits of its x positions, the first
+    the most significant.  The row lays the tensors out after an exact 1.0
+    pad in one vector.  A partition's blocks fill its last slots in order;
+    the slots before them, slot 0 among them, read the pad.
+
+    A chunk of the row holds the entries of box^n, in product order, that
+    share their first n - low digits.  Returns (keys, high, local):
+
+    * keys: the distinct (L, r), in first-use order, whose tensors the
+      vector holds;
+    * high, shape (slots, partitions, n - low): the weight of each of those
+      digits in a slot's index into the vector;
+    * local, shape (slots, width, partitions): each slot's index at each
+      entry of the chunk whose first n - low digits are 0.
+
+    width is size^low, about ``_GATHER_CHUNK`` / (slots * partitions), and
+    2 for a box of one site, whose one entry is then gathered twice: numpy
+    folds a reduction left to right only while an axis of at least 2 lies
+    inside the reduced one.  Indices are integers, so exact.
+    """
+    keys = {}
+    parts = []
+    for part in enumerate_restricted((range(n), range(n))):
+        if any(vanish[len(b)] for b in part.blocks):
+            continue
+        blocks = []
+        for b in part.blocks:
+            lefts = tuple(i for i in b if i < n)
+            key = keys.setdefault((lefts, len(b) - len(lefts)), len(keys))
+            blocks.append((key, b[len(lefts):]))
+        parts.append(blocks)
+    starts = [1]
+    for _, r in keys:
+        starts.append(starts[-1] + size ** r)
+    slots = 1 + max(map(len, parts), default=0)
+    offsets = np.zeros((slots, len(parts)), dtype=np.intp)
+    weights = np.zeros((slots, len(parts), n), dtype=np.intp)
+    for p, blocks in enumerate(parts):
+        for s, (key, xs) in enumerate(blocks, start=slots - len(blocks)):
+            offsets[s, p] = starts[key]
+            for axis, j in enumerate(xs):
+                weights[s, p, j - n] = size ** (len(xs) - 1 - axis)
+    low = 1
+    while low < n and offsets.size * size ** (low + 1) <= _GATHER_CHUNK:
+        low += 1
+    places = size ** np.arange(low - 1, -1, -1, dtype=np.intp)
+    digits = np.arange(max(2, size ** low), dtype=np.intp) // places[:, None] % size
+    high = np.ascontiguousarray(weights[..., :n - low])
+    local = np.ascontiguousarray(
+        (weights[..., n - low:] @ digits).transpose(0, 2, 1) + offsets[:, None, :])
+    high.flags.writeable = local.flags.writeable = False  # every row shares them
+    return tuple(keys), high, local
+
+
 def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
-    """The Phi_n row over box^n in product order.  A block with the x'
-    positions L and r x positions multiplies in its block tensor,
-    kappa[x'_L*, phi(z_1), ..., phi(z_r)] for z in box^r, on the axes of its
-    x positions; each (L, r) tensor is built once per row."""
+    """The Phi_n row over box^n in product order, gathered through
+    ``_row_plan`` one chunk at a time.  Each entry multiplies every
+    partition's slots in slot order and adds the partitions to 0.0 in plan
+    order; both reductions run along the outermost axis, so numpy folds
+    them left to right, and each entry rounds as the restricted expansion
+    of its own x does."""
     left = tuple(SiteRef(s, True) for s in xprime)
     right = tuple(SiteRef(s) for s in box_sites)
     size = len(box_sites)
-    tensors = {}
-    total = np.zeros((size,) * n, dtype=complex)
-    for part in enumerate_restricted((left, left)):
-        if any(table.singletons_vanish(len(b)) for b in part.blocks):
-            continue
-        term = 1.0 + 0.0j
-        for block in part.blocks:
-            lefts = tuple(i for i in block if i < n)
-            r = len(block) - len(lefts)
-            if (lefts, r) not in tensors:
-                head = tuple(left[i] for i in lefts)
-                tensors[lefts, r] = np.array(_symmetric_walk(
-                    lambda z: table.cumulant(head + z), right, r), dtype=complex)
-            # a block's positions are sorted: its x positions come last, in
-            # the order of the tensor's axes
-            shape = [1] * n
-            for j in block[len(lefts):]:
-                shape[j - n] = size
-            term = term * tensors[lefts, r].reshape(shape)
-        total += term
-    return dict(zip(product(box_sites, repeat=n), total.ravel().tolist()))
+    keys, high, local = _row_plan(
+        n, size, tuple(table.singletons_vanish(k) for k in range(2 * n + 1)))
+    vector = np.concatenate([np.ones(1, dtype=complex)] + [
+        _block_tensor(table, tuple(left[i] for i in lefts), r, right, box_sites)
+        for lefts, r in keys])
+    places = size ** np.arange(high.shape[-1] - 1, -1, -1, dtype=np.intp)
+    width, parts = local.shape[1:]
+    terms = np.zeros((parts + 1, width), dtype=complex)  # row 0 stays 0.0
+    total = np.empty((-(-size ** n // width), width), dtype=complex)
+    for chunk, out in enumerate(total):
+        index = local + (high @ (chunk // places % size))[:, None, :]
+        terms[1:] = np.multiply.reduce(vector[index], axis=0).T
+        np.add.reduce(terms, axis=0, out=out)
+    return dict(zip(product(box_sites, repeat=n), total.ravel()[:size ** n].tolist()))
+
+
+def _block_tensor(table: CumulantTable, head, r: int, right, box_sites):
+    """kappa[head, phi(z_1), ..., phi(z_r)] for z in box^r, in product
+    order, built once per table, head and box: rows whose x' share a head
+    share it.  Do not change it."""
+    return table.derived(("block", head, r, box_sites), lambda: np.array(
+        _symmetric_walk(lambda z: table.cumulant(head + z), right, r), dtype=complex))
 
 
 def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> dict:
@@ -325,13 +420,12 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     p=2: the Phi_n-weighted l2-sum (sup over x' anchors) against
          sqrt(cov) M_2n(phi;2)^(2n) e^(2n) (2n)!.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
+    _require_p(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     box_sites = _require_nonempty("the box", box_sites)
     if xprime_anchors is not None:
-        xprime_anchors = _require_nonempty("the x' anchor set", xprime_anchors)
+        xprime_anchors = _require_nonempty("the x' anchor set", map(tuple, xprime_anchors))
     table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
@@ -384,19 +478,18 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
 
     M_joint = max(M_2m(psi; inf), M_2n(phi; 1 or 2)), gamma = 2e.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
+    _require_p(p)
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
     psi_sites = _require_nonempty("the psi box", psi_sites)
     phi_box = _require_nonempty("the phi box", phi_box)
     if xprime_tuples is not None:
-        xprime_tuples = _require_nonempty("the x' anchor set", xprime_tuples)
+        xprime_tuples = _require_nonempty("the x' anchor set", map(tuple, xprime_tuples))
         for xp in xprime_tuples:
             if len(xp) != m:
                 raise ValueError(f"x' {tuple(xp)!r} has {len(xp)} sites, but m = {m}")
     if y_tuples is not None:
-        y_tuples = _require_nonempty("the y anchor set", y_tuples)
+        y_tuples = _require_nonempty("the y anchor set", map(tuple, y_tuples))
     table = table_for(provider, table)
     if psi_norm_box is None:
         psi_norm_box = psi_sites

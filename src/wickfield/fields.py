@@ -73,19 +73,24 @@ class FiniteDiscreteField(MomentProvider):
             if len(values) != len(self.sites):
                 raise ValueError("atom value vector length != number of sites")
 
-    def _value(self, values, ref: SiteRef) -> complex:
+    def _column(self, ref: SiteRef) -> tuple:
+        """The value column of the ref's site, and whether to conjugate it."""
         try:
-            v = values[self._index[ref.site]]
+            return self._index[ref.site], ref.conj
         except KeyError:
             raise KeyError(f"unknown site {ref.site!r}") from None
-        return v.conjugate() if ref.conj else v
+
+    def _value(self, values, ref: SiteRef) -> complex:
+        column, conj = self._column(ref)
+        return values[column].conjugate() if conj else values[column]
 
     def moment(self, sequence: IndexSequence) -> complex:
+        columns = [self._column(ref) for ref in sequence]
         total = 0.0 + 0.0j
         for p, values in self.atoms:
             prod = 1.0 + 0.0j
-            for ref in sequence:
-                prod *= self._value(values, ref)
+            for column, conj in columns:
+                prod *= values[column].conjugate() if conj else values[column]
             total += p * prod
         return total
 

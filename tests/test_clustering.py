@@ -1,10 +1,14 @@
+import functools
 import math
+import operator
+import re
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
 
-from wickfield import cumulants
+from wickfield import clustering, cumulants
 from wickfield.clustering import (
     GAMMA,
     Observable,
@@ -245,6 +249,56 @@ def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
     assert set(tensors) == want
     for (lefts, r), multisets in tensors.items():
         assert multisets == list(combinations_with_replacement(box, r)), (lefts, r)
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 5), (2, 9, 13), (5, 2, 1), (11, 4, 3),
+                                   (1, 3, 7), (6, 121, 120)])
+def test_numpy_outer_axis_reductions_are_left_folds(shape):
+    # a Phi_n row multiplies each partition's slots with np.multiply.reduce
+    # along axis 0 of (slots, entries, partitions), and adds the partitions
+    # with np.add.reduce along axis 0 of (partitions, entries): both must be
+    # the left folds the restricted expansion runs, bit for bit.  The fold
+    # multiplies with numpy, as the expansion over a box did before rows
+    # were gathered: numpy's complex multiply may round otherwise than
+    # Python's.  The row keeps an axis of at least 2 inside the reduced one.
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.multiply.reduce(a, axis=0).tobytes() == \
+        functools.reduce(np.multiply, a).tobytes()
+    b = a.reshape(shape[0], -1)
+    want = np.array([functools.reduce(operator.add, column) for column in b.T.tolist()])
+    assert np.add.reduce(b, axis=0).tobytes() == want.tobytes()
+
+
+def _sinc_lemma_row():
+    """The widest row verify-bounds builds: Phi_5 of the sinc pair at x' =
+    (phi 0,) * 5 over the 11 sites phi -5..5, 161,051 entries."""
+    box = [("phi", x) for x in range(-20, 21)][15:26]
+    return phi_kernel(sinc_coupling_example(), 5, (("phi", 0),) * 5, box).values
+
+
+def test_phi_row_chunks_agree_and_bound_memory(monkeypatch):
+    # all of box^5 at once would gather 116 M values, and its indices alone
+    # would take 0.9 GB; the row gathers about 2^18 values at a time, so
+    # its peak is near the 25 MiB its dict of entries keeps
+    clustering._row_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        want = _sinc_lemma_row()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, (kept, peak)
+    monkeypatch.setattr(clustering, "_GATHER_CHUNK", 1)
+    clustering._row_plan.cache_clear()
+    try:
+        vanish = tuple(k != 2 for k in range(11))
+        assert clustering._row_plan(5, 11, vanish)[2].shape[1] == 11
+        got = _sinc_lemma_row()
+    finally:
+        clustering._row_plan.cache_clear()
+    assert list(got) == list(want)
+    assert got == want
 
 
 _DISCRETE = random_discrete_field(np.random.default_rng(2), sites=[0, 1, 2])
@@ -491,6 +545,26 @@ def test_theorem41_rejects_bad_p():
         theorem41_check(f, Observable.of_site(0), 1, 3, [0])
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, True, False, 1.5, "1"])
+@pytest.mark.parametrize("check", ["theorem41", "joint"])
+def test_weighted_checks_reject_p_that_is_not_an_int(check, p):
+    # p = 1.0 used to give the id observable-cumulant-l2-p1.0, and p = True
+    # was accepted and echoed in the witnesses
+    with pytest.raises(ValueError, match=f"^p must be 1 or 2, not {p!r}$"):
+        if check == "theorem41":
+            theorem41_check(_DISCRETE, Observable.of_site(2), 1, p, [0, 1])
+        else:
+            joint_theorem_check(_DISCRETE, 1, 1, p, [2], [0, 1])
+
+
+@pytest.mark.parametrize("p", [1, 2, np.int64(2)])
+def test_weighted_checks_accept_integer_p(p):
+    rep = theorem41_check(_DISCRETE, Observable.of_site(2), 1, p, [0, 1])
+    assert rep.inequality_id == f"observable-cumulant-l2-p{int(p)}"
+    rep = joint_theorem_check(_DISCRETE, 1, 1, p, [2], [0, 1])
+    assert rep.inequality_id == f"joint-cumulant-l2-p{int(p)}"
+
+
 @pytest.mark.parametrize("probs,value", [((0.5, 0.5), 1.0), ((0.1,) * 10, 0.1)],
                          ids=["zero", "below-zero"])
 @pytest.mark.parametrize("p", [1, 2])
@@ -531,6 +605,18 @@ def test_zero_orders_are_rejected(two_field_provider):
             theorem41_check(f, Observable.of_site(("psi", 0)), 0, p, [("phi", 0)])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: phi_kernel(_DISCRETE, 0, (), [0, 1]),
+    lambda: lemma_check(_DISCRETE, 0, 1.0, (), [0, 1]),
+    lambda: phi_kernel(_DISCRETE, -1, (), [0, 1]),
+], ids=["phi_kernel", "lemma", "phi_kernel-negative"])
+def test_kernel_rows_reject_order_below_one(call):
+    # the restricted partitions of no positions used to fail with their own
+    # "need at least one position"
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        call()
+
+
 def test_clustering_norm_accepts_p_at_the_ends(rng):
     f = random_discrete_field(rng, sites=[0, 1, 2])
     for p in (1, 1.0, 1.5, math.inf):
@@ -568,6 +654,46 @@ def test_empty_boxes_and_anchor_sets_are_rejected(two_field_provider):
         for call in group:
             with pytest.raises(ValueError, match=f"^{name} is empty$"):
                 call()
+
+
+_X2 = Observable.of_site(2)
+
+
+@pytest.mark.parametrize("name,repeated,call", [
+    ("the norm box", 1, lambda: clustering_norm(_DISCRETE, 2, 1, [0, 1, 1])),
+    ("the anchor set", 1,
+     lambda: clustering_norm(_DISCRETE, 2, 1, [0, 1], anchors=[1, 0, 1])),
+    ("the norm box", 0, lambda: magnitude_constants(_DISCRETE, 1, 2, [0, 1, 0])),
+    ("the kernel box", 1, lambda: phi_kernel(_DISCRETE, 1, (0,), [0, 1, 1])),
+    ("the kernel box", 1, lambda: lemma_check(_DISCRETE, 1, 1, (0,), [0, 1, 1])),
+    ("the norm box", 2,
+     lambda: lemma_check(_DISCRETE, 1, 1, (0,), [0, 1], norm_box=[2, 2])),
+    ("the box", 1, lambda: theorem41_check(_DISCRETE, _X2, 1, 1, [0, 1, 1])),
+    ("the norm box", 0,
+     lambda: theorem41_check(_DISCRETE, _X2, 1, 1, [0, 1], norm_box=[0, 0])),
+    ("the x' anchor set", (0, 1),
+     lambda: theorem41_check(_DISCRETE, _X2, 2, 2, [0, 1],
+                             xprime_anchors=[(0, 1), [0, 1]])),
+    ("the psi box", 2, lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2, 2], [0, 1])),
+    ("the phi box", 1, lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2], [0, 1, 1])),
+    ("the norm box", 1, lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2], [0, 1],
+                                                    phi_norm_box=[1, 1])),
+    ("the x' anchor set", (2,),
+     lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2], [0, 1],
+                                 xprime_tuples=[(2,), (2,)])),
+    ("the y anchor set", (1, 0),
+     lambda: joint_theorem_check(_DISCRETE, 1, 2, 2, [2], [0, 1],
+                                 y_tuples=[(1, 0), (0, 0), (1, 0)])),
+], ids=["clustering_norm-box", "clustering_norm-anchors", "magnitude_constants",
+        "phi_kernel", "lemma-box", "lemma-norm-box", "theorem41-box",
+        "theorem41-norm-box", "theorem41-xprime", "joint-psi-box", "joint-phi-box",
+        "joint-norm-box", "joint-xprime", "joint-y"])
+def test_repeated_sites_and_anchors_are_rejected(name, repeated, call):
+    # clustering_norm(f, 2, 1, [0, 1, 1]) used to count site 1 twice, while
+    # the checks' dict rows over box^n silently counted it once
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} repeats "
+                                         f"{re.escape(repr(repeated))}$"):
+        call()
 
 
 @pytest.mark.parametrize("m,xprime", [

@@ -69,8 +69,40 @@ def test_discrete_conjugation():
 
 def test_discrete_unknown_site():
     f = FiniteDiscreteField([0], [(1.0, (1,))])
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown site 99"):
         f.moment(refs(99))
+    with pytest.raises(KeyError, match="unknown site 99"):
+        f.moment((SiteRef(0), SiteRef(99, True)))
+
+
+def _atom_by_atom_moment(field, sequence):
+    """E[y^I] as a running product from 1 per atom, looking every ref's
+    value up in turn, added atom by atom."""
+    total = 0.0 + 0.0j
+    for p, values in field.atoms:
+        prod = 1.0 + 0.0j
+        for ref in sequence:
+            v = values[field.sites.index(ref.site)]
+            prod *= v.conjugate() if ref.conj else v
+        total += p * prod
+    return total
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("conjugates", [False, True], ids=["plain", "conjugated"])
+def test_discrete_moment_equals_atom_by_atom_product(seed, conjugates):
+    rng = np.random.default_rng(seed)
+    sites = ["a", "b", "c", "d"]
+    probs = rng.random(5) + 0.05
+    probs /= probs.sum()
+    values = rng.uniform(-1, 1, (5, len(sites))) + 1j * rng.uniform(-1, 1, (5, len(sites)))
+    f = FiniteDiscreteField(sites, [(q, tuple(v)) for q, v in zip(probs, values)])
+    for order in range(0, 9):
+        for _ in range(6):
+            labels = rng.integers(0, len(sites), order)
+            conj = rng.integers(0, 2, order) if conjugates else [0] * order
+            seq = tuple(SiteRef(sites[i], bool(c)) for i, c in zip(labels, conj))
+            assert f.moment(seq) == _atom_by_atom_moment(f, seq), seq
 
 
 # --- Gaussian moment providers --------------------------------------------
