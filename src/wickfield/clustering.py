@@ -3,19 +3,18 @@ numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set, chosen by ``_anchor_tuples``: one anchor for
-translation-invariant fields.  Cumulants are symmetric in their arguments,
-so every sum of cumulants over box^k, and every block of cumulants a Wick
-kernel row multiplies, goes through ``_symmetric_walk``, which looks up one
-value per multiset of box sites.
-Lattice sums are truncated to caller-supplied boxes; no report bounds the
-tail beyond its box.
+translation-invariant fields.  Lattice sums are truncated to
+caller-supplied boxes; no report bounds the tail beyond its box.
 
-A Phi_n row is one gather per chunk of box^n: ``_row_plan``, built once
-per process for each n, box size and vanishing rule, enumerates the
-restricted partitions once and records, for each block, where its block
-tensor starts in one vector and how the x digits index it; the row fills
-that vector and multiplies and adds the gathered values along outer axes,
-which numpy folds left to right.
+Phi_n rows, block tensors and maps of |kappa|^2 are read-only arrays in
+product order over box^k; ``_symmetric_walk`` fills each tensor and map
+with one cumulant lookup per multiset of box sites, and every lp sum is
+the one left fold in ``_norm_accumulate``.  A Phi_n row is one gather per
+chunk of box^n: ``_row_plan``, built once per process for each n, box
+size and vanishing rule, lists the restricted partitions and, for each
+block, where its block tensor starts in one vector and how the x digits
+index it; the row multiplies and adds the gathered values along outer
+axes, which numpy folds left to right.
 
 Every check on one ``CumulantTable`` shares what it derives from the
 cumulants: each clustering norm (by n, p, box and anchors), each Phi_n row
@@ -55,14 +54,21 @@ class MagnitudeConstants:
         return self.values[-1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KernelRow:
     """One row x' -> { x : Phi_n(x', x) } of the order-n Wick kernel.
 
-    ``values`` is the dict kept on the CumulantTable the row was built on,
-    so every check on that table reads the same one; do not change it."""
+    ``entries`` is the read-only array of Phi_n(x', x) over product(box_sites,
+    repeat=n) that every check on the row's CumulantTable shares; ``values``
+    builds the dict {x: Phi_n(x', x)} from it on each access."""
 
-    values: dict
+    n: int
+    box_sites: tuple
+    entries: np.ndarray
+
+    @property
+    def values(self) -> dict:
+        return dict(zip(product(self.box_sites, repeat=self.n), self.entries.tolist()))
 
 
 class Observable:
@@ -107,8 +113,7 @@ def _field_id(provider) -> str:
 def _require_nonempty(name: str, items) -> tuple:
     """The sites or anchors as a tuple; ValueError if there are none, since
     a sum or sup over nothing is 0 and would pass a check vacuously, or if
-    one repeats, since a sum would count it twice where a dict row over the
-    same box counts it once."""
+    one repeats, since a sum would count it twice."""
     items = tuple(items)
     if not items:
         raise ValueError(f"{name} is empty")
@@ -128,31 +133,36 @@ def _require_p(p) -> None:
 
 
 def _norm_accumulate(values, p: float) -> float:
+    """The lp norm of a non-empty array of values >= 0, p in [1, inf]; a cumulative
+    sum adds the p-th powers left to right, alike on every numpy and Python."""
     if p == math.inf:
-        return max(values, default=0.0)
-    return sum(v ** p for v in values) ** (1.0 / p)
+        return float(values.max())
+    return float(np.add.accumulate(values ** p)[-1]) ** (1.0 / p)
 
 
 @lru_cache(maxsize=32)
 def _multiset_expansion(size: int, k: int) -> tuple:
     """The multisets of k positions in range(size), as sorted tuples in
-    combinations_with_replacement order, and for each x in
-    product(range(size), repeat=k), in product order, the index of the
-    multiset of x."""
+    combinations_with_replacement order, and a read-only intp array that
+    holds, for each x in product(range(size), repeat=k), in product order,
+    the index of the multiset of x."""
     multisets = tuple(combinations_with_replacement(range(size), k))
     rank = {ms: i for i, ms in enumerate(multisets)}
-    return multisets, tuple(rank[tuple(sorted(x))]
-                            for x in product(range(size), repeat=k))
+    expansion = np.array([rank[tuple(sorted(x))] for x in product(range(size), repeat=k)],
+                         dtype=np.intp)
+    expansion.flags.writeable = False  # every walk of this shape shares it
+    return multisets, expansion
 
 
-def _symmetric_walk(value, box, k: int) -> list:
-    """[value(x) for x in product(box, repeat=k)], for a value symmetric in
-    its k arguments, such as |kappa| of the box sites with fixed other
-    arguments: value is called once per multiset of box positions, and the
-    list comes back in product order, so sums over it add in that order."""
+def _symmetric_walk(value, box, k: int) -> np.ndarray:
+    """[value(x) for x in product(box, repeat=k)] as a read-only array, for
+    a value symmetric in its k arguments, such as |kappa| of the box sites
+    with fixed other arguments: value is called once per multiset of box
+    positions, and the array comes back in product order."""
     multisets, expansion = _multiset_expansion(len(box), k)
-    once = [value(tuple(box[i] for i in ms)) for ms in multisets]
-    return [once[i] for i in expansion]
+    walk = np.array([value(tuple(box[i] for i in ms)) for ms in multisets])[expansion]
+    walk.flags.writeable = False
+    return walk
 
 
 def _anchor_tuples(provider, box, k: int) -> list:
@@ -227,7 +237,8 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     sites and kept on the table; the row gathers them through a plan of
     the partitions, about 2^18 values at a time, so every entry adds the
     partitions, and multiplies their blocks, in the order the restricted
-    expansion of that one x does.  Only the table checks orders.
+    expansion of that one x does, and with real cumulants rounds as it
+    does (numpy's complex multiply may not).  Only the table checks orders.
 
     The row is built once per table, n, box and x' in the order given: it is
     symmetric in x' too, but a permuted x' may round differently.
@@ -238,9 +249,9 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     if len(xprime) != n:
         raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
     table = table_for(provider, table)
-    values = table.derived(("phi_kernel", n, xprime, box_sites),
-                           lambda: _phi_row(table, n, xprime, box_sites))
-    return KernelRow(values)
+    entries = table.derived(("phi_kernel", n, xprime, box_sites),
+                            lambda: _phi_row(table, n, xprime, box_sites))
+    return KernelRow(n, box_sites, entries)
 
 
 #: about this many block values are gathered per chunk of a Phi_n row
@@ -309,13 +320,13 @@ def _row_plan(n: int, size: int, vanish: tuple) -> tuple:
     return tuple(keys), high, local
 
 
-def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
-    """The Phi_n row over box^n in product order, gathered through
-    ``_row_plan`` one chunk at a time.  Each entry multiplies every
-    partition's slots in slot order and adds the partitions to 0.0 in plan
-    order; both reductions run along the outermost axis, so numpy folds
-    them left to right, and each entry rounds as the restricted expansion
-    of its own x does."""
+def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> np.ndarray:
+    """The Phi_n row over box^n in product order, a read-only flat array,
+    gathered through ``_row_plan`` one chunk at a time.  Each entry
+    multiplies every partition's slots in slot order and adds the partitions
+    to 0.0 in plan order; both reductions run along the outermost axis, so
+    numpy folds them left to right, in the order of the restricted expansion
+    of its own x, and with real cumulants each entry rounds as it does."""
     left = tuple(SiteRef(s, True) for s in xprime)
     right = tuple(SiteRef(s) for s in box_sites)
     size = len(box_sites)
@@ -332,43 +343,38 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> dict:
         index = local + (high @ (chunk // places % size))[:, None, :]
         terms[1:] = np.multiply.reduce(vector[index], axis=0).T
         np.add.reduce(terms, axis=0, out=out)
-    return dict(zip(product(box_sites, repeat=n), total.ravel()[:size ** n].tolist()))
+    total.flags.writeable = False  # and so is every view of it
+    return total.ravel()[:size ** n]
 
 
 def _block_tensor(table: CumulantTable, head, r: int, right, box_sites):
     """kappa[head, phi(z_1), ..., phi(z_r)] for z in box^r, in product
     order, built once per table, head and box: rows whose x' share a head
-    share it.  Do not change it."""
-    return table.derived(("block", head, r, box_sites), lambda: np.array(
-        _symmetric_walk(lambda z: table.cumulant(head + z), right, r), dtype=complex))
+    share it."""
+    return table.derived(("block", head, r, box_sites),
+                         lambda: _symmetric_walk(lambda z: table.cumulant(head + z), right, r))
 
 
-def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> dict:
-    """{x: |kappa(x)|^2 for x in box^n} in product order, for a kappa of the
+def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> np.ndarray:
+    """|kappa(x)|^2 for x in box^n, in product order, for a kappa of the
     ``fixed`` arguments and the SiteRefs of the box sites x, symmetric in x;
     built once per table, ``fixed``, n and box."""
     box_sites = tuple(box_sites)
-    return table.derived(("kappa_sq", fixed, n, box_sites), lambda: dict(zip(
-        product(box_sites, repeat=n),
-        _symmetric_walk(lambda x: abs(kappa(x)) ** 2,
-                        tuple(SiteRef(s) for s in box_sites), n))))
+    return table.derived(("kappa_sq", fixed, n, box_sites), lambda: _symmetric_walk(
+        lambda x: abs(kappa(x)) ** 2, tuple(SiteRef(s) for s in box_sites), n))
 
 
 def _kernel_weighted_sup(table: CumulantTable, n: int, anchors, box_sites,
-                         kappa_sq: dict) -> tuple:
+                         kappa_sq: np.ndarray) -> tuple:
     """max over the anchors y of sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]), and
     the first y that attains it; (0.0, None) if no value is positive."""
     best, witness = 0.0, None
     for y in anchors:
-        row = phi_kernel(table.provider, n, y, box_sites, table=table).values
-        val = math.sqrt(sum(abs(row[x]) * kappa_sq[x] for x in kappa_sq))
+        row = phi_kernel(table.provider, n, y, box_sites, table=table).entries
+        val = math.sqrt(_norm_accumulate(np.abs(row) * kappa_sq, 1))
         if val > best:
             best, witness = val, y
     return best, witness
-
-
-def _row_norm(row: KernelRow, p: float) -> float:
-    return _norm_accumulate((abs(v) for v in row.values.values()), p)
 
 
 def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
@@ -387,7 +393,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
     if norm_box is None:
         norm_box = box_sites
     row = phi_kernel(provider, n, xprime, box_sites, table=table)
-    lhs = _row_norm(row, p)
+    lhs = _norm_accumulate(np.abs(row.entries), p)
     norms = {m: clustering_norm(provider, m, p, norm_box, anchors=anchors, table=table)
              for m in range(1, 2 * n + 1)}
     middle = weighted_partition_sum(2 * n, norms)
@@ -414,7 +420,8 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
                     xprime_anchors=None,
                     table: CumulantTable | None = None) -> BoundReport:
     """Covariance bound on joint cumulants of an observable with n field
-    arguments.
+    arguments; one with cov(X*, X) <= 1e-12 E[X* X] does not vary beyond
+    rounding, and is rejected.
 
     p=1: unweighted l2-sum against sqrt(cov) M_2n(phi;1)^n e^n sqrt((2n)!).
     p=2: the Phi_n-weighted l2-sum (sup over x' anchors) against
@@ -430,9 +437,10 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     if norm_box is None:
         norm_box = box_sites
     cov = observable_covariance(table, X)
-    if not cov > 0:
+    second = cov + abs(observable_cumulant(table, X, ())) ** 2  # E[X* X]
+    if not cov > 1e-12 * second:
         raise ValueError(f"cov(X*, X) = {cov!r} is not positive: the observable "
-                         f"{X.terms!r} does not vary")
+                         f"{X.terms!r} does not vary beyond 1e-12 E[X* X] = {second!r}")
     M = magnitude_constants(provider, float(p), 2 * n, norm_box,
                             anchors=anchors, table=table).top()
 
@@ -443,8 +451,9 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
             table, ("observable", X.terms), box_sites, n,
             lambda x: observable_cumulant(table, X, x))
         if p == 1:
-            lhs = math.sqrt(sum(kappa_sq.values()))
-            witness_x = max(kappa_sq, key=kappa_sq.get, default=None)
+            lhs = math.sqrt(_norm_accumulate(kappa_sq, 1))
+            witness_x = tuple(box_sites[i] for i in np.unravel_index(
+                np.argmax(kappa_sq), (len(box_sites),) * n))  # the first largest
         else:
             if xprime_anchors is None:
                 xprime_anchors = _anchor_tuples(provider, box_sites, n)
@@ -516,7 +525,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
             table, ("psi", tuple(xp)), phi_box, n,
             lambda x: table.joint_cumulant(vars_psi + tuple(zip(x))))
         if p == 1:
-            val = math.sqrt(sum(ksq.values()))
+            val = math.sqrt(_norm_accumulate(ksq, 1))
             if val > lhs:
                 lhs, witness = val, {"xprime": list(xp)}
         else:

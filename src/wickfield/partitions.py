@@ -165,15 +165,16 @@ def weighted_partition_sum(n: int, w):
     Exponential-formula recurrence (Stanley, EC2 5.1), conditioning on the
     block of the last element (choose k-1 companions out of m-1):
     a(m) = sum_k C(m-1, k-1) w[k] a(m-k), a(0) = 1.  O(n^2) terms and no
-    enumeration; exact for integer weights.  ``w`` is indexed by block size
-    1..n (a sequence or a mapping).
+    enumeration; exact for integer weights, a left fold over k for floats.
+    ``w`` is indexed by block size 1..n (a sequence or a mapping).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = [1]
     for m in range(1, n + 1):
-        a.append(sum(math.comb(m - 1, k - 1) * w[k] * a[m - k]
-                      for k in range(1, m + 1)))
+        a.append(0)
+        for k in range(1, m + 1):
+            a[m] += math.comb(m - 1, k - 1) * w[k] * a[m - k]
     return a[n]
 
 

@@ -18,7 +18,9 @@ The oracles deliberately avoid the library's own recursions:
   lambda = 0.  Its phase is numpy's complex ``exp``, not the half-angle form.
 * ``product_order_walk`` and ``product_order_clustering_norm`` evaluate a
   box^k cumulant sum once per ordered tuple, in product order, without
-  using the symmetry of cumulants.
+  using the symmetry of cumulants; the sum is ``left_fold``.
+* ``left_fold`` adds values left to right from 0.0: builtin ``sum``
+  compensates float rounding from Python 3.12 on.
 * ``product_order_phi_row`` runs the restricted expansion of a Wick kernel
   row once per ordered tuple x, without using its symmetry in x.
 * ``complex_product_moment`` and ``complex_product_standard_error`` form a
@@ -28,7 +30,9 @@ The oracles deliberately avoid the library's own recursions:
   subsets enumerated by ``combinations`` inside every call.
 """
 
+import functools
 import math
+import operator
 from itertools import combinations, product
 
 import numpy as np
@@ -150,6 +154,11 @@ def product_order_walk(value, box, k):
     return [value(x) for x in product(box, repeat=k)]
 
 
+def left_fold(values):
+    """0.0 + v_1 + v_2 + ..., each addition rounded, on every Python."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def product_order_clustering_norm(table, n, p, box, anchors):
     """Sup over the anchors of the lp sum over box^(n-1) of |kappa| with the
     anchor pinned in the first slot, walking every ordered tuple."""
@@ -164,7 +173,7 @@ def product_order_clustering_norm(table, n, p, box, anchors):
         elif p == math.inf:
             value = max(vals)
         else:
-            value = sum(v ** p for v in vals) ** (1.0 / p)
+            value = left_fold(v ** p for v in vals) ** (1.0 / p)
         best = max(best, value)
     return best
 

@@ -105,6 +105,15 @@ def test_weighted_partition_sum_matches_enumeration(n):
     floats = {k: float(v) for k, v in enumerate(rng.random(n + 1))}
     want = enumerated_weighted_sum(n, floats)
     assert weighted_partition_sum(n, floats) == pytest.approx(want, rel=1e-12)
+    # bit for bit, the recurrence folded left to right in k, as builtin sum
+    # did only before Python 3.12
+    a = [1]
+    for m in range(1, n + 1):
+        total = 0
+        for k in range(1, m + 1):
+            total = total + math.comb(m - 1, k - 1) * floats[k] * a[m - k]
+        a.append(total)
+    assert weighted_partition_sum(n, floats) == a[n]
 
 
 def test_verify_comb_est_beyond_float_range():
