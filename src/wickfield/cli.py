@@ -256,6 +256,8 @@ def cmd_dnls_demo(config_path, out, seed):
     if config_path:
         with _config_errors(config_path):
             raw = _read_config(config_path)
+            if "coupling" in raw:  # each run takes its own from couplings
+                raise ValueError("coupling is not a config key; give the list couplings")
             couplings = raw.pop("couplings", couplings)
             if not (isinstance(couplings, list) and couplings and all(
                     is_finite_number(c) and c >= 0 for c in couplings)):

@@ -3,8 +3,10 @@ numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set, chosen by ``_anchor_tuples``: one anchor for
-translation-invariant fields.  Lattice sums are truncated to
-caller-supplied boxes; no report bounds the tail beyond its box.
+translation-invariant fields.  Every sup over anchors is ``_first_max``,
+and the observable and joint bounds take their lhs from ``_weighted_l2``.
+Lattice sums are truncated to caller-supplied boxes; no report bounds the
+tail beyond its box.
 
 Phi_n rows, block tensors and maps of |kappa|^2 are read-only arrays in
 product order over box^k; ``_symmetric_walk`` fills each tensor and map
@@ -31,7 +33,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -125,11 +128,24 @@ def _require_nonempty(name: str, items) -> tuple:
     return items
 
 
+def _given_anchors(name: str, anchors):
+    """None, or the anchor tuples given, as a tuple that
+    ``_require_nonempty`` has checked."""
+    return None if anchors is None else _require_nonempty(name, map(tuple, anchors))
+
+
 def _require_p(p) -> None:
     """The weighted checks exist for p = 1 and p = 2 only; p is an int, so
     the report's id and witnesses name it as the caller meant it."""
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, not {p!r}")
+
+
+def _first_max(candidates) -> tuple:
+    """The (value, witness) candidate of largest value, the first in scan
+    order among equals; (0.0, None) if no value is positive, NaN included.
+    Every sup over anchors takes its value and witness here."""
+    return max((c for c in candidates if c[0] > 0.0), key=itemgetter(0), default=(0.0, None))
 
 
 def _norm_accumulate(values, p: float) -> float:
@@ -193,17 +209,15 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
 
 def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites, anchors) -> float:
     refs = tuple(SiteRef(s) for s in box_sites)
-    best = 0.0
-    for anchor in anchors:
+
+    def pinned_norm(anchor):
         pinned = (SiteRef(anchor),)
         if n == 1:
-            value = abs(table.cumulant(pinned))
-        else:
-            vals = _symmetric_walk(lambda combo: abs(table.cumulant(pinned + combo)),
-                                   refs, n - 1)
-            value = _norm_accumulate(vals, p)
-        best = max(best, value)
-    return best
+            return abs(table.cumulant(pinned)), anchor
+        walk = _symmetric_walk(lambda combo: abs(table.cumulant(pinned + combo)), refs, n - 1)
+        return _norm_accumulate(walk, p), anchor
+
+    return _first_max(map(pinned_norm, anchors))[0]
 
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
@@ -219,12 +233,8 @@ def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
 
 def _running_maxima(norms) -> tuple:
     """M_1..M_N from the clustering norms of orders 1..N."""
-    running = []
-    best = 0.0
-    for n, value in enumerate(norms, start=1):
-        best = max(best, (value / math.factorial(n)) ** (1.0 / n))
-        running.append(best)
-    return tuple(running)
+    scaled = ((value / math.factorial(n)) ** (1.0 / n) for n, value in enumerate(norms, start=1))
+    return tuple(accumulate(scaled, max, initial=0.0))[1:]
 
 
 def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
@@ -364,17 +374,21 @@ def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> np.n
         lambda x: abs(kappa(x)) ** 2, tuple(SiteRef(s) for s in box_sites), n))
 
 
-def _kernel_weighted_sup(table: CumulantTable, n: int, anchors, box_sites,
-                         kappa_sq: np.ndarray) -> tuple:
-    """max over the anchors y of sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]), and
-    the first y that attains it; (0.0, None) if no value is positive."""
-    best, witness = 0.0, None
-    for y in anchors:
+def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites, kappa_sq: np.ndarray,
+                 anchors) -> tuple:
+    """The lhs of the observable and joint bounds for one map kappa_sq of
+    |kappa|^2 over box^n, and its anchor.  At p = 1, the l2 sum
+    sqrt(sum_x kappa_sq[x]) and None; at p = 2, the max over the anchors y
+    of sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]) and the first y that attains
+    it, as ``_first_max`` takes them."""
+    if p == 1:
+        return math.sqrt(_norm_accumulate(kappa_sq, 1)), None
+
+    def kernel_weighted(y):
         row = phi_kernel(table.provider, n, y, box_sites, table=table).entries
-        val = math.sqrt(_norm_accumulate(np.abs(row) * kappa_sq, 1))
-        if val > best:
-            best, witness = val, y
-    return best, witness
+        return math.sqrt(_norm_accumulate(np.abs(row) * kappa_sq, 1)), y
+
+    return _first_max(map(kernel_weighted, anchors))
 
 
 def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
@@ -431,8 +445,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     box_sites = _require_nonempty("the box", box_sites)
-    if xprime_anchors is not None:
-        xprime_anchors = _require_nonempty("the x' anchor set", map(tuple, xprime_anchors))
+    xprime_anchors = _given_anchors("the x' anchor set", xprime_anchors)
     table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
@@ -444,21 +457,17 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     M = magnitude_constants(provider, float(p), 2 * n, norm_box,
                             anchors=anchors, table=table).top()
 
-    lhs = 0.0
-    witness_x = None
+    lhs, witness_x = 0.0, None
     if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
         kappa_sq = _kappa_sq_map(
             table, ("observable", X.terms), box_sites, n,
             lambda x: observable_cumulant(table, X, x))
-        if p == 1:
-            lhs = math.sqrt(_norm_accumulate(kappa_sq, 1))
+        if p == 2 and xprime_anchors is None:
+            xprime_anchors = _anchor_tuples(provider, box_sites, n)
+        lhs, witness_x = _weighted_l2(table, n, p, box_sites, kappa_sq, xprime_anchors)
+        if p == 1:  # the first largest |kappa|^2
             witness_x = tuple(box_sites[i] for i in np.unravel_index(
-                np.argmax(kappa_sq), (len(box_sites),) * n))  # the first largest
-        else:
-            if xprime_anchors is None:
-                xprime_anchors = _anchor_tuples(provider, box_sites, n)
-            lhs, witness_x = _kernel_weighted_sup(table, n, xprime_anchors,
-                                                  box_sites, kappa_sq)
+                np.argmax(kappa_sq), (len(box_sites),) * n))
 
     if p == 1:
         rhs = math.sqrt(cov) * M ** n * math.e ** n * math.sqrt(math.factorial(2 * n))
@@ -492,13 +501,11 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
         raise ValueError("m, n must be >= 1")
     psi_sites = _require_nonempty("the psi box", psi_sites)
     phi_box = _require_nonempty("the phi box", phi_box)
-    if xprime_tuples is not None:
-        xprime_tuples = _require_nonempty("the x' anchor set", map(tuple, xprime_tuples))
-        for xp in xprime_tuples:
-            if len(xp) != m:
-                raise ValueError(f"x' {tuple(xp)!r} has {len(xp)} sites, but m = {m}")
-    if y_tuples is not None:
-        y_tuples = _require_nonempty("the y anchor set", map(tuple, y_tuples))
+    xprime_tuples = _given_anchors("the x' anchor set", xprime_tuples)
+    for xp in xprime_tuples or ():
+        if len(xp) != m:
+            raise ValueError(f"x' {xp!r} has {len(xp)} sites, but m = {m}")
+    y_tuples = _given_anchors("the y anchor set", y_tuples)
     table = table_for(provider, table)
     if psi_norm_box is None:
         psi_norm_box = psi_sites
@@ -517,21 +524,20 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
 
     if table.singletons_vanish(m + n):
         xprime_tuples = []  # every cumulant in the sum is exactly zero
-    lhs = 0.0
-    witness = None
-    for xp in xprime_tuples:
+
+    def psi_pinned(xp):
         vars_psi = tuple((SiteRef(s),) for s in xp)
         ksq = _kappa_sq_map(
-            table, ("psi", tuple(xp)), phi_box, n,
+            table, ("psi", xp), phi_box, n,
             lambda x: table.joint_cumulant(vars_psi + tuple(zip(x))))
-        if p == 1:
-            val = math.sqrt(_norm_accumulate(ksq, 1))
-            if val > lhs:
-                lhs, witness = val, {"xprime": list(xp)}
-        else:
-            val, y = _kernel_weighted_sup(table, n, y_tuples, phi_box, ksq)
-            if val > lhs:
-                lhs, witness = val, {"xprime": list(xp), "y": list(y)}
+        value, y = _weighted_l2(table, n, p, phi_box, ksq, y_tuples)
+        return value, (xp, y)
+
+    lhs, where = _first_max(map(psi_pinned, xprime_tuples))
+    witness = None
+    if where is not None:
+        xp, y = where
+        witness = {"xprime": list(xp), "y": list(y)} if p == 2 else {"xprime": list(xp)}
 
     base = M_joint * GAMMA ** m
     if p == 1:

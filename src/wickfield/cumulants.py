@@ -265,12 +265,6 @@ class WickExpansion:
     def expectation(self, provider: MomentProvider) -> complex:
         return sum(c * provider.moment(mono) for mono, c in self.terms.items())
 
-    def __add__(self, other: "WickExpansion") -> "WickExpansion":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0.0) + c
-        return WickExpansion(out)
-
     def __mul__(self, other: "WickExpansion") -> "WickExpansion":
         out = {}
         for m1, c1 in self.terms.items():

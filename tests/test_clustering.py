@@ -513,6 +513,58 @@ def test_joint_theorem_multiset_walk_matches_product_walk(name, m, n, p):
     assert rep.witnesses["witness"] == witness
 
 
+class EquicorrelatedField(GaussianCovarianceField):
+    """Real Gaussians of variance 1 with covariance 1/2 between any two
+    sites: exchanging two sites leaves the law alone, so a sup over anchors
+    sees the same terms in another order, and ties exactly."""
+
+    def covariance(self, a, b):
+        return 1.0 if a.site == b.site else 0.5
+
+
+_TIED = EquicorrelatedField()
+
+
+def test_first_max_takes_the_first_largest_positive_value():
+    first_max = clustering._first_max
+    assert first_max([(math.nan, "a"), (1.0, "b"), (2.0, "c"), (2.0, "d")]) == (2.0, "c")
+    assert first_max([(0.0, "a"), (math.nan, "b"), (-1.0, "c")]) == (0.0, None)
+    assert first_max([]) == (0.0, None)
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_clustering_norm_over_tied_anchors_is_their_common_value(p):
+    box = [0, 1]
+    alone = [clustering_norm(_TIED, 2, p, box, anchors=[a]) for a in box]
+    assert alone[0] == alone[1] > 0
+    assert clustering_norm(_TIED, 2, p, box, anchors=[0, 1]) == alone[0]
+    assert clustering_norm(_TIED, 2, p, box, anchors=[1, 0]) == alone[0]
+
+
+@pytest.mark.parametrize("first,second", [(0, 1), (1, 0)])
+def test_theorem41_tie_goes_to_the_first_xprime(first, second):
+    # Phi_1(y, .) = (1, 1/2) or (1/2, 1) against |kappa[X, x]|^2 = 1/4 each
+    rep = theorem41_check(_TIED, Observable.of_site(2), 1, 2, [0, 1],
+                          xprime_anchors=[(first,), (second,)])
+    assert rep.lhs == math.sqrt(0.25 * 1.0 + 0.25 * 0.5)
+    assert rep.witnesses["witness_x"] == [first]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_joint_theorem_tie_goes_to_the_first_xprime_and_y(order, p):
+    # every x' in {2, 3} and every y in {0, 1} gives the same value
+    xprimes, ys = [(2,), (3,)][::order], [(0,), (1,)][::order]
+    rep = joint_theorem_check(_TIED, 1, 1, p, [2, 3], [0, 1],
+                              xprime_tuples=xprimes, y_tuples=ys)
+    if p == 1:
+        assert rep.lhs == math.sqrt(0.25 + 0.25)
+        assert rep.witnesses["witness"] == {"xprime": list(xprimes[0])}
+    else:
+        assert rep.lhs == math.sqrt(0.25 * 1.0 + 0.25 * 0.5)
+        assert rep.witnesses["witness"] == {"xprime": list(xprimes[0]), "y": list(ys[0])}
+
+
 def test_lemma_chain_iid(rng):
     f = IidRealGaussianField()
     box = list(range(-5, 6))

@@ -462,8 +462,6 @@ def test_wick_expansion_algebra():
     prod = a * b
     assert prod.terms[canonical(refs(0, 1))] == pytest.approx(2.0)
     assert prod.terms[refs(1)] == pytest.approx(1.0)
-    s = a + a
-    assert s.terms[refs(0)] == pytest.approx(4.0)
 
 
 class CountingProvider(MomentProvider):
