@@ -128,10 +128,17 @@ def _require_nonempty(name: str, items) -> tuple:
     return items
 
 
-def _given_anchors(name: str, anchors):
+def _given_anchors(name: str, anchors, n: int | None = None):
     """None, or the anchor tuples given, as a tuple that
-    ``_require_nonempty`` has checked."""
-    return None if anchors is None else _require_nonempty(name, map(tuple, anchors))
+    ``_require_nonempty`` has checked; with n, ValueError if one is not the
+    x' of a Phi_n row, whether or not the call builds that row."""
+    if anchors is None:
+        return None
+    anchors = _require_nonempty(name, map(tuple, anchors))
+    for anchor in anchors:
+        if n is not None and len(anchor) != n:
+            raise ValueError(f"x' has {len(anchor)} sites, but a Phi_{n} row needs {n}")
+    return anchors
 
 
 def _require_p(p) -> None:
@@ -445,7 +452,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     box_sites = _require_nonempty("the box", box_sites)
-    xprime_anchors = _given_anchors("the x' anchor set", xprime_anchors)
+    xprime_anchors = _given_anchors("the x' anchor set", xprime_anchors, n)
     table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
@@ -505,7 +512,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     for xp in xprime_tuples or ():
         if len(xp) != m:
             raise ValueError(f"x' {xp!r} has {len(xp)} sites, but m = {m}")
-    y_tuples = _given_anchors("the y anchor set", y_tuples)
+    y_tuples = _given_anchors("the y anchor set", y_tuples, n)
     table = table_for(provider, table)
     if psi_norm_box is None:
         psi_norm_box = psi_sites

@@ -355,14 +355,18 @@ class EnsembleEstimator(MomentProvider):
 
     The samples are kept once, as C-contiguous columns of shape
     (n_sites, count) in float64, or complex128 for complex samples;
-    ``samples`` is the transposed view of them.  A moment multiplies the
-    sequence's columns left to right in that dtype, conjugating only
-    complex columns.  For real samples the last factor is written into the
-    real view of a complex buffer whose imaginary part is zero, so the mean
-    is taken over complex values.  A complex running product from 1 would
-    round each factor the same way, and numpy's complex pairwise summation
-    sees the same values, so every moment is bit-identical to that running
-    product's mean.
+    ``samples`` is the transposed view of them.  A moment multiplies every
+    column of the sequence but the last left to right in that dtype,
+    conjugating only complex columns.  For real samples the last factor and
+    the sum are one ``einsum`` with that product, and an order-1 moment is
+    the real pairwise sum of its column.  For complex samples the last
+    factor goes into a complex buffer that numpy's complex pairwise
+    summation adds up, so such a moment is bit-identical to the mean of a
+    complex running product from 1.  A standard error is taken from the
+    full product in that complex buffer, the last factor written into its
+    real view for real samples, so it is bit-identical to that running
+    product's standard error for every kind of sample.  No reduction calls
+    BLAS, so no result depends on its thread count.
 
     The products of the prefixes of the last sequence are kept, one buffer
     per prefix length, and a new sequence starts from the longest prefix it
@@ -386,11 +390,12 @@ class EnsembleEstimator(MomentProvider):
             raise ValueError("samples must be finite, not NaN or inf")
         self._index = _site_index(self.sites)
         self._complex = dtype is complex
-        # _product's state: the first n - 1 references of the last sequence,
-        # the products of its prefixes of length 2, 3, ... and the product
+        # _prefix's state: the first n - 1 references of the last sequence
+        # and the products of its prefixes of length 2, 3, ...; _product's
+        # complex buffer, allocated on first use
         self._path = ()
         self._prefixes = []
-        self._out = np.zeros(self.count, dtype=complex)
+        self._out = None
 
     @property
     def samples(self) -> np.ndarray:
@@ -405,9 +410,9 @@ class EnsembleEstimator(MomentProvider):
         col = self._columns[self._index[ref.site]]
         return np.conj(col) if ref.conj and self._complex else col
 
-    def _product(self, sequence: IndexSequence) -> np.ndarray:
-        """The product of the sequence's columns as a complex array, in a
-        buffer that the next call overwrites.
+    def _prefix(self, sequence: IndexSequence) -> np.ndarray:
+        """The product of every column of the sequence but the last, n >= 2,
+        in a buffer that a later call may overwrite.
 
         The prefix products of length 2 to n - 1 go to buffers allocated on
         first use and kept for the next sequence, which starts from the
@@ -415,11 +420,7 @@ class EnsembleEstimator(MomentProvider):
         shared prefix before any buffer is written, so a call that fails
         part-way leaves no stale prefix behind.
         """
-        out = self._out
         n = len(sequence)
-        if n == 0:
-            out.fill(1)
-            return out
         path, prefixes = self._path, self._prefixes
         shared = 0
         for known, ref in zip(path, sequence[:n - 1]):
@@ -433,18 +434,36 @@ class EnsembleEstimator(MomentProvider):
                 prefixes.append(np.empty(self.count, dtype=self._columns.dtype))
             prod = np.multiply(prod, self._column(sequence[j]), out=prefixes[j - 1])
         self._path = tuple(sequence[:n - 1])
+        return prod
+
+    def _product(self, sequence: IndexSequence) -> np.ndarray:
+        """The product of the sequence's columns as a complex array, in a
+        buffer that the next call overwrites."""
+        if self._out is None:
+            self._out = np.zeros(self.count, dtype=complex)
+        out = self._out
+        n = len(sequence)
+        if n == 0:
+            out.fill(1)
+            return out
         last = out if self._complex else out.real
         if n == 1:
-            np.copyto(last, prod)
+            np.copyto(last, self._column(sequence[0]))
         else:
-            np.multiply(prod, self._column(sequence[-1]), out=last)
+            np.multiply(self._prefix(sequence), self._column(sequence[-1]), out=last)
         return out
 
     def moment(self, sequence: IndexSequence) -> complex:
         if not sequence:
             return 1.0
-        # the mean as numpy's _methods._mean takes it, without its Python layer
-        return complex(np.add.reduce(self._product(sequence)) / self.count)
+        if self._complex:
+            # the mean as numpy's _methods._mean takes it, without its Python layer
+            return complex(np.add.reduce(self._product(sequence)) / self.count)
+        last = self._column(sequence[-1])
+        if len(sequence) == 1:
+            return complex(np.add.reduce(last) / self.count)
+        # one pass over both arrays, no temporary; einsum, not BLAS
+        return complex(np.einsum("i,i->", self._prefix(sequence), last) / self.count)
 
     def moment_standard_error(self, sequence: IndexSequence) -> float:
         return float(np.std(self._product(sequence)) / math.sqrt(self.count))

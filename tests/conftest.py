@@ -26,6 +26,9 @@ The oracles deliberately avoid the library's own recursions:
 * ``complex_product_moment`` and ``complex_product_standard_error`` form a
   plug-in moment as a complex running product from 1, multiplied column by
   column, conjugating every column the sequence marks.
+* ``real_product_moment`` forms a plug-in moment of real samples as a plain
+  float64 running product of all but the last column, summed against the
+  last column by one ``einsum``.
 * ``combinations_cumulant`` runs the anchored cumulant recursion with the
   subsets enumerated by ``combinations`` inside every call.
 """
@@ -206,6 +209,22 @@ def complex_product_standard_error(samples, sites, sequence):
     """Standard error of ``complex_product_moment``."""
     prod = _complex_running_product(samples, sites, sequence)
     return float(np.std(prod) / math.sqrt(samples.shape[0]))
+
+
+def real_product_moment(samples, sites, sequence):
+    """Mean over the real (count, n_sites) samples of the product of the
+    sequence's columns: all but the last multiplied left to right in
+    float64, then one einsum with the last; an order-1 moment is the
+    pairwise sum of its column."""
+    index = {s: i for i, s in enumerate(sites)}
+    *head, last = (np.ascontiguousarray(samples[:, index[ref.site]], dtype=float)
+                   for ref in sequence)
+    if not head:
+        return complex(np.add.reduce(last) / samples.shape[0])
+    prod = head[0]
+    for col in head[1:]:
+        prod = prod * col
+    return complex(np.einsum("i,i->", prod, last) / samples.shape[0])
 
 
 def combinations_cumulant(provider, key, anchor=0, memo=None):

@@ -335,11 +335,23 @@ _DISCRETE = random_discrete_field(np.random.default_rng(2), sites=[0, 1, 2])
                                    xprime_anchors=[xp]), 2, 3),
     (lambda n, xp: joint_theorem_check(_DISCRETE, 1, n, 2, [2], [0, 1],
                                        y_tuples=[xp]), 2, 1),
+    # p = 1 builds no row, and with a Gaussian law at m + n = 3 the sum
+    # vanishes before any row is built
+    (lambda n, xp: theorem41_check(_DISCRETE, Observable.of_site(2), n, 1, [0, 1],
+                                   xprime_anchors=[xp]), 1, 3),
+    (lambda n, xp: joint_theorem_check(_DISCRETE, 1, n, 1, [2], [0, 1],
+                                       y_tuples=[xp]), 1, 3),
+    (lambda n, xp: theorem41_check(IidRealGaussianField(), Observable.of_site(0), n, 2,
+                                   [0, 1], xprime_anchors=[(0,) * n, xp]), 2, 1),
+    (lambda n, xp: joint_theorem_check(IidRealGaussianField(), 1, n, 2, [0], [0, 1],
+                                       y_tuples=[(0,) * n, xp]), 2, 1),
 ], ids=["phi_kernel-1-0", "phi_kernel-1-2", "phi_kernel-3-2", "lemma-3-2",
-        "theorem41-2-3", "joint-2-1"])
+        "theorem41-2-3", "joint-2-1", "theorem41-p1-1-3", "joint-p1-1-3",
+        "theorem41-gaussian-2-1", "joint-gaussian-2-1"])
 def test_phi_kernel_rejects_xprime_of_another_length(call, n, length):
     # a Phi_n row pairs n conjugated sites with n sites; any other x' would
-    # be a kernel of another order
+    # be a kernel of another order, so an anchor set is checked whether or
+    # not its rows are built
     with pytest.raises(ValueError, match=f"x' has {length} sites, but a Phi_{n} row needs {n}"):
         call(n, (0,) * length)
 

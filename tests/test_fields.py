@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickfield.cumulants import CumulantTable, cumulant
 from wickfield.fields import (
@@ -19,7 +20,12 @@ from wickfield.fields import (
 )
 from wickfield.indexing import SiteRef
 
-from conftest import complex_product_moment, complex_product_standard_error, refs
+from conftest import (
+    complex_product_moment,
+    complex_product_standard_error,
+    real_product_moment,
+    refs,
+)
 
 
 # --- exact finite distributions -------------------------------------------
@@ -262,9 +268,10 @@ def _sample_matrix(rng, kind, count, n_sites):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["real", "complex", "integer", "float32"])
 def test_moment_equals_complex_running_product(kind, seed):
-    # the estimator multiplies in the samples' dtype and writes the last
-    # factor into a complex buffer; every moment and standard error equals
-    # the complex running product's bit for bit
+    # the estimator multiplies in the samples' dtype; a moment of real
+    # samples equals the real running product's einsum with the last column
+    # bit for bit, and a moment of complex samples and every standard error
+    # equal the complex running product's
     rng = np.random.default_rng(seed)
     sites = ["a", "b", "c"]
     samples = _sample_matrix(rng, kind, 1000, len(sites))
@@ -277,8 +284,9 @@ def test_moment_equals_complex_running_product(kind, seed):
             conj = rng.integers(0, 2, order)
             sequences.append(tuple(SiteRef(sites[i], bool(c))
                                    for i, c in zip(labels, conj)))
+    oracle = complex_product_moment if kind == "complex" else real_product_moment
     for seq in sequences:
-        assert est.moment(seq) == complex_product_moment(samples, sites, seq), seq
+        assert est.moment(seq) == oracle(samples, sites, seq), seq
         assert est.moment_standard_error(seq) == \
             complex_product_standard_error(samples, sites, seq), seq
     # the product never writes into the stored columns
@@ -290,7 +298,8 @@ def test_prefix_products_never_go_stale(kind):
     # sequences that share a prefix and then diverge, shrink, grow, drop to
     # order 1 and to the empty sequence, asked of two estimators in turn:
     # each answer is the oracle's, so no kept prefix product outlives the
-    # path it belongs to, and the estimators share no buffer
+    # path it belongs to, and the estimators share no buffer; a real moment
+    # is the answer of a fresh estimator, which keeps no prefix product
     rng = np.random.default_rng(7)
     sites = ["a", "b", "c", "d"]
     a, b, c, d = (SiteRef(s) for s in sites)
@@ -304,9 +313,15 @@ def test_prefix_products_never_go_stale(kind):
     samples = [_sample_matrix(rng, kind, 200, len(sites)) for _ in range(2)]
     estimators = [EnsembleEstimator(sites, m) for m in samples]
     kept = [m.copy() for m in samples]
+
+    def want(m, seq):
+        if kind == "complex":
+            return complex_product_moment(m, sites, seq)
+        return EnsembleEstimator(sites, m).moment(seq)
+
     for seq in path:
         for est, m in zip(estimators, samples):
-            assert est.moment(seq) == complex_product_moment(m, sites, seq), seq
+            assert est.moment(seq) == want(m, seq), seq
             assert est.moment_standard_error(seq) == \
                 complex_product_standard_error(m, sites, seq), seq
     # a sequence that fails part-way leaves no stale prefix behind
@@ -315,10 +330,37 @@ def test_prefix_products_never_go_stale(kind):
     with pytest.raises(KeyError):
         est.moment((a, b, d, SiteRef("z"), c))
     for seq in [(a, b, c, d), (a, b, d, c), (a, b, d, a, c)]:
-        assert est.moment(seq) == complex_product_moment(m, sites, seq), seq
+        assert est.moment(seq) == want(m, seq), seq
     for est, m, copy in zip(estimators, samples, kept):
         assert np.array_equal(est.samples, copy)
         assert np.array_equal(m, copy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["real", "integer", "float32"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 3000),
+       scale=st.integers(-30, 30),
+       labels=st.lists(st.integers(0, 2), min_size=1, max_size=8))
+def test_real_moment_is_within_a_summation_bound_of_the_exact_mean(
+        kind, seed, count, scale, labels):
+    # a bound that shares no code with the estimator: the correctly rounded
+    # sum of the running product, against the worst-case rounding of any
+    # summation order over count terms
+    rng = np.random.default_rng(seed)
+    sites = ["a", "b", "c"]
+    samples = _sample_matrix(rng, kind, count, len(sites))
+    if kind != "integer":
+        samples = samples * samples.dtype.type(2.0 ** scale)
+    est = EnsembleEstimator(sites, samples)
+    seq = tuple(SiteRef(sites[i]) for i in labels)
+    prod = np.ones(count)
+    for i in labels:
+        prod = prod * samples[:, i].astype(float)
+    got = est.moment(seq)
+    assert got.imag == 0.0
+    exact = math.fsum(prod) / count
+    assert abs(got.real - exact) <= count * 2.0 ** -52 * np.mean(np.abs(prod))
 
 
 def test_estimator_keeps_column_major_samples_without_copy():
