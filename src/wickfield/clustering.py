@@ -2,11 +2,12 @@
 numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
-finite anchor set, chosen by ``_anchor_tuples``: one anchor for
-translation-invariant fields.  Every sup over anchors is ``_first_max``,
-and the observable and joint bounds take their lhs from ``_weighted_l2``.
-Lattice sums are truncated to caller-supplied boxes; no report bounds the
-tail beyond its box.
+finite anchor set that follows from the law and the box by one rule,
+``_anchor_tuples``: one anchor for translation-invariant fields, else every
+anchor in the box.  No caller chooses anchors.  Every sup over anchors is
+``_first_max``, and the observable and joint bounds take their lhs from
+``_weighted_l2``.  Lattice sums are truncated to caller-supplied boxes; no
+report bounds the tail beyond its box.
 
 Phi_n rows, block tensors and maps of |kappa|^2 are read-only arrays in
 product order over box^k; ``_symmetric_walk`` fills each tensor and map
@@ -19,7 +20,7 @@ index it; the row multiplies and adds the gathered values along outer
 axes, which numpy folds left to right.
 
 Every check on one ``CumulantTable`` shares what it derives from the
-cumulants: each clustering norm (by n, p, box and anchors), each Phi_n row
+cumulants: each clustering norm (by n, p and box), each Phi_n row
 (by n, x' in the order given and box), each block tensor of a row (by its
 x' sites, its number of x sites and box) and each map of |kappa|^2 over
 box^n (by the fixed arguments, n and box) is built once per table, through
@@ -114,9 +115,9 @@ def _field_id(provider) -> str:
 
 
 def _require_nonempty(name: str, items) -> tuple:
-    """The sites or anchors as a tuple; ValueError if there are none, since
-    a sum or sup over nothing is 0 and would pass a check vacuously, or if
-    one repeats, since a sum would count it twice."""
+    """The box sites as a tuple; ValueError if there are none, since a sum
+    or sup over nothing is 0 and would pass a check vacuously, or if one
+    repeats, since a sum would count it twice."""
     items = tuple(items)
     if not items:
         raise ValueError(f"{name} is empty")
@@ -128,24 +129,18 @@ def _require_nonempty(name: str, items) -> tuple:
     return items
 
 
-def _given_anchors(name: str, anchors, n: int | None = None):
-    """None, or the anchor tuples given, as a tuple that
-    ``_require_nonempty`` has checked; with n, ValueError if one is not the
-    x' of a Phi_n row, whether or not the call builds that row."""
-    if anchors is None:
-        return None
-    anchors = _require_nonempty(name, map(tuple, anchors))
-    for anchor in anchors:
-        if n is not None and len(anchor) != n:
-            raise ValueError(f"x' has {len(anchor)} sites, but a Phi_{n} row needs {n}")
-    return anchors
-
-
 def _require_p(p) -> None:
     """The weighted checks exist for p = 1 and p = 2 only; p is an int, so
     the report's id and witnesses name it as the caller meant it."""
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, not {p!r}")
+
+
+def _require_order(name: str, value) -> None:
+    """An order n, m or N is an int >= 1: no order-0 norm, constant or row
+    exists, and a bool or a float would be echoed in a report as given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, not {value!r}")
 
 
 def _first_max(candidates) -> tuple:
@@ -189,51 +184,47 @@ def _symmetric_walk(value, box, k: int) -> np.ndarray:
 
 
 def _anchor_tuples(provider, box, k: int) -> list:
-    """The anchor k-tuples a sup over anchors scans: the diagonal tuple of
-    the box's first site for a translation-invariant law, else all of box^k
-    in product order."""
+    """The anchor k-tuples a sup over anchors scans, the one rule every sup
+    follows: the diagonal tuple of the box's first site for a
+    translation-invariant law, else all of box^k in product order."""
     return list(product(box[:1] if provider.translation_invariant else box, repeat=k))
 
 
 def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
-                    anchors=None, table: CumulantTable | None = None) -> float:
-    """Truncated clustering norm: sup over anchors of the lp-sum over
-    box^(n-1) of |kappa| with the anchor pinned in the first slot."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= p <= math.inf:
+                    table: CumulantTable | None = None) -> float:
+    """Truncated clustering norm: sup over the anchors of ``_anchor_tuples``
+    of the lp-sum over box^(n-1) of |kappa| with the anchor pinned in the
+    first slot."""
+    _require_order("n", n)
+    if isinstance(p, bool) or not 1 <= p <= math.inf:
         raise ValueError(f"p must be in [1, inf], not {p!r}")
     box_sites = _require_nonempty("the norm box", box_sites)
     table = table_for(provider, table)
     if table.singletons_vanish(n):
         return 0.0
-    if anchors is None:
-        anchors = [a for (a,) in _anchor_tuples(provider, box_sites, 1)]
-    anchors = _require_nonempty("the anchor set", anchors)
-    return table.derived(("clustering_norm", n, p, box_sites, anchors),
-                         lambda: _sup_over_anchors(table, n, p, box_sites, anchors))
+    return table.derived(("clustering_norm", n, p, box_sites),
+                         lambda: _sup_over_anchors(table, n, p, box_sites))
 
 
-def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites, anchors) -> float:
+def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites) -> float:
     refs = tuple(SiteRef(s) for s in box_sites)
 
     def pinned_norm(anchor):
-        pinned = (SiteRef(anchor),)
+        pinned = tuple(SiteRef(s) for s in anchor)
         if n == 1:
             return abs(table.cumulant(pinned)), anchor
         walk = _symmetric_walk(lambda combo: abs(table.cumulant(pinned + combo)), refs, n - 1)
         return _norm_accumulate(walk, p), anchor
 
-    return _first_max(map(pinned_norm, anchors))[0]
+    return _first_max(map(pinned_norm, _anchor_tuples(table.provider, box_sites, 1)))[0]
 
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
-                        anchors=None, table: CumulantTable | None = None) -> MagnitudeConstants:
+                        table: CumulantTable | None = None) -> MagnitudeConstants:
     """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _require_order("N", N)
     table = table_for(provider, table)
-    norms = [clustering_norm(provider, n, p, box_sites, anchors=anchors, table=table)
+    norms = [clustering_norm(provider, n, p, box_sites, table=table)
              for n in range(1, N + 1)]
     return MagnitudeConstants(_running_maxima(norms))
 
@@ -260,8 +251,7 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     The row is built once per table, n, box and x' in the order given: it is
     symmetric in x' too, but a permuted x' may round differently.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_order("n", n)
     xprime, box_sites = tuple(xprime), _require_nonempty("the kernel box", box_sites)
     if len(xprime) != n:
         raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
@@ -381,13 +371,14 @@ def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> np.n
         lambda x: abs(kappa(x)) ** 2, tuple(SiteRef(s) for s in box_sites), n))
 
 
-def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites, kappa_sq: np.ndarray,
-                 anchors) -> tuple:
+def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites,
+                 kappa_sq: np.ndarray) -> tuple:
     """The lhs of the observable and joint bounds for one map kappa_sq of
     |kappa|^2 over box^n, and its anchor.  At p = 1, the l2 sum
     sqrt(sum_x kappa_sq[x]) and None; at p = 2, the max over the anchors y
-    of sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]) and the first y that attains
-    it, as ``_first_max`` takes them."""
+    in ``_anchor_tuples(provider, box_sites, n)`` of
+    sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]) and the first y that attains it,
+    as ``_first_max`` takes them."""
     if p == 1:
         return math.sqrt(_norm_accumulate(kappa_sq, 1)), None
 
@@ -395,12 +386,11 @@ def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites, kappa_sq: np.n
         row = phi_kernel(table.provider, n, y, box_sites, table=table).entries
         return math.sqrt(_norm_accumulate(np.abs(row) * kappa_sq, 1)), y
 
-    return _first_max(map(kernel_weighted, anchors))
+    return _first_max(map(kernel_weighted, _anchor_tuples(table.provider, box_sites, n)))
 
 
 def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
-                norm_box=None, anchors=None,
-                table: CumulantTable | None = None) -> BoundReport:
+                norm_box=None, table: CumulantTable | None = None) -> BoundReport:
     """Certify the kernel-row norm chain
 
         || Phi_n(x', .) ||_lp
@@ -415,7 +405,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
         norm_box = box_sites
     row = phi_kernel(provider, n, xprime, box_sites, table=table)
     lhs = _norm_accumulate(np.abs(row.entries), p)
-    norms = {m: clustering_norm(provider, m, p, norm_box, anchors=anchors, table=table)
+    norms = {m: clustering_norm(provider, m, p, norm_box, table=table)
              for m in range(1, 2 * n + 1)}
     middle = weighted_partition_sum(2 * n, norms)
     M = _running_maxima(norms.values())[-1]
@@ -437,8 +427,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
 
 
 def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
-                    box_sites, norm_box=None, anchors=None,
-                    xprime_anchors=None,
+                    box_sites, norm_box=None,
                     table: CumulantTable | None = None) -> BoundReport:
     """Covariance bound on joint cumulants of an observable with n field
     arguments; one with cov(X*, X) <= 1e-12 E[X* X] does not vary beyond
@@ -449,10 +438,8 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
          sqrt(cov) M_2n(phi;2)^(2n) e^(2n) (2n)!.
     """
     _require_p(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_order("n", n)
     box_sites = _require_nonempty("the box", box_sites)
-    xprime_anchors = _given_anchors("the x' anchor set", xprime_anchors, n)
     table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
@@ -461,18 +448,15 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
     if not cov > 1e-12 * second:
         raise ValueError(f"cov(X*, X) = {cov!r} is not positive: the observable "
                          f"{X.terms!r} does not vary beyond 1e-12 E[X* X] = {second!r}")
-    M = magnitude_constants(provider, float(p), 2 * n, norm_box,
-                            anchors=anchors, table=table).top()
+    M = magnitude_constants(provider, float(p), 2 * n, norm_box, table=table).top()
 
     lhs, witness_x = 0.0, None
     if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
         kappa_sq = _kappa_sq_map(
             table, ("observable", X.terms), box_sites, n,
             lambda x: observable_cumulant(table, X, x))
-        if p == 2 and xprime_anchors is None:
-            xprime_anchors = _anchor_tuples(provider, box_sites, n)
-        lhs, witness_x = _weighted_l2(table, n, p, box_sites, kappa_sq, xprime_anchors)
-        if p == 1:  # the first largest |kappa|^2
+        lhs, witness_x = _weighted_l2(table, n, p, box_sites, kappa_sq)
+        if p == 1 and lhs > 0:  # the first largest |kappa|^2
             witness_x = tuple(box_sites[i] for i in np.unravel_index(
                 np.argmax(kappa_sq), (len(box_sites),) * n))
 
@@ -492,7 +476,6 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
 
 def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
                         psi_sites, phi_box, psi_norm_box=None, phi_norm_box=None,
-                        xprime_tuples=None, y_tuples=None,
                         table: CumulantTable | None = None) -> BoundReport:
     """Joint-cumulant l2 bound for two fields living on one provider.
 
@@ -504,24 +487,15 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     M_joint = max(M_2m(psi; inf), M_2n(phi; 1 or 2)), gamma = 2e.
     """
     _require_p(p)
-    if m < 1 or n < 1:
-        raise ValueError("m, n must be >= 1")
+    _require_order("m", m)
+    _require_order("n", n)
     psi_sites = _require_nonempty("the psi box", psi_sites)
     phi_box = _require_nonempty("the phi box", phi_box)
-    xprime_tuples = _given_anchors("the x' anchor set", xprime_tuples)
-    for xp in xprime_tuples or ():
-        if len(xp) != m:
-            raise ValueError(f"x' {xp!r} has {len(xp)} sites, but m = {m}")
-    y_tuples = _given_anchors("the y anchor set", y_tuples, n)
     table = table_for(provider, table)
     if psi_norm_box is None:
         psi_norm_box = psi_sites
     if phi_norm_box is None:
         phi_norm_box = phi_box
-    if xprime_tuples is None:
-        xprime_tuples = _anchor_tuples(provider, psi_sites, m)
-    if p == 2 and y_tuples is None:
-        y_tuples = _anchor_tuples(provider, phi_box, n)
 
     M_psi = magnitude_constants(provider, math.inf, 2 * m, psi_norm_box,
                                 table=table).top()
@@ -529,15 +503,15 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
                                 table=table).top()
     M_joint = max(M_psi, M_phi)
 
-    if table.singletons_vanish(m + n):
-        xprime_tuples = []  # every cumulant in the sum is exactly zero
+    # with vanishing cumulants of order m + n the sum is exactly zero
+    xprime_tuples = ([] if table.singletons_vanish(m + n)
+                     else _anchor_tuples(provider, psi_sites, m))
 
     def psi_pinned(xp):
-        vars_psi = tuple((SiteRef(s),) for s in xp)
-        ksq = _kappa_sq_map(
-            table, ("psi", xp), phi_box, n,
-            lambda x: table.joint_cumulant(vars_psi + tuple(zip(x))))
-        value, y = _weighted_l2(table, n, p, phi_box, ksq, y_tuples)
+        pinned = tuple(SiteRef(s) for s in xp)
+        ksq = _kappa_sq_map(table, ("psi", xp), phi_box, n,
+                            lambda x: table.cumulant(pinned + x))
+        value, y = _weighted_l2(table, n, p, phi_box, ksq)
         return value, (xp, y)
 
     lhs, where = _first_max(map(psi_pinned, xprime_tuples))

@@ -162,11 +162,12 @@ def left_fold(values):
     return functools.reduce(operator.add, values, 0.0)
 
 
-def product_order_clustering_norm(table, n, p, box, anchors):
-    """Sup over the anchors of the lp sum over box^(n-1) of |kappa| with the
-    anchor pinned in the first slot, walking every ordered tuple."""
+def product_order_clustering_norm(table, n, p, box):
+    """Sup over every anchor in the box of the lp sum over box^(n-1) of
+    |kappa| with the anchor pinned in the first slot, walking every ordered
+    tuple."""
     best = 0.0
-    for anchor in anchors:
+    for anchor in box:
         pinned = (SiteRef(anchor),)
         vals = product_order_walk(
             lambda x: abs(table.cumulant(pinned + tuple(SiteRef(s) for s in x))),

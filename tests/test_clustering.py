@@ -64,6 +64,19 @@ class NonGaussianView(MomentProvider):
         return self.inner.moment(sequence)
 
 
+class AnchorScanView(NonGaussianView):
+    """The same moments with the Gaussian flag kept and translation
+    invariance dropped: every sup over anchors scans all of box^k, as it
+    does for NonGaussianView, while the Gaussian rule still applies."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.is_gaussian = inner.is_gaussian
+
+    def covariance(self, a, b):
+        return self.inner.covariance(a, b)
+
+
 def test_gamma_constant():
     assert GAMMA == pytest.approx(2 * math.e)
 
@@ -100,7 +113,7 @@ def test_clustering_norm_inhomogeneous_gaussian_scans_anchors():
     f = GrowingVarianceField()
     box = [0, 1, 2, 3]
     assert clustering_norm(f, 2, 1, box) == pytest.approx(4.0)
-    assert clustering_norm(f, 2, 1, box, anchors=box) == pytest.approx(4.0)
+    assert clustering_norm(f, 2, 1, box[::-1]) == pytest.approx(4.0)
 
 
 def test_magnitude_constants_monotone():
@@ -331,27 +344,10 @@ _DISCRETE = random_discrete_field(np.random.default_rng(2), sites=[0, 1, 2])
     (lambda n, xp: phi_kernel(_DISCRETE, n, xp, [0, 1]), 1, 2),
     (lambda n, xp: phi_kernel(_DISCRETE, n, xp, [0, 1]), 3, 2),
     (lambda n, xp: lemma_check(_DISCRETE, n, 1.0, xp, [0, 1]), 3, 2),
-    (lambda n, xp: theorem41_check(_DISCRETE, Observable.of_site(2), n, 2, [0, 1],
-                                   xprime_anchors=[xp]), 2, 3),
-    (lambda n, xp: joint_theorem_check(_DISCRETE, 1, n, 2, [2], [0, 1],
-                                       y_tuples=[xp]), 2, 1),
-    # p = 1 builds no row, and with a Gaussian law at m + n = 3 the sum
-    # vanishes before any row is built
-    (lambda n, xp: theorem41_check(_DISCRETE, Observable.of_site(2), n, 1, [0, 1],
-                                   xprime_anchors=[xp]), 1, 3),
-    (lambda n, xp: joint_theorem_check(_DISCRETE, 1, n, 1, [2], [0, 1],
-                                       y_tuples=[xp]), 1, 3),
-    (lambda n, xp: theorem41_check(IidRealGaussianField(), Observable.of_site(0), n, 2,
-                                   [0, 1], xprime_anchors=[(0,) * n, xp]), 2, 1),
-    (lambda n, xp: joint_theorem_check(IidRealGaussianField(), 1, n, 2, [0], [0, 1],
-                                       y_tuples=[(0,) * n, xp]), 2, 1),
-], ids=["phi_kernel-1-0", "phi_kernel-1-2", "phi_kernel-3-2", "lemma-3-2",
-        "theorem41-2-3", "joint-2-1", "theorem41-p1-1-3", "joint-p1-1-3",
-        "theorem41-gaussian-2-1", "joint-gaussian-2-1"])
+], ids=["phi_kernel-1-0", "phi_kernel-1-2", "phi_kernel-3-2", "lemma-3-2"])
 def test_phi_kernel_rejects_xprime_of_another_length(call, n, length):
     # a Phi_n row pairs n conjugated sites with n sites; any other x' would
-    # be a kernel of another order, so an anchor set is checked whether or
-    # not its rows are built
+    # be a kernel of another order
     with pytest.raises(ValueError, match=f"x' has {length} sites, but a Phi_{n} row needs {n}"):
         call(n, (0,) * length)
 
@@ -400,9 +396,10 @@ def test_anchor_tuples_pin():
 @pytest.mark.parametrize("name", sorted(SMALL_BOXES))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_clustering_norm_vanishing_matches_recursion(name, n):
+    # both views scan every anchor of the box
     provider, box, _, _ = SMALL_BOXES[name]
-    fast = clustering_norm(provider, n, 1, box, anchors=box)
-    slow = clustering_norm(NonGaussianView(provider), n, 1, box, anchors=box)
+    fast = clustering_norm(AnchorScanView(provider), n, 1, box)
+    slow = clustering_norm(NonGaussianView(provider), n, 1, box)
     assert abs(fast - slow) <= 1e-12
 
 
@@ -414,10 +411,8 @@ def test_theorem41_vanishing_matches_recursion(name, n, p, degree):
     provider, _, _, small = SMALL_BOXES[name]
     site = small[0] if name == "iid-real" else ("psi", 0)
     X = Observable([(1.0, (SiteRef(site),) * degree)])
-    kwargs = dict(norm_box=small, anchors=small,
-                  xprime_anchors=[tuple(small[:1]) * n, tuple(small[-n:])])
-    fast = theorem41_check(provider, X, n, p, small, **kwargs)
-    slow = theorem41_check(NonGaussianView(provider), X, n, p, small, **kwargs)
+    fast = theorem41_check(AnchorScanView(provider), X, n, p, small)
+    slow = theorem41_check(NonGaussianView(provider), X, n, p, small)
     if degree == 1:
         assert fast.lhs == 0.0
     elif n == 2:
@@ -431,11 +426,8 @@ def test_theorem41_vanishing_matches_recursion(name, n, p, degree):
 @pytest.mark.parametrize("p", [1, 2])
 def test_joint_theorem_vanishing_matches_recursion(name, m, n, p):
     provider, _, psi_sites, phi_box = SMALL_BOXES[name]
-    kwargs = dict(xprime_tuples=list(product(psi_sites, repeat=m)),
-                  y_tuples=[tuple(phi_box[:1]) * n, tuple(phi_box[-n:])])
-    fast = joint_theorem_check(provider, m, n, p, psi_sites, phi_box, **kwargs)
-    slow = joint_theorem_check(NonGaussianView(provider), m, n, p, psi_sites,
-                               phi_box, **kwargs)
+    fast = joint_theorem_check(AnchorScanView(provider), m, n, p, psi_sites, phi_box)
+    slow = joint_theorem_check(NonGaussianView(provider), m, n, p, psi_sites, phi_box)
     assert fast.lhs == 0.0
     assert abs(fast.lhs - slow.lhs) <= 1e-12
     assert fast.rhs == pytest.approx(slow.rhs, rel=1e-12, abs=1e-12)
@@ -453,15 +445,14 @@ WALK_FIELDS = {
 @pytest.mark.parametrize("name", sorted(WALK_FIELDS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [1, 2, math.inf])
-@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
-def test_clustering_norm_multiset_walk_matches_product_walk(name, n, p, explicit):
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_clustering_norm_multiset_walk_matches_product_walk(name, n, p, order):
+    # no field here is translation invariant, so the norm scans every anchor,
+    # in box order
     provider = WALK_FIELDS[name]
-    box = list(provider.sites)
-    anchors = [box[-1], box[1]] if explicit else None
-    got = clustering_norm(provider, n, p, box, anchors=anchors)
-    want = product_order_clustering_norm(CumulantTable(provider), n, p, box,
-                                         anchors or box)
-    assert got == want
+    box = list(provider.sites)[::order]
+    got = clustering_norm(provider, n, p, box)
+    assert got == product_order_clustering_norm(CumulantTable(provider), n, p, box)
 
 
 @pytest.mark.parametrize("name", sorted(WALK_FIELDS))
@@ -471,10 +462,8 @@ def test_theorem41_multiset_walk_matches_product_walk(name, n, p):
     provider = WALK_FIELDS[name]
     sites = list(provider.sites)
     X, box = Observable.of_site(sites[0]), sites[1:]
-    xprime_anchors = [tuple(box[-1:]) * n, tuple(box[i % len(box)] for i in range(n))]
     table = CumulantTable(provider)
-    rep = theorem41_check(provider, X, n, p, box, xprime_anchors=xprime_anchors,
-                          table=table)
+    rep = theorem41_check(provider, X, n, p, box, table=table)
     xs = list(product(box, repeat=n))
     ksq = product_order_walk(
         lambda x: abs(observable_cumulant(table, X, tuple(SiteRef(s) for s in x))) ** 2,
@@ -483,7 +472,7 @@ def test_theorem41_multiset_walk_matches_product_walk(name, n, p):
         lhs, witness = math.sqrt(left_fold(ksq)), xs[ksq.index(max(ksq))]
     else:
         lhs, witness = 0.0, None
-        for xp in xprime_anchors:
+        for xp in xs:
             row = phi_kernel(provider, n, xp, box, table=table)
             val = math.sqrt(left_fold(abs(row.values[x]) * k for x, k in zip(xs, ksq)))
             if val > lhs:
@@ -544,20 +533,21 @@ def test_first_max_takes_the_first_largest_positive_value():
     assert first_max([]) == (0.0, None)
 
 
+# _TIED is not translation invariant, so a sup scans every anchor of the box,
+# in box order: reversing the box reverses the scan
+
+@pytest.mark.parametrize("box", [[0, 1], [1, 0]], ids=["forward", "reversed"])
 @pytest.mark.parametrize("p", [1, 2, math.inf])
-def test_clustering_norm_over_tied_anchors_is_their_common_value(p):
-    box = [0, 1]
-    alone = [clustering_norm(_TIED, 2, p, box, anchors=[a]) for a in box]
-    assert alone[0] == alone[1] > 0
-    assert clustering_norm(_TIED, 2, p, box, anchors=[0, 1]) == alone[0]
-    assert clustering_norm(_TIED, 2, p, box, anchors=[1, 0]) == alone[0]
+def test_clustering_norm_over_tied_anchors_is_their_common_value(box, p):
+    # anchor a sums |kappa[a, x]| = (1, 1/2) or (1/2, 1) over the box
+    common = {1: 1.5, 2: 1.25 ** 0.5, math.inf: 1.0}[p]
+    assert clustering_norm(_TIED, 2, p, box) == common
 
 
 @pytest.mark.parametrize("first,second", [(0, 1), (1, 0)])
 def test_theorem41_tie_goes_to_the_first_xprime(first, second):
     # Phi_1(y, .) = (1, 1/2) or (1/2, 1) against |kappa[X, x]|^2 = 1/4 each
-    rep = theorem41_check(_TIED, Observable.of_site(2), 1, 2, [0, 1],
-                          xprime_anchors=[(first,), (second,)])
+    rep = theorem41_check(_TIED, Observable.of_site(2), 1, 2, [first, second])
     assert rep.lhs == math.sqrt(0.25 * 1.0 + 0.25 * 0.5)
     assert rep.witnesses["witness_x"] == [first]
 
@@ -566,15 +556,14 @@ def test_theorem41_tie_goes_to_the_first_xprime(first, second):
 @pytest.mark.parametrize("p", [1, 2])
 def test_joint_theorem_tie_goes_to_the_first_xprime_and_y(order, p):
     # every x' in {2, 3} and every y in {0, 1} gives the same value
-    xprimes, ys = [(2,), (3,)][::order], [(0,), (1,)][::order]
-    rep = joint_theorem_check(_TIED, 1, 1, p, [2, 3], [0, 1],
-                              xprime_tuples=xprimes, y_tuples=ys)
+    psi_sites, phi_box = [2, 3][::order], [0, 1][::order]
+    rep = joint_theorem_check(_TIED, 1, 1, p, psi_sites, phi_box)
     if p == 1:
         assert rep.lhs == math.sqrt(0.25 + 0.25)
-        assert rep.witnesses["witness"] == {"xprime": list(xprimes[0])}
+        assert rep.witnesses["witness"] == {"xprime": psi_sites[:1]}
     else:
         assert rep.lhs == math.sqrt(0.25 * 1.0 + 0.25 * 0.5)
-        assert rep.witnesses["witness"] == {"xprime": list(xprimes[0]), "y": list(ys[0])}
+        assert rep.witnesses["witness"] == {"xprime": psi_sites[:1], "y": phi_box[:1]}
 
 
 def test_lemma_chain_iid(rng):
@@ -668,6 +657,22 @@ def test_theorem41_rejects_an_observable_that_does_not_vary(probs, value, p):
     assert theorem41_check(f, Observable.of_site(0), 1, p, [0, 1]).flag
 
 
+_INDEPENDENT_SIGNS = FiniteDiscreteField(
+    [0, 1], [(0.25, (1, 1)), (0.25, (1, -1)), (0.25, (-1, 1)), (0.25, (-1, -1))])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_zero_lhs_has_no_witness(p):
+    # two independent signs: every cumulant of site 1 with site 0 is 0, so
+    # no x attains the sup; at p = 1 theorem41_check used to name x = [0]
+    rep = theorem41_check(_INDEPENDENT_SIGNS, Observable.of_site(1), 1, p, [0])
+    assert (rep.lhs, rep.witnesses["witness_x"]) == (0.0, None)
+    assert rep.flag
+    for m, n in ((1, 1), (1, 2), (2, 1)):
+        rep = joint_theorem_check(_INDEPENDENT_SIGNS, m, n, p, [1], [0])
+        assert (rep.lhs, rep.witnesses["witness"]) == (0.0, None), (m, n)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_theorem41_accepts_a_small_real_variance(p):
     # cov(X*, X) = 2.5e-11 of E[X* X] = 1: far above rounding, so it counts
@@ -677,10 +682,10 @@ def test_theorem41_accepts_a_small_real_variance(p):
     assert rep.flag
 
 
-@pytest.mark.parametrize("p", [math.nan, -1, 0, 0.5, -math.inf])
+@pytest.mark.parametrize("p", [math.nan, -1, 0, 0.5, -math.inf, True])
 def test_clustering_norm_rejects_p_outside_one_to_inf(rng, p):
     # p = -1 used to give a positive "norm" and p = nan 0.0; p = 0 divided
-    # by zero
+    # by zero; p = True was taken as 1
     f = random_discrete_field(rng, sites=[0, 1, 2])
     gauss = IidRealGaussianField()
     for provider, n in ((f, 2), (f, 1), (gauss, 3)):
@@ -695,10 +700,10 @@ def test_zero_orders_are_rejected(two_field_provider):
     # fail with a bare IndexError and magnitude_constants at N = 0 returned
     # no constants
     f = two_field_provider
-    with pytest.raises(ValueError, match="N must be >= 1"):
+    with pytest.raises(ValueError, match="^N must be an int >= 1, not 0$"):
         magnitude_constants(f, 1, 0, [("phi", 0)])
     for p in (1, 2):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="^n must be an int >= 1, not 0$"):
             theorem41_check(f, Observable.of_site(("psi", 0)), 0, p, [("phi", 0)])
 
 
@@ -710,7 +715,42 @@ def test_zero_orders_are_rejected(two_field_provider):
 def test_kernel_rows_reject_order_below_one(call):
     # the restricted partitions of no positions used to fail with their own
     # "need at least one position"
-    with pytest.raises(ValueError, match="^n must be >= 1$"):
+    with pytest.raises(ValueError, match="^n must be an int >= 1, not -?[01]$"):
+        call()
+
+
+_PAIR = random_discrete_field(np.random.default_rng(0), sites=[0, 1])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: clustering_norm(_PAIR, 2.5, 1, [0, 1]), "n must be an int >= 1, not 2.5"),
+    (lambda: clustering_norm(_PAIR, True, 1, [0, 1]), "n must be an int >= 1, not True"),
+    (lambda: magnitude_constants(_PAIR, 1, True, [0, 1]), "N must be an int >= 1, not True"),
+    (lambda: magnitude_constants(_PAIR, 1, 2.0, [0, 1]), "N must be an int >= 1, not 2.0"),
+    (lambda: phi_kernel(_PAIR, True, (0,), [0, 1]), "n must be an int >= 1, not True"),
+    (lambda: phi_kernel(_PAIR, 1.0, (0,), [0, 1]), "n must be an int >= 1, not 1.0"),
+    (lambda: lemma_check(_PAIR, True, 1, (0,), [0, 1]), "n must be an int >= 1, not True"),
+    (lambda: lemma_check(_PAIR, 1, True, (0,), [0, 1]), "p must be in [1, inf], not True"),
+    (lambda: theorem41_check(_PAIR, Observable.of_site(0), True, 1, [0, 1]),
+     "n must be an int >= 1, not True"),
+    (lambda: theorem41_check(_PAIR, Observable.of_site(0), 1.5, 2, [0, 1]),
+     "n must be an int >= 1, not 1.5"),
+    (lambda: joint_theorem_check(_PAIR, True, 1, 1, [0], [1]),
+     "m must be an int >= 1, not True"),
+    (lambda: joint_theorem_check(_PAIR, 1.0, 1, 1, [0], [1]),
+     "m must be an int >= 1, not 1.0"),
+    (lambda: joint_theorem_check(_PAIR, 1, True, 2, [0], [1]),
+     "n must be an int >= 1, not True"),
+    (lambda: joint_theorem_check(_PAIR, 1, 0, 1, [0], [1]), "n must be an int >= 1, not 0"),
+], ids=["clustering_norm-float", "clustering_norm-bool", "magnitude_constants-bool",
+        "magnitude_constants-float", "phi_kernel-bool", "phi_kernel-float", "lemma-bool",
+        "lemma-bool-p", "theorem41-bool", "theorem41-float", "joint-m-bool",
+        "joint-m-float", "joint-n-bool", "joint-n-zero"])
+def test_orders_that_are_not_ints_and_a_bool_p_are_rejected(call, message):
+    # theorem41_check(..., True, ...) used to report "n": true and
+    # lemma_check(..., p=True, ...) "p": true, n = 2.5 failed with a
+    # TypeError from deep inside, and joint_theorem_check took m = True
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -720,7 +760,7 @@ def test_clustering_norm_accepts_p_at_the_ends(rng):
         assert clustering_norm(f, 2, p, [0, 1, 2]) > 0
 
 
-def test_empty_boxes_and_anchor_sets_are_rejected(two_field_provider):
+def test_empty_boxes_are_rejected(two_field_provider):
     # a sum or sup over nothing is 0, which no check may pass vacuously
     f = two_field_provider
     psi, phi = [("psi", 0), ("psi", 1)], [("phi", 0), ("phi", 1)]
@@ -731,7 +771,6 @@ def test_empty_boxes_and_anchor_sets_are_rejected(two_field_provider):
                          lambda: magnitude_constants(f, 1, 2, []),
                          lambda: joint_theorem_check(f, 1, 1, 1, psi, phi,
                                                      phi_norm_box=[])],
-        "the anchor set": [lambda: clustering_norm(f, 2, 1, phi, anchors=[])],
         "the psi box": [lambda p=p: joint_theorem_check(f, 1, 1, p, [], phi)
                         for p in (1, 2)],
         "the phi box": [lambda p=p: joint_theorem_check(f, 1, 1, p, psi, [])
@@ -740,12 +779,6 @@ def test_empty_boxes_and_anchor_sets_are_rejected(two_field_provider):
         "the kernel box": [lambda: phi_kernel(f, 1, [("phi", 0)], []),
                            lambda: lemma_check(f, 1, 1, [("phi", 0)], [],
                                                norm_box=phi)],
-        "the x' anchor set": [
-            lambda: theorem41_check(f, X, 1, 2, phi, xprime_anchors=[]),
-            lambda: joint_theorem_check(f, 1, 1, 1, psi, phi, xprime_tuples=[]),
-            lambda: joint_theorem_check(f, 1, 1, 2, psi, phi, xprime_tuples=[])],
-        "the y anchor set": [
-            lambda: joint_theorem_check(f, 1, 1, 2, psi, phi, y_tuples=[])],
     }
     for name, group in calls.items():
         for call in group:
@@ -758,8 +791,6 @@ _X2 = Observable.of_site(2)
 
 @pytest.mark.parametrize("name,repeated,call", [
     ("the norm box", 1, lambda: clustering_norm(_DISCRETE, 2, 1, [0, 1, 1])),
-    ("the anchor set", 1,
-     lambda: clustering_norm(_DISCRETE, 2, 1, [0, 1], anchors=[1, 0, 1])),
     ("the norm box", 0, lambda: magnitude_constants(_DISCRETE, 1, 2, [0, 1, 0])),
     ("the kernel box", 1, lambda: phi_kernel(_DISCRETE, 1, (0,), [0, 1, 1])),
     ("the kernel box", 1, lambda: lemma_check(_DISCRETE, 1, 1, (0,), [0, 1, 1])),
@@ -768,44 +799,19 @@ _X2 = Observable.of_site(2)
     ("the box", 1, lambda: theorem41_check(_DISCRETE, _X2, 1, 1, [0, 1, 1])),
     ("the norm box", 0,
      lambda: theorem41_check(_DISCRETE, _X2, 1, 1, [0, 1], norm_box=[0, 0])),
-    ("the x' anchor set", (0, 1),
-     lambda: theorem41_check(_DISCRETE, _X2, 2, 2, [0, 1],
-                             xprime_anchors=[(0, 1), [0, 1]])),
     ("the psi box", 2, lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2, 2], [0, 1])),
     ("the phi box", 1, lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2], [0, 1, 1])),
     ("the norm box", 1, lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2], [0, 1],
                                                     phi_norm_box=[1, 1])),
-    ("the x' anchor set", (2,),
-     lambda: joint_theorem_check(_DISCRETE, 1, 1, 1, [2], [0, 1],
-                                 xprime_tuples=[(2,), (2,)])),
-    ("the y anchor set", (1, 0),
-     lambda: joint_theorem_check(_DISCRETE, 1, 2, 2, [2], [0, 1],
-                                 y_tuples=[(1, 0), (0, 0), (1, 0)])),
-], ids=["clustering_norm-box", "clustering_norm-anchors", "magnitude_constants",
-        "phi_kernel", "lemma-box", "lemma-norm-box", "theorem41-box",
-        "theorem41-norm-box", "theorem41-xprime", "joint-psi-box", "joint-phi-box",
-        "joint-norm-box", "joint-xprime", "joint-y"])
-def test_repeated_sites_and_anchors_are_rejected(name, repeated, call):
+], ids=["clustering_norm-box", "magnitude_constants", "phi_kernel", "lemma-box",
+        "lemma-norm-box", "theorem41-box", "theorem41-norm-box", "joint-psi-box",
+        "joint-phi-box", "joint-norm-box"])
+def test_repeated_box_sites_are_rejected(name, repeated, call):
     # clustering_norm(f, 2, 1, [0, 1, 1]) used to count site 1 twice, while
     # the checks' dict rows over box^n silently counted it once
     with pytest.raises(ValueError, match=f"^{re.escape(name)} repeats "
                                          f"{re.escape(repr(repeated))}$"):
         call()
-
-
-@pytest.mark.parametrize("m,xprime", [
-    (1, (("psi", 0), ("psi", 1), ("psi", 0))),
-    (1, ()),
-    (2, (("psi", 0),)),
-], ids=["m1-three-sites", "m1-no-site", "m2-one-site"])
-@pytest.mark.parametrize("p", [1, 2])
-def test_joint_theorem_rejects_xprime_of_another_length(two_field_provider, m, xprime, p):
-    # an x' of three sites at m = 1 used to take order-4 cumulants and
-    # report them as m = 1
-    f = two_field_provider
-    psi, phi = [("psi", 0), ("psi", 1)], [("phi", 0), ("phi", 1)]
-    with pytest.raises(ValueError, match=f"has {len(xprime)} sites, but m = {m}$"):
-        joint_theorem_check(f, m, 1, p, psi, phi, xprime_tuples=[(psi[0],) * m, xprime])
 
 
 def test_joint_theorem_sinc_m1_n1():
@@ -887,18 +893,16 @@ def test_joint_theorem_lhs_matches_brute_force(two_field_provider):
 def _reuse_calls(psi, phi, box):
     """Certifier calls as (function, args, kwargs) whose arguments overlap,
     among them pairs that a key missing an argument would merge: the same n
-    on another box, explicit anchors and None, p = 1, 1.0, 2 and inf, and an
-    x' next to its permutation."""
+    on another box, p = 1, 1.0, 2 and inf, and an x' next to its
+    permutation."""
     calls = []
     for n in (1, 2, 3, 4):
         for p in (1, 1.0, 2, math.inf):
             for b in (phi, box):
-                for anchors in (None, b[-1:], b):
-                    calls.append((clustering_norm, (n, p, b), {"anchors": anchors}))
+                calls.append((clustering_norm, (n, p, b), {}))
     for p in (1, 2.0, math.inf):
         for b in (phi, box):
-            for anchors in (None, b[:1]):
-                calls.append((magnitude_constants, (p, 4, b), {"anchors": anchors}))
+            calls.append((magnitude_constants, (p, 4, b), {}))
     for xp in ((phi[0],), (phi[0], phi[1]), (phi[0], phi[1], phi[1])):
         for x in (xp, xp[::-1]):
             for b in (phi, box):
@@ -907,8 +911,6 @@ def _reuse_calls(psi, phi, box):
         for x in (xp, xp[::-1]):
             for p in (1, 2):
                 calls.append((lemma_check, (n, p, x, phi), {"norm_box": box}))
-                calls.append((lemma_check, (n, p, x, phi),
-                              {"norm_box": box, "anchors": box[:1]}))
     compound = Observable([(1.0, (SiteRef(psi[0]),)),
                            (0.5, (SiteRef(psi[1]), SiteRef(psi[1])))])
     for X in (Observable.of_site(psi[0]), compound):
@@ -916,21 +918,13 @@ def _reuse_calls(psi, phi, box):
             for p in (1, 2):
                 calls.append((theorem41_check, (X, n, p, phi), {"norm_box": box}))
                 calls.append((theorem41_check, (X, n, p, box), {"norm_box": phi}))
-        for xp in ((phi[0], phi[1]), (phi[1], phi[0])):
-            calls.append((theorem41_check, (X, 2, 2, phi),
-                          {"norm_box": box, "xprime_anchors": [xp]}))
     for m in (1, 2):
         for n in (1, 2):
             for p in (1, 2):
                 calls.append((joint_theorem_check, (m, n, p, psi, phi), {}))
                 calls.append((joint_theorem_check, (m, n, p, psi, box),
                               {"phi_norm_box": phi}))
-    for p in (1, 2):
-        for xp in ((psi[0], psi[1]), (psi[1], psi[0])):
-            calls.append((joint_theorem_check, (2, 1, p, psi, phi),
-                          {"xprime_tuples": [xp]}))
-    for y in ((phi[0], phi[1], phi[1]), (phi[1], phi[1], phi[0])):
-        calls.append((joint_theorem_check, (1, 3, 2, psi, phi), {"y_tuples": [y]}))
+    calls.append((joint_theorem_check, (1, 3, 2, psi, phi), {}))
     return calls
 
 
@@ -994,19 +988,26 @@ def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2)])
 def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_provider,
                                                       m, n):
-    # on a non-Gaussian provider only the |kappa|^2 maps call joint_cumulant;
-    # there is one per x' anchor, with one call per multiset of phi sites
+    # only the |kappa|^2 maps look up cumulants of psi and phi sites together
+    # (the norms take one field, the rows conjugate x'); there is one map
+    # per x' anchor, with one lookup per multiset of phi sites
     f = two_field_provider
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
     lookups = []
-    _count_calls(monkeypatch, CumulantTable, "joint_cumulant", lookups)
+    _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
     table = CumulantTable(f)
+
+    def mixed():
+        return [seq for _, seq in lookups
+                if {ref.site[0] for ref in seq} == {"psi", "phi"}
+                and not any(ref.conj for ref in seq)]
+
     joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
-    assert len(lookups) == len(psi_sites) ** m * math.comb(len(phi_sites) + n - 1, n)
+    assert len(mixed()) == len(psi_sites) ** m * math.comb(len(phi_sites) + n - 1, n)
     lookups.clear()
     joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
-    assert lookups == []
+    assert mixed() == []
 
 
 def test_observable_covariance_nonnegative(rng):
