@@ -11,6 +11,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -107,6 +108,8 @@ def _finish(out, subcommand: str, started: float, ok: bool, summary: str, *,
         "seed": seed,
         "tool_version": __version__,
         "wall_clock_s": round(time.time() - started, 3),
+        "environment": {"python": ".".join(map(str, sys.version_info)),
+                        "numpy": np.__version__, "cpu_count": os.cpu_count()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     click.echo(f"{subcommand}: {summary}")

@@ -19,13 +19,13 @@ block, where its block tensor starts in one vector and how the x digits
 index it; the row multiplies and adds the gathered values along outer
 axes, which numpy folds left to right.
 
-Every check on one ``CumulantTable`` shares what it derives from the
-cumulants: each clustering norm (by n, p and box), each Phi_n row
-(by n, x' in the order given and box), each block tensor of a row (by its
-x' sites, its number of x sites and box) and each map of |kappa|^2 over
-box^n (by the fixed arguments, n and box) is built once per table, through
-``CumulantTable.derived``.  A call without a table builds a fresh one, so
-nothing is shared; a table built on another provider is refused.
+Every check on one ``CumulantTable`` shares, through ``derived``, each
+clustering norm (by n, p and box), each Phi_n row (by n, x' in the order
+given and box) and each array ``_symmetric_walk`` fills (by its fixed
+arguments, number of box sites and box): an anchor's |kappa| walk, which
+its norms at every p fold, a row's block tensor, a map of |kappa|^2.  A
+call without a table builds a fresh one, so nothing is shared; a table
+built on another provider is refused.
 """
 
 from __future__ import annotations
@@ -136,6 +136,12 @@ def _require_p(p) -> None:
         raise ValueError(f"p must be 1 or 2, not {p!r}")
 
 
+def _require_exponent(p) -> None:
+    """An lp exponent is a real number in [1, inf], and not a bool."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 1 <= p <= math.inf:
+        raise ValueError(f"p must be in [1, inf], not {p!r}")
+
+
 def _require_order(name: str, value) -> None:
     """An order n, m or N is an int >= 1: no order-0 norm, constant or row
     exists, and a bool or a float would be echoed in a report as given."""
@@ -172,15 +178,21 @@ def _multiset_expansion(size: int, k: int) -> tuple:
     return multisets, expansion
 
 
-def _symmetric_walk(value, box, k: int) -> np.ndarray:
-    """[value(x) for x in product(box, repeat=k)] as a read-only array, for
-    a value symmetric in its k arguments, such as |kappa| of the box sites
-    with fixed other arguments: value is called once per multiset of box
-    positions, and the array comes back in product order."""
-    multisets, expansion = _multiset_expansion(len(box), k)
-    walk = np.array([value(tuple(box[i] for i in ms)) for ms in multisets])[expansion]
-    walk.flags.writeable = False
-    return walk
+def _symmetric_walk(table: CumulantTable, key: tuple, value, box_sites, k: int) -> np.ndarray:
+    """[value(x) for x in product(refs, repeat=k)] as a read-only array, with
+    refs the SiteRefs of the box sites, for a value symmetric in its k
+    arguments, such as |kappa| of the box sites with fixed other arguments:
+    value is called once per multiset of box positions, and the array comes
+    back in product order.  Built once per table, ``key`` (the value's other
+    arguments), k and box."""
+    def build():
+        refs = tuple(map(SiteRef, box_sites))
+        multisets, expansion = _multiset_expansion(len(refs), k)
+        walk = np.array([value(tuple(refs[i] for i in ms)) for ms in multisets])[expansion]
+        walk.flags.writeable = False
+        return walk
+
+    return table.derived(key + (k, box_sites), build)
 
 
 def _anchor_tuples(provider, box, k: int) -> list:
@@ -196,27 +208,22 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     of the lp-sum over box^(n-1) of |kappa| with the anchor pinned in the
     first slot."""
     _require_order("n", n)
-    if isinstance(p, bool) or not 1 <= p <= math.inf:
-        raise ValueError(f"p must be in [1, inf], not {p!r}")
+    _require_exponent(p)
     box_sites = _require_nonempty("the norm box", box_sites)
     table = table_for(provider, table)
     if table.singletons_vanish(n):
         return 0.0
-    return table.derived(("clustering_norm", n, p, box_sites),
-                         lambda: _sup_over_anchors(table, n, p, box_sites))
-
-
-def _sup_over_anchors(table: CumulantTable, n: int, p: float, box_sites) -> float:
-    refs = tuple(SiteRef(s) for s in box_sites)
 
     def pinned_norm(anchor):
-        pinned = tuple(SiteRef(s) for s in anchor)
+        pinned = tuple(map(SiteRef, anchor))
         if n == 1:
             return abs(table.cumulant(pinned)), anchor
-        walk = _symmetric_walk(lambda combo: abs(table.cumulant(pinned + combo)), refs, n - 1)
+        walk = _symmetric_walk(table, ("norm_walk", pinned), lambda combo: abs(
+            table.cumulant(pinned + combo)), box_sites, n - 1)
         return _norm_accumulate(walk, p), anchor
 
-    return _first_max(map(pinned_norm, _anchor_tuples(table.provider, box_sites, 1)))[0]
+    return table.derived(("clustering_norm", n, p, box_sites), lambda: _first_max(
+        map(pinned_norm, _anchor_tuples(provider, box_sites, 1)))[0])
 
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
@@ -335,13 +342,15 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> np.ndarray:
     numpy folds them left to right, in the order of the restricted expansion
     of its own x, and with real cumulants each entry rounds as it does."""
     left = tuple(SiteRef(s, True) for s in xprime)
-    right = tuple(SiteRef(s) for s in box_sites)
     size = len(box_sites)
     keys, high, local = _row_plan(
         n, size, tuple(table.singletons_vanish(k) for k in range(2 * n + 1)))
-    vector = np.concatenate([np.ones(1, dtype=complex)] + [
-        _block_tensor(table, tuple(left[i] for i in lefts), r, right, box_sites)
-        for lefts, r in keys])
+    tensors = [np.ones(1, dtype=complex)]
+    for lefts, r in keys:  # rows whose x' share a block's head share its tensor
+        head = tuple(left[i] for i in lefts)
+        tensors.append(_symmetric_walk(table, ("block", head),
+                                       lambda z: table.cumulant(head + z), box_sites, r))
+    vector = np.concatenate(tensors)
     places = size ** np.arange(high.shape[-1] - 1, -1, -1, dtype=np.intp)
     width, parts = local.shape[1:]
     terms = np.zeros((parts + 1, width), dtype=complex)  # row 0 stays 0.0
@@ -352,23 +361,6 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> np.ndarray:
         np.add.reduce(terms, axis=0, out=out)
     total.flags.writeable = False  # and so is every view of it
     return total.ravel()[:size ** n]
-
-
-def _block_tensor(table: CumulantTable, head, r: int, right, box_sites):
-    """kappa[head, phi(z_1), ..., phi(z_r)] for z in box^r, in product
-    order, built once per table, head and box: rows whose x' share a head
-    share it."""
-    return table.derived(("block", head, r, box_sites),
-                         lambda: _symmetric_walk(lambda z: table.cumulant(head + z), right, r))
-
-
-def _kappa_sq_map(table: CumulantTable, fixed, box_sites, n: int, kappa) -> np.ndarray:
-    """|kappa(x)|^2 for x in box^n, in product order, for a kappa of the
-    ``fixed`` arguments and the SiteRefs of the box sites x, symmetric in x;
-    built once per table, ``fixed``, n and box."""
-    box_sites = tuple(box_sites)
-    return table.derived(("kappa_sq", fixed, n, box_sites), lambda: _symmetric_walk(
-        lambda x: abs(kappa(x)) ** 2, tuple(SiteRef(s) for s in box_sites), n))
 
 
 def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites,
@@ -400,6 +392,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
     Both flags travel in the witnesses; the top-level flag compares the
     outermost pair.
     """
+    _require_exponent(p)
     table = table_for(provider, table)
     if norm_box is None:
         norm_box = box_sites
@@ -452,9 +445,8 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
 
     lhs, witness_x = 0.0, None
     if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
-        kappa_sq = _kappa_sq_map(
-            table, ("observable", X.terms), box_sites, n,
-            lambda x: observable_cumulant(table, X, x))
+        kappa_sq = _symmetric_walk(table, ("observable_kappa_sq", X.terms), lambda x: abs(
+            observable_cumulant(table, X, x)) ** 2, box_sites, n)
         lhs, witness_x = _weighted_l2(table, n, p, box_sites, kappa_sq)
         if p == 1 and lhs > 0:  # the first largest |kappa|^2
             witness_x = tuple(box_sites[i] for i in np.unravel_index(
@@ -509,8 +501,8 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
 
     def psi_pinned(xp):
         pinned = tuple(SiteRef(s) for s in xp)
-        ksq = _kappa_sq_map(table, ("psi", xp), phi_box, n,
-                            lambda x: table.cumulant(pinned + x))
+        ksq = _symmetric_walk(table, ("joint_kappa_sq", pinned), lambda x: abs(
+            table.cumulant(pinned + x)) ** 2, phi_box, n)
         value, y = _weighted_l2(table, n, p, phi_box, ksq)
         return value, (xp, y)
 

@@ -61,7 +61,9 @@ class MomentProvider(ABC):
 class CumulantTable:
     """Memoized cumulants kappa[y_I] over a backing provider.
 
-    Entries are stored under the permutation-invariant canonical key.
+    Entries are stored in one memo under the permutation-invariant
+    canonical key: the sorted sequence for single field variables, the
+    sorted canonical monomials, none equal to a SiteRef, for compound ones.
     ``cumulant`` is the one place that applies the Gaussian rule, and
     ``joint_cumulant`` hands it every collection of single field variables.
     Moments of products of the variables are memoized too, each under its
@@ -75,8 +77,8 @@ class CumulantTable:
     once per subset: the same floats in the same order.
 
     ``derived`` keeps values built from these cumulants (the clustering
-    norms, Phi_n rows and |kappa|^2 maps of ``clustering``), so checks that
-    share a table build each of them once.
+    norms and their |kappa| walks, Phi_n rows and |kappa|^2 maps of
+    ``clustering``), so checks that share a table build each of them once.
     """
 
     def __init__(self, provider: MomentProvider):
@@ -108,16 +110,19 @@ class CumulantTable:
 
         This is the one method that applies the Gaussian rule, which reads
         the variables in the caller's order; otherwise the canonical key is
-        built with one sort.
+        built with one sort, and a memo hit costs that sort and one probe.
         """
-        self._check(len(sequence))
         if self.provider.is_gaussian:
+            self._check(len(sequence))
             if self.singletons_vanish(len(sequence)):
                 return 0.0
             return self.provider.covariance(sequence[0], sequence[1])
-        key = tuple(zip(canonical(sequence)))
+        key = canonical(sequence)
         hit = self._memo.get(key)
-        return self._recurse(key) if hit is None else hit
+        if hit is None:
+            self._check(len(key))
+            hit = self._recurse(key, True)
+        return hit
 
     def joint_cumulant(self, variables) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
@@ -128,11 +133,10 @@ class CumulantTable:
         """
         if all(len(mono) == 1 for mono in variables):
             return self.cumulant(tuple(mono[0] for mono in variables))
-        variables = tuple(canonical(mono) for mono in variables)
-        self._check(sum(len(mono) for mono in variables))
-        key = tuple(sorted(variables, key=seq_sort_key))
+        key = tuple(sorted(map(canonical, variables), key=seq_sort_key))
+        self._check(sum(map(len, key)))
         hit = self._memo.get(key)
-        return self._recurse(key) if hit is None else hit
+        return self._recurse(key, False) if hit is None else hit
 
     def _check(self, order: int):
         """Reject an empty collection and an order above the provider's
@@ -141,33 +145,34 @@ class CumulantTable:
             raise ValueError("cumulant of an empty collection is undefined")
         self.provider.check_order(order)
 
-    def _recurse(self, key) -> complex:
+    def _recurse(self, key, flat: bool) -> complex:
         """kappa of the canonical key by the anchored recursion, for a key
         that is not memoised yet; the value is memoised.
 
-        A moment is memoised under its variables' flat sequence in key
-        order.  The moment and memo probes are inline, so a hit costs no
-        call.  One term is built per class of the subset plan, and the
-        terms are subtracted in ``combinations`` order, one per subset.
+        A ``flat`` key is its own moment key; a compound key's moment is
+        memoised under the flat sequence of its monomials in key order.  The
+        moment and memo probes are inline, so a hit costs no call.  One term
+        is built per class of the subset plan, and the terms are subtracted
+        in ``combinations`` order, one per subset.
         """
         moments, memo, moment = self._moments, self._memo, self.provider.moment
-        flat = tuple(chain.from_iterable(key))
-        value = moments.get(flat)
+        seq = key if flat else tuple(chain.from_iterable(key))
+        value = moments.get(seq)
         if value is None:
-            value = moments[flat] = moment(flat)
+            value = moments[seq] = moment(seq)
         distinct, order = _subset_plan(len(key), tuple(map(eq, key, key[1:])))
         terms = []
         for sub_of, comp_of in distinct:
             # the positions increase, so the sub-key of the canonical key is
             # canonical already
             sub = sub_of(key)
-            comp = tuple(chain.from_iterable(comp_of(key)))
+            comp = comp_of(key) if flat else tuple(chain.from_iterable(comp_of(key)))
             weight = moments.get(comp)
             if weight is None:
                 weight = moments[comp] = moment(comp)
             kappa = memo.get(sub)
             if kappa is None:
-                kappa = self._recurse(sub)
+                kappa = self._recurse(sub, flat)
             terms.append(weight * kappa)
         for i in order:
             value -= terms[i]

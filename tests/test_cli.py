@@ -1,6 +1,9 @@
 import csv
 import json
+import os
+import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -179,7 +182,7 @@ def test_dnls_demo(runner, tmp_path):
 
 
 MANIFEST_KEYS = {"schema_version", "subcommand", "config", "seed",
-                 "tool_version", "wall_clock_s"}
+                 "tool_version", "wall_clock_s", "environment"}
 
 
 @pytest.mark.parametrize("args,files", [
@@ -191,7 +194,8 @@ MANIFEST_KEYS = {"schema_version", "subcommand", "config", "seed",
 ], ids=["partition-stats", "verify-bounds", "example-gaussian", "dnls-demo"])
 def test_rerun_output_contract(runner, tmp_path, args, files):
     # every command: byte-identical data files on rerun, each JSON data file
-    # versioned and pointing at the manifest, and one manifest key set
+    # versioned and pointing at the manifest, and one manifest key set with
+    # the environment the run saw
     cfg = tmp_path / "dnls.json"
     cfg.write_text(json.dumps({"length": 16, "n_samples": 200,
                                "couplings": [0.0, 0.05]}))
@@ -213,6 +217,9 @@ def test_rerun_output_contract(runner, tmp_path, args, files):
                 assert rec["manifest"] == "manifest.json"
     assert set(manifests[0]) == set(manifests[1]) == MANIFEST_KEYS
     assert manifests[0]["subcommand"] == args[0]
+    assert manifests[0]["environment"] == {
+        "python": ".".join(map(str, sys.version_info)),
+        "numpy": np.__version__, "cpu_count": os.cpu_count()}
 
 
 def test_dnls_demo_rerun_with_split_members(runner, tmp_path, monkeypatch):

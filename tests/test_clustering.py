@@ -754,6 +754,41 @@ def test_orders_that_are_not_ints_and_a_bool_p_are_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize("p", ["1", None, True, 0.5], ids=repr)
+def test_p_is_refused_before_any_walk_or_row(p):
+    # "1" and None used to fail with a bare TypeError from inside, and
+    # lemma_check built its Phi_1 row before any p was looked at
+    message = f"^p must be in \\[1, inf\\], not {re.escape(repr(p))}$"
+    for call in (lambda table: clustering_norm(_PAIR, 2, p, [0, 1], table=table),
+                 lambda table: magnitude_constants(_PAIR, p, 2, [0, 1], table=table),
+                 lambda table: lemma_check(_PAIR, 1, p, (0,), [0, 1], table=table)):
+        table = CumulantTable(_PAIR)
+        with pytest.raises(ValueError, match=message):
+            call(table)
+        assert not table._derived and not table._memo
+
+
+def test_norms_at_every_p_fold_one_walk_per_anchor(monkeypatch):
+    # magnitude constants at p = 1, inf and 2 on one table: the runs after
+    # the first read every anchor's |kappa| walk from the table and look up
+    # no cumulant of order >= 2, and every norm is a fresh table's bit for
+    # bit
+    est = sample_ensemble(sinc_coupling_example(), box=2, n_samples=200, seed=3)
+    box = list(est.sites)
+    table = CumulantTable(est)
+    orders = []
+    lookup = CumulantTable.cumulant
+    monkeypatch.setattr(CumulantTable, "cumulant",
+                        lambda self, seq: orders.append(len(seq)) or lookup(self, seq))
+    for run, p in enumerate((1.0, math.inf, 2.0)):
+        orders.clear()
+        magnitude_constants(est, p, 4, box, table=table)
+        assert max(orders) == (4 if run == 0 else 1), p
+        for n in range(1, 5):
+            shared = clustering_norm(est, n, p, box, table=table)
+            assert repr(shared) == repr(clustering_norm(est, n, p, box)), (n, p)
+
+
 def test_clustering_norm_accepts_p_at_the_ends(rng):
     f = random_discrete_field(rng, sites=[0, 1, 2])
     for p in (1, 1.0, 1.5, math.inf):

@@ -128,9 +128,16 @@ def test_table_cumulant_equals_joint_cumulant_of_singletons(provider, sites):
         for anchor in range(order):
             assert combinations_cumulant(provider, key, anchor, memo) == pytest.approx(
                 got, abs=1e-12), (seq, anchor)
-    # every memo key stays canonical: canonical monomials in canonical order
+        if not provider.is_gaussian:
+            assert canonical(seq) in fast._memo, seq
+    # every memo key stays canonical: single field variables under their
+    # canonical sequence itself, compound ones as canonical monomials in
+    # canonical order
     for key in fast._memo:
-        assert key == tuple(sorted((canonical(m) for m in key), key=seq_sort_key))
+        if all(isinstance(item, SiteRef) for item in key):
+            assert key == canonical(key)
+        else:
+            assert key == tuple(sorted((canonical(m) for m in key), key=seq_sort_key))
 
 
 @pytest.mark.parametrize("calls", list(itertools.permutations([1, 1.0, True])),
@@ -144,6 +151,48 @@ def test_canonical_ignores_call_history_of_equal_labels(calls):
         + tuple(SiteRef(("phi", label)) for label in (True, 1, 1.0))
     want = sorted(seq, key=lambda r: (repr(r.site), r.conj))
     assert [repr(r) for r in canonical(seq)] == [repr(r) for r in want]
+
+
+@st.composite
+def _small_fields_and_sequences(draw):
+    """A field on 1 to 3 sites, FiniteDiscreteField or EnsembleEstimator,
+    with real or complex values, and 1 to 5 of its single field variables,
+    sites and conjugation flags drawn with repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sites = list(range(draw(st.integers(1, 3))))
+    rows = 4 if draw(st.booleans()) else 40
+    values = rng.uniform(-1.0, 1.0, size=(rows, len(sites)))
+    if draw(st.booleans()):
+        values = values + 1j * rng.uniform(-1.0, 1.0, size=values.shape)
+    if rows == 4:
+        probs = rng.random(rows) + 0.05
+        provider = FiniteDiscreteField(sites, list(zip(probs / probs.sum(), map(tuple, values))))
+    else:
+        provider = EnsembleEstimator(sites, values)
+    order = draw(st.integers(1, 5))
+    seq = tuple(SiteRef(draw(st.sampled_from(sites)), draw(st.booleans()))
+                for _ in range(order))
+    return provider, seq
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_small_fields_and_sequences())
+def test_flat_keys_match_the_nested_key_path(case):
+    # cumulant memoises single field variables under their canonical
+    # sequence itself; the value is, bit for bit (repr tells 0j from 0.0),
+    # the anchor-0 oracle's over the key of 1-tuples, the same recursion run
+    # on that nested key, and joint_cumulant's of the 1-tuples in every
+    # argument order, each on a fresh table
+    provider, seq = case
+    key = canonical(seq)
+    table = CumulantTable(provider)
+    got = table.cumulant(seq)
+    assert key in table._memo
+    assert repr(got) == repr(combinations_cumulant(provider, tuple(zip(key)), 0))
+    assert repr(got) == repr(CumulantTable(provider)._recurse(tuple(zip(key)), False))
+    for perm in set(itertools.permutations(seq)):
+        want = CumulantTable(provider).joint_cumulant(tuple((ref,) for ref in perm))
+        assert repr(want) == repr(got), perm
 
 
 def _recursion_providers(seed):
