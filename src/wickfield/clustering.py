@@ -9,10 +9,13 @@ anchor in the box.  No caller chooses anchors.  Every sup over anchors is
 ``_weighted_l2``.  Lattice sums are truncated to caller-supplied boxes; no
 report bounds the tail beyond its box.
 
-Phi_n rows, block tensors and maps of |kappa|^2 are read-only arrays in
-product order over box^k; ``_symmetric_walk`` fills each tensor and map
-with one cumulant lookup per multiset of box sites, and every lp sum is
-the one left fold in ``_norm_accumulate``.  A Phi_n row is one gather per
+Every array a check folds comes from ``CumulantTable.cumulant_tensor``,
+the cumulants of fixed head variables and k box sites in product order
+over box^k: the |kappa| walks of the clustering norms, the |kappa|^2 maps
+of the observable and joint bounds and the block tensors of the Phi_n rows.
+|kappa| is ``np.hypot`` of the tensor's parts, as Python's ``abs`` of a
+complex rounds it, and every lp sum is the one left fold in
+``_norm_accumulate``.  A Phi_n row is one gather per
 chunk of box^n: ``_row_plan``, built once per process for each n, box
 size and vanishing rule, lists the restricted partitions and, for each
 block, where its block tensor starts in one vector and how the x digits
@@ -21,11 +24,11 @@ axes, which numpy folds left to right.
 
 Every check on one ``CumulantTable`` shares, through ``derived``, each
 clustering norm (by n, p and box), each Phi_n row (by n, x' in the order
-given and box) and each array ``_symmetric_walk`` fills (by its fixed
-arguments, number of box sites and box): an anchor's |kappa| walk, which
-its norms at every p fold, a row's block tensor, a map of |kappa|^2.  A
-call without a table builds a fresh one, so nothing is shared; a table
-built on another provider is refused.
+given and box) and each cumulant tensor (by head, k and box): an anchor's
+tensor, which its norms at every p fold, a row's block tensor, the tensor
+of a pinned psi x' or an observable term.  A call without a table builds a
+fresh one, so nothing is shared; a table built on another provider is
+refused.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, product
 from operator import itemgetter
 
 import numpy as np
@@ -100,6 +103,20 @@ def observable_cumulant(table: CumulantTable, X: Observable, refs) -> complex:
                for c, mono in X.terms)
 
 
+def _observable_tensor(table: CumulantTable, X: Observable, k: int,
+                       box_sites) -> np.ndarray:
+    """kappa[X, y(z_1), ..., y(z_k)] for z in box^k in product order: the sum
+    from 0 of coeff times the cumulant tensor of each term, each entry
+    rounded as ``observable_cumulant`` rounds it.  The complex products are
+    spelled out in real parts, since numpy's complex multiply may fuse them."""
+    total = np.zeros(len(box_sites) ** k, dtype=complex)
+    for c, mono in X.terms:
+        t = table.cumulant_tensor((mono,), k, box_sites)
+        total.real += c.real * t.real - c.imag * t.imag
+        total.imag += c.real * t.imag + c.imag * t.real
+    return total
+
+
 def observable_covariance(table: CumulantTable, X: Observable) -> float:
     """cov(X*, X) = kappa[X*, X]."""
     Xc = X.conjugate()
@@ -121,11 +138,12 @@ def _require_nonempty(name: str, items) -> tuple:
     items = tuple(items)
     if not items:
         raise ValueError(f"{name} is empty")
-    seen = set()
-    for item in items:
-        if item in seen:
-            raise ValueError(f"{name} repeats {item!r}")
-        seen.add(item)
+    if len(set(items)) < len(items):
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise ValueError(f"{name} repeats {item!r}")
+            seen.add(item)
     return items
 
 
@@ -164,35 +182,22 @@ def _norm_accumulate(values, p: float) -> float:
     return float(np.add.accumulate(values ** p)[-1]) ** (1.0 / p)
 
 
-@lru_cache(maxsize=32)
-def _multiset_expansion(size: int, k: int) -> tuple:
-    """The multisets of k positions in range(size), as sorted tuples in
-    combinations_with_replacement order, and a read-only intp array that
-    holds, for each x in product(range(size), repeat=k), in product order,
-    the index of the multiset of x."""
-    multisets = tuple(combinations_with_replacement(range(size), k))
-    rank = {ms: i for i, ms in enumerate(multisets)}
-    expansion = np.array([rank[tuple(sorted(x))] for x in product(range(size), repeat=k)],
-                         dtype=np.intp)
-    expansion.flags.writeable = False  # every walk of this shape shares it
-    return multisets, expansion
+def _singles(sites, conj: bool = False) -> tuple:
+    """The head of single field variables, one per site, that
+    ``CumulantTable.cumulant_tensor`` takes."""
+    return tuple((SiteRef(s, conj),) for s in sites)
 
 
-def _symmetric_walk(table: CumulantTable, key: tuple, value, box_sites, k: int) -> np.ndarray:
-    """[value(x) for x in product(refs, repeat=k)] as a read-only array, with
-    refs the SiteRefs of the box sites, for a value symmetric in its k
-    arguments, such as |kappa| of the box sites with fixed other arguments:
-    value is called once per multiset of box positions, and the array comes
-    back in product order.  Built once per table, ``key`` (the value's other
-    arguments), k and box."""
-    def build():
-        refs = tuple(map(SiteRef, box_sites))
-        multisets, expansion = _multiset_expansion(len(refs), k)
-        walk = np.array([value(tuple(refs[i] for i in ms)) for ms in multisets])[expansion]
-        walk.flags.writeable = False
-        return walk
+def _abs(tensor: np.ndarray) -> np.ndarray:
+    """|kappa| of a complex tensor, entry for entry as Python's ``abs``
+    rounds it (``np.abs`` may differ in the last bit)."""
+    return np.hypot(tensor.real, tensor.imag)
 
-    return table.derived(key + (k, box_sites), build)
+
+def _abs_sq(tensor: np.ndarray) -> np.ndarray:
+    """|kappa|^2 as Python's ``abs(kappa) ** 2`` rounds it: ``float_power``
+    calls the C ``pow`` as ``**`` does, where ``np.square`` may differ."""
+    return np.float_power(_abs(tensor), 2)
 
 
 def _anchor_tuples(provider, box, k: int) -> list:
@@ -215,11 +220,9 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
         return 0.0
 
     def pinned_norm(anchor):
-        pinned = tuple(map(SiteRef, anchor))
         if n == 1:
-            return abs(table.cumulant(pinned)), anchor
-        walk = _symmetric_walk(table, ("norm_walk", pinned), lambda combo: abs(
-            table.cumulant(pinned + combo)), box_sites, n - 1)
+            return abs(table.cumulant((SiteRef(anchor[0]),))), anchor
+        walk = _abs(table.cumulant_tensor(_singles(anchor), n - 1, box_sites))
         return _norm_accumulate(walk, p), anchor
 
     return table.derived(("clustering_norm", n, p, box_sites), lambda: _first_max(
@@ -248,8 +251,8 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     for every x in box^n: the sum over the restricted partitions of the
     n + n positions of the products of their block cumulants, less the
     partitions with a block that ``CumulantTable.singletons_vanish``.  Each
-    block's cumulants over the box are looked up once per multiset of box
-    sites and kept on the table; the row gathers them through a plan of
+    block's cumulants over the box are the table's cumulant tensor of its
+    x' head; the row gathers them through a plan of
     the partitions, about 2^18 values at a time, so every entry adds the
     partitions, and multiplies their blocks, in the order the restricted
     expansion of that one x does, and with real cumulants rounds as it
@@ -341,15 +344,13 @@ def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> np.ndarray:
     to 0.0 in plan order; both reductions run along the outermost axis, so
     numpy folds them left to right, in the order of the restricted expansion
     of its own x, and with real cumulants each entry rounds as it does."""
-    left = tuple(SiteRef(s, True) for s in xprime)
+    left = _singles(xprime, True)
     size = len(box_sites)
     keys, high, local = _row_plan(
         n, size, tuple(table.singletons_vanish(k) for k in range(2 * n + 1)))
     tensors = [np.ones(1, dtype=complex)]
     for lefts, r in keys:  # rows whose x' share a block's head share its tensor
-        head = tuple(left[i] for i in lefts)
-        tensors.append(_symmetric_walk(table, ("block", head),
-                                       lambda z: table.cumulant(head + z), box_sites, r))
+        tensors.append(table.cumulant_tensor(tuple(left[i] for i in lefts), r, box_sites))
     vector = np.concatenate(tensors)
     places = size ** np.arange(high.shape[-1] - 1, -1, -1, dtype=np.intp)
     width, parts = local.shape[1:]
@@ -445,8 +446,7 @@ def theorem41_check(provider: MomentProvider, X: Observable, n: int, p: int,
 
     lhs, witness_x = 0.0, None
     if not (X.singleton_monomials() and table.singletons_vanish(1 + n)):
-        kappa_sq = _symmetric_walk(table, ("observable_kappa_sq", X.terms), lambda x: abs(
-            observable_cumulant(table, X, x)) ** 2, box_sites, n)
+        kappa_sq = _abs_sq(_observable_tensor(table, X, n, box_sites))
         lhs, witness_x = _weighted_l2(table, n, p, box_sites, kappa_sq)
         if p == 1 and lhs > 0:  # the first largest |kappa|^2
             witness_x = tuple(box_sites[i] for i in np.unravel_index(
@@ -500,9 +500,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
                      else _anchor_tuples(provider, psi_sites, m))
 
     def psi_pinned(xp):
-        pinned = tuple(SiteRef(s) for s in xp)
-        ksq = _symmetric_walk(table, ("joint_kappa_sq", pinned), lambda x: abs(
-            table.cumulant(pinned + x)) ** 2, phi_box, n)
+        ksq = _abs_sq(table.cumulant_tensor(_singles(xp), n, phi_box))
         value, y = _weighted_l2(table, n, p, phi_box, ksq)
         return value, (xp, y)
 

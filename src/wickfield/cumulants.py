@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain, combinations
+from functools import cache, lru_cache
+from itertools import chain, combinations, combinations_with_replacement, product
 from operator import eq, itemgetter
 
-from .indexing import IndexSequence, canonical, seq_sort_key, subsequence
+import numpy as np
+
+from .indexing import IndexSequence, SiteRef, canonical, seq_sort_key, subsequence
 from .partitions import enumerate_partitions, enumerate_restricted
 
 
@@ -41,7 +43,8 @@ class MomentProvider(ABC):
     max_order: int = 8
     #: set by zero-mean jointly Gaussian providers; the cumulants of single
     #: field variables of order != 2 are then exactly zero
-    #: (CumulantTable.singletons_vanish)
+    #: (CumulantTable.singletons_vanish), and the provider supplies the
+    #: second ones by ``covariance(a, b)`` and ``covariance_row(a, refs)``
     is_gaussian: bool = False
     #: set by providers whose law is invariant under lattice shifts; a single
     #: anchor then attains the sup over anchors in the clustering norms
@@ -64,8 +67,10 @@ class CumulantTable:
     Entries are stored in one memo under the permutation-invariant
     canonical key: the sorted sequence for single field variables, the
     sorted canonical monomials, none equal to a SiteRef, for compound ones.
-    ``cumulant`` is the one place that applies the Gaussian rule, and
-    ``joint_cumulant`` hands it every collection of single field variables.
+    ``cumulant`` applies the Gaussian rule to one collection of single field
+    variables and ``cumulant_tensor`` to a tensor of them, both by
+    ``singletons_vanish``, and ``joint_cumulant`` hands ``cumulant`` every
+    collection of single field variables.
     Moments of products of the variables are memoized too, each under its
     flat index sequence in the order the recursion builds it; that key is
     deliberately not canonicalised, because a provider may round a product
@@ -76,9 +81,12 @@ class CumulantTable:
     the same term, so the term is built once per such class and subtracted
     once per subset: the same floats in the same order.
 
-    ``derived`` keeps values built from these cumulants (the clustering
-    norms and their |kappa| walks, Phi_n rows and |kappa|^2 maps of
-    ``clustering``), so checks that share a table build each of them once.
+    ``cumulant_tensor`` lays the cumulants of fixed head variables and k
+    box sites out over box^k, the one source of the arrays ``clustering``
+    folds; a Gaussian one is filled from covariance rows, with no cumulant
+    lookup per entry.  ``derived`` keeps those tensors and the values ``clustering``
+    builds from them (clustering norms, Phi_n rows), so checks that share a
+    table build each of them once.
     """
 
     def __init__(self, provider: MomentProvider):
@@ -108,8 +116,8 @@ class CumulantTable:
     def cumulant(self, sequence: IndexSequence) -> complex:
         """kappa of single field variables, one per position of the sequence.
 
-        This is the one method that applies the Gaussian rule, which reads
-        the variables in the caller's order; otherwise the canonical key is
+        The Gaussian rule reads the variables in the caller's order, as
+        ``cumulant_tensor`` applies it to a tensor; otherwise the canonical key is
         built with one sort, and a memo hit costs that sort and one probe.
         """
         if self.provider.is_gaussian:
@@ -123,6 +131,58 @@ class CumulantTable:
             self._check(len(key))
             hit = self._recurse(key, True)
         return hit
+
+    def cumulant_tensor(self, head, k: int, box_sites) -> np.ndarray:
+        """kappa[v_1, ..., v_h, y(z_1), ..., y(z_k)] for z in box^k in product
+        order, a read-only flat complex array built once per table, head, k
+        and box: the head holds the variables v as ``joint_cumulant`` takes
+        them, and each z is the SiteRef of a box site.
+
+        A head of single field variables of a Gaussian law follows the rule
+        of ``cumulant``: the tensor is zeros unless h + k = 2, and otherwise
+        comes from the provider's ``covariance_row``.  Any other tensor
+        looks up one cumulant per multiset of box positions, with the z of
+        each multiset in box order, and repeats it at every x of that
+        multiset.
+        """
+        head, box_sites = tuple(head), tuple(box_sites)
+
+        def build():
+            refs = tuple(map(SiteRef, box_sites))
+            singles = all(len(v) == 1 for v in head)
+            if singles and self.provider.is_gaussian:
+                self._check(len(head) + k)
+                tensor = self._covariance_tensor(tuple(v[0] for v in head), k, refs)
+            else:
+                multisets, expansion = _multiset_expansion(len(refs), k)
+                if singles:
+                    flat = tuple(v[0] for v in head)
+                    values = [self.cumulant(flat + tuple(refs[i] for i in ms))
+                              for ms in multisets]
+                else:
+                    values = [self.joint_cumulant(head + tuple((refs[i],) for i in ms))
+                              for ms in multisets]
+                tensor = np.array(values, dtype=complex)[expansion]
+            tensor.flags.writeable = False
+            return tensor
+
+        return self.derived(("cumulant_tensor", head, k, box_sites), build)
+
+    def _covariance_tensor(self, head, k: int, refs) -> np.ndarray:
+        """The Gaussian tensor of single field variables: zeros unless
+        len(head) + k = 2, else covariance(v, w) of the two variables in
+        head-then-box order, for k = 2 at each multiset's z in box order."""
+        row = self.provider.covariance_row
+        if self.singletons_vanish(len(head) + k):
+            return np.zeros(len(refs) ** k, dtype=complex)
+        if k == 0:
+            return row(head[0], head[1:])
+        if k == 1:
+            return row(head[0], refs)
+        tensor = np.empty((len(refs),) * 2, dtype=complex)
+        for i, a in enumerate(refs):
+            tensor[i, i:] = tensor[i:, i] = row(a, refs[i:])
+        return tensor.ravel()
 
     def joint_cumulant(self, variables) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
@@ -188,6 +248,20 @@ def table_for(provider: MomentProvider, table: CumulantTable | None) -> Cumulant
     if table.provider is not provider:
         raise ValueError("table was built on another provider")
     return table
+
+
+@lru_cache(maxsize=32)
+def _multiset_expansion(size: int, k: int) -> tuple:
+    """The multisets of k positions in range(size), as sorted tuples in
+    combinations_with_replacement order, and a read-only intp array that
+    holds, for each x in product(range(size), repeat=k), in product order,
+    the index of the multiset of x."""
+    multisets = tuple(combinations_with_replacement(range(size), k))
+    rank = {ms: i for i, ms in enumerate(multisets)}
+    expansion = np.array([rank[tuple(sorted(x))] for x in product(range(size), repeat=k)],
+                         dtype=np.intp)
+    expansion.flags.writeable = False  # every tensor of this shape shares it
+    return multisets, expansion
 
 
 def _tuple_getter(positions) -> itemgetter:

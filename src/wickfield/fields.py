@@ -137,6 +137,11 @@ class GaussianCovarianceField(MomentProvider):
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         raise NotImplementedError
 
+    def covariance_row(self, a: SiteRef, refs) -> np.ndarray:
+        """[covariance(a, b) for b in refs] as a complex array; a subclass
+        may vectorise it, entry for entry equal to ``covariance``."""
+        return np.array([self.covariance(a, b) for b in refs], dtype=complex)
+
     def moment(self, sequence: IndexSequence) -> complex:
         n = len(sequence)
         if n == 0:
@@ -210,7 +215,8 @@ def check_psd(f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID) -> bool:
 class SpectralGaussianField(GaussianCovarianceField):
     """Translation-invariant zero-mean Gaussian pair (psi, phi) on Z.
 
-    Sites are ("psi", x) or ("phi", x) with integer x.  Covariances are the
+    Sites are ("psi", x) or ("phi", x) with integer x; a covariance of any
+    other site is refused with ValueError.  Covariances are the
     inverse Fourier transforms of the spectra; the quadrature uses a uniform
     grid on the torus (one FFT yields the whole displacement table).  Closed
     forms, when supplied, take precedence over quadrature.
@@ -271,15 +277,54 @@ class SpectralGaussianField(GaussianCovarianceField):
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         # real-valued fields: the conjugation flags are inert
-        comp_a, x = a.site
-        comp_b, y = b.site
-        if comp_a == "psi" and comp_b == "psi":
-            return self.pair_covariance("psipsi", x - y)
-        if comp_a == "phi" and comp_b == "phi":
-            return self.pair_covariance("phiphi", x - y)
-        if comp_a == "psi":
-            return self.pair_covariance("psiphi", x - y)
-        return self.pair_covariance("psiphi", y - x)
+        comp_a, x = _spectral_site(a)
+        comp_b, y = _spectral_site(b)
+        which, sign = _PAIR_TYPES[comp_a, comp_b]
+        return self.pair_covariance(which, sign * (x - y))
+
+    def covariance_row(self, a: SiteRef, refs) -> np.ndarray:
+        """[covariance(a, b) for b in refs] with one ``covariance_profile``
+        call per pair type; each entry equals ``pair_covariance``, which
+        drops a small imaginary part of a quadrature value entry by entry."""
+        comp_a, x = _spectral_site(a)
+        groups = {"psi": ([], []), "phi": ([], [])}  # positions and coordinates
+        for i, ref in enumerate(refs):
+            comp, y = _spectral_site(ref)
+            at, ys = groups[comp]
+            at.append(i)
+            ys.append(y)
+        row = np.empty(len(refs), dtype=complex)
+        for comp_b, (at, ys) in groups.items():
+            if not at:
+                continue
+            which, sign = _PAIR_TYPES[comp_a, comp_b]
+            values = self.covariance_profile(which, sign * (x - np.asarray(ys)))
+            if which not in self.closed_forms:
+                values = np.where(np.absolute(values.imag) < _REAL_TOL, values.real, values)
+            row[at] = values
+        return row
+
+
+#: (pair type, sign of x - y) of the covariance of a ("comp_a", x) and a
+#: ("comp_b", y) site
+_PAIR_TYPES = {("psi", "psi"): ("psipsi", 1), ("phi", "phi"): ("phiphi", 1),
+               ("psi", "phi"): ("psiphi", 1), ("phi", "psi"): ("psiphi", -1)}
+
+#: np.real_if_close(values, tol=1e6) makes values real when every imaginary
+#: part is below this
+_REAL_TOL = np.finfo(float).eps * 1e6
+
+
+def _spectral_site(ref: SiteRef) -> tuple:
+    """The (component, coordinate) of a site of a spectral pair; ValueError
+    naming the site unless it is ("psi" or "phi", an integer)."""
+    site = ref.site
+    if not (isinstance(site, tuple) and len(site) == 2 and site[0] in ("psi", "phi")
+            and (type(site[1]) is int  # the common case, without the ABC check
+                 or isinstance(site[1], numbers.Integral) and not isinstance(site[1], bool))):
+        raise ValueError(f"site {site!r} of a spectral pair is not "
+                         f"('psi' or 'phi', an integer coordinate)")
+    return site
 
 
 def _sinc_g(x):

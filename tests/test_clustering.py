@@ -76,6 +76,9 @@ class AnchorScanView(NonGaussianView):
     def covariance(self, a, b):
         return self.inner.covariance(a, b)
 
+    def covariance_row(self, a, refs):
+        return self.inner.covariance_row(a, refs)
+
 
 def test_gamma_constant():
     assert GAMMA == pytest.approx(2 * math.e)

@@ -22,7 +22,10 @@ from wickfield.cumulants import (
 from wickfield.fields import (
     EnsembleEstimator,
     FiniteDiscreteField,
+    GaussianCovarianceField,
+    IidComplexGaussianField,
     IidRealGaussianField,
+    field_from_config,
     bernoulli_field,
     rademacher_field,
     random_discrete_field,
@@ -550,3 +553,89 @@ def test_table_evaluates_each_moment_once():
         assert moments_from_cumulants(table, seq) == pytest.approx(
             est.moment(seq), rel=1e-10, abs=1e-12)
     assert set(counting.calls.values()) == {1}
+
+
+class BrownianField(GaussianCovarianceField):
+    """Real Gaussians at sites s >= 0 with covariance 1 + min(s, t): Gaussian
+    and not translation invariant."""
+
+    def covariance(self, a, b):
+        return 1.0 + min(a.site, b.site)
+
+
+_SINC_BOX = [("phi", 2), ("psi", -1), ("phi", -3), ("psi", 0)]
+
+#: provider and box of each law whose cumulant tensors are checked
+TENSOR_FIELDS = {
+    "sinc": (sinc_coupling_example, _SINC_BOX),
+    "quadrature": (lambda: field_from_config({
+        "grid": 1024, "f1": {"name": "flat"},
+        "f2": {"name": "band", "height": 1.5, "halfwidth": 0.3},
+        "g": {"name": "band", "halfwidth": 0.2}}), _SINC_BOX),
+    "iid-real": (lambda: IidRealGaussianField(2.5), [3, -1, 0]),
+    "iid-complex": (lambda: IidComplexGaussianField(1.5), [3, -1, 0]),
+    "brownian": (BrownianField, [2, 0, 3, 1]),
+    "discrete": (lambda: random_discrete_field(np.random.default_rng(7), sites=[1, 0, 2]),
+                 [1, 0, 2]),
+    "ensemble": (lambda: sample_ensemble(sinc_coupling_example(), box=2, n_samples=64,
+                                         seed=5), [("phi", 1), ("psi", 0), ("phi", 0)]),
+}
+
+
+def _heads(box):
+    """Heads of 0 to 3 single field variables, conjugates among them, and
+    one compound variable."""
+    a, b = SiteRef(box[1]), SiteRef(box[-1], True)
+    return [(), ((a,),), ((b,),), ((a,), (b,)), ((b,), (b,), (a,)), ((a, b),)]
+
+
+def product_order_tensor(table, head, k, box):
+    """kappa[head, z] for each x in box^k in product order, one cumulant
+    lookup per x, with the z of each x in box order: the order in which the
+    tensor reads the variables of a multiset, and which a Gaussian rule that
+    reads its variables in the caller's order sees."""
+    refs = [SiteRef(s) for s in box]
+    values = []
+    for x in itertools.product(range(len(box)), repeat=k):
+        tail = tuple((refs[i],) for i in sorted(x))
+        if all(len(v) == 1 for v in head):
+            values.append(table.cumulant(tuple(v[0] for v in head + tail)))
+        else:
+            values.append(table.joint_cumulant(head + tail))
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_FIELDS))
+def test_cumulant_tensor_equals_product_order_walk(name):
+    make, box = TENSOR_FIELDS[name]
+    provider = make()
+    table = CumulantTable(provider)
+    checked = 0
+    for head in _heads(box):
+        for k in range(4):
+            order = sum(map(len, head)) + k
+            if not 1 <= order <= 4:
+                continue
+            tensor = table.cumulant_tensor(head, k, box)
+            assert tensor.dtype == complex and tensor.shape == (len(box) ** k,)
+            assert not tensor.flags.writeable
+            assert table.cumulant_tensor(list(head), k, tuple(box)) is tensor
+            walk = product_order_tensor(CumulantTable(provider), head, k, box)
+            assert tensor.tolist() == [complex(v) for v in walk], (head, k)
+            checked += 1
+    assert checked == 19
+
+
+@pytest.mark.parametrize("name", ["sinc", "iid-real", "brownian"])
+def test_gaussian_tensor_is_a_covariance_only_at_order_two(name):
+    # the rule is on the head and the box together: zeros wherever they hold
+    # other than two single field variables, whatever k is
+    make, box = TENSOR_FIELDS[name]
+    table = CumulantTable(make())
+    a = SiteRef(box[0])
+    for head_len in range(4):
+        for k in range(4 - head_len):
+            if head_len + k == 0:
+                continue
+            tensor = table.cumulant_tensor(((a,),) * head_len, k, box)
+            assert np.any(tensor != 0) == (head_len + k == 2), (head_len, k)

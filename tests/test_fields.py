@@ -1,9 +1,13 @@
+import functools
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wickfield.clustering import clustering_norm
 from wickfield.cumulants import CumulantTable, cumulant
 from wickfield.fields import (
     EnsembleEstimator,
@@ -210,6 +214,107 @@ def test_pair_covariance_memo_keeps_values_and_grid_error():
     for _ in range(2):
         with pytest.raises(ValueError, match="quadrature grid 64 is too small"):
             f.pair_covariance("psiphi", 32)
+
+
+def _skewed_pair(grid: int = 256) -> SpectralGaussianField:
+    """A quadrature pair whose cross spectrum is not even, so the cross
+    covariances are complex and np.real_if_close keeps a profile of them
+    complex, while a lone displacement with a small imaginary part (0)
+    is made real."""
+    ones = lambda k: np.ones_like(np.asarray(k, dtype=float))
+    return SpectralGaussianField(
+        f1_hat=ones, f2_hat=ones,
+        g_hat=lambda k: ((np.asarray(k, dtype=float) >= 0)
+                         & (np.asarray(k, dtype=float) < 0.25)).astype(float),
+        grid=grid, name="skewed")
+
+
+#: fields whose vectorised covariance row must equal scalar covariances
+_ROW_FIELDS = {
+    "sinc": lambda: sinc_coupling_example(),
+    "quadrature": lambda: field_from_config({
+        "grid": 1024, "f1": {"name": "flat"},
+        "f2": {"name": "band", "height": 1.5, "halfwidth": 0.3},
+        "g": {"name": "band", "halfwidth": 0.2}}),
+    "skewed": _skewed_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_FIELDS))
+def test_covariance_row_equals_scalar_covariance(name):
+    # a box of psi and phi sites out of order, conjugates among them, so a
+    # row grouped by pair type must scatter its values back in box order
+    f = _ROW_FIELDS[name]()
+    box = [SiteRef(("phi", 3)), SiteRef(("psi", -2), True), SiteRef(("psi", 0)),
+           SiteRef(("phi", -7)), SiteRef(("phi", 0), True), SiteRef(("psi", 5)),
+           SiteRef(("psi", 3))]
+    for a in box + [SiteRef(("psi", 40)), SiteRef(("phi", -1), True)]:
+        row = f.covariance_row(a, box)
+        assert row.dtype == complex and row.shape == (len(box),)
+        assert row.tolist() == [complex(f.covariance(a, b)) for b in box]
+
+
+def test_skewed_covariance_row_drops_small_imaginary_parts_entry_by_entry():
+    f = _skewed_pair()
+    box = [SiteRef(("phi", x)) for x in range(-3, 4)]
+    assert np.iscomplexobj(f.covariance_profile("psiphi", np.arange(3, -4, -1)))
+    row = f.covariance_row(SiteRef(("psi", 0)), box)
+    assert row[3].imag == 0.0 and np.count_nonzero(row.imag) > 0
+    assert row.tolist() == [f.pair_covariance("psiphi", -x) for x in range(-3, 4)]
+
+
+@pytest.mark.parametrize("site", [("chi", 1), ("psi",), ("psi", 0, 1), 3, ("Psi", 0)])
+def test_spectral_covariance_refuses_an_unknown_component(site):
+    # ("chi", 1) used to be read as ("phi", 1)
+    f = sinc_coupling_example()
+    message = re.escape(repr(site))
+    with pytest.raises(ValueError, match=message):
+        f.covariance(SiteRef(("psi", 0)), SiteRef(site))
+    with pytest.raises(ValueError, match=message):
+        f.covariance(SiteRef(site), SiteRef(("phi", 0)))
+    with pytest.raises(ValueError, match=message):
+        f.covariance_row(SiteRef(("psi", 0)), [SiteRef(("phi", 0)), SiteRef(site)])
+    with pytest.raises(ValueError, match=message):
+        f.covariance_row(SiteRef(site), [SiteRef(("phi", 0))])
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, True, "1", None])
+def test_spectral_covariance_refuses_a_coordinate_that_is_not_an_integer(x):
+    # ("psi", 0.5) used to give a moment of 0j with closed forms and an
+    # IndexError through quadrature
+    site = ("psi", x)
+    message = re.escape(repr(site))
+    for f in (sinc_coupling_example(), _ROW_FIELDS["quadrature"]()):
+        with pytest.raises(ValueError, match=message):
+            f.covariance(SiteRef(("psi", 0)), SiteRef(site))
+        with pytest.raises(ValueError, match=message):
+            f.moment((SiteRef(site), SiteRef(site)))
+        with pytest.raises(ValueError, match=message):
+            f.covariance_row(SiteRef(("phi", 0)), [SiteRef(("psi", 1)), SiteRef(site)])
+        with pytest.raises(ValueError, match=message):
+            f.covariance_row(SiteRef(site), [SiteRef(("phi", 0))])
+    # numpy integers are integers
+    f = sinc_coupling_example()
+    assert f.covariance(SiteRef(("psi", np.int64(1))), SiteRef(("phi", 0))) == \
+        f.covariance(SiteRef(("psi", 1)), SiteRef(("phi", 0)))
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_FIELDS))
+def test_gaussian_walk_calls_covariance_profile_once_per_pair_type(name, monkeypatch):
+    f = _ROW_FIELDS[name]()
+    calls = []
+    profile = SpectralGaussianField.covariance_profile
+    monkeypatch.setattr(SpectralGaussianField, "covariance_profile",
+                        lambda self, which, d: calls.append(which) or profile(self, which, d))
+    # translation invariant: one anchor, ("psi", 2), and its walk over a box
+    # of both components
+    box = [("psi", 2)] + [(comp, x) for x in range(-30, 31) for comp in ("phi", "psi")
+                          if (comp, x) != ("psi", 2)]
+    table = CumulantTable(f)
+    norm = clustering_norm(f, 2, 1, box, table=table)
+    assert sorted(calls) == ["psiphi", "psipsi"]
+    walk = [f.covariance(SiteRef(box[0]), SiteRef(s)) for s in box]
+    assert norm == functools.reduce(operator.add, map(abs, walk), 0.0)
 
 
 def test_covariance_profile_vectorized():
