@@ -215,8 +215,8 @@ def check_psd(f1_hat, f2_hat, g_hat, grid: int = DEFAULT_GRID) -> bool:
 class SpectralGaussianField(GaussianCovarianceField):
     """Translation-invariant zero-mean Gaussian pair (psi, phi) on Z.
 
-    Sites are ("psi", x) or ("phi", x) with integer x; a covariance of any
-    other site is refused with ValueError.  Covariances are the
+    Sites are ("psi", x) or ("phi", x) with integer x; a moment or
+    covariance of any other site is refused with ValueError.  Covariances are the
     inverse Fourier transforms of the spectra; the quadrature uses a uniform
     grid on the torus (one FFT yields the whole displacement table).  Closed
     forms, when supplied, take precedence over quadrature.
@@ -274,6 +274,12 @@ class SpectralGaussianField(GaussianCovarianceField):
             value = self._pairs[key] = complex(
                 self.covariance_profile(which, np.asarray([displacement]))[0])
         return value
+
+    def moment(self, sequence: IndexSequence) -> complex:
+        # an odd moment is 0 without a covariance, which checks the sites
+        for ref in sequence:
+            _spectral_site(ref)
+        return super().moment(sequence)
 
     def covariance(self, a: SiteRef, b: SiteRef) -> complex:
         # real-valued fields: the conjugation flags are inert

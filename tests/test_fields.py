@@ -276,6 +276,9 @@ def test_spectral_covariance_refuses_an_unknown_component(site):
         f.covariance_row(SiteRef(("psi", 0)), [SiteRef(("phi", 0)), SiteRef(site)])
     with pytest.raises(ValueError, match=message):
         f.covariance_row(SiteRef(site), [SiteRef(("phi", 0))])
+    for order in (1, 2, 3):
+        with pytest.raises(ValueError, match=message):
+            f.moment((SiteRef(site),) * order)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, True, "1", None])
@@ -287,8 +290,9 @@ def test_spectral_covariance_refuses_a_coordinate_that_is_not_an_integer(x):
     for f in (sinc_coupling_example(), _ROW_FIELDS["quadrature"]()):
         with pytest.raises(ValueError, match=message):
             f.covariance(SiteRef(("psi", 0)), SiteRef(site))
-        with pytest.raises(ValueError, match=message):
-            f.moment((SiteRef(site), SiteRef(site)))
+        for order in (1, 2, 3):
+            with pytest.raises(ValueError, match=message):
+                f.moment((SiteRef(site),) * order)
         with pytest.raises(ValueError, match=message):
             f.covariance_row(SiteRef(("phi", 0)), [SiteRef(("psi", 1)), SiteRef(site)])
         with pytest.raises(ValueError, match=message):
