@@ -15,20 +15,21 @@ over box^k: the |kappa| walks of the clustering norms, the |kappa|^2 maps
 of the observable and joint bounds and the block tensors of the Phi_n rows.
 |kappa| is ``np.hypot`` of the tensor's parts, as Python's ``abs`` of a
 complex rounds it, and every lp sum is the one left fold in
-``_norm_accumulate``.  A Phi_n row is one gather per
-chunk of box^n: ``_row_plan``, built once per process for each n, box
+``_norm_accumulate``.  A Phi_n row is symmetric in x and in x': it holds
+one gathered entry per multiset of box positions, expanded to box^n as a
+cumulant tensor is.  ``_row_plan``, built once per process for each n, box
 size and vanishing rule, lists the restricted partitions and, for each
-block, where its block tensor starts in one vector and how the x digits
-index it; the row multiplies and adds the gathered values along outer
-axes, which numpy folds left to right.
+block, where its block tensor starts in one vector and how the box
+positions of x index it; the row multiplies and adds the gathered values
+along outer axes, which numpy folds left to right.
 
 Every check on one ``CumulantTable`` shares, through ``derived``, each
-clustering norm (by n, p and box), each Phi_n row (by n, x' in the order
-given and box) and each cumulant tensor (by head, k and box): an anchor's
-tensor, which its norms at every p fold, a row's block tensor, the tensor
-of a pinned psi x' or an observable term.  A call without a table builds a
-fresh one, so nothing is shared; a table built on another provider is
-refused.
+clustering norm (by n, p and box), each Phi_n row (by n, x' in
+``canonical`` order and box) and each cumulant tensor (by head, k and
+box): an anchor's tensor, which its norms at every p fold, a row's block
+tensor, the tensor of a pinned psi x' or an observable term.  A call
+without a table builds a fresh one, so nothing is shared; a table built on
+another provider is refused.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .cumulants import CumulantTable, MomentProvider, table_for
-from .indexing import SiteRef
+from .cumulants import CumulantTable, MomentProvider, _multiset_expansion, table_for
+from .indexing import SiteRef, canonical
 from .partitions import enumerate_restricted, weighted_partition_sum
 from .reports import FLAG_SLACK, BoundReport
 
@@ -66,8 +67,9 @@ class KernelRow:
     """One row x' -> { x : Phi_n(x', x) } of the order-n Wick kernel.
 
     ``entries`` is the read-only array of Phi_n(x', x) over product(box_sites,
-    repeat=n) that every check on the row's CumulantTable shares; ``values``
-    builds the dict {x: Phi_n(x', x)} from it on each access."""
+    repeat=n) that every check on the row's CumulantTable shares, at every
+    permutation of x'; every x of one multiset holds the same entry.
+    ``values`` builds the dict {x: Phi_n(x', x)} from it on each access."""
 
     n: int
     box_sites: tuple
@@ -252,26 +254,23 @@ def phi_kernel(provider: MomentProvider, n: int, xprime, box_sites,
     n + n positions of the products of their block cumulants, less the
     partitions with a block that ``CumulantTable.singletons_vanish``.  Each
     block's cumulants over the box are the table's cumulant tensor of its
-    x' head; the row gathers them through a plan of
-    the partitions, about 2^18 values at a time, so every entry adds the
-    partitions, and multiplies their blocks, in the order the restricted
-    expansion of that one x does, and with real cumulants rounds as it
-    does (numpy's complex multiply may not).  Only the table checks orders.
-
-    The row is built once per table, n, box and x' in the order given: it is
-    symmetric in x' too, but a permuted x' may round differently.
+    x' head.  The row is symmetric in x and in x', as a Wick polynomial is
+    in its arguments: it is built once per table, n, box and x' in
+    ``canonical`` order, and ``_phi_row`` evaluates one entry per multiset
+    of x.  Only the table checks orders.
     """
     _require_order("n", n)
     xprime, box_sites = tuple(xprime), _require_nonempty("the kernel box", box_sites)
     if len(xprime) != n:
         raise ValueError(f"x' has {len(xprime)} sites, but a Phi_{n} row needs {n}")
     table = table_for(provider, table)
+    xprime = tuple(ref.site for ref in canonical(map(SiteRef, xprime)))
     entries = table.derived(("phi_kernel", n, xprime, box_sites),
                             lambda: _phi_row(table, n, xprime, box_sites))
     return KernelRow(n, box_sites, entries)
 
 
-#: about this many block values are gathered per chunk of a Phi_n row
+#: about this many block values are gathered per slice of a Phi_n row
 _GATHER_CHUNK = 1 << 18
 
 
@@ -283,25 +282,16 @@ def _row_plan(n: int, size: int, vanish: tuple) -> tuple:
     is zero; the restricted partitions of the n + n positions with such a
     block are dropped.  A block with the x' positions L and r x positions
     reads its block tensor, kappa[x'_L*, phi(z_1), ..., phi(z_r)] for z in
-    box^r in product order, at the digits of its x positions, the first
-    the most significant.  The row lays the tensors out after an exact 1.0
-    pad in one vector.  A partition's blocks fill its last slots in order;
-    the slots before them, slot 0 among them, read the pad.
+    box^r in product order, at the box positions of its x positions, the
+    first the most significant digit.  The row lays the tensors out after
+    an exact 1.0 pad in one vector.  A partition's blocks fill its last
+    slots in order; the slots before them, slot 0 among them, read the pad.
 
-    A chunk of the row holds the entries of box^n, in product order, that
-    share their first n - low digits.  Returns (keys, high, local):
-
-    * keys: the distinct (L, r), in first-use order, whose tensors the
-      vector holds;
-    * high, shape (slots, partitions, n - low): the weight of each of those
-      digits in a slot's index into the vector;
-    * local, shape (slots, width, partitions): each slot's index at each
-      entry of the chunk whose first n - low digits are 0.
-
-    width is size^low, about ``_GATHER_CHUNK`` / (slots * partitions), and
-    2 for a box of one site, whose one entry is then gathered twice: numpy
-    folds a reduction left to right only while an axis of at least 2 lies
-    inside the reduced one.  Indices are integers, so exact.
+    Returns (keys, offsets, weights): the distinct (L, r), in first-use
+    order, whose tensors the vector holds; where each slot's tensor starts
+    in the vector, shape (slots, partitions, 1); and the weight of each x
+    position's box position in a slot's index, shape (slots, partitions,
+    n).  Indices are integers, so exact.
     """
     keys = {}
     parts = []
@@ -318,50 +308,52 @@ def _row_plan(n: int, size: int, vanish: tuple) -> tuple:
     for _, r in keys:
         starts.append(starts[-1] + size ** r)
     slots = 1 + max(map(len, parts), default=0)
-    offsets = np.zeros((slots, len(parts)), dtype=np.intp)
+    offsets = np.zeros((slots, len(parts), 1), dtype=np.intp)
     weights = np.zeros((slots, len(parts), n), dtype=np.intp)
     for p, blocks in enumerate(parts):
         for s, (key, xs) in enumerate(blocks, start=slots - len(blocks)):
             offsets[s, p] = starts[key]
             for axis, j in enumerate(xs):
                 weights[s, p, j - n] = size ** (len(xs) - 1 - axis)
-    low = 1
-    while low < n and offsets.size * size ** (low + 1) <= _GATHER_CHUNK:
-        low += 1
-    places = size ** np.arange(low - 1, -1, -1, dtype=np.intp)
-    digits = np.arange(max(2, size ** low), dtype=np.intp) // places[:, None] % size
-    high = np.ascontiguousarray(weights[..., :n - low])
-    local = np.ascontiguousarray(
-        (weights[..., n - low:] @ digits).transpose(0, 2, 1) + offsets[:, None, :])
-    high.flags.writeable = local.flags.writeable = False  # every row shares them
-    return tuple(keys), high, local
+    offsets.flags.writeable = weights.flags.writeable = False  # every row shares them
+    return tuple(keys), offsets, weights
 
 
 def _phi_row(table: CumulantTable, n: int, xprime, box_sites) -> np.ndarray:
-    """The Phi_n row over box^n in product order, a read-only flat array,
-    gathered through ``_row_plan`` one chunk at a time.  Each entry
-    multiplies every partition's slots in slot order and adds the partitions
-    to 0.0 in plan order; both reductions run along the outermost axis, so
-    numpy folds them left to right, in the order of the restricted expansion
-    of its own x, and with real cumulants each entry rounds as it does."""
+    """The Phi_n row over box^n in product order, a read-only flat array.
+
+    One entry is gathered through ``_row_plan`` per multiset of box
+    positions, at its x in box order, about ``_GATHER_CHUNK`` values per
+    slice of the multisets.  Each entry multiplies every partition's slots
+    in slot order and adds the partitions to 0.0 in plan order; both
+    reductions run along the outermost axis, so numpy folds them left to
+    right, in the order of the restricted expansion of that x, and with
+    real cumulants each entry rounds as it does (numpy's complex multiply
+    may not).  numpy keeps that order only while an axis of at least 2 lies
+    inside the reduced one, so the multisets are padded with the first one
+    to whole slices of at least 2.  The entries are then expanded to every
+    x of their multiset, as ``CumulantTable.cumulant_tensor`` expands its."""
     left = _singles(xprime, True)
     size = len(box_sites)
-    keys, high, local = _row_plan(
+    keys, offsets, weights = _row_plan(
         n, size, tuple(table.singletons_vanish(k) for k in range(2 * n + 1)))
     tensors = [np.ones(1, dtype=complex)]
     for lefts, r in keys:  # rows whose x' share a block's head share its tensor
         tensors.append(table.cumulant_tensor(tuple(left[i] for i in lefts), r, box_sites))
     vector = np.concatenate(tensors)
-    places = size ** np.arange(high.shape[-1] - 1, -1, -1, dtype=np.intp)
-    width, parts = local.shape[1:]
-    terms = np.zeros((parts + 1, width), dtype=complex)  # row 0 stays 0.0
-    total = np.empty((-(-size ** n // width), width), dtype=complex)
-    for chunk, out in enumerate(total):
-        index = local + (high @ (chunk // places % size))[:, None, :]
-        terms[1:] = np.multiply.reduce(vector[index], axis=0).T
+    multisets, expansion = _multiset_expansion(size, n)
+    slices = -(-len(multisets) // max(2, _GATHER_CHUNK // offsets.size))
+    width = max(2, -(-len(multisets) // slices))
+    positions = np.zeros((slices, width, n), dtype=np.intp)
+    positions.reshape(-1, n)[:len(multisets)] = multisets
+    terms = np.zeros((weights.shape[1] + 1, width), dtype=complex)  # row 0 stays 0.0
+    total = np.empty((slices, width), dtype=complex)
+    for chunk, out in zip(positions, total):
+        terms[1:] = np.multiply.reduce(vector[offsets + weights @ chunk.T], axis=0)
         np.add.reduce(terms, axis=0, out=out)
-    total.flags.writeable = False  # and so is every view of it
-    return total.ravel()[:size ** n]
+    row = total.ravel()[expansion]
+    row.flags.writeable = False
+    return row
 
 
 def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites,

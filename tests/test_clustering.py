@@ -33,7 +33,7 @@ from wickfield.fields import (
     sample_ensemble,
     sinc_coupling_example,
 )
-from wickfield.indexing import SiteRef
+from wickfield.indexing import SiteRef, canonical
 
 from conftest import (
     direct_wick_product_expectation,
@@ -187,16 +187,65 @@ def _row_case(law, n):
     return _discrete_row_case(*law, n)
 
 
+def _sorted_x(x, box):
+    """x sorted by box position: the x at which a row evaluates the entry
+    that every permutation of x shares."""
+    return tuple(sorted(x, key=list(box).index))
+
+
+def _canonical_xprime(xprime):
+    """x' in the ``canonical`` order at which a row is built."""
+    return tuple(ref.site for ref in canonical(map(SiteRef, xprime)))
+
+
 @pytest.mark.parametrize("law,n", ROW_CASES)
 def test_phi_kernel_row_equals_product_order(law, n):
     # every row adds the restricted partitions over the whole box in the
-    # order the restricted expansion of each x does, and multiplies each
-    # partition's blocks in order, so it rounds as that expansion does
+    # order the restricted expansion of each sorted x does, and multiplies
+    # each partition's blocks in order, so it rounds as that expansion does
+    # at the x sorted by box position and the x' in canonical order
+    provider, box, xprime = _row_case(law, n)
+    got = phi_kernel(provider, n, xprime, box).values
+    want = product_order_phi_row(provider, n, _canonical_xprime(xprime), box)
+    assert list(got) == list(want)
+    for x, v in got.items():
+        assert v == want[_sorted_x(x, box)], x
+
+
+@pytest.mark.parametrize("law,n", ROW_CASES)
+def test_phi_kernel_row_is_symmetric_in_x(law, n):
+    # one entry per multiset of x: every permutation of x reads it exactly
+    provider, box, xprime = _row_case(law, n)
+    row = phi_kernel(provider, n, xprime, box).values
+    for x, v in row.items():
+        assert all(row[y] == v for y in permutations(x)), x
+
+
+@pytest.mark.parametrize("law,n", ROW_CASES)
+def test_phi_kernel_row_matches_product_order_at_x_as_given(law, n):
+    # the sorted x and x' round otherwise than the x and x' as given, by
+    # far less than the row's largest entry
     provider, box, xprime = _row_case(law, n)
     got = phi_kernel(provider, n, xprime, box).values
     want = product_order_phi_row(provider, n, xprime, box)
-    assert list(got) == list(want)
-    assert got == want
+    scale = max(abs(v) for v in want.values())
+    assert scale > 0
+    for x, v in want.items():
+        assert abs(got[x] - v) <= 1e-12 * scale, x
+
+
+@pytest.mark.parametrize("law,n", [case for case in ROW_CASES if case.values[1] >= 2])
+def test_phi_kernel_shares_one_row_across_permutations_of_xprime(monkeypatch, law, n):
+    # the row is keyed by x' in canonical order, so every permutation of x'
+    # reads the one array that a single build made
+    builds = []
+    _count_calls(monkeypatch, clustering, "_phi_row", builds)
+    provider, box, xprime = _row_case(law, n)
+    table = CumulantTable(provider)
+    rows = [phi_kernel(provider, n, xp, box, table=table).entries
+            for xp in permutations(xprime)]
+    assert len(builds) == 1
+    assert all(row is rows[0] for row in rows)
 
 
 def test_phi_kernel_gaussian_order_5_is_the_permanent():
@@ -204,7 +253,9 @@ def test_phi_kernel_gaussian_order_5_is_the_permanent():
     # max_order.  The brute-force permanent pairs x_j with x'_tau(j) and
     # adds the permutations tau in lexicographic order, the order in which
     # the restricted expansion enumerates the pairings; each product
-    # multiplies its factors in the order of i, as the expansion does
+    # multiplies its factors in the order of i, as the expansion does.
+    # The row evaluates it at x sorted by box position and x' in canonical
+    # order
     provider = sinc_coupling_example()
     box = [("phi", 0), ("phi", 1)]
     xprime = (("psi", 0), ("psi", 1), ("psi", 2), ("psi", -1), ("psi", 3))
@@ -212,14 +263,16 @@ def test_phi_kernel_gaussian_order_5_is_the_permanent():
     assert 2 * n > provider.max_order
     row = phi_kernel(provider, n, xprime, box).values
     assert list(row) == list(product(box, repeat=n))
+    left = _canonical_xprime(xprime)
     for x in product(box, repeat=n):
+        sx = _sorted_x(x, box)
         want = 0.0 + 0.0j
         for tau in permutations(range(n)):
             slot = {i: j for j, i in enumerate(tau)}
             term = 1.0 + 0.0j
             for i in range(n):
-                term *= complex(provider.covariance(SiteRef(xprime[i], True),
-                                                    SiteRef(x[slot[i]])))
+                term *= complex(provider.covariance(SiteRef(left[i], True),
+                                                    SiteRef(sx[slot[i]])))
             want += term
         assert row[x] == want, x
     assert max(abs(v) for v in row.values()) > 0.01
@@ -289,11 +342,11 @@ def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("shape", [(7, 3, 5), (2, 9, 13), (5, 2, 1), (11, 4, 3),
-                                   (1, 3, 7), (6, 121, 120)])
+                                   (1, 3, 7), (6, 121, 120), (6, 120, 2)])
 def test_numpy_outer_axis_reductions_are_left_folds(shape):
     # a Phi_n row multiplies each partition's slots with np.multiply.reduce
-    # along axis 0 of (slots, entries, partitions), and adds the partitions
-    # with np.add.reduce along axis 0 of (partitions, entries): both must be
+    # along axis 0 of (slots, partitions, multisets), and adds the partitions
+    # with np.add.reduce along axis 0 of (partitions, multisets): both must be
     # the left folds the restricted expansion runs, bit for bit.  The fold
     # multiplies with numpy, as the expansion over a box did before rows
     # were gathered: numpy's complex multiply may round otherwise than
@@ -307,35 +360,33 @@ def test_numpy_outer_axis_reductions_are_left_folds(shape):
     assert np.add.reduce(b, axis=0).tobytes() == want.tobytes()
 
 
-def _sinc_lemma_row():
+def _sinc_lemma_row(box_slice=slice(15, 26)):
     """The widest row verify-bounds builds: Phi_5 of the sinc pair at x' =
-    (phi 0,) * 5 over the 11 sites phi -5..5, 161,051 entries."""
-    box = [("phi", x) for x in range(-20, 21)][15:26]
+    (phi 0,) * 5 over the 11 sites phi -5..5, 161,051 entries and 3,003
+    multisets; with another slice of the lemma box, that row over it."""
+    box = [("phi", x) for x in range(-20, 21)][box_slice]
     return phi_kernel(sinc_coupling_example(), 5, (("phi", 0),) * 5, box).entries
 
 
-def test_phi_row_chunks_agree_and_bound_memory(monkeypatch):
-    # all of box^5 at once would gather 116 M values, and its indices alone
-    # would take 0.9 GB; the row gathers about 2^18 values at a time into
-    # the 2.5 MiB array of entries it keeps, so its peak stays near the
-    # 8 MiB one chunk's gather takes
+@pytest.mark.parametrize("box_slice", [slice(15, 26), slice(20, 21)], ids=["11-site", "1-site"])
+def test_phi_row_chunks_agree_and_bound_memory(monkeypatch, box_slice):
+    # the row gathers about 2^18 values at a time, one entry per multiset,
+    # and keeps the 2.5 MiB array of entries it expands them to, so its
+    # peak stays near the 7.5 MiB that one slice's indices and gathered
+    # values take.  With a gather of one value at a time every slice holds
+    # 2 multisets, and the one multiset of a one-site box is padded to 2
     clustering._row_plan.cache_clear()
     tracemalloc.start()
     try:
-        want = _sinc_lemma_row()
+        want = _sinc_lemma_row(box_slice)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, (kept, peak)
     monkeypatch.setattr(clustering, "_GATHER_CHUNK", 1)
-    clustering._row_plan.cache_clear()
-    try:
-        vanish = tuple(k != 2 for k in range(11))
-        assert clustering._row_plan(5, 11, vanish)[2].shape[1] == 11
-        got = _sinc_lemma_row()
-    finally:
-        clustering._row_plan.cache_clear()
-    assert got.shape == want.shape == (11 ** 5,)
+    got = _sinc_lemma_row(box_slice)
+    size = box_slice.stop - box_slice.start
+    assert got.shape == want.shape == (size ** 5,)
     assert got.tobytes() == want.tobytes()
 
 
