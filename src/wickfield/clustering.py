@@ -3,25 +3,26 @@ numerical certification of the covariance and joint-cumulant bounds.
 
 The sup over anchor points in the norm definition is approximated by a
 finite anchor set that follows from the law and the box by one rule,
-``_anchor_tuples``: one anchor for translation-invariant fields, else every
-anchor in the box.  No caller chooses anchors.  Every sup over anchors is
-``_first_max``, and the observable and joint bounds take their lhs from
-``_weighted_l2``.  Lattice sums are truncated to caller-supplied boxes; no
-report bounds the tail beyond its box.
+``_anchor_tuples``: one anchor for translation-invariant fields, else one
+tuple per multiset of box sites, sorted by box position.  No caller
+chooses anchors.  Every sup over anchors is ``_first_max``, and the
+observable and joint bounds take their lhs from ``_weighted_l2``.  Lattice
+sums are truncated to caller-supplied boxes; no report bounds the tail
+beyond its box.
 
 Every array a check folds comes from ``CumulantTable.cumulant_tensor``,
 the cumulants of fixed head variables and k box sites in product order
-over box^k: the |kappa| walks of the clustering norms, the |kappa|^2 maps
-of the observable and joint bounds and the block tensors of the Phi_n rows.
-|kappa| is ``np.hypot`` of the tensor's parts, as Python's ``abs`` of a
-complex rounds it, and every lp sum is the one left fold in
-``_norm_accumulate``.  A Phi_n row is symmetric in x and in x': it holds
-one gathered entry per multiset of box positions, expanded to box^n as a
-cumulant tensor is.  ``_row_plan``, built once per process for each n, box
-size and vanishing rule, lists the restricted partitions and, for each
-block, where its block tensor starts in one vector and how the box
-positions of x index it; the row multiplies and adds the gathered values
-along outer axes, which numpy folds left to right.
+over box^k, one value per multiset: the |kappa| walks of the clustering
+norms, the |kappa|^2 maps of the observable and joint bounds and the
+block tensors of the Phi_n rows.  |kappa| is ``np.hypot`` of the tensor's
+parts, as Python's ``abs`` of a complex rounds it, and every lp sum is the
+one left fold in ``_norm_accumulate``.  A Phi_n row is symmetric in x and
+in x': it holds one gathered entry per multiset of box positions, expanded
+to box^n as a cumulant tensor is.  ``_row_plan``, built once per process
+for each n, box size and vanishing rule, lists the restricted partitions
+and, for each block, where its block tensor starts in one vector and how
+the box positions of x index it; the row multiplies and adds the gathered
+values along outer axes, which numpy folds left to right.
 
 Every check on one ``CumulantTable`` shares, through ``derived``, each
 clustering norm (by n, p and box), each Phi_n row (by n, x' in
@@ -38,7 +39,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 from operator import itemgetter
 
 import numpy as np
@@ -205,8 +206,12 @@ def _abs_sq(tensor: np.ndarray) -> np.ndarray:
 def _anchor_tuples(provider, box, k: int) -> list:
     """The anchor k-tuples a sup over anchors scans, the one rule every sup
     follows: the diagonal tuple of the box's first site for a
-    translation-invariant law, else all of box^k in product order."""
-    return list(product(box[:1] if provider.translation_invariant else box, repeat=k))
+    translation-invariant law, else one tuple per multiset of box sites,
+    sorted by box position.  A tuple's permutations share its value, as
+    cumulants and Phi_n rows are keyed in ``canonical`` order, and follow
+    it in product order, so ``_first_max`` takes the sup and witness of box^k."""
+    return list(combinations_with_replacement(
+        box[:1] if provider.translation_invariant else box, k))
 
 
 def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,

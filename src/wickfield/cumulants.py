@@ -138,63 +138,57 @@ class CumulantTable:
         and box: the head holds the variables v as ``joint_cumulant`` takes
         them, and each z is the SiteRef of a box site.
 
-        A head of single field variables of a Gaussian law follows the rule
-        of ``cumulant``: the tensor is zeros unless h + k = 2, and otherwise
-        comes from the provider's ``covariance_row``.  Any other tensor
-        looks up one cumulant per multiset of box positions, with the z of
-        each multiset in box order, and repeats it at every x of that
-        multiset.
+        A cumulant is symmetric in its variables: the tensor takes one value
+        per multiset of ``_multiset_expansion``, at its z in box order, and
+        indexes them with that expansion array; a Gaussian head of single
+        field variables takes them from ``_covariance_values``.
         """
         head, box_sites = tuple(head), tuple(box_sites)
 
         def build():
             refs = tuple(map(SiteRef, box_sites))
+            multisets, expansion = _multiset_expansion(len(refs), k)
             singles = all(len(v) == 1 for v in head)
+            flat = tuple(chain.from_iterable(head))
             if singles and self.provider.is_gaussian:
-                self._check(len(head) + k)
-                tensor = self._covariance_tensor(tuple(v[0] for v in head), k, refs)
+                self._check(len(flat) + k)
+                values = self._covariance_values(flat, k, refs, len(multisets))
+            elif singles:
+                values = [self.cumulant(flat + tuple(refs[i] for i in ms)) for ms in multisets]
             else:
-                multisets, expansion = _multiset_expansion(len(refs), k)
-                if singles:
-                    flat = tuple(v[0] for v in head)
-                    values = [self.cumulant(flat + tuple(refs[i] for i in ms))
-                              for ms in multisets]
-                else:
-                    values = [self.joint_cumulant(head + tuple((refs[i],) for i in ms))
-                              for ms in multisets]
-                tensor = np.array(values, dtype=complex)[expansion]
+                values = [self.joint_cumulant(head + tuple((refs[i],) for i in ms))
+                          for ms in multisets]
+            tensor = np.asarray(values, dtype=complex)[expansion]
             tensor.flags.writeable = False
             return tensor
 
         return self.derived(("cumulant_tensor", head, k, box_sites), build)
 
-    def _covariance_tensor(self, head, k: int, refs) -> np.ndarray:
-        """The Gaussian tensor of single field variables: zeros unless
-        len(head) + k = 2, else covariance(v, w) of the two variables in
-        head-then-box order, for k = 2 at each multiset's z in box order."""
+    def _covariance_values(self, head, k: int, refs, count: int) -> np.ndarray:
+        """The ``count`` Gaussian values of ``cumulant_tensor``, one per multiset in
+        ``combinations_with_replacement`` order: zeros unless len(head) + k = 2,
+        else covariance(v, w) of the two variables in head-then-box order."""
         row = self.provider.covariance_row
         if self.singletons_vanish(len(head) + k):
-            return np.zeros(len(refs) ** k, dtype=complex)
+            return np.zeros(count, dtype=complex)
         if k == 0:
             return row(head[0], head[1:])
         if k == 1:
             return row(head[0], refs)
-        tensor = np.empty((len(refs),) * 2, dtype=complex)
-        for i, a in enumerate(refs):
-            tensor[i, i:] = tensor[i:, i] = row(a, refs[i:])
-        return tensor.ravel()
+        return np.concatenate([row(a, refs[i:]) for i, a in enumerate(refs)])
 
     def joint_cumulant(self, variables) -> complex:
         """kappa[v_1, ..., v_k] where each v_i is a monomial in field variables.
 
         Variables that are all single field variables go to ``cumulant``.
-        Otherwise the monomials act as compound random variables; moments of
-        partial products come from the backing provider.
+        Otherwise the monomials act as compound random variables, the empty
+        one as the constant 1; moments of partial products come from the
+        backing provider.
         """
         if all(len(mono) == 1 for mono in variables):
             return self.cumulant(tuple(mono[0] for mono in variables))
         key = tuple(sorted(map(canonical, variables), key=seq_sort_key))
-        self._check(sum(map(len, key)))
+        self.provider.check_order(sum(map(len, key)))
         hit = self._memo.get(key)
         return self._recurse(key, False) if hit is None else hit
 

@@ -444,7 +444,10 @@ def test_anchor_tuples_pin():
     assert _anchor_tuples(IidRealGaussianField(), box, 3) == [(3, 3, 3)]
     view = NonGaussianView(IidRealGaussianField())
     assert _anchor_tuples(view, box, 1) == [(3,), (4,), (5,)]
-    assert _anchor_tuples(view, box[:2], 2) == [(3, 3), (3, 4), (4, 3), (4, 4)]
+    # one tuple per multiset, sorted by box position
+    assert _anchor_tuples(view, box[:2], 2) == [(3, 3), (3, 4), (4, 4)]
+    assert _anchor_tuples(view, box[:2], 3) == [(3, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4)]
+    assert _anchor_tuples(view, box[1::-1], 2) == [(4, 4), (4, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_BOXES))
@@ -618,6 +621,47 @@ def test_joint_theorem_tie_goes_to_the_first_xprime_and_y(order, p):
     else:
         assert rep.lhs == math.sqrt(0.25 * 1.0 + 0.25 * 0.5)
         assert rep.witnesses["witness"] == {"xprime": psi_sites[:1], "y": phi_box[:1]}
+
+
+def _product_anchor_tuples(provider, box, k):
+    """Every tuple of box^k in product order, the scan that one tuple per
+    multiset stands in for."""
+    return list(product(box[:1] if provider.translation_invariant else box, repeat=k))
+
+
+# name: (provider, observables, box of the observable check, psi sites, phi box)
+_SCAN_CASES = {
+    name: (provider, [Observable.of_site(provider.sites[0])], list(provider.sites)[1:],
+           list(provider.sites)[:2], list(provider.sites)[len(provider.sites) // 2:])
+    for name, provider in WALK_FIELDS.items()
+}
+_SCAN_CASES["tied"] = (_TIED, [Observable.of_site(2), Observable([(1.0, (SiteRef(2),) * 2)])],
+                       [0, 1], [2, 3], [0, 1])
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_multiset_anchors_give_the_reports_of_the_product_scan(monkeypatch, name, order):
+    # every value a sup runs over is symmetric in its anchor tuple, so one
+    # sorted tuple per multiset gives the values and witnesses of the scan
+    # over every tuple, ties included
+    provider, observables, box, psi_sites, phi_box = _SCAN_CASES[name]
+    box, psi_sites, phi_box = box[::order], psi_sites[::order], phi_box[::order]
+
+    def reports():
+        table = CumulantTable(provider)
+        out = [clustering_norm(provider, n, p, box, table=table)
+               for n in (1, 2, 3) for p in (1, 2)]
+        out += [theorem41_check(provider, X, n, p, box, table=table).to_record()
+                for X in observables for n in (1, 2, 3) for p in (1, 2)]
+        out += [joint_theorem_check(provider, m, n, p, psi_sites, phi_box,
+                                    table=table).to_record()
+                for m in (1, 2, 3) for n in (1, 2, 3) for p in (1, 2)]
+        return out
+
+    by_multiset = reports()
+    monkeypatch.setattr(clustering, "_anchor_tuples", _product_anchor_tuples)
+    assert reports() == by_multiset
 
 
 def test_lemma_chain_iid(rng):
@@ -1079,7 +1123,7 @@ def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_prov
                                                       m, n):
     # only the |kappa|^2 maps look up cumulants of psi and phi sites together
     # (the norms take one field, the rows conjugate x'); there is one map
-    # per x' anchor, with one lookup per multiset of phi sites
+    # per multiset of x', with one lookup per multiset of phi sites
     f = two_field_provider
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
@@ -1093,10 +1137,45 @@ def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_prov
                 and not any(ref.conj for ref in seq)]
 
     joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
-    assert len(mixed()) == len(psi_sites) ** m * math.comb(len(phi_sites) + n - 1, n)
+    assert len(mixed()) == (math.comb(len(psi_sites) + m - 1, m)
+                            * math.comb(len(phi_sites) + n - 1, n))
     lookups.clear()
     joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
     assert mixed() == []
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 2)])
+def test_joint_theorem_p2_reads_one_row_per_multiset_pair(monkeypatch, two_field_provider,
+                                                          m, n):
+    # the weight anchor y is scanned once per multiset of phi sites, for
+    # each multiset of x'
+    psi_sites = [("psi", 0), ("psi", 1)]
+    phi_sites = [("phi", 0), ("phi", 1)]
+    rows = []
+    _count_calls(monkeypatch, clustering, "phi_kernel", rows)
+    joint_theorem_check(two_field_provider, m, n, 2, psi_sites, phi_sites)
+    assert len(rows) == (math.comb(len(psi_sites) + m - 1, m)
+                         * math.comb(len(phi_sites) + n - 1, n))
+
+
+_CONSTANT_CASES = {
+    "discrete": (_DISCRETE, 0, [1, 2]),
+    "sinc": (sinc_coupling_example(), ("psi", 0), [("phi", x) for x in range(-1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_CASES))
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+def test_constant_term_leaves_the_observable_report_alone(name, n, p):
+    # a constant shifts X but no cumulant with a field variable, so the
+    # report of y(0) + 2 is that of y(0), bit for bit where E[1] is 1 exactly
+    provider, site, box = _CONSTANT_CASES[name]
+    assert provider.moment(()) == 1
+    bare = Observable.of_site(site)
+    shifted = Observable([(1.0, (SiteRef(site),)), (2.0, ())])
+    want = theorem41_check(provider, bare, n, p, box).to_record()
+    assert theorem41_check(provider, shifted, n, p, box).to_record() == want
 
 
 def test_observable_covariance_nonnegative(rng):

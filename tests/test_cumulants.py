@@ -327,6 +327,20 @@ def test_joint_cumulant_with_constant_variable(rng, variables):
             got, abs=1e-12), anchor
 
 
+def test_joint_cumulant_of_constants(rng):
+    # a collection of constants is not empty: kappa[1] = E[1] = 1, and a
+    # joint cumulant of a constant with anything else vanishes; the atom
+    # probabilities add to 1 exactly, as E[1] must
+    values = rng.uniform(-1.0, 1.0, size=(3, 2))
+    table = CumulantTable(FiniteDiscreteField([0, 1], zip((0.5, 0.25, 0.25), values)))
+    assert table.joint_cumulant(((),)) == 1
+    assert table.joint_cumulant(((), ())) == 0
+    assert table.joint_cumulant(((), refs(0))) == 0
+    assert table.joint_cumulant((refs(1), ())) == 0
+    with pytest.raises(ValueError, match="empty collection"):
+        table.joint_cumulant(())
+
+
 def test_joint_cumulant_anchor_independence(rng):
     f = random_discrete_field(rng, sites=[0, 1, 2])
     table = CumulantTable(f)
