@@ -25,10 +25,14 @@ the box positions of x index it; the row multiplies and adds the gathered
 values along outer axes, which numpy folds left to right.
 
 Every check on one ``CumulantTable`` shares, through ``derived``, each
-clustering norm (by n, p and box), each Phi_n row (by n, x' in
-``canonical`` order and box) and each cumulant tensor (by head, k and
-box): an anchor's tensor, which its norms at every p fold, a row's block
-tensor, the tensor of a pinned psi x' or an observable term.  A call
+clustering norm (by n, p and box), each set of magnitude constants (by p,
+N and box), each Phi_n row (by n, x' in ``canonical`` order and box), the
+stack of |Phi_n| rows at every anchor of the p = 2 lhs (by n and box) and
+each cumulant tensor (by head, k and box): an anchor's tensor, which its
+norms at every p fold, a row's block tensor, the tensor of a pinned psi x'
+or an observable term.  For a real law a row's block tensor of one x' site
+is the walk of that site's clustering norms, since the table drops the
+conjugation flags of a real provider's head.  A call
 without a table builds a fresh one, so nothing is shared; a table built on
 another provider is refused.
 """
@@ -53,7 +57,7 @@ from .reports import FLAG_SLACK, BoundReport
 GAMMA = 2 * math.e
 
 
-@dataclass
+@dataclass(frozen=True)
 class MagnitudeConstants:
     """Running maxima M_1..M_N of (norm_n / n!)^(1/n); non-decreasing in N."""
 
@@ -238,12 +242,18 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
                         table: CumulantTable | None = None) -> MagnitudeConstants:
-    """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n)."""
+    """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n), built once
+    per table, p, N and box."""
     _require_order("N", N)
     table = table_for(provider, table)
-    norms = [clustering_norm(provider, n, p, box_sites, table=table)
-             for n in range(1, N + 1)]
-    return MagnitudeConstants(_running_maxima(norms))
+    box_sites = tuple(box_sites)
+
+    def build():
+        norms = [clustering_norm(provider, n, p, box_sites, table=table)
+                 for n in range(1, N + 1)]
+        return MagnitudeConstants(_running_maxima(norms))
+
+    return table.derived(("magnitude_constants", p, N, box_sites), build)
 
 
 def _running_maxima(norms) -> tuple:
@@ -368,15 +378,23 @@ def _weighted_l2(table: CumulantTable, n: int, p: int, box_sites,
     sqrt(sum_x kappa_sq[x]) and None; at p = 2, the max over the anchors y
     in ``_anchor_tuples(provider, box_sites, n)`` of
     sqrt(sum_x |Phi_n(y, x)| kappa_sq[x]) and the first y that attains it,
-    as ``_first_max`` takes them."""
+    as ``_first_max`` takes them.  The |Phi_n(y, .)| of every anchor are
+    stacked once per table, n and box, and one cumulative sum along the
+    rows folds each anchor's sum left to right, as ``_norm_accumulate``
+    does."""
     if p == 1:
         return math.sqrt(_norm_accumulate(kappa_sq, 1)), None
+    anchors = _anchor_tuples(table.provider, box_sites, n)
 
-    def kernel_weighted(y):
-        row = phi_kernel(table.provider, n, y, box_sites, table=table).entries
-        return math.sqrt(_norm_accumulate(np.abs(row) * kappa_sq, 1)), y
+    def build():
+        stack = np.stack([np.abs(phi_kernel(table.provider, n, y, box_sites,
+                                            table=table).entries) for y in anchors])
+        stack.flags.writeable = False
+        return stack
 
-    return _first_max(map(kernel_weighted, _anchor_tuples(table.provider, box_sites, n)))
+    stack = table.derived(("phi_abs_stack", n, box_sites), build)
+    sums = np.add.accumulate(stack * kappa_sq, axis=1)[:, -1]
+    return _first_max(zip(map(math.sqrt, sums.tolist()), anchors))
 
 
 def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,

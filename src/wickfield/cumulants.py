@@ -49,6 +49,10 @@ class MomentProvider(ABC):
     #: set by providers whose law is invariant under lattice shifts; a single
     #: anchor then attains the sup over anchors in the clustering norms
     translation_invariant: bool = False
+    #: set by providers whose field variables are all real, so y(x)* = y(x):
+    #: ``CumulantTable.cumulant_tensor`` then drops the conjugation flags of
+    #: a head, and a conjugated head reads the tensor of the plain one
+    is_real: bool = False
 
     @abstractmethod
     def moment(self, sequence: IndexSequence) -> complex:
@@ -84,9 +88,11 @@ class CumulantTable:
     ``cumulant_tensor`` lays the cumulants of fixed head variables and k
     box sites out over box^k, the one source of the arrays ``clustering``
     folds; a Gaussian one is filled from covariance rows, with no cumulant
-    lookup per entry.  ``derived`` keeps those tensors and the values ``clustering``
-    builds from them (clustering norms, Phi_n rows), so checks that share a
-    table build each of them once.
+    lookup per entry, and a real provider's head is taken without its
+    conjugation flags.  ``derived`` keeps those tensors and the values ``clustering``
+    builds from them (clustering norms, magnitude constants, Phi_n rows and
+    the stacks of |Phi_n| rows at the p = 2 anchors), so checks that share
+    a table build each of them once.
     """
 
     def __init__(self, provider: MomentProvider):
@@ -141,9 +147,14 @@ class CumulantTable:
         A cumulant is symmetric in its variables: the tensor takes one value
         per multiset of ``_multiset_expansion``, at its z in box order, and
         indexes them with that expansion array; a Gaussian head of single
-        field variables takes them from ``_covariance_values``.
+        field variables takes them from ``_covariance_values``.  For a
+        provider that declares ``is_real`` the head's conjugation flags are
+        dropped before the key, so kappa[y(a)*, ...] reads the tensor of
+        kappa[y(a), ...]: the same cumulants, up to the sign of a zero.
         """
         head, box_sites = tuple(head), tuple(box_sites)
+        if self.provider.is_real:
+            head = tuple(tuple(SiteRef(ref.site) for ref in v) for v in head)
 
         def build():
             refs = tuple(map(SiteRef, box_sites))

@@ -52,7 +52,9 @@ class FiniteDiscreteField(MomentProvider):
 
     ``atoms`` is a list of (probability, value-vector) pairs, one value per
     site; the sites are distinct and every number finite.  Every moment is
-    a weighted sum over atoms, exact up to rounding.
+    a weighted sum over atoms, exact up to rounding, but that of the empty
+    sequence, which is exactly 1.  The field declares ``is_real`` when
+    every atom value is real.
     """
 
     max_order = 10
@@ -72,6 +74,7 @@ class FiniteDiscreteField(MomentProvider):
         for _, values in self.atoms:
             if len(values) != len(self.sites):
                 raise ValueError("atom value vector length != number of sites")
+        self.is_real = all(v.imag == 0 for _, values in self.atoms for v in values)
 
     def _column(self, ref: SiteRef) -> tuple:
         """The value column of the ref's site, and whether to conjugate it."""
@@ -85,6 +88,8 @@ class FiniteDiscreteField(MomentProvider):
         return values[column].conjugate() if conj else values[column]
 
     def moment(self, sequence: IndexSequence) -> complex:
+        if not sequence:
+            return 1.0  # the probabilities may sum to 1 only up to rounding
         columns = [self._column(ref) for ref in sequence]
         total = 0.0 + 0.0j
         for p, values in self.atoms:
@@ -402,7 +407,8 @@ class EnsembleEstimator(MomentProvider):
     ``samples`` has shape (count, n_sites), one realization per row; it must
     have at least one row and only finite entries, and the site labels must
     be distinct.  Estimated moments converge to the provider moments at the
-    Monte Carlo rate O(N^-1/2).
+    Monte Carlo rate O(N^-1/2).  Real samples make the estimator declare
+    ``is_real``.
 
     The samples are kept once, as C-contiguous columns of shape
     (n_sites, count) in float64, or complex128 for complex samples;
@@ -441,6 +447,7 @@ class EnsembleEstimator(MomentProvider):
             raise ValueError("samples must be finite, not NaN or inf")
         self._index = _site_index(self.sites)
         self._complex = dtype is complex
+        self.is_real = not self._complex
         # _prefix's state: the first n - 1 references of the last sequence
         # and the products of its prefixes of length 2, 3, ...; _product's
         # complex buffer, allocated on first use

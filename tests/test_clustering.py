@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickfield import clustering, cumulants
 from wickfield.clustering import (
@@ -25,6 +26,7 @@ from wickfield.clustering import (
 )
 from wickfield.cumulants import CumulantTable, MomentProvider
 from wickfield.fields import (
+    EnsembleEstimator,
     FiniteDiscreteField,
     GaussianCovarianceField,
     IidComplexGaussianField,
@@ -278,15 +280,22 @@ def test_phi_kernel_gaussian_order_5_is_the_permanent():
     assert max(abs(v) for v in row.values()) > 0.01
 
 
+def _complex_discrete_field(rng, sites) -> FiniteDiscreteField:
+    """A random finite field on four atoms with complex values, so it does
+    not declare ``is_real`` and its tensors keep their heads' conjugation."""
+    probs = rng.random(4) + 0.05
+    shape = (4, len(sites))
+    values = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    return FiniteDiscreteField(sites, zip(probs / probs.sum(), values))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_phi_kernel_complex_row_matches_product_order_to_rounding(n):
     # with complex cumulants a row agrees with the restricted expansion to
     # rounding only: numpy's complex multiply may round a*b otherwise than
     # Python's
     rng = np.random.default_rng(n)
-    probs = rng.random(4) + 0.05
-    values = rng.uniform(-1, 1, (4, 3)) + 1j * rng.uniform(-1, 1, (4, 3))
-    f = FiniteDiscreteField([0, 1, 2], zip(probs / probs.sum(), values))
+    f = _complex_discrete_field(rng, [0, 1, 2])
     box, xprime = [0, 1, 2], tuple(int(s) for s in rng.integers(0, 3, n))
     got = phi_kernel(f, n, xprime, box).values
     want = product_order_phi_row(f, n, xprime, box)
@@ -317,11 +326,13 @@ def test_phi_kernel_row_matches_direct_wick_product(seed, n_sites, n):
 def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
     # a row runs no restricted expansion per x: the block tensor of each set
     # L of x' positions and number r of x positions looks up one cumulant
-    # per multiset of r box sites
+    # per multiset of r box sites; complex atoms keep the conjugation flags
+    # that name L
     expansions, lookups = [], []
     _count_calls(monkeypatch, cumulants, "wick_product_expectation", expansions)
     _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
-    f = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2, 3])
+    f = _complex_discrete_field(np.random.default_rng(1), [0, 1, 2, 3])
+    assert not f.is_real
     box = [0, 1, 2]
     xprime = tuple(range(n))  # distinct sites, so a lookup names its L
     row = phi_kernel(f, n, xprime, box)
@@ -339,6 +350,33 @@ def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
     assert set(tensors) == want
     for (lefts, r), multisets in tensors.items():
         assert multisets == list(combinations_with_replacement(box, r)), (lefts, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_phi_kernel_reads_the_unconjugated_tensors(monkeypatch, n):
+    # a real law has y(x)* = y(x), so the table drops the conjugation flags
+    # of a head: a row looks up no conjugated variable, the block tensor of
+    # a conjugated x' site is the very array of the plain site, the walk its
+    # clustering norms fold, and the row equals the one built with the
+    # flags kept
+    lookups = []
+    _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
+    f = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2, 3])
+    assert f.is_real
+    box, xprime = (0, 1, 2), tuple(range(n))
+    table = CumulantTable(f)
+    row = phi_kernel(f, n, xprime, box, table=table)
+    assert lookups and not any(ref.conj for _, seq in lookups for ref in seq)
+    lookups.clear()
+    blocks = [(lefts, r) for k in range(1, n) for lefts in combinations(xprime, k)
+              for r in range(1, n)] + [(xprime, n)]
+    for lefts, r in blocks:  # the row's blocks, with their flags, build nothing
+        conj = table.cumulant_tensor(tuple((SiteRef(s, True),) for s in lefts), r, box)
+        assert conj is table.cumulant_tensor(tuple((SiteRef(s),) for s in lefts), r, box)
+    assert lookups == []
+    kept = FiniteDiscreteField(f.sites, f.atoms)
+    kept.is_real = False
+    assert phi_kernel(kept, n, xprime, box).values == row.values
 
 
 @pytest.mark.parametrize("shape", [(7, 3, 5), (2, 9, 13), (5, 2, 1), (11, 4, 3),
@@ -1145,21 +1183,28 @@ def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_prov
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 2)])
-def test_joint_theorem_p2_reads_one_row_per_multiset_pair(monkeypatch, two_field_provider,
-                                                          m, n):
-    # the weight anchor y is scanned once per multiset of phi sites, for
-    # each multiset of x'
+def test_joint_theorem_p2_reads_one_row_per_y_multiset(monkeypatch, two_field_provider,
+                                                       m, n):
+    # the |Phi_n| rows of the weight anchors y, one per multiset of phi
+    # sites, are stacked once per table and read for every x'; a later
+    # check on the table reads none
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
     rows = []
     _count_calls(monkeypatch, clustering, "phi_kernel", rows)
-    joint_theorem_check(two_field_provider, m, n, 2, psi_sites, phi_sites)
-    assert len(rows) == (math.comb(len(psi_sites) + m - 1, m)
-                         * math.comb(len(phi_sites) + n - 1, n))
+    table = CumulantTable(two_field_provider)
+    joint_theorem_check(two_field_provider, m, n, 2, psi_sites, phi_sites, table=table)
+    assert len(rows) == math.comb(len(phi_sites) + n - 1, n)
+    rows.clear()
+    joint_theorem_check(two_field_provider, m + 1, n, 2, psi_sites, phi_sites, table=table)
+    assert rows == []
 
 
 _CONSTANT_CASES = {
     "discrete": (_DISCRETE, 0, [1, 2]),
+    # its probabilities sum to 1 - 1.1e-16, and E[1] is 1 all the same
+    "discrete-seed6": (random_discrete_field(np.random.default_rng(6), sites=[0, 1, 2]),
+                       0, [1, 2]),
     "sinc": (sinc_coupling_example(), ("psi", 0), [("phi", x) for x in range(-1, 2)]),
 }
 
@@ -1176,6 +1221,126 @@ def test_constant_term_leaves_the_observable_report_alone(name, n, p):
     shifted = Observable([(1.0, (SiteRef(site),)), (2.0, ())])
     want = theorem41_check(provider, bare, n, p, box).to_record()
     assert theorem41_check(provider, shifted, n, p, box).to_record() == want
+
+
+_TWO_FIELD_SITES = [("psi", 0), ("psi", 1), ("phi", 0), ("phi", 1)]
+
+
+def _flags_kept(provider):
+    """A provider of the same law, built anew, that does not declare
+    ``is_real``: its tables keep every head's conjugation flags."""
+    if isinstance(provider, EnsembleEstimator):
+        kept = EnsembleEstimator(provider.sites, provider.samples)
+    else:
+        kept = FiniteDiscreteField(provider.sites, provider.atoms)
+    kept.is_real = False
+    return kept
+
+
+def _every_report(provider) -> list:
+    """The records of every check of orders up to 3 on one shared table,
+    with observables of one and of two field variables."""
+    psi, phi = _TWO_FIELD_SITES[:2], _TWO_FIELD_SITES[2:]
+    table = CumulantTable(provider)
+    observables = [Observable.of_site(psi[0]),
+                   Observable([(1.0, (SiteRef(psi[0]),)),
+                               (0.5, (SiteRef(psi[1]), SiteRef(phi[1])))])]
+    out = []
+    for p in (1, 2):
+        for n in (1, 2, 3):
+            out.append(lemma_check(provider, n, p, phi[1:] * n, phi, table=table))
+            out += [theorem41_check(provider, X, n, p, phi, table=table)
+                    for X in observables]
+            out += [joint_theorem_check(provider, m, n, p, psi, phi, table=table)
+                    for m in (1, 2, 3)]
+    return [rep.to_record() for rep in out]
+
+
+@st.composite
+def _real_two_field_laws(draw):
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return random_discrete_field(np.random.default_rng(seed), sites=_TWO_FIELD_SITES)
+    return sample_ensemble(sinc_coupling_example(), box=2, n_samples=200, seed=seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(provider=_real_two_field_laws())
+def test_real_law_reports_equal_those_with_the_flags_kept(provider):
+    # dropping a real law's conjugation flags shares tensors and rows, and
+    # moves no report: lemma, observable and joint, p = 1 and 2, m, n <= 3
+    assert provider.is_real
+    assert _every_report(provider) == _every_report(_flags_kept(provider))
+
+
+def _per_anchor_weighted_l2(table, n, box, kappa_sq) -> tuple:
+    """The p = 2 lhs and witness of ``_weighted_l2`` as one fold per anchor
+    row, the loop the stacked fold stands in for."""
+    def kernel_weighted(y):
+        row = phi_kernel(table.provider, n, y, box, table=table).entries
+        return math.sqrt(clustering._norm_accumulate(np.abs(row) * kappa_sq, 1)), y
+
+    return clustering._first_max(map(kernel_weighted,
+                                     _anchor_tuples(table.provider, box, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), law=st.sampled_from(["real", "complex", "tied"]),
+       size=st.integers(1, 3), n=st.integers(1, 3))
+def test_stacked_p2_fold_equals_the_per_anchor_loop(seed, law, size, n):
+    # one cumulative sum along the rows of the stacked |Phi_n| anchors gives
+    # each anchor's left fold, so the lhs and its witness are bit for bit
+    # those of one fold per anchor; a map with zeros and repeats makes ties
+    rng = np.random.default_rng(seed)
+    sites = list(range(size))
+    provider = {"real": lambda: random_discrete_field(rng, sites=sites),
+                "complex": lambda: _complex_discrete_field(rng, sites),
+                "tied": lambda: _TIED}[law]()
+    box = tuple(sites)
+    kappa_sq = rng.random(size ** n) * rng.integers(0, 2, size ** n)
+    kappa_sq[rng.integers(0, size ** n)] = kappa_sq.max()
+    table = CumulantTable(provider)
+    value, witness = clustering._weighted_l2(table, n, 2, box, kappa_sq)
+    want_value, want_witness = _per_anchor_weighted_l2(table, n, box, kappa_sq)
+    assert value.hex() == want_value.hex()
+    assert witness == want_witness
+
+
+def test_only_real_laws_declare_is_real():
+    rng = np.random.default_rng(0)
+    samples = rng.normal(size=(50, 2))
+    assert random_discrete_field(rng, sites=[0, 1]).is_real
+    assert EnsembleEstimator([0, 1], samples).is_real
+    assert sample_ensemble(sinc_coupling_example(), box=2, n_samples=50, seed=0).is_real
+    assert not _complex_discrete_field(rng, [0, 1]).is_real
+    assert not EnsembleEstimator([0, 1], samples + 1j * rng.normal(size=(50, 2))).is_real
+    assert not IidComplexGaussianField().is_real
+
+
+# complex laws, on which the table keeps the conjugation flags of a head
+_COMPLEX_LAWS = {
+    "discrete": _complex_discrete_field(np.random.default_rng(7), [0, 1, 2]),
+    "ensemble": EnsembleEstimator(
+        [0, 1, 2], np.random.default_rng(8).normal(size=(300, 3))
+        + 1j * np.random.default_rng(9).normal(size=(300, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPLEX_LAWS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complex_phi_kernel_row_matches_direct_wick_product(name, n):
+    # conjugated heads read their own tensors here; entries may cancel, so
+    # the tolerance is relative to the row's largest
+    f = _COMPLEX_LAWS[name]
+    assert not f.is_real
+    box, xprime = [0, 1, 2], (2, 0, 2)[:n]
+    got = phi_kernel(f, n, xprime, box).values
+    scale = max(abs(v) for v in got.values())
+    assert scale > 0.01
+    left = tuple(SiteRef(s, True) for s in xprime)
+    for x, v in got.items():
+        direct = direct_wick_product_expectation(f, (left, tuple(SiteRef(s) for s in x)))
+        assert abs(v - direct) <= 1e-12 * scale, x
 
 
 def test_observable_covariance_nonnegative(rng):

@@ -18,6 +18,7 @@ from wickfield.fields import (
     SpectralGaussianField,
     check_psd,
     field_from_config,
+    random_discrete_field,
     sample_ensemble,
     sinc_coupling_example,
     spectrum_from_config,
@@ -112,7 +113,18 @@ def test_discrete_moment_equals_atom_by_atom_product(seed, conjugates):
             labels = rng.integers(0, len(sites), order)
             conj = rng.integers(0, 2, order) if conjugates else [0] * order
             seq = tuple(SiteRef(sites[i], bool(c)) for i, c in zip(labels, conj))
-            assert f.moment(seq) == _atom_by_atom_moment(f, seq), seq
+            # E[1] is exactly 1, where the probabilities may sum to 1 up to rounding
+            want = _atom_by_atom_moment(f, seq) if seq else 1.0
+            assert f.moment(seq) == want, seq
+
+
+def test_discrete_moment_of_the_empty_sequence_is_exactly_one():
+    # for some of these fields the atom probabilities sum to 1 +- 2.2e-16;
+    # a provider's E[1] is 1 all the same
+    laws = [random_discrete_field(np.random.default_rng(seed), sites=[0, 1, 2])
+            for seed in range(200)]
+    assert all(f.moment(()) == 1.0 for f in laws)
+    assert any(sum(p for p, _ in f.atoms) != 1.0 for f in laws)
 
 
 # --- Gaussian moment providers --------------------------------------------
