@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .cumulants import MomentProvider
-from .indexing import IndexSequence, SiteRef
+from .cumulants import MomentProvider, _multisets
+from .indexing import IndexSequence, SiteRef, canonical
 
 DEFAULT_GRID = 4096
 
@@ -54,7 +54,7 @@ class FiniteDiscreteField(MomentProvider):
     site; the sites are distinct and every number finite.  Every moment is
     a weighted sum over atoms, exact up to rounding, but that of the empty
     sequence, which is exactly 1.  The field declares ``is_real`` when
-    every atom value is real.
+    every atom value is real, and then gives its moments by order.
     """
 
     max_order = 10
@@ -75,6 +75,8 @@ class FiniteDiscreteField(MomentProvider):
             if len(values) != len(self.sites):
                 raise ValueError("atom value vector length != number of sites")
         self.is_real = all(v.imag == 0 for _, values in self.atoms for v in values)
+        # order_moments' atom values, one column per site in canonical order
+        self._real_values = None
 
     def _column(self, ref: SiteRef) -> tuple:
         """The value column of the ref's site, and whether to conjugate it."""
@@ -97,6 +99,32 @@ class FiniteDiscreteField(MomentProvider):
             for column, conj in columns:
                 prod *= values[column].conjugate() if conj else values[column]
             total += p * prod
+        return total
+
+    def order_moments(self, order: int) -> np.ndarray | None:
+        """The moments of every multiset of ``order`` >= 1 sites, over the
+        sites in ``canonical`` order, as one float array, for a real law;
+        None for a complex one.
+
+        Each entry is folded as ``moment`` folds the multiset in that order:
+        the product of its values left to right, then total + p * product
+        in atom order, from 0.0.  On real values that gives the real part of
+        ``moment``'s complex arithmetic, up to the sign of a zero.
+        """
+        if not self.is_real:
+            return None
+        if self._real_values is None:
+            columns = [self._index[ref.site] for ref in canonical(map(SiteRef, self.sites))]
+            self._real_values = np.array([[row[c].real for c in columns]
+                                          for _, row in self.atoms])
+        values = self._real_values
+        keys = _multisets(len(self.sites), order)
+        prods = values[:, keys[:, 0]]
+        for j in range(1, order):
+            prods = prods * values[:, keys[:, j]]
+        total = np.zeros(len(keys))
+        for (p, _), prod in zip(self.atoms, prods):
+            total = total + p * prod
         return total
 
     def log_generating_function(self, lam: dict) -> complex:

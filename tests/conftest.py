@@ -31,6 +31,9 @@ The oracles deliberately avoid the library's own recursions:
   last column by one ``einsum``.
 * ``combinations_cumulant`` runs the anchored cumulant recursion with the
   subsets enumerated by ``combinations`` inside every call.
+* ``hide_bulk`` gives a finite law that hides its moments by order, so a
+  ``CumulantTable`` on it takes the per-key recursion, the path the
+  by-order fill of a real law replaces.
 """
 
 import functools
@@ -49,7 +52,7 @@ from wickfield.cumulants import (
     wick_product_expectation,
 )
 from wickfield.dnls import FieldState, hopping_symbol
-from wickfield.fields import random_discrete_field
+from wickfield.fields import FiniteDiscreteField, random_discrete_field
 from wickfield.indexing import SiteRef, seq_sort_key, subsequence
 from wickfield.partitions import SetPartition
 
@@ -250,6 +253,20 @@ def combinations_cumulant(provider, key, anchor=0, memo=None):
     if anchor == 0:
         memo[key] = value
     return value
+
+
+class _BulkHidden(FiniteDiscreteField):
+    """A finite law that gives no moments by order."""
+
+    def order_moments(self, order):
+        return None
+
+
+def hide_bulk(law: FiniteDiscreteField) -> FiniteDiscreteField:
+    """The law of ``law`` as a new provider whose tables take the per-key
+    recursion: each cumulant is one ``cumulant`` lookup and each moment one
+    ``moment`` call."""
+    return _BulkHidden(law.sites, law.atoms)
 
 
 def refs(*labels):

@@ -39,6 +39,7 @@ from wickfield.indexing import SiteRef, canonical
 
 from conftest import (
     direct_wick_product_expectation,
+    hide_bulk,
     left_fold,
     product_order_clustering_norm,
     product_order_phi_row,
@@ -358,25 +359,33 @@ def test_real_phi_kernel_reads_the_unconjugated_tensors(monkeypatch, n):
     # of a head: a row looks up no conjugated variable, the block tensor of
     # a conjugated x' site is the very array of the plain site, the walk its
     # clustering norms fold, and the row equals the one built with the
-    # flags kept
+    # flags kept.  The lookups are counted on the law with its moments by
+    # order hidden, where each tensor entry is one ``cumulant`` lookup; the
+    # law itself gathers its tensors from the fill, with no lookup, and
+    # shares them alike
     lookups = []
     _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
-    f = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2, 3])
-    assert f.is_real
+    law = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2, 3])
     box, xprime = (0, 1, 2), tuple(range(n))
-    table = CumulantTable(f)
-    row = phi_kernel(f, n, xprime, box, table=table)
-    assert lookups and not any(ref.conj for _, seq in lookups for ref in seq)
-    lookups.clear()
     blocks = [(lefts, r) for k in range(1, n) for lefts in combinations(xprime, k)
               for r in range(1, n)] + [(xprime, n)]
-    for lefts, r in blocks:  # the row's blocks, with their flags, build nothing
-        conj = table.cumulant_tensor(tuple((SiteRef(s, True),) for s in lefts), r, box)
-        assert conj is table.cumulant_tensor(tuple((SiteRef(s),) for s in lefts), r, box)
-    assert lookups == []
-    kept = FiniteDiscreteField(f.sites, f.atoms)
+    rows = []
+    for f in (hide_bulk(law), law):
+        assert f.is_real
+        table = CumulantTable(f)
+        rows.append(phi_kernel(f, n, xprime, box, table=table).values)
+        if f is law:
+            assert lookups == []
+        else:
+            assert lookups and not any(ref.conj for _, seq in lookups for ref in seq)
+            lookups.clear()
+        for lefts, r in blocks:  # the row's blocks, with their flags, build nothing
+            conj = table.cumulant_tensor(tuple((SiteRef(s, True),) for s in lefts), r, box)
+            assert conj is table.cumulant_tensor(tuple((SiteRef(s),) for s in lefts), r, box)
+        assert lookups == []
+    kept = FiniteDiscreteField(law.sites, law.atoms)
     kept.is_real = False
-    assert phi_kernel(kept, n, xprime, box).values == row.values
+    assert phi_kernel(kept, n, xprime, box).values == rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("shape", [(7, 3, 5), (2, 9, 13), (5, 2, 1), (11, 4, 3),
@@ -1140,20 +1149,25 @@ def _count_calls(monkeypatch, owner, attr, calls):
 
 def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
                                                              two_field_provider):
-    f = two_field_provider
+    # counted on the law with its moments by order hidden, where each
+    # cumulant is one lookup and each moment one call, and on the law
+    # itself, whose table asks for its moments one whole order at a time
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
-    lookups, moments = [], []
-    _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
-    _count_calls(monkeypatch, f, "moment", moments)
-    table = CumulantTable(f)
-    first = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
-    assert lookups and moments
-    lookups.clear()
-    moments.clear()
-    again = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
-    assert (len(lookups), len(moments)) == (0, 0)
-    assert again.to_record() == first.to_record()
+    for f, hook in ((hide_bulk(two_field_provider), "moment"),
+                    (two_field_provider, "order_moments")):
+        lookups, moments = [], []
+        _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
+        _count_calls(monkeypatch, f, hook, moments)
+        table = CumulantTable(f)
+        first = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
+        assert lookups and moments
+        lookups.clear()
+        moments.clear()
+        again = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
+        assert (len(lookups), len(moments)) == (0, 0)
+        assert again.to_record() == first.to_record()
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2)])
@@ -1161,8 +1175,11 @@ def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_prov
                                                       m, n):
     # only the |kappa|^2 maps look up cumulants of psi and phi sites together
     # (the norms take one field, the rows conjugate x'); there is one map
-    # per multiset of x', with one lookup per multiset of phi sites
-    f = two_field_provider
+    # per multiset of x', with one lookup per multiset of phi sites.  The
+    # lookups are counted on the law with its moments by order hidden; the
+    # law itself builds one tensor per multiset of x' from the fill, and a
+    # head of conjugated psi sites reads that very tensor
+    f = hide_bulk(two_field_provider)
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
     lookups = []
@@ -1175,10 +1192,30 @@ def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_prov
                 and not any(ref.conj for ref in seq)]
 
     joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
-    assert len(mixed()) == (math.comb(len(psi_sites) + m - 1, m)
-                            * math.comb(len(phi_sites) + n - 1, n))
+    maps = math.comb(len(psi_sites) + m - 1, m)
+    assert len(mixed()) == maps * math.comb(len(phi_sites) + n - 1, n)
     lookups.clear()
     joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
+    assert mixed() == []
+
+    f = two_field_provider
+    table = CumulantTable(f)
+    lookups.clear()
+
+    def mixed_tensors():
+        return {key: tensor for key, tensor in table._derived.items()
+                if key[0] == "cumulant_tensor"
+                and {ref.site[0] for v in key[1] for ref in v} == {"psi"}
+                and {site[0] for site in key[3]} == {"phi"}}
+
+    joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
+    tensors = mixed_tensors()
+    assert len(tensors) == maps
+    joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
+    assert mixed_tensors() == tensors
+    for (_, head, k, box), tensor in tensors.items():
+        conj = tuple((ref.conjugate(),) for (ref,) in head)
+        assert table.cumulant_tensor(conj, k, box) is tensor
     assert mixed() == []
 
 

@@ -12,6 +12,10 @@ from wickfield.cumulants import (
     MomentProvider,
     OrderOverflowError,
     WickExpansion,
+    _anchored_subsets,
+    _multiset_expansion,
+    _multisets,
+    _order_plan,
     _subset_plan,
     cumulant,
     generating_check,
@@ -37,6 +41,7 @@ from wickfield.indexing import SiteRef, canonical, seq_sort_key
 from conftest import (
     combinations_cumulant,
     direct_wick_product_expectation,
+    hide_bulk,
     mobius_cumulant,
     refs,
 )
@@ -653,3 +658,174 @@ def test_gaussian_tensor_is_a_covariance_only_at_order_two(name):
                 continue
             tensor = table.cumulant_tensor(((a,),) * head_len, k, box)
             assert np.any(tensor != 0) == (head_len + k == 2), (head_len, k)
+
+
+def _sorting_expansion(size, k):
+    """The multisets and expansion array of ``_multiset_expansion`` as a
+    Python sort of every product tuple builds them."""
+    multisets = list(itertools.combinations_with_replacement(range(size), k))
+    rank = {ms: i for i, ms in enumerate(multisets)}
+    return multisets, [rank[tuple(sorted(x))]
+                       for x in itertools.product(range(size), repeat=k)]
+
+
+#: every (box size, k) verify-bounds expands through --max-order 5, and three more
+_EXPANSION_SHAPES = ([(2, k) for k in range(1, 10)] + [(11, k) for k in range(1, 6)]
+                     + [(41, 1), (401, 1), (2, 5), (5, 3), (0, 2), (3, 0)])
+
+
+@pytest.mark.parametrize("size,k", _EXPANSION_SHAPES)
+def test_multiset_expansion_equals_the_sorting_build(size, k):
+    # the rows and ranks come from the combinatorial number system, in
+    # arrays; they are those of a Python sort of every product tuple
+    multisets, expansion = _multiset_expansion(size, k)
+    want_multisets, want_expansion = _sorting_expansion(size, k)
+    assert multisets.shape == (len(want_multisets), k)
+    assert list(map(tuple, multisets.tolist())) == want_multisets
+    assert expansion.dtype == np.intp and expansion.tolist() == want_expansion
+    assert not multisets.flags.writeable and not expansion.flags.writeable
+
+
+@pytest.mark.parametrize("size,k", [(1, 2), (2, 3), (3, 4), (4, 5), (2, 7), (4, 6)])
+def test_order_plan_equals_a_per_multiset_build(size, k):
+    # each column of the plan is a subset of _anchored_subsets(k), the ones
+    # _subset_plan lists, and each entry the store index of the sub-multiset
+    # it picks or of the rest, orders 1, 2, ... one after the other
+    start = {}
+    for order in range(1, k):
+        start[order] = sum(math.comb(size + j - 1, j) for j in range(1, order))
+    ranks = {order: {ms: start[order] + i for i, ms in enumerate(
+        itertools.combinations_with_replacement(range(size), order))} for order in start}
+    sub, comp = _order_plan(size, k)
+    subsets = _anchored_subsets(k)
+    assert len(subsets) == 2 ** (k - 1) - 1 == len(_subset_plan(k, (False,) * (k - 1))[1])
+    for row, key in enumerate(itertools.combinations_with_replacement(range(size), k)):
+        for col, chosen in enumerate(subsets):
+            rest = tuple(key[i] for i in range(k) if i not in chosen)
+            assert sub[row, col] == ranks[len(chosen)][tuple(key[i] for i in chosen)]
+            assert comp[row, col] == ranks[len(rest)][rest]
+
+
+@st.composite
+def _real_laws(draw):
+    """A real FiniteDiscreteField on 1 to 4 sites with 2 to 6 atoms, whose
+    site labels sort otherwise in canonical order than as given."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sites = draw(st.sampled_from([[0], [("psi", 0), 1], [10, 9, 2], [3, 20, ("phi", 1), 1]]))
+    sites = sites[:draw(st.integers(1, len(sites)))]
+    atoms = draw(st.integers(2, 6))
+    probs = rng.random(atoms) + 0.05
+    values = rng.uniform(-1.0, 1.0, size=(atoms, len(sites)))
+    return FiniteDiscreteField(sites, list(zip(probs / probs.sum(), map(tuple, values))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_real_laws(), order=st.integers(1, 10), data=st.data())
+def test_order_fill_equals_the_per_key_recursion(law, order, data):
+    # the fill of a real law gives every cumulant and every tensor == to the
+    # per-key recursion on the same law with its moments by order hidden,
+    # and each cumulant is within 1e-12 of the Mobius oracle (through order
+    # 7: the oracle walks all Bell(n) partitions)
+    assert law.is_real
+    fill, per_key = CumulantTable(law), CumulantTable(hide_bulk(law))
+    refs_of = [SiteRef(s) for s in law.sites]
+    picks = st.lists(st.sampled_from(refs_of), min_size=order, max_size=order)
+    for seq in data.draw(st.lists(picks, min_size=1, max_size=3)):
+        got = fill.cumulant(tuple(seq))
+        assert repr(got) == repr(per_key.cumulant(tuple(seq))), seq
+        if order <= 7:
+            assert abs(got - mobius_cumulant(law, tuple(seq))) <= 1e-12, seq
+    assert fill._fill.order >= order
+    k = data.draw(st.integers(0, min(order, 3)))
+    head = tuple((SiteRef(s, c),) for s, c in data.draw(
+        st.lists(st.tuples(st.sampled_from(law.sites), st.booleans()),
+                 min_size=order - k, max_size=order - k)))
+    box = data.draw(st.permutations(law.sites))
+    tensor = fill.cumulant_tensor(head, k, box)
+    assert tensor.tolist() == per_key.cumulant_tensor(head, k, box).tolist(), (head, k)
+
+
+def _complex_law():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1, 1, (4, 3)) + 1j * rng.uniform(-1, 1, (4, 3))
+    return FiniteDiscreteField([0, 1, 2], [(0.25, tuple(v)) for v in values])
+
+
+@pytest.mark.parametrize("make", [
+    _complex_law,
+    lambda: EnsembleEstimator([0, 1, 2], np.random.default_rng(4).normal(size=(50, 3))),
+    lambda: hide_bulk(random_discrete_field(np.random.default_rng(5), sites=[0, 1, 2])),
+], ids=["complex-discrete", "real-ensemble", "hidden"])
+def test_laws_without_moments_by_order_take_the_recursion(monkeypatch, make):
+    # a complex law's variable count doubles under conjugation, and an
+    # ensemble's moments are sample products: both keep the per-key recursion
+    provider = make()
+    assert provider.order_moments(2) is None
+    calls = []
+    original = CumulantTable._recurse
+    monkeypatch.setattr(CumulantTable, "_recurse",
+                        lambda self, key, flat: calls.append(key) or original(self, key, flat))
+    table = CumulantTable(provider)
+    table.cumulant(refs(0, 1, 1))
+    table.cumulant_tensor(((SiteRef(2),),), 2, [0, 1])
+    assert calls and table._fill is False
+
+
+def test_order_fill_keeps_the_guards():
+    # an unknown site raises the KeyError the per-key recursion raises, and
+    # an order past max_order the OrderOverflowError, on both routes
+    law = random_discrete_field(np.random.default_rng(6), sites=[0, 1])
+    for provider in (law, hide_bulk(law)):
+        table = CumulantTable(provider)
+        for call in (lambda: table.cumulant(refs(0, "z")),
+                     lambda: table.cumulant_tensor(((SiteRef("z"),),), 1, [0, 1]),
+                     lambda: table.cumulant_tensor(((SiteRef(0),),), 2, [1, "z"])):
+            with pytest.raises(KeyError, match="^\"unknown site 'z'\"$"):
+                call()
+        too_many = provider.max_order + 1
+        with pytest.raises(OrderOverflowError):
+            table.cumulant(refs(*([0] * too_many)))
+        with pytest.raises(OrderOverflowError):
+            table.cumulant_tensor(((SiteRef(0),),) * (too_many - 1), 1, [0, 1])
+
+
+def test_order_fill_leaves_a_too_large_order_to_the_recursion():
+    # seven sites of order 8 would make a plan of 3,003 multisets times 128
+    # columns, past _FILL_ENTRIES: that order keeps the recursion, and the
+    # orders below it fill
+    law = random_discrete_field(np.random.default_rng(8), sites=list(range(7)))
+    table, per_key = CumulantTable(law), CumulantTable(hide_bulk(law))
+    seq = refs(0, 1, 2, 3, 4, 5, 6, 0)
+    assert repr(table.cumulant(seq[:7])) == repr(per_key.cumulant(seq[:7]))
+    assert table._fill.order == 7
+    assert repr(table.cumulant(seq)) == repr(per_key.cumulant(seq))
+    assert table._fill.order == 7 and canonical(seq) in table._memo
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_discrete_field(np.random.default_rng(11), sites=[0, 1, 2]),
+    lambda: hide_bulk(random_discrete_field(np.random.default_rng(11), sites=[0, 1, 2])),
+    lambda: sample_ensemble(sinc_coupling_example(), box=2, n_samples=300, seed=11),
+], ids=["discrete", "hidden", "ensemble"])
+def test_compound_recursion_keeps_singleton_sub_keys_flat(make):
+    # a compound key's sub-keys of single field variables only are kept
+    # under their flat key, the one cumulant reads: no memo entry is a
+    # nested duplicate, and every value is the anchor-0 oracle's, which
+    # runs the recursion over the nested keys
+    provider = make()
+    s0, s1, s2 = (SiteRef(s) for s in provider.sites[:3])
+    table = CumulantTable(provider)
+    compound = table.joint_cumulant(((s0,), (s1,), (s0,), (s1,), (s2, s2)))
+    flat = table.cumulant((s0, s1, s0, s1))
+    memo = {}
+    assert compound == combinations_cumulant(
+        provider, tuple(sorted(((s0,), (s1,), (s0,), (s1,), (s2, s2)), key=seq_sort_key)),
+        0, memo)
+    assert flat == combinations_cumulant(provider, tuple(zip(canonical((s0, s1, s0, s1)))),
+                                         0, memo)
+    for key, value in table._memo.items():
+        if all(isinstance(item, SiteRef) for item in key):
+            assert value == combinations_cumulant(provider, tuple(zip(key)), 0, memo), key
+        else:
+            assert not all(len(mono) == 1 for mono in key), key
+            assert value == combinations_cumulant(provider, key, 0, memo), key
