@@ -6,7 +6,12 @@ finite anchor set that follows from the law and the box by one rule,
 ``_anchor_tuples``: one anchor for translation-invariant fields, else one
 tuple per multiset of box sites, sorted by box position.  No caller
 chooses anchors.  Every sup over anchors is ``_first_max``, and the
-observable and joint bounds take their lhs from ``_weighted_l2``.  Lattice
+observable and joint bounds take their lhs from ``_weighted_l2``.  The
+walks of a clustering norm and the pinned psi x' of the joint bound take
+the tensors of every anchor at once, ``CumulantTable.cumulant_tensors``,
+one row per anchor, and fold them row by row; a real law fills them in
+one request to its store, and each row is the anchor's own cumulant
+tensor, which the Phi_n rows read too.  Lattice
 sums are truncated to caller-supplied boxes; no report bounds the tail
 beyond its box.
 
@@ -48,8 +53,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .cumulants import CumulantTable, MomentProvider, _multiset_expansion, table_for
+from .cumulants import CumulantTable, MomentProvider, table_for
 from .indexing import SiteRef, canonical
+from .multisets import _multiset_expansion
 from .partitions import enumerate_restricted, weighted_partition_sum
 from .reports import FLAG_SLACK, BoundReport
 
@@ -222,7 +228,8 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
                     table: CumulantTable | None = None) -> float:
     """Truncated clustering norm: sup over the anchors of ``_anchor_tuples``
     of the lp-sum over box^(n-1) of |kappa| with the anchor pinned in the
-    first slot."""
+    first slot, folded one row of the tensors of every anchor at a time;
+    at n = 1 the row is the one |kappa| of the anchor."""
     _require_order("n", n)
     _require_exponent(p)
     box_sites = _require_nonempty("the norm box", box_sites)
@@ -230,14 +237,13 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
     if table.singletons_vanish(n):
         return 0.0
 
-    def pinned_norm(anchor):
-        if n == 1:
-            return abs(table.cumulant((SiteRef(anchor[0]),))), anchor
-        walk = _abs(table.cumulant_tensor(_singles(anchor), n - 1, box_sites))
-        return _norm_accumulate(walk, p), anchor
+    def build():
+        anchors = _anchor_tuples(provider, box_sites, 1)
+        walks = map(_abs, table.cumulant_tensors(map(_singles, anchors), n - 1, box_sites))
+        return _first_max(zip((float(walk[0]) if n == 1 else _norm_accumulate(walk, p)
+                               for walk in walks), anchors))[0]
 
-    return table.derived(("clustering_norm", n, p, box_sites), lambda: _first_max(
-        map(pinned_norm, _anchor_tuples(provider, box_sites, 1)))[0])
+    return table.derived(("clustering_norm", n, p, box_sites), build)
 
 
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
@@ -491,7 +497,9 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     p=2:  the Phi_n-weighted variant with RHS (M_joint gamma^m)^(2(n+m))
           ((n+m)!)^2, sup over x' and the weight anchor y.
 
-    M_joint = max(M_2m(psi; inf), M_2n(phi; 1 or 2)), gamma = 2e.
+    M_joint = max(M_2m(psi; inf), M_2n(phi; 1 or 2)), gamma = 2e.  The
+    tensors of every pinned x' are taken at once, one row each, and the
+    sup scans (x', y) with x' outermost.
     """
     _require_p(p)
     _require_order("m", m)
@@ -514,12 +522,12 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
     xprime_tuples = ([] if table.singletons_vanish(m + n)
                      else _anchor_tuples(provider, psi_sites, m))
 
-    def psi_pinned(xp):
-        ksq = _abs_sq(table.cumulant_tensor(_singles(xp), n, phi_box))
-        value, y = _weighted_l2(table, n, p, phi_box, ksq)
+    def psi_pinned(xp, row):
+        value, y = _weighted_l2(table, n, p, phi_box, _abs_sq(row))
         return value, (xp, y)
 
-    lhs, where = _first_max(map(psi_pinned, xprime_tuples))
+    rows = table.cumulant_tensors(map(_singles, xprime_tuples), n, phi_box)
+    lhs, where = _first_max(map(psi_pinned, xprime_tuples, rows))
     witness = None
     if where is not None:
         xp, y = where

@@ -16,16 +16,16 @@ partitions only (no block internal to a single Wick group).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from itertools import chain, combinations, groupby
+from functools import cache
+from itertools import chain, combinations
 from operator import eq, itemgetter
 
 import numpy as np
 
 from .indexing import IndexSequence, SiteRef, canonical, seq_sort_key, subsequence
+from .multisets import _OrderFill, _anchored_subsets, _multiset_expansion
 from .partitions import enumerate_partitions, enumerate_restricted
 
 
@@ -52,7 +52,9 @@ class MomentProvider(ABC):
     translation_invariant: bool = False
     #: set by providers whose field variables are all real, so y(x)* = y(x):
     #: ``CumulantTable.cumulant_tensor`` then drops the conjugation flags of
-    #: a head, and a conjugated head reads the tensor of the plain one
+    #: a head, and a conjugated head reads the tensor of the plain one.  A
+    #: real provider lists its ``sites``: its table keeps the cumulants of
+    #: single field variables by multiset of them (``_OrderFill``)
     is_real: bool = False
 
     @abstractmethod
@@ -67,7 +69,7 @@ class MomentProvider(ABC):
         ``_multisets``, over the sites in ``canonical`` order, and each
         entry must be ``==`` to ``moment`` of its multiset in that order.
         ``CumulantTable`` then fills the cumulants of the law by whole
-        orders; a provider that returns None keeps the per-key recursion.
+        orders; a real law that returns None has them filled on demand.
         """
         return None
 
@@ -100,25 +102,31 @@ class CumulantTable:
     the same term, so the term is built once per such class and subtracted
     once per subset: the same floats in the same order.
 
-    A provider whose ``order_moments`` gives its moments by order, a real
-    finite law, has its cumulants of single field variables filled by
-    whole orders instead (``_OrderFill``): kappa of every multiset of its
-    sites, through the highest order a request has needed, with one array
-    recursion per order.  ``cumulant`` and ``cumulant_tensor`` read that
-    array by multiset rank, and each value is ``==`` to the one the
-    recursion gives.  The recursion stays for every other provider, for
-    compound keys, and for an order whose plan would exceed
-    ``_FILL_ENTRIES``.
+    A real law keeps its cumulants of single field variables in a store
+    instead (``multisets._OrderFill``): kappa and moments by global
+    multiset rank of its sites, grown one order at a time to the highest
+    order a request has needed.  While ``order_moments`` gives an order's
+    moments and its plan fits within ``_FILL_ENTRIES``, the store fills
+    that order whole,
+    with one array recursion; otherwise, as for a sampled ensemble, it
+    fills the multisets a request reads on demand, with one array
+    recursion per order of their closure.  ``cumulant`` and
+    ``cumulant_tensor`` read the store by multiset rank, and
+    ``cumulant_tensors`` asks it for the tensors of many heads in one
+    request; each value is ``==`` to the one the recursion gives.  The
+    recursion stays for complex laws, for compound keys, and for an order
+    of more than ``_STORE_ENTRIES`` multisets.
 
     ``cumulant_tensor`` lays the cumulants of fixed head variables and k
     box sites out over box^k, the one source of the arrays ``clustering``
-    folds; a Gaussian one is filled from covariance rows and a filled
-    law's from its array, with no cumulant lookup per entry, and a real
+    folds; a Gaussian one is filled from covariance rows and a real law's
+    from its store, with no cumulant lookup per entry, and a real
     provider's head is taken without its conjugation flags.  ``derived``
-    keeps those tensors, the SiteRefs and fill positions of each box, and
-    the values ``clustering`` builds from the tensors (clustering norms,
-    magnitude constants, Phi_n rows and the stacks of |Phi_n| rows at the
-    p = 2 anchors), so checks that share a table build each of them once.
+    keeps those tensors and their stacks, the SiteRefs and store positions
+    of each box, and the values ``clustering`` builds from the tensors
+    (clustering norms, magnitude constants, Phi_n rows and the stacks of
+    |Phi_n| rows at the p = 2 anchors), so checks that share a table build
+    each of them once.
     """
 
     def __init__(self, provider: MomentProvider):
@@ -126,8 +134,8 @@ class CumulantTable:
         self._memo = {}
         self._moments = {}
         self._derived = {}
-        # the _OrderFill once a cumulant has asked for it, False for a
-        # provider that gives no moments by order
+        # the _OrderFill of a real law once a cumulant has asked for it,
+        # False for any other law
         self._fill = None
 
     def derived(self, key, build):
@@ -169,23 +177,31 @@ class CumulantTable:
 
     def _single(self, key) -> complex:
         """kappa of a canonical key of single field variables that is not
-        memoised yet, read from the fill where the provider has one, else
-        by the recursion; the value is memoised."""
-        fill = self._filled(len(key))
+        memoised yet, read from the store of a real law that holds its
+        order, else by the recursion; the value is memoised."""
+        fill = self._store(len(key))
         if fill is None:
             return self._recurse(key, True)
         value = self._memo[key] = complex(
-            fill.kappas[fill.index(np.array([sorted(fill.positions(key))]))[0]])
+            fill.values(np.array([sorted(fill.positions(key))]))[0])
         return value
 
-    def _filled(self, order: int):
-        """The ``_OrderFill`` of the provider, filled through ``order``; None
-        for a provider that gives no moments by order, or where the plan of
-        an order up to ``order`` would exceed ``_FILL_ENTRIES``."""
+    def _store(self, order: int):
+        """The ``_OrderFill`` of a real law, built on first use, if it holds
+        ``order``; None for any other law or order."""
         if self._fill is None:
-            first = self.provider.order_moments(1)
-            self._fill = first is not None and _OrderFill(self.provider, first)
-        return self._fill if self._fill and self._fill.through(order) else None
+            self._fill = self.provider.is_real and _OrderFill(self.provider)
+        return self._fill if self._fill and self._fill.holds(order) else None
+
+    def _head(self, head) -> tuple:
+        """The head as ``cumulant_tensor`` keys it: without its conjugation
+        flags for a provider that declares ``is_real``, once per table and
+        head."""
+        head = tuple(head)
+        if self.provider.is_real:
+            head = self.derived(("real head", head), lambda: tuple(
+                tuple(SiteRef(ref.site) for ref in v) for v in head))
+        return head
 
     def cumulant_tensor(self, head, k: int, box_sites) -> np.ndarray:
         """kappa[v_1, ..., v_h, y(z_1), ..., y(z_k)] for z in box^k in product
@@ -197,51 +213,88 @@ class CumulantTable:
         per multiset of ``_multiset_expansion``, at its z in box order, and
         indexes them with that expansion array.  A Gaussian head of single
         field variables takes them from ``_covariance_values``, and one of
-        a filled law from its array, by the rank of each multiset of head
-        and box sites.  For a provider that declares ``is_real`` the head's
+        a real law from its store, by the rank of each multiset of head and
+        box sites.  For a provider that declares ``is_real`` the head's
         conjugation flags are dropped before the key, once per table and
         head, so kappa[y(a)*, ...] reads the tensor of kappa[y(a), ...]: the
         same cumulants, up to the sign of a zero.
         """
-        head, box_sites = tuple(head), tuple(box_sites)
-        if self.provider.is_real:
-            head = self.derived(("real head", head), lambda: tuple(
-                tuple(SiteRef(ref.site) for ref in v) for v in head))
+        head, box_sites = self._head(head), tuple(box_sites)
+        return self.derived(("cumulant_tensor", head, k, box_sites),
+                            lambda: self._tensors((head,), k, box_sites)[0])
+
+    def cumulant_tensors(self, heads, k: int, box_sites) -> np.ndarray:
+        """The ``cumulant_tensor`` of each head, one row each, as a
+        read-only 2-D array built once per table, heads, k and box.
+
+        For a real law whose heads are all new, distinct and of as many
+        single field variables, the multisets of every head and box site go
+        to the store in one request, and the rows are the heads' tensors;
+        otherwise each head's tensor is taken as ``cumulant_tensor`` gives
+        it, and they are stacked.  Either way a row is ``==`` to its head's
+        tensor.
+        """
+        given, box_sites = tuple(map(tuple, heads)), tuple(box_sites)
 
         def build():
-            refs = self.derived(("box refs", box_sites), lambda: tuple(map(SiteRef, box_sites)))
-            multisets, expansion = _multiset_expansion(len(refs), k)
-            if all(len(v) == 1 for v in head):
-                values = self._single_values(tuple(chain.from_iterable(head)), k,
-                                             box_sites, refs, multisets)
-            else:
-                values = [self.joint_cumulant(head + tuple((refs[i],) for i in ms))
-                          for ms in multisets.tolist()]
-            tensor = np.asarray(values, dtype=complex)[expansion]
-            tensor.flags.writeable = False
-            return tensor
+            heads = tuple(map(self._head, given))
+            keys = [("cumulant_tensor", head, k, box_sites) for head in heads]
+            h = len(heads[0]) if heads else 0
+            if (heads and self._store(h + k) is not None
+                    and all(len(head) == h and all(len(v) == 1 for v in head) for head in heads)
+                    and len(set(keys)) == len(keys)
+                    and not any(key in self._derived for key in keys)):
+                stack = self._tensors(heads, k, box_sites)
+                self._derived.update(zip(keys, stack))
+                return stack
+            rows = [self.cumulant_tensor(head, k, box_sites) for head in heads]
+            if len(rows) == 1:
+                return rows[0][np.newaxis]
+            stack = (np.stack(rows) if rows
+                     else np.empty((0, len(box_sites) ** k), dtype=complex))
+            stack.flags.writeable = False
+            return stack
 
-        return self.derived(("cumulant_tensor", head, k, box_sites), build)
+        return self.derived(("cumulant_tensors", given, k, box_sites), build)
 
-    def _single_values(self, head, k: int, box_sites, refs, multisets):
-        """The values of ``cumulant_tensor`` for a head of single field
-        variables, one per row of ``multisets``: the Gaussian ones, those of
-        the fill, by the rank of each multiset of head and box sites, or
-        else one ``cumulant`` per multiset."""
-        self._check(len(head) + k)
+    def _tensors(self, heads, k: int, box_sites) -> np.ndarray:
+        """The cumulant tensors of the heads, one read-only row each; more
+        than one head only for a real law's heads of as many single field
+        variables."""
+        refs = self.derived(("box refs", box_sites), lambda: tuple(map(SiteRef, box_sites)))
+        multisets, expansion = _multiset_expansion(len(refs), k)
+        if all(len(v) == 1 for v in heads[0]):
+            values = self._single_values([tuple(chain.from_iterable(head)) for head in heads],
+                                         k, box_sites, refs, multisets)
+        else:
+            values = [[self.joint_cumulant(heads[0] + tuple((refs[i],) for i in ms))
+                       for ms in multisets.tolist()]]
+        tensors = np.asarray(values, dtype=complex).take(expansion, axis=1)
+        tensors.flags.writeable = False
+        return tensors
+
+    def _single_values(self, heads, k: int, box_sites, refs, multisets):
+        """The values of ``cumulant_tensor`` for heads of single field
+        variables, one row per head and column per row of ``multisets``:
+        the Gaussian ones, those of a real law's store, by the rank of each
+        multiset of head and box sites, in one request, or else one
+        ``cumulant`` per multiset."""
+        h = len(heads[0])
+        self._check(h + k)
         if self.provider.is_gaussian:
-            return self._covariance_values(head, k, refs, len(multisets))
-        fill = self._filled(len(head) + k)
+            return [self._covariance_values(heads[0], k, refs, len(multisets))]
+        fill = self._store(h + k)
         if fill is None:
-            return [self.cumulant(head + tuple(refs[i] for i in ms))
-                    for ms in multisets.tolist()]
+            return [[self.cumulant(heads[0] + tuple(refs[i] for i in ms))
+                     for ms in multisets.tolist()]]
         box = self.derived(("box positions", box_sites),
                            lambda: np.array(fill.positions(refs), dtype=np.intp))
-        sites = np.empty((len(multisets), len(head) + k), dtype=np.intp)
-        sites[:, :len(head)] = fill.positions(head)
-        sites[:, len(head):] = box[multisets]
-        sites.sort(axis=1)
-        return fill.kappas[fill.index(sites)]
+        sites = np.empty((len(heads), len(multisets), h + k), dtype=np.intp)
+        sites[:, :, h:] = box[multisets]
+        for head, rows in zip(heads, sites):
+            rows[:, :h] = fill.positions(head)
+        sites.sort(axis=2)
+        return fill.values(sites)
 
     def _covariance_values(self, head, k: int, refs, count: int) -> np.ndarray:
         """The ``count`` Gaussian values of ``cumulant_tensor``, one per multiset in
@@ -283,9 +336,9 @@ class CumulantTable:
         that is not memoised yet; the value is memoised.
 
         A ``flat`` key is its own moment key; a compound key's moment is
-        memoised under the flat sequence of its monomials in key order, and
-        its sub-keys of single field variables only go to ``_single`` under
-        their flat key.  The moment and memo probes are inline, so a hit
+        memoised under the flat sequence of its monomials in key order.
+        Every sub-key of single field variables only goes to ``_single``
+        under its flat key, so a real law's store gives it.  The moment and memo probes are inline, so a hit
         costs no call.  One term is built per class of the subset plan, and
         the terms are subtracted in ``combinations`` order, one per subset.
         """
@@ -311,75 +364,13 @@ class CumulantTable:
                 weight = moments[comp] = moment(comp)
             kappa = memo.get(sub)
             if kappa is None:
-                kappa = (self._recurse(sub, flat) if flat or type(sub[0]) is not SiteRef
-                         else self._single(sub))
+                kappa = (self._single(sub) if flat or type(sub[0]) is SiteRef
+                         else self._recurse(sub, False))
             terms.append(weight * kappa)
         for i in order:
             value -= terms[i]
         memo[key] = value
         return value
-
-
-#: the most entries, multisets times 2^(k - 1) (a moment and the
-#: recursion's terms each), that order k is filled with; a larger order
-#: keeps the per-key recursion
-_FILL_ENTRIES = 1 << 18
-
-
-class _OrderFill:
-    """kappa of every multiset of a provider's sites, filled by whole orders
-    from its ``order_moments``.
-
-    The multisets of an order are the rows of ``_multisets`` over the sites
-    in ``canonical`` order.  ``moments`` and ``kappas`` hold orders 1 to
-    ``order`` one after the other, order k from ``_order_offset``.  Order k
-    is filled with ``_order_plan``: the row of a multiset holds its moment
-    and then the recursion's terms, moment times kappa, one per subset in
-    subset order, and one ``np.subtract.accumulate`` along the rows
-    subtracts them left to right, as ``_recurse`` does.  A real product
-    w * kappa is the real part of the recursion's complex one, exactly.
-    """
-
-    def __init__(self, provider: MomentProvider, first: np.ndarray):
-        refs = canonical(map(SiteRef, provider.sites))
-        self.provider = provider
-        self.size = len(refs)
-        self._position = {ref.site: i for i, ref in enumerate(refs)}
-        self.moments = self.kappas = first
-        self.order = 1
-
-    def through(self, order: int) -> bool:
-        """Fill every order up to ``order``; False, and no fill past the
-        order before it, once an order's plan would exceed
-        ``_FILL_ENTRIES``."""
-        while self.order < order:
-            k = self.order + 1
-            if math.comb(self.size + k - 1, k) << (k - 1) > _FILL_ENTRIES:
-                return False
-            sub, comp = _order_plan(self.size, k)
-            moments = self.provider.order_moments(k)
-            rows = np.empty((len(moments), sub.shape[1] + 1))
-            rows[:, 0] = moments
-            np.multiply(self.moments[comp], self.kappas[sub], out=rows[:, 1:])
-            self.moments = np.concatenate((self.moments, moments))
-            self.kappas = np.concatenate(
-                (self.kappas, np.subtract.accumulate(rows, axis=1)[:, -1]))
-            self.order = k
-        return True
-
-    def positions(self, refs) -> list:
-        """The canonical position of the site of each ref; KeyError naming
-        the first site the law does not have."""
-        try:
-            return [self._position[ref.site] for ref in refs]
-        except KeyError as missing:
-            raise KeyError(f"unknown site {missing.args[0]!r}") from None
-
-    def index(self, positions: np.ndarray) -> np.ndarray:
-        """The index in ``kappas`` of the multiset in each row of the int
-        array of positions, sorted along its last axis."""
-        return _multiset_rank(positions, self.size,
-                              _order_offset(self.size, positions.shape[-1]))
 
 
 def table_for(provider: MomentProvider, table: CumulantTable | None) -> CumulantTable:
@@ -392,116 +383,12 @@ def table_for(provider: MomentProvider, table: CumulantTable | None) -> Cumulant
     return table
 
 
-def _multiset_rank(x: np.ndarray, size: int, start: int = 0) -> np.ndarray:
-    """start plus the index in ``combinations_with_replacement(range(size),
-    k)`` order of the multiset in each row of the int array x, sorted along
-    its last axis of length k; the weights are ``_rank_weights``."""
-    weights, steps, last = _rank_weights(size, x.shape[-1])
-    return (start + last) - weights[x + steps].sum(axis=-1)
-
-
-@cache
-def _rank_weights(size: int, k: int) -> tuple:
-    """(weights, steps, last) of ``_multiset_rank`` for multisets of k
-    positions in range(size).
-
-    In the combinatorial number system, z_1 <= ... <= z_k has the colex
-    rank sum_i C(z_i + i - 1, i), with i from 1; for z the sorted
-    size - 1 - x, that rank counts back from the last multiset, at index
-    ``last``.  So the entry x_p of a sorted row, p from 0, adds
-    C(size - 2 + k - p - x_p, k - p) to it: that is weights[p * size + x_p],
-    and ``steps`` holds the p * size.
-    """
-    weights = np.array([math.comb(size - 2 + k - p - x, k - p)
-                        for p in range(k) for x in range(size)], dtype=np.int64)
-    last = math.comb(size + k - 1, k) - 1 if size + k else 0
-    return weights, np.arange(k, dtype=np.intp) * size, last
-
-
-@lru_cache(maxsize=64)
-def _multisets(size: int, k: int) -> np.ndarray:
-    """The multisets of k positions in range(size), one sorted row each, in
-    ``combinations_with_replacement`` order, as a read-only intp array.
-
-    The rows that start at a are a followed by each row of order k - 1 that
-    starts at a or later, a tail of that order's rows, so each order is
-    built from the one below."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    firsts = np.arange(size)
-    for _ in range(k):
-        starts = (np.searchsorted(rows[:, 0], firsts) if rows.shape[1]
-                  else np.zeros(size, dtype=np.intp))
-        counts = len(rows) - starts
-        tails = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)
-        rows = np.column_stack((np.repeat(firsts, counts), rows[tails]))
-    rows.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=32)
-def _multiset_expansion(size: int, k: int) -> tuple:
-    """``_multisets(size, k)``, and a read-only intp array that holds, for
-    each x in product(range(size), repeat=k), in product order, the index
-    of the multiset of x: the rank of x sorted.  The x are ranked in blocks
-    of one first position, which keeps the temporaries a size-th of the
-    array."""
-    tails = np.zeros((1, 0), dtype=np.min_scalar_type(max(size - 1, 0)))
-    for _ in range(k - 1):  # the last position runs fastest
-        tails = np.column_stack((np.repeat(tails, size, axis=0),
-                                 np.tile(np.arange(size, dtype=tails.dtype), len(tails))))
-    expansion = np.zeros(size ** k, dtype=np.intp)
-    if k:
-        for first, block in enumerate(expansion.reshape(size, len(tails))):
-            x = np.column_stack((np.full(len(tails), first, dtype=tails.dtype), tails))
-            x.sort(axis=1)
-            block[:] = _multiset_rank(x, size)
-    expansion.flags.writeable = False  # every tensor of this shape shares it
-    return _multisets(size, k), expansion
-
-
-def _order_offset(size: int, order: int) -> int:
-    """Where the multisets of ``order`` >= 1 of ``size`` sites start in a
-    store that holds orders 1, 2, ... one after the other."""
-    return math.comb(size + order - 1, order - 1) - 1
-
-
-@cache
-def _order_plan(size: int, k: int) -> tuple:
-    """(sub, comp) for filling order k >= 2 of a by-order store over size
-    sites: for the multiset of each row of ``_multisets(size, k)`` and each
-    subset of ``_anchored_subsets(k)``, one per column, the store index of
-    the sub-multiset the subset picks and of the multiset of the rest, as
-    read-only intp arrays built once per process."""
-    keys = _multisets(size, k)
-    subs, comps = [], []
-    for e, group in groupby(_anchored_subsets(k), len):
-        chosen = np.array([[i in subset for i in range(k)] for subset in group])
-        picked = keys[:, np.nonzero(chosen)[1].reshape(-1, e)]
-        rest = keys[:, np.nonzero(~chosen)[1].reshape(-1, k - e)]
-        subs.append(_multiset_rank(picked, size, _order_offset(size, e)))
-        comps.append(_multiset_rank(rest, size, _order_offset(size, k - e)))
-    plan = np.concatenate(subs, axis=1), np.concatenate(comps, axis=1)
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
 def _tuple_getter(positions) -> itemgetter:
     """An itemgetter of the positions that returns a tuple for any number of
     them: a lone position is read as a one-item slice."""
     if len(positions) == 1:
         return itemgetter(slice(positions[0], positions[0] + 1))
     return itemgetter(*positions)
-
-
-@cache
-def _anchored_subsets(k: int) -> tuple:
-    """The subsets E of range(k) that the recursion subtracts for a key of
-    k variables anchored at position 0, as sorted position tuples: the
-    proper ones that hold position 0, by size and then in ``combinations``
-    order."""
-    return tuple((0,) + extra for size in range(k - 1)
-                 for extra in combinations(range(1, k), size))
 
 
 @cache

@@ -20,8 +20,9 @@ import sys
 
 import numpy as np
 
-from .cumulants import MomentProvider, _multisets
+from .cumulants import MomentProvider
 from .indexing import IndexSequence, SiteRef, canonical
+from .multisets import _multisets
 
 DEFAULT_GRID = 4096
 

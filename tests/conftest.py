@@ -32,8 +32,12 @@ The oracles deliberately avoid the library's own recursions:
 * ``combinations_cumulant`` runs the anchored cumulant recursion with the
   subsets enumerated by ``combinations`` inside every call.
 * ``hide_bulk`` gives a finite law that hides its moments by order, so a
-  ``CumulantTable`` on it takes the per-key recursion, the path the
-  by-order fill of a real law replaces.
+  ``CumulantTable`` on it fills its store on demand, as it does for a
+  real ensemble, where the law itself is filled by whole orders.
+* ``per_anchor_clustering_norm`` and ``per_anchor_joint_theorem_check``
+  scan every sup over anchors one anchor at a time, each anchor folding
+  its own cumulant tensor: the scan that one tensor of all anchors, folded
+  row by row, stands in for.
 """
 
 import functools
@@ -45,6 +49,7 @@ import numpy as np
 import pytest
 
 import wickfield.dnls as dnls
+from wickfield import clustering
 from wickfield.cumulants import (
     CumulantTable,
     WickExpansion,
@@ -55,6 +60,7 @@ from wickfield.dnls import FieldState, hopping_symbol
 from wickfield.fields import FiniteDiscreteField, random_discrete_field
 from wickfield.indexing import SiteRef, seq_sort_key, subsequence
 from wickfield.partitions import SetPartition
+from wickfield.reports import BoundReport
 
 
 def brute_partitions(n):
@@ -263,10 +269,63 @@ class _BulkHidden(FiniteDiscreteField):
 
 
 def hide_bulk(law: FiniteDiscreteField) -> FiniteDiscreteField:
-    """The law of ``law`` as a new provider whose tables take the per-key
-    recursion: each cumulant is one ``cumulant`` lookup and each moment one
-    ``moment`` call."""
+    """The law of ``law`` as a new provider whose tables fill their store
+    on demand: each moment is one ``moment`` call, in rank order."""
     return _BulkHidden(law.sites, law.atoms)
+
+
+def per_anchor_clustering_norm(table, n, p, box):
+    """``clustering_norm`` with the sup over anchors scanned one anchor at
+    a time: an order-1 norm is the |kappa| of one lookup, and each anchor
+    of a higher one folds the walk of its own cumulant tensor."""
+    if table.singletons_vanish(n):
+        return 0.0
+
+    def pinned_norm(anchor):
+        if n == 1:
+            return abs(table.cumulant((SiteRef(anchor[0]),))), anchor
+        walk = clustering._abs(table.cumulant_tensor(clustering._singles(anchor), n - 1, box))
+        return clustering._norm_accumulate(walk, p), anchor
+
+    anchors = clustering._anchor_tuples(table.provider, tuple(box), 1)
+    return clustering._first_max(map(pinned_norm, anchors))[0]
+
+
+def per_anchor_joint_theorem_check(table, m, n, p, psi_sites, phi_box):
+    """``joint_theorem_check`` with every sup over anchors scanned one
+    anchor at a time: its clustering norms by ``per_anchor_clustering_norm``
+    and each pinned psi x' by its own cumulant tensor."""
+    provider, psi_sites, phi_box = table.provider, tuple(psi_sites), tuple(phi_box)
+
+    def top(q, orders, box):
+        return clustering._running_maxima(
+            [per_anchor_clustering_norm(table, k, q, box) for k in range(1, orders + 1)])[-1]
+
+    M_psi, M_phi = top(math.inf, 2 * m, psi_sites), top(float(p), 2 * n, phi_box)
+    M_joint = max(M_psi, M_phi)
+    xprime_tuples = ([] if table.singletons_vanish(m + n)
+                     else clustering._anchor_tuples(provider, psi_sites, m))
+
+    def psi_pinned(xp):
+        ksq = clustering._abs_sq(table.cumulant_tensor(clustering._singles(xp), n, phi_box))
+        value, y = clustering._weighted_l2(table, n, p, phi_box, ksq)
+        return value, (xp, y)
+
+    lhs, where = clustering._first_max(map(psi_pinned, xprime_tuples))
+    witness = None
+    if where is not None:
+        xp, y = where
+        witness = {"xprime": list(xp), "y": list(y)} if p == 2 else {"xprime": list(xp)}
+    base = M_joint * clustering.GAMMA ** m
+    if p == 1:
+        rhs = base ** (n + m) * math.factorial(n + m)
+    else:
+        rhs = base ** (2 * (n + m)) * math.factorial(n + m) ** 2
+    return BoundReport(
+        inequality_id=f"joint-cumulant-l2-p{p}", lhs=lhs, rhs=rhs,
+        witnesses={"m": m, "n": n, "p": p, "gamma": clustering.GAMMA,
+                   "M_joint": M_joint, "M_psi_inf": M_psi, "M_phi": M_phi,
+                   "witness": witness, "field": clustering._field_id(provider)})
 
 
 def refs(*labels):

@@ -41,6 +41,8 @@ from conftest import (
     direct_wick_product_expectation,
     hide_bulk,
     left_fold,
+    per_anchor_clustering_norm,
+    per_anchor_joint_theorem_check,
     product_order_clustering_norm,
     product_order_phi_row,
     product_order_walk,
@@ -356,13 +358,11 @@ def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_real_phi_kernel_reads_the_unconjugated_tensors(monkeypatch, n):
     # a real law has y(x)* = y(x), so the table drops the conjugation flags
-    # of a head: a row looks up no conjugated variable, the block tensor of
-    # a conjugated x' site is the very array of the plain site, the walk its
-    # clustering norms fold, and the row equals the one built with the
-    # flags kept.  The lookups are counted on the law with its moments by
-    # order hidden, where each tensor entry is one ``cumulant`` lookup; the
-    # law itself gathers its tensors from the fill, with no lookup, and
-    # shares them alike
+    # of a head: the block tensor of a conjugated x' site is the very array
+    # of the plain site, the walk its clustering norms fold, and the row
+    # equals the one built with the flags kept.  Both the law, filled by
+    # whole orders, and the law with its moments by order hidden, filled on
+    # demand, gather their tensors from the store, with no lookup
     lookups = []
     _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
     law = random_discrete_field(np.random.default_rng(1), sites=[0, 1, 2, 3])
@@ -374,11 +374,7 @@ def test_real_phi_kernel_reads_the_unconjugated_tensors(monkeypatch, n):
         assert f.is_real
         table = CumulantTable(f)
         rows.append(phi_kernel(f, n, xprime, box, table=table).values)
-        if f is law:
-            assert lookups == []
-        else:
-            assert lookups and not any(ref.conj for _, seq in lookups for ref in seq)
-            lookups.clear()
+        assert lookups == []
         for lefts, r in blocks:  # the row's blocks, with their flags, build nothing
             conj = table.cumulant_tensor(tuple((SiteRef(s, True),) for s in lefts), r, box)
             assert conj is table.cumulant_tensor(tuple((SiteRef(s),) for s in lefts), r, box)
@@ -711,6 +707,25 @@ def test_multiset_anchors_give_the_reports_of_the_product_scan(monkeypatch, name
     assert reports() == by_multiset
 
 
+@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+def test_batched_sups_give_the_reports_of_the_per_anchor_scan(name):
+    # a sup over anchors folds one tensor of every anchor row by row; the
+    # scan of one anchor at a time on a fresh table, each folding its own
+    # tensor, gives every norm and report bit for bit
+    provider, _, box, psi_sites, phi_box = _SCAN_CASES[name]
+    table, reference = CumulantTable(provider), CumulantTable(provider)
+    for n in (1, 2, 3, 4):
+        for p in (1, 2, math.inf):
+            got = clustering_norm(provider, n, p, box, table=table)
+            assert repr(got) == repr(per_anchor_clustering_norm(reference, n, p, box)), (n, p)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for p in (1, 2):
+                got = joint_theorem_check(provider, m, n, p, psi_sites, phi_box, table=table)
+                want = per_anchor_joint_theorem_check(reference, m, n, p, psi_sites, phi_box)
+                assert got.to_record() == want.to_record(), (m, n, p)
+
+
 def test_lemma_chain_iid(rng):
     f = IidRealGaussianField()
     box = list(range(-5, 6))
@@ -914,21 +929,22 @@ def test_p_is_refused_before_any_walk_or_row(p):
 
 
 def test_norms_at_every_p_fold_one_walk_per_anchor(monkeypatch):
-    # magnitude constants at p = 1, inf and 2 on one table: the runs after
-    # the first read every anchor's |kappa| walk from the table and look up
-    # no cumulant of order >= 2, and every norm is a fresh table's bit for
-    # bit
+    # magnitude constants at p = 1, inf and 2 on one table: the first run
+    # builds every anchor's walk of each order in one build of all anchors,
+    # the runs after it read them from the table and take no moment, and
+    # every norm is a fresh table's bit for bit
     est = sample_ensemble(sinc_coupling_example(), box=2, n_samples=200, seed=3)
     box = list(est.sites)
     table = CumulantTable(est)
-    orders = []
-    lookup = CumulantTable.cumulant
-    monkeypatch.setattr(CumulantTable, "cumulant",
-                        lambda self, seq: orders.append(len(seq)) or lookup(self, seq))
+    builds, moments = [], []
+    _count_calls(monkeypatch, CumulantTable, "_tensors", builds)
+    _count_calls(monkeypatch, est, "moment", moments)
     for run, p in enumerate((1.0, math.inf, 2.0)):
-        orders.clear()
+        builds.clear()
+        moments.clear()
         magnitude_constants(est, p, 4, box, table=table)
-        assert max(orders) == (4 if run == 0 else 1), p
+        assert [len(heads) for _, heads, *_ in builds] == ([len(box)] * 4 if run == 0 else [])
+        assert bool(moments) == (run == 0), p
         for n in range(1, 5):
             shared = clustering_norm(est, n, p, box, table=table)
             assert repr(shared) == repr(clustering_norm(est, n, p, box)), (n, p)
@@ -1149,19 +1165,21 @@ def _count_calls(monkeypatch, owner, attr, calls):
 
 def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
                                                              two_field_provider):
-    # counted on the law with its moments by order hidden, where each
-    # cumulant is one lookup and each moment one call, and on the law
+    # counted on the law with its real flag off, where each cumulant is one
+    # lookup and each moment one call, on the law with its moments by order
+    # hidden, whose table measures its moments on demand, and on the law
     # itself, whose table asks for its moments one whole order at a time
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
-    for f, hook in ((hide_bulk(two_field_provider), "moment"),
+    for f, hook in ((_flags_kept(two_field_provider), "moment"),
+                    (hide_bulk(two_field_provider), "moment"),
                     (two_field_provider, "order_moments")):
         lookups, moments = [], []
         _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
         _count_calls(monkeypatch, f, hook, moments)
         table = CumulantTable(f)
         first = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
-        assert lookups and moments
+        assert moments and bool(lookups) == (not f.is_real)
         lookups.clear()
         moments.clear()
         again = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
@@ -1176,10 +1194,11 @@ def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_prov
     # only the |kappa|^2 maps look up cumulants of psi and phi sites together
     # (the norms take one field, the rows conjugate x'); there is one map
     # per multiset of x', with one lookup per multiset of phi sites.  The
-    # lookups are counted on the law with its moments by order hidden; the
-    # law itself builds one tensor per multiset of x' from the fill, and a
-    # head of conjugated psi sites reads that very tensor
-    f = hide_bulk(two_field_provider)
+    # lookups are counted on the law with its real flag off, whose tables
+    # look up each cumulant; a real law builds one tensor per multiset of x'
+    # from its store, and a head of conjugated psi sites reads that very
+    # tensor
+    f = _flags_kept(two_field_provider)
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
     lookups = []

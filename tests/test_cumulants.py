@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wickfield import multisets
 from wickfield.clustering import magnitude_constants
 from wickfield.cumulants import (
     CumulantTable,
     MomentProvider,
     OrderOverflowError,
     WickExpansion,
-    _anchored_subsets,
-    _multiset_expansion,
-    _multisets,
-    _order_plan,
     _subset_plan,
     cumulant,
     generating_check,
@@ -37,6 +34,7 @@ from wickfield.fields import (
     sinc_coupling_example,
 )
 from wickfield.indexing import SiteRef, canonical, seq_sort_key
+from wickfield.multisets import _anchored_subsets, _multiset_expansion, _multisets, _order_plan
 
 from conftest import (
     combinations_cumulant,
@@ -697,6 +695,7 @@ def test_order_plan_equals_a_per_multiset_build(size, k):
     ranks = {order: {ms: start[order] + i for i, ms in enumerate(
         itertools.combinations_with_replacement(range(size), order))} for order in start}
     sub, comp = _order_plan(size, k)
+    assert sub.dtype == comp.dtype == np.int32
     subsets = _anchored_subsets(k)
     assert len(subsets) == 2 ** (k - 1) - 1 == len(_subset_plan(k, (False,) * (k - 1))[1])
     for row, key in enumerate(itertools.combinations_with_replacement(range(size), k)):
@@ -745,6 +744,51 @@ def test_order_fill_equals_the_per_key_recursion(law, order, data):
     assert tensor.tolist() == per_key.cumulant_tensor(head, k, box).tolist(), (head, k)
 
 
+@st.composite
+def _on_demand_laws(draw):
+    """A real law without moments by order: an ensemble of 5 to 60 samples
+    on 1 to 4 sites, or a finite law with its moments by order hidden."""
+    if draw(st.booleans()):
+        return hide_bulk(draw(_real_laws()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sites = [3, ("psi", 0), 0, 10][:draw(st.integers(1, 4))]
+    return EnsembleEstimator(sites, rng.uniform(-1.0, 1.0, (draw(st.integers(5, 60)), len(sites))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_on_demand_laws(), data=st.data())
+def test_on_demand_fill_equals_the_anchor_zero_recursion(law, data):
+    # scalar and tensor requests of orders 1 to 8, interleaved across
+    # orders, fill the store of a law without moments by order on demand;
+    # every value is the anchor-0 recursion's, repr for repr, and through
+    # order 7 within 1e-12 of the Mobius oracle
+    table, memo = CumulantTable(law), {}
+    sites = list(law.sites)
+
+    def oracle(seq):
+        return combinations_cumulant(law, tuple(zip(canonical(seq))), 0, memo)
+
+    for _ in range(data.draw(st.integers(1, 5))):
+        order = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            seq = tuple(SiteRef(s) for s in data.draw(
+                st.lists(st.sampled_from(sites), min_size=order, max_size=order)))
+            got = table.cumulant(seq)
+            assert repr(got) == repr(oracle(seq)), seq
+            if order <= 7:
+                assert abs(got - mobius_cumulant(law, seq)) <= 1e-12, seq
+            continue
+        k = data.draw(st.integers(0, min(order, 3)))
+        head = tuple(SiteRef(s) for s in data.draw(
+            st.lists(st.sampled_from(sites), min_size=order - k, max_size=order - k)))
+        box = data.draw(st.permutations(sites))
+        tensor = table.cumulant_tensor(tuple(zip(head)), k, box)
+        for x, got in zip(itertools.product(box, repeat=k), tensor.tolist()):
+            seq = head + tuple(map(SiteRef, x))
+            assert repr(got) == repr(oracle(seq)), seq
+    assert table._fill.whole == 0
+
+
 def _complex_law():
     rng = np.random.default_rng(3)
     values = rng.uniform(-1, 1, (4, 3)) + 1j * rng.uniform(-1, 1, (4, 3))
@@ -757,8 +801,10 @@ def _complex_law():
     lambda: hide_bulk(random_discrete_field(np.random.default_rng(5), sites=[0, 1, 2])),
 ], ids=["complex-discrete", "real-ensemble", "hidden"])
 def test_laws_without_moments_by_order_take_the_recursion(monkeypatch, make):
-    # a complex law's variable count doubles under conjugation, and an
-    # ensemble's moments are sample products: both keep the per-key recursion
+    # a complex law's variable count doubles under conjugation, so it keeps
+    # the per-key recursion; a real law without moments by order, an
+    # ensemble or a hidden-bulk law, fills its store on demand and recurses
+    # on no key of single field variables
     provider = make()
     assert provider.order_moments(2) is None
     calls = []
@@ -768,14 +814,44 @@ def test_laws_without_moments_by_order_take_the_recursion(monkeypatch, make):
     table = CumulantTable(provider)
     table.cumulant(refs(0, 1, 1))
     table.cumulant_tensor(((SiteRef(2),),), 2, [0, 1])
-    assert calls and table._fill is False
+    if provider.is_real:
+        assert calls == [] and table._fill.whole == 0 and table._fill.order == 3
+    else:
+        assert calls and table._fill is False
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_discrete_field(np.random.default_rng(13), sites=[0, 1, 2]),
+    lambda: EnsembleEstimator([0, 1, 2], np.random.default_rng(13).normal(size=(40, 3))),
+    _complex_law,
+    IidRealGaussianField,
+], ids=["discrete", "ensemble", "complex-discrete", "gaussian"])
+def test_cumulant_tensors_rows_are_the_heads_tensors(make):
+    # each row of the stack is its head's tensor, on a table that built
+    # some of them before and on a fresh one; a real law's heads, all new,
+    # are gathered in one request, and their tensors are rows of the stack
+    provider, box = make(), [2, 0, 1]
+    heads = [((SiteRef(a),), (SiteRef(b),)) for a, b in
+             itertools.combinations_with_replacement(range(3), 2)]
+    table, fresh = CumulantTable(provider), CumulantTable(provider)
+    table.cumulant_tensor(heads[1], 2, box)
+    stack = table.cumulant_tensors(heads, 2, box)
+    assert stack.shape == (len(heads), 9) and not stack.flags.writeable
+    assert table.cumulant_tensors(heads, 2, box) is stack
+    batched = fresh.cumulant_tensors(heads, 2, box)
+    for head, row, other in zip(heads, stack, batched):
+        want = CumulantTable(provider).cumulant_tensor(head, 2, box).tolist()
+        assert row.tolist() == other.tolist() == want, head
+        assert (fresh.cumulant_tensor(head, 2, box).base is batched) == provider.is_real
+    assert table.cumulant_tensors([], 2, box).shape == (0, 9)
 
 
 def test_order_fill_keeps_the_guards():
     # an unknown site raises the KeyError the per-key recursion raises, and
     # an order past max_order the OrderOverflowError, on both routes
     law = random_discrete_field(np.random.default_rng(6), sites=[0, 1])
-    for provider in (law, hide_bulk(law)):
+    ensemble = EnsembleEstimator([0, 1], np.random.default_rng(6).normal(size=(20, 2)))
+    for provider in (law, hide_bulk(law), ensemble):
         table = CumulantTable(provider)
         for call in (lambda: table.cumulant(refs(0, "z")),
                      lambda: table.cumulant_tensor(((SiteRef("z"),),), 1, [0, 1]),
@@ -791,15 +867,43 @@ def test_order_fill_keeps_the_guards():
 
 def test_order_fill_leaves_a_too_large_order_to_the_recursion():
     # seven sites of order 8 would make a plan of 3,003 multisets times 128
-    # columns, past _FILL_ENTRIES: that order keeps the recursion, and the
-    # orders below it fill
+    # columns, past _FILL_ENTRIES: that order is filled on demand, only the
+    # multisets a request reads, and the orders below it whole; every value
+    # is the anchor-0 recursion's
     law = random_discrete_field(np.random.default_rng(8), sites=list(range(7)))
-    table, per_key = CumulantTable(law), CumulantTable(hide_bulk(law))
+    table = CumulantTable(law)
     seq = refs(0, 1, 2, 3, 4, 5, 6, 0)
-    assert repr(table.cumulant(seq[:7])) == repr(per_key.cumulant(seq[:7]))
-    assert table._fill.order == 7
-    assert repr(table.cumulant(seq)) == repr(per_key.cumulant(seq))
-    assert table._fill.order == 7 and canonical(seq) in table._memo
+    assert repr(table.cumulant(seq[:7])) == repr(combinations_cumulant(law, tuple(zip(seq[:7]))))
+    assert table._fill.whole == table._fill.order == 7
+    assert repr(table.cumulant(seq)) == repr(
+        combinations_cumulant(law, tuple(zip(canonical(seq)))))
+    fill = table._fill
+    assert fill.whole == 7 and fill.order == 8 and canonical(seq) in table._memo
+    assert 0 < fill.known[fill.index(_multisets(7, 8))].sum() < math.comb(14, 8)
+
+
+def test_an_order_past_the_store_keeps_the_recursion(monkeypatch):
+    # a law of many sites would hold too many multisets of a high order:
+    # with room for 10 of one order, three sites keep order 3 (10
+    # multisets) in the store and take order 4 (15) by the recursion, which
+    # reads its sub-keys of lower orders from the store, and gives the
+    # anchor-0 recursion's values
+    monkeypatch.setattr(multisets, "_STORE_ENTRIES", 10)
+    law = EnsembleEstimator([0, 1, 2], np.random.default_rng(12).uniform(-1, 1, (30, 3)))
+    table, memo = CumulantTable(law), {}
+    seq = refs(2, 0, 1, 0)
+    calls = []
+    original = CumulantTable._recurse
+    monkeypatch.setattr(CumulantTable, "_recurse",
+                        lambda self, key, flat: calls.append(key) or original(self, key, flat))
+    assert repr(table.cumulant(seq)) == repr(
+        combinations_cumulant(law, tuple(zip(canonical(seq))), 0, memo))
+    assert calls == [canonical(seq)] and table._fill.order == 3
+    tensor = table.cumulant_tensor(((SiteRef(1),),), 3, [0, 1, 2])
+    for x, got in zip(itertools.product([0, 1, 2], repeat=3), tensor.tolist()):
+        assert repr(got) == repr(combinations_cumulant(
+            law, tuple(zip(canonical(refs(1, *x)))), 0, memo)), x
+    assert table._fill.order == 3
 
 
 @pytest.mark.parametrize("make", [
