@@ -63,14 +63,14 @@ def _read_config(path) -> dict:
 
 @contextlib.contextmanager
 def _config_errors(config_path):
-    """Report a config the body rejects as one line and exit with code 2.
+    """Report a config the body rejects or cannot allocate in one line; exit 2.
 
     Nothing is written before ``_finish``, so a bad config leaves nothing
     behind.
     """
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         click.echo(f"Error: {config_path}: {exc}", err=True)
         sys.exit(2)
 

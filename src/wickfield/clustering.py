@@ -8,14 +8,13 @@ tuple per multiset of box sites, sorted by box position.  No caller
 chooses anchors.  Every sup over anchors is ``_first_max``, and the
 observable and joint bounds take their lhs from ``_weighted_l2``.  The
 walks of a clustering norm and the pinned psi x' of the joint bound take
-the tensors of every anchor at once, ``CumulantTable.cumulant_tensors``,
-one row per anchor, and fold them row by row; a real law fills them in
-one request to its store, and each row is the anchor's own cumulant
-tensor, which the Phi_n rows read too.  Lattice
-sums are truncated to caller-supplied boxes; no report bounds the tail
-beyond its box.
+the tensors of every anchor in one call, ``CumulantTable.cumulant_tensors``,
+one tensor per anchor, and fold them one by one; a real law fills them
+in one request to its store, and the Phi_n rows read the same tensors.
+Lattice sums are truncated to caller-supplied boxes; no report bounds
+the tail beyond its box.
 
-Every array a check folds comes from ``CumulantTable.cumulant_tensor``,
+Every array a check folds comes from ``CumulantTable.cumulant_tensors``,
 the cumulants of fixed head variables and k box sites in product order
 over box^k, one value per multiset: the |kappa| walks of the clustering
 norms, the |kappa|^2 maps of the observable and joint bounds and the
@@ -412,7 +411,8 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
           <= M_2n(phi; p)^(2n) e^(2n) (2n)!
 
     Both flags travel in the witnesses; the top-level flag compares the
-    outermost pair.
+    outermost pair.  M is the top of ``magnitude_constants`` over the same
+    norms.
     """
     _require_exponent(p)
     table = table_for(provider, table)
@@ -423,7 +423,7 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
     norms = {m: clustering_norm(provider, m, p, norm_box, table=table)
              for m in range(1, 2 * n + 1)}
     middle = weighted_partition_sum(2 * n, norms)
-    M = _running_maxima(norms.values())[-1]
+    M = magnitude_constants(provider, float(p), 2 * n, norm_box, table=table).top()
     rhs = M ** (2 * n) * math.e ** (2 * n) * math.factorial(2 * n)
     slack = 1 + FLAG_SLACK
     return BoundReport(
@@ -498,7 +498,7 @@ def joint_theorem_check(provider: MomentProvider, m: int, n: int, p: int,
           ((n+m)!)^2, sup over x' and the weight anchor y.
 
     M_joint = max(M_2m(psi; inf), M_2n(phi; 1 or 2)), gamma = 2e.  The
-    tensors of every pinned x' are taken at once, one row each, and the
+    tensors of every pinned x' are taken at once, one tensor each, and the
     sup scans (x', y) with x' outermost.
     """
     _require_p(p)

@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations
-from operator import eq, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -96,11 +96,8 @@ class CumulantTable:
     flat index sequence in the order the recursion builds it; that key is
     deliberately not canonicalised, because a provider may round a product
     differently in another factor order.  For the same reason the
-    recursion subtracts its subset terms in one fixed order, the
-    ``combinations`` order, read from a plan built once per (order, runs of
-    equal variables).  Subsets that pick the same sub-multiset have
-    the same term, so the term is built once per such class and subtracted
-    once per subset: the same floats in the same order.
+    recursion subtracts one term per subset in one fixed order, that of
+    ``_anchored_subsets``.
 
     A real law keeps its cumulants of single field variables in a store
     instead (``multisets._OrderFill``): kappa and moments by global
@@ -111,18 +108,18 @@ class CumulantTable:
     with one array recursion; otherwise, as for a sampled ensemble, it
     fills the multisets a request reads on demand, with one array
     recursion per order of their closure.  ``cumulant`` and
-    ``cumulant_tensor`` read the store by multiset rank, and
-    ``cumulant_tensors`` asks it for the tensors of many heads in one
-    request; each value is ``==`` to the one the recursion gives.  The
+    ``cumulant_tensors`` read the store by multiset rank, the latter for
+    the tensors of many heads in one request; each value is ``==`` to the
+    one the recursion gives.  The
     recursion stays for complex laws, for compound keys, and for an order
     of more than ``_STORE_ENTRIES`` multisets.
 
-    ``cumulant_tensor`` lays the cumulants of fixed head variables and k
-    box sites out over box^k, the one source of the arrays ``clustering``
-    folds; a Gaussian one is filled from covariance rows and a real law's
-    from its store, with no cumulant lookup per entry, and a real
-    provider's head is taken without its conjugation flags.  ``derived``
-    keeps those tensors and their stacks, the SiteRefs and store positions
+    ``cumulant_tensors`` lays the cumulants of fixed head variables and k
+    box sites out over box^k, one tensor per head, the one source of the
+    arrays ``clustering`` folds; a Gaussian one is filled from covariance
+    rows and a real law's from its store, with no cumulant lookup per
+    entry, and a real provider's head is taken without its conjugation
+    flags.  ``derived`` keeps each tensor, the SiteRefs and store positions
     of each box, and the values ``clustering`` builds from the tensors
     (clustering norms, magnitude constants, Phi_n rows and the stacks of
     |Phi_n| rows at the p = 2 anchors), so checks that share a table build
@@ -204,89 +201,69 @@ class CumulantTable:
         return head
 
     def cumulant_tensor(self, head, k: int, box_sites) -> np.ndarray:
-        """kappa[v_1, ..., v_h, y(z_1), ..., y(z_k)] for z in box^k in product
-        order, a read-only flat complex array built once per table, head, k
-        and box: the head holds the variables v as ``joint_cumulant`` takes
-        them, and each z is the SiteRef of a box site.
+        """The tensor of one head, as ``cumulant_tensors`` builds it."""
+        return self.cumulant_tensors((head,), k, box_sites)[0]
 
-        A cumulant is symmetric in its variables: the tensor takes one value
+    def cumulant_tensors(self, heads, k: int, box_sites) -> list:
+        """kappa[v_1, ..., v_h, y(z_1), ..., y(z_k)] for z in box^k in
+        product order, for each head in the order given: a read-only flat
+        complex array built once per table, head, k and box.  A head holds
+        the variables v as ``joint_cumulant`` takes them, and each z is the
+        SiteRef of a box site.
+
+        A cumulant is symmetric in its variables: a tensor takes one value
         per multiset of ``_multiset_expansion``, at its z in box order, and
-        indexes them with that expansion array.  A Gaussian head of single
-        field variables takes them from ``_covariance_values``, and one of
-        a real law from its store, by the rank of each multiset of head and
-        box sites.  For a provider that declares ``is_real`` the head's
-        conjugation flags are dropped before the key, once per table and
-        head, so kappa[y(a)*, ...] reads the tensor of kappa[y(a), ...]: the
-        same cumulants, up to the sign of a zero.
+        indexes them with that expansion array.  The heads not built yet,
+        each once in first-use order, take one ``_tensors`` call: Gaussian
+        heads of single field variables take their values from
+        ``_covariance_values``, and a real law's from its store in one
+        request, by the rank of each multiset of head and box sites.  For a
+        provider that declares ``is_real`` a head's conjugation flags are
+        dropped before its key, once per table and head, so
+        kappa[y(a)*, ...] reads the tensor of kappa[y(a), ...]: the same
+        cumulants, up to the sign of a zero.
         """
-        head, box_sites = self._head(head), tuple(box_sites)
-        return self.derived(("cumulant_tensor", head, k, box_sites),
-                            lambda: self._tensors((head,), k, box_sites)[0])
-
-    def cumulant_tensors(self, heads, k: int, box_sites) -> np.ndarray:
-        """The ``cumulant_tensor`` of each head, one row each, as a
-        read-only 2-D array built once per table, heads, k and box.
-
-        For a real law whose heads are all new, distinct and of as many
-        single field variables, the multisets of every head and box site go
-        to the store in one request, and the rows are the heads' tensors;
-        otherwise each head's tensor is taken as ``cumulant_tensor`` gives
-        it, and they are stacked.  Either way a row is ``==`` to its head's
-        tensor.
-        """
-        given, box_sites = tuple(map(tuple, heads)), tuple(box_sites)
-
-        def build():
-            heads = tuple(map(self._head, given))
-            keys = [("cumulant_tensor", head, k, box_sites) for head in heads]
-            h = len(heads[0]) if heads else 0
-            if (heads and self._store(h + k) is not None
-                    and all(len(head) == h and all(len(v) == 1 for v in head) for head in heads)
-                    and len(set(keys)) == len(keys)
-                    and not any(key in self._derived for key in keys)):
-                stack = self._tensors(heads, k, box_sites)
-                self._derived.update(zip(keys, stack))
-                return stack
-            rows = [self.cumulant_tensor(head, k, box_sites) for head in heads]
-            if len(rows) == 1:
-                return rows[0][np.newaxis]
-            stack = (np.stack(rows) if rows
-                     else np.empty((0, len(box_sites) ** k), dtype=complex))
-            stack.flags.writeable = False
-            return stack
-
-        return self.derived(("cumulant_tensors", given, k, box_sites), build)
+        box_sites = tuple(box_sites)
+        keys = [("cumulant_tensor", self._head(head), k, box_sites) for head in heads]
+        derived = self._derived
+        try:
+            return [derived[key] for key in keys]
+        except KeyError:
+            new = {key: None for key in keys if key not in derived}
+            derived.update(zip(new, self._tensors([key[1] for key in new], k, box_sites)))
+        return [derived[key] for key in keys]
 
     def _tensors(self, heads, k: int, box_sites) -> np.ndarray:
-        """The cumulant tensors of the heads, one read-only row each; more
-        than one head only for a real law's heads of as many single field
-        variables."""
+        """The cumulant tensors of the heads, one read-only row each."""
         refs = self.derived(("box refs", box_sites), lambda: tuple(map(SiteRef, box_sites)))
         multisets, expansion = _multiset_expansion(len(refs), k)
-        if all(len(v) == 1 for v in heads[0]):
+        if len({len(head) for head in heads}) == 1 and all(
+                len(v) == 1 for head in heads for v in head):
             values = self._single_values([tuple(chain.from_iterable(head)) for head in heads],
                                          k, box_sites, refs, multisets)
         else:
-            values = [[self.joint_cumulant(heads[0] + tuple((refs[i],) for i in ms))
-                       for ms in multisets.tolist()]]
+            multisets = multisets.tolist()
+            values = [[self.joint_cumulant(head + tuple((refs[i],) for i in ms))
+                       for ms in multisets] for head in heads]
         tensors = np.asarray(values, dtype=complex).take(expansion, axis=1)
         tensors.flags.writeable = False
         return tensors
 
     def _single_values(self, heads, k: int, box_sites, refs, multisets):
-        """The values of ``cumulant_tensor`` for heads of single field
-        variables, one row per head and column per row of ``multisets``:
-        the Gaussian ones, those of a real law's store, by the rank of each
-        multiset of head and box sites, in one request, or else one
-        ``cumulant`` per multiset."""
+        """The values of ``cumulant_tensor`` for heads of as many single
+        field variables, one row per head and column per row of
+        ``multisets``: the Gaussian ones, those of a real law's store, by
+        the rank of each multiset of head and box sites, in one request, or
+        else one ``cumulant`` per multiset."""
         h = len(heads[0])
         self._check(h + k)
         if self.provider.is_gaussian:
-            return [self._covariance_values(heads[0], k, refs, len(multisets))]
+            return [self._covariance_values(head, k, refs, len(multisets)) for head in heads]
         fill = self._store(h + k)
         if fill is None:
-            return [[self.cumulant(heads[0] + tuple(refs[i] for i in ms))
-                     for ms in multisets.tolist()]]
+            multisets = multisets.tolist()
+            return [[self.cumulant(head + tuple(refs[i] for i in ms)) for ms in multisets]
+                    for head in heads]
         box = self.derived(("box positions", box_sites),
                            lambda: np.array(fill.positions(refs), dtype=np.intp))
         sites = np.empty((len(heads), len(multisets), h + k), dtype=np.intp)
@@ -338,18 +315,16 @@ class CumulantTable:
         A ``flat`` key is its own moment key; a compound key's moment is
         memoised under the flat sequence of its monomials in key order.
         Every sub-key of single field variables only goes to ``_single``
-        under its flat key, so a real law's store gives it.  The moment and memo probes are inline, so a hit
-        costs no call.  One term is built per class of the subset plan, and
-        the terms are subtracted in ``combinations`` order, one per subset.
+        under its flat key, so a real law's store gives it.  The moment and
+        memo probes are inline, so a hit costs no call.  One term is
+        subtracted per subset, in ``_anchored_subsets`` order.
         """
         moments, memo, moment = self._moments, self._memo, self.provider.moment
         seq = key if flat else tuple(chain.from_iterable(key))
         value = moments.get(seq)
         if value is None:
             value = moments[seq] = moment(seq)
-        distinct, order = _subset_plan(len(key), tuple(map(eq, key, key[1:])))
-        terms = []
-        for sub_of, comp_of in distinct:
+        for sub_of, comp_of in _subset_getters(len(key)):
             # the positions increase, so the sub-key of the canonical key is
             # canonical already
             sub = sub_of(key)
@@ -366,9 +341,7 @@ class CumulantTable:
             if kappa is None:
                 kappa = (self._single(sub) if flat or type(sub[0]) is SiteRef
                          else self._recurse(sub, False))
-            terms.append(weight * kappa)
-        for i in order:
-            value -= terms[i]
+            value -= weight * kappa
         memo[key] = value
         return value
 
@@ -392,31 +365,11 @@ def _tuple_getter(positions) -> itemgetter:
 
 
 @cache
-def _subset_plan(k: int, same: tuple) -> tuple:
-    """The recursion's plan for a key of k variables anchored at position 0,
-    where ``same[i]`` tells whether variables i and i + 1 are equal.
-
-    The subsets are those of ``_anchored_subsets(k)``.  A canonical key
-    holds equal variables next to each other, so two subsets that take as
-    many positions from every run of equal variables pick the same sub-key
-    and the same complement: one class, one term.  Returns
-    (distinct, order): ``distinct`` holds the tuple getters of the chosen
-    and complement positions of the first subset of each class, and
-    ``order`` the class of every subset, in subset order.  There are
-    r_first * prod(r + 1) - 1 classes, with r_first the length of the first
-    run and r those of the other runs.
-    """
-    run = [0]
-    for equal in same:
-        run.append(run[-1] + (not equal))
-    distinct, classes, order = [], {}, []
-    for chosen in _anchored_subsets(k):
-        cls = classes.setdefault(tuple(run[i] for i in chosen), len(classes))
-        if cls == len(distinct):
-            distinct.append((_tuple_getter(chosen),
-                             _tuple_getter(tuple(i for i in range(1, k) if i not in chosen))))
-        order.append(cls)
-    return tuple(distinct), tuple(order)
+def _subset_getters(k: int) -> tuple:
+    """The (chosen, rest) tuple getters of each of ``_anchored_subsets(k)``."""
+    return tuple((_tuple_getter(chosen),
+                  _tuple_getter(tuple(i for i in range(1, k) if i not in chosen)))
+                 for chosen in _anchored_subsets(k))
 
 
 def cumulant(provider: MomentProvider, sequence: IndexSequence) -> complex:

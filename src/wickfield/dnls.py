@@ -89,6 +89,13 @@ class DnlsConfig:
         if self.n_samples < 2:
             # one member has no spread: every residual and fitted C would be 0
             raise ValueError("n_samples must be >= 2")
+        # sample_initial allocates n_samples x length^dimension complex numbers;
+        # the bit-length test spares computing a huge length^dimension
+        most = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        if (self.length > 1 and self.dimension >= most.bit_length()) \
+                or self.n_samples * self.length ** self.dimension > most:
+            raise ValueError(f"n_samples x length^dimension complex values exceed "
+                             f"numpy's largest array of {most}")
 
     @property
     def shape(self) -> tuple:

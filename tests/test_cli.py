@@ -298,11 +298,13 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
     # the couplings loop would replace it, yet it reached the config and run_hash
     (json.dumps({"coupling": 0.3, "n_samples": 200, "length": 8}),
      "coupling is not a config key; give the list couplings"),
+    # 10,000 members of 32^40 sites: no numpy array holds them
+    (json.dumps({"dimension": 40}), "exceed numpy's largest array"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
         "nan-coupling", "huge-coupling", "string-coupling", "no-zero-coupling",
         "string-n-samples", "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
         "not-an-object", "malformed-json", "coupling-above-one-over-dt",
-        "max-float-coupling", "single-coupling"])
+        "max-float-coupling", "single-coupling", "too-many-sites"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
 
@@ -357,6 +359,10 @@ FLAT = {"name": "flat"}
      "unknown spectrum ['flat']"),
     (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "name": 5}),
      "name must be a string, not 5"),
+    # a quadrature grid of 10^17 points needs more bytes than a 57-bit
+    # address space holds, so no allocation of it can succeed
+    (json.dumps({"f1": FLAT, "f2": FLAT, "g": FLAT, "grid": 10 ** 17}),
+     "Unable to allocate"),
 ], ids=["psd-violation", "unknown-spectrum", "spectrum-not-an-object",
         "unknown-model", "missing-key", "small-grid", "not-an-object",
         "malformed-json", "fractional-grid", "boolean-grid", "zero-grid",
@@ -364,7 +370,7 @@ FLAT = {"name": "flat"}
         "sinc-dimension", "top-level-typo", "key-sinc-ignores", "spectral-typo",
         "spectrum-typo", "key-of-another-spectrum", "string-value",
         "boolean-height", "string-halfwidth", "list-spectrum-name",
-        "integer-name"])
+        "integer-name", "unallocatable-grid"])
 def test_verify_bounds_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "verify-bounds", text, message)
 

@@ -13,7 +13,6 @@ from wickfield.cumulants import (
     MomentProvider,
     OrderOverflowError,
     WickExpansion,
-    _subset_plan,
     cumulant,
     generating_check,
     moments_from_cumulants,
@@ -258,9 +257,9 @@ _REPEATED_KEYS = [
 @pytest.mark.parametrize("spec", _REPEATED_KEYS, ids=lambda spec: "".join(
     "abc"[i] + "*" * c for i, c in spec))
 def test_class_plan_matches_per_subset_oracle(seed, spec):
-    # one term per class of subsets that pick the same sub-multiset,
-    # subtracted once per subset, equals the per-subset recursion at anchor
-    # 0 bit for bit; the oracle at every other anchor agrees up to rounding
+    # keys with runs of equal variables: one term per subset, subtracted
+    # in order, equals the per-subset recursion at anchor 0 bit for bit;
+    # the oracle at every other anchor agrees up to rounding
     for provider in _recursion_providers(seed):
         sites = provider.sites
         # a provider of two sites folds c onto a
@@ -292,21 +291,6 @@ def test_class_plan_matches_per_subset_oracle_on_compound_keys(seed):
             for anchor in range(1, len(variables)):
                 assert combinations_cumulant(provider, key, anchor, memo) \
                     == pytest.approx(got, abs=1e-12), (variables, anchor)
-
-
-@pytest.mark.parametrize("runs", [(1,), (3, 1), (2, 2, 1), (6,), (1, 1, 1, 1), (2, 1, 3)])
-def test_subset_plan_has_one_class_per_sub_multiset(runs):
-    # a class per choice of 1..r_first positions from the first run, which
-    # holds the anchor, and 0..r from every other run, less the whole key
-    k = sum(runs)
-    same = tuple(itertools.chain.from_iterable(
-        [True] * (r - 1) + [False] for r in runs))[:-1]
-    distinct, order = _subset_plan(k, same)
-    assert len(distinct) == runs[0] * math.prod(r + 1 for r in runs[1:]) - 1
-    assert len(order) == 2 ** (k - 1) - 1
-    # classes are numbered by first appearance
-    firsts = [order.index(cls) for cls in range(len(distinct))]
-    assert firsts == sorted(firsts) and set(order) == set(range(len(distinct)))
 
 
 @pytest.mark.parametrize("variables", [
@@ -687,7 +671,7 @@ def test_multiset_expansion_equals_the_sorting_build(size, k):
 @pytest.mark.parametrize("size,k", [(1, 2), (2, 3), (3, 4), (4, 5), (2, 7), (4, 6)])
 def test_order_plan_equals_a_per_multiset_build(size, k):
     # each column of the plan is a subset of _anchored_subsets(k), the ones
-    # _subset_plan lists, and each entry the store index of the sub-multiset
+    # the recursion subtracts, and each entry the store index of the sub-multiset
     # it picks or of the rest, orders 1, 2, ... one after the other
     start = {}
     for order in range(1, k):
@@ -697,7 +681,7 @@ def test_order_plan_equals_a_per_multiset_build(size, k):
     sub, comp = _order_plan(size, k)
     assert sub.dtype == comp.dtype == np.int32
     subsets = _anchored_subsets(k)
-    assert len(subsets) == 2 ** (k - 1) - 1 == len(_subset_plan(k, (False,) * (k - 1))[1])
+    assert len(subsets) == 2 ** (k - 1) - 1
     for row, key in enumerate(itertools.combinations_with_replacement(range(size), k)):
         for col, chosen in enumerate(subsets):
             rest = tuple(key[i] for i in range(k) if i not in chosen)
@@ -826,24 +810,33 @@ def test_laws_without_moments_by_order_take_the_recursion(monkeypatch, make):
     _complex_law,
     IidRealGaussianField,
 ], ids=["discrete", "ensemble", "complex-discrete", "gaussian"])
-def test_cumulant_tensors_rows_are_the_heads_tensors(make):
-    # each row of the stack is its head's tensor, on a table that built
-    # some of them before and on a fresh one; a real law's heads, all new,
-    # are gathered in one request, and their tensors are rows of the stack
+def test_cumulant_tensors_rows_are_the_heads_tensors(monkeypatch, make):
+    # one _tensors call builds the heads the table has not built yet, each
+    # once, whatever the law, the head lengths or a compound variable; a
+    # repeated head reads the same row, a repeated call builds nothing, and
+    # each row is the head's tensor on a fresh table
     provider, box = make(), [2, 0, 1]
-    heads = [((SiteRef(a),), (SiteRef(b),)) for a, b in
+    a, b, c = map(SiteRef, range(3))
+    pairs = [((SiteRef(x),), (SiteRef(y),)) for x, y in
              itertools.combinations_with_replacement(range(3), 2)]
-    table, fresh = CumulantTable(provider), CumulantTable(provider)
+    heads = pairs + [((b,),), pairs[0], ((a, c),)]
+    builds = []
+    original = CumulantTable._tensors
+    monkeypatch.setattr(CumulantTable, "_tensors", lambda self, new, k, box_sites: (
+        builds.append(list(new)) or original(self, new, k, box_sites)))
+    table = CumulantTable(provider)
     table.cumulant_tensor(heads[1], 2, box)
-    stack = table.cumulant_tensors(heads, 2, box)
-    assert stack.shape == (len(heads), 9) and not stack.flags.writeable
-    assert table.cumulant_tensors(heads, 2, box) is stack
-    batched = fresh.cumulant_tensors(heads, 2, box)
-    for head, row, other in zip(heads, stack, batched):
-        want = CumulantTable(provider).cumulant_tensor(head, 2, box).tolist()
-        assert row.tolist() == other.tolist() == want, head
-        assert (fresh.cumulant_tensor(head, 2, box).base is batched) == provider.is_real
-    assert table.cumulant_tensors([], 2, box).shape == (0, 9)
+    rows = table.cumulant_tensors(iter(heads), 2, box)
+    assert len(builds) == 2 and len(builds[1]) == len(heads) - 2
+    assert rows[len(pairs) + 1] is rows[0]
+    for row in rows:
+        assert row.dtype == complex and row.shape == (9,) and not row.flags.writeable
+    builds.clear()
+    again = table.cumulant_tensors(heads, 2, box)
+    assert builds == [] and all(x is y for x, y in zip(again, rows, strict=True))
+    for head, row in zip(heads, rows):
+        assert row.tolist() == CumulantTable(provider).cumulant_tensor(head, 2, box).tolist(), head
+    assert table.cumulant_tensors([], 2, box) == []
 
 
 def test_order_fill_keeps_the_guards():
