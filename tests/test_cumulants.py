@@ -13,6 +13,7 @@ from wickfield.cumulants import (
     MomentProvider,
     OrderOverflowError,
     WickExpansion,
+    _subset_getters,
     cumulant,
     generating_check,
     moments_from_cumulants,
@@ -291,6 +292,25 @@ def test_class_plan_matches_per_subset_oracle_on_compound_keys(seed):
             for anchor in range(1, len(variables)):
                 assert combinations_cumulant(provider, key, anchor, memo) \
                     == pytest.approx(got, abs=1e-12), (variables, anchor)
+
+
+@pytest.mark.parametrize("runs", [(1,), (3, 1), (2, 2, 1), (6,), (1, 1, 1, 1), (2, 1, 3)])
+def test_subset_getters_split_a_key_by_each_anchored_subset(runs):
+    # one (chosen, rest) pair per subset of _anchored_subsets(k), in its
+    # order, built once per k: the chosen positions, which hold the anchor,
+    # and the rest make up the key, and on a canonical key with runs of
+    # equal variables both parts are canonical already
+    key = refs(*itertools.chain.from_iterable([site] * r for site, r in enumerate(runs)))
+    k = len(key)
+    assert canonical(key) == key
+    getters = _subset_getters(k)
+    assert _subset_getters(k) is getters and len(getters) == 2 ** (k - 1) - 1
+    for (sub_of, comp_of), chosen in zip(getters, _anchored_subsets(k), strict=True):
+        sub, comp = sub_of(key), comp_of(key)
+        assert sub == tuple(key[i] for i in chosen) and sub[0] is key[0]
+        assert comp == tuple(key[i] for i in range(1, k) if i not in chosen) and comp
+        assert canonical(sub) == sub and canonical(comp) == comp
+        assert Counter(sub + comp) == Counter(key)
 
 
 @pytest.mark.parametrize("variables", [
