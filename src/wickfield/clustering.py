@@ -248,15 +248,17 @@ def clustering_norm(provider: MomentProvider, n: int, p: float, box_sites,
 def magnitude_constants(provider: MomentProvider, p: float, N: int, box_sites,
                         table: CumulantTable | None = None) -> MagnitudeConstants:
     """M_N = max over n <= N of (clustering_norm_n / n!)^(1/n), built once
-    per table, p, N and box."""
+    per table, p, N and box.  The norm of order N is taken first: the
+    closure of its cumulants holds those of every lower order, so a table
+    that fills them on demand fills them all in one walk."""
     _require_order("N", N)
     table = table_for(provider, table)
     box_sites = tuple(box_sites)
 
     def build():
         norms = [clustering_norm(provider, n, p, box_sites, table=table)
-                 for n in range(1, N + 1)]
-        return MagnitudeConstants(_running_maxima(norms))
+                 for n in range(N, 0, -1)]
+        return MagnitudeConstants(_running_maxima(norms[::-1]))
 
     return table.derived(("magnitude_constants", p, N, box_sites), build)
 
@@ -420,10 +422,11 @@ def lemma_check(provider: MomentProvider, n: int, p: float, xprime, box_sites,
         norm_box = box_sites
     row = phi_kernel(provider, n, xprime, box_sites, table=table)
     lhs = _norm_accumulate(np.abs(row.entries), p)
+    # M first, which takes the norms from the top order down
+    M = magnitude_constants(provider, float(p), 2 * n, norm_box, table=table).top()
     norms = {m: clustering_norm(provider, m, p, norm_box, table=table)
              for m in range(1, 2 * n + 1)}
     middle = weighted_partition_sum(2 * n, norms)
-    M = magnitude_constants(provider, float(p), 2 * n, norm_box, table=table).top()
     rhs = M ** (2 * n) * math.e ** (2 * n) * math.factorial(2 * n)
     slack = 1 + FLAG_SLACK
     return BoundReport(

@@ -73,6 +73,23 @@ class MomentProvider(ABC):
         """
         return None
 
+    def multiset_moments(self, rows) -> np.ndarray:
+        """The real part of the moment of each multiset in ``rows``, as one
+        float array: each row is a sequence of positions into the
+        provider's ``sites`` in ``canonical`` order, as ``order_moments``
+        takes them, sorted.
+
+        ``CumulantTable`` fills a real law on demand through this hook, in
+        one walk over every order of a request's closure: one call, with
+        the rows in lexicographic order, so that a multiset comes just
+        before the ones that extend it.  Each entry must be ``==`` to
+        ``moment(...).real`` of its multiset in that order, which is what
+        this default, one ``moment`` call per row, gives.
+        """
+        refs = canonical(map(SiteRef, self.sites))
+        return np.array([self.moment(tuple(map(refs.__getitem__, row))).real
+                         for row in rows], dtype=float)
+
     def check_order(self, order: int):
         if order > self.max_order:
             raise OrderOverflowError(
@@ -106,8 +123,9 @@ class CumulantTable:
     moments and its plan fits within ``_FILL_ENTRIES``, the store fills
     that order whole,
     with one array recursion; otherwise, as for a sampled ensemble, it
-    fills the multisets a request reads on demand, with one array
-    recursion per order of their closure.  ``cumulant`` and
+    fills the multisets a request reads on demand, in one walk over every
+    order of a request's closure (``MomentProvider.multiset_moments``) and
+    then one array recursion per order.  ``cumulant`` and
     ``cumulant_tensors`` read the store by multiset rank, the latter for
     the tensors of many heads in one request; each value is ``==`` to the
     one the recursion gives.  The

@@ -56,6 +56,10 @@ import numpy as np
 from .fields import is_finite_number
 
 
+#: the most axes a numpy array has (numpy 2)
+_MAX_AXES = 64
+
+
 @dataclass
 class DnlsConfig:
     dimension: int = 1
@@ -89,6 +93,12 @@ class DnlsConfig:
         if self.n_samples < 2:
             # one member has no spread: every residual and fitted C would be 0
             raise ValueError("n_samples must be >= 2")
+        # the members lie along one axis and the lattice along dimension
+        # more, and a complex standard error views them as floats, one axis
+        # more again: numpy holds at most _MAX_AXES
+        if self.dimension + 2 > _MAX_AXES:
+            raise ValueError(f"dimension must be <= {_MAX_AXES - 2}: a sample array "
+                             f"needs dimension + 2 of numpy's {_MAX_AXES} axes")
         # sample_initial allocates n_samples x length^dimension complex numbers;
         # the bit-length test spares computing a huge length^dimension
         most = np.iinfo(np.intp).max // np.dtype(complex).itemsize

@@ -456,8 +456,12 @@ class EnsembleEstimator(MomentProvider):
 
     The products of the prefixes of the last sequence are kept, one buffer
     per prefix length, and a new sequence starts from the longest prefix it
-    shares with the last one.  These buffers make an estimator unsafe to
-    share across threads.
+    shares with the last one; the sequence is read as integer column keys
+    first.  ``moment`` and ``multiset_moments`` both go through that one
+    prefix walk: a table fills a real estimator on demand with one walk over
+    every order of a request's closure, in lexicographic order, which forms
+    each distinct prefix product once.  These buffers make an estimator
+    unsafe to share across threads.
     """
 
     def __init__(self, sites, samples: np.ndarray):
@@ -477,7 +481,7 @@ class EnsembleEstimator(MomentProvider):
         self._index = _site_index(self.sites)
         self._complex = dtype is complex
         self.is_real = not self._complex
-        # _prefix's state: the first n - 1 references of the last sequence
+        # _prefix's state: the first n - 1 column keys of the last sequence
         # and the products of its prefixes of length 2, 3, ...; _product's
         # complex buffer, allocated on first use
         self._path = ()
@@ -493,67 +497,94 @@ class EnsembleEstimator(MomentProvider):
     def count(self) -> int:
         return self._columns.shape[1]
 
-    def _column(self, ref: SiteRef) -> np.ndarray:
-        col = self._columns[self._index[ref.site]]
-        return np.conj(col) if ref.conj and self._complex else col
+    def _keys(self, sequence: IndexSequence) -> list:
+        """The column key of each ref of the sequence: the column of its
+        site, plus the number of sites if the samples are complex and the
+        ref conjugated; KeyError naming a site the estimator lacks."""
+        index = self._index
+        if self._complex:
+            return [index[ref.site] + (len(index) if ref.conj else 0) for ref in sequence]
+        return [index[ref.site] for ref in sequence]
 
-    def _prefix(self, sequence: IndexSequence) -> np.ndarray:
-        """The product of every column of the sequence but the last, n >= 2,
-        in a buffer that a later call may overwrite.
+    def _column(self, key: int) -> np.ndarray:
+        """The column of a column key, conjugated past the last site."""
+        columns = self._columns
+        return columns[key] if key < len(columns) else np.conj(columns[key - len(columns)])
+
+    def _prefix(self, keys: list) -> np.ndarray:
+        """The product of every column of the keys but the last, n >= 2, in
+        a buffer that a later call may overwrite.
 
         The prefix products of length 2 to n - 1 go to buffers allocated on
-        first use and kept for the next sequence, which starts from the
-        longest prefix it shares with this one.  The path is cut to the
-        shared prefix before any buffer is written, so a call that fails
-        part-way leaves no stale prefix behind.
+        first use and kept for the next keys, which start from the longest
+        prefix they share with these.  The path is cut to the shared prefix
+        before any buffer is written, so a call that fails part-way leaves
+        no stale prefix behind.
         """
-        n = len(sequence)
+        n = len(keys)
         path, prefixes = self._path, self._prefixes
         shared = 0
-        for known, ref in zip(path, sequence[:n - 1]):
-            if known != ref:
+        for known, key in zip(path, keys[:n - 1]):
+            if known != key:
                 break
             shared += 1
         self._path = path[:shared]
-        prod = prefixes[shared - 2] if shared >= 2 else self._column(sequence[0])
+        prod = prefixes[shared - 2] if shared >= 2 else self._column(keys[0])
         for j in range(max(shared, 1), n - 1):
             if j > len(prefixes):
                 prefixes.append(np.empty(self.count, dtype=self._columns.dtype))
-            prod = np.multiply(prod, self._column(sequence[j]), out=prefixes[j - 1])
-        self._path = tuple(sequence[:n - 1])
+            prod = np.multiply(prod, self._column(keys[j]), out=prefixes[j - 1])
+        self._path = tuple(keys[:n - 1])
         return prod
 
-    def _product(self, sequence: IndexSequence) -> np.ndarray:
-        """The product of the sequence's columns as a complex array, in a
+    def _product(self, keys: list) -> np.ndarray:
+        """The product of the columns of the keys as a complex array, in a
         buffer that the next call overwrites."""
         if self._out is None:
             self._out = np.zeros(self.count, dtype=complex)
         out = self._out
-        n = len(sequence)
+        n = len(keys)
         if n == 0:
             out.fill(1)
             return out
         last = out if self._complex else out.real
         if n == 1:
-            np.copyto(last, self._column(sequence[0]))
+            np.copyto(last, self._column(keys[0]))
         else:
-            np.multiply(self._prefix(sequence), self._column(sequence[-1]), out=last)
+            np.multiply(self._prefix(keys), self._column(keys[-1]), out=last)
         return out
+
+    def _real_mean(self, keys: list) -> float:
+        """The mean of the product of the columns of n >= 1 keys of real
+        samples."""
+        last = self._columns[keys[-1]]
+        if len(keys) == 1:
+            return np.add.reduce(last) / self.count
+        # one pass over both arrays, no temporary; einsum, not BLAS
+        return np.einsum("i,i->", self._prefix(keys), last) / self.count
 
     def moment(self, sequence: IndexSequence) -> complex:
         if not sequence:
             return 1.0
+        keys = self._keys(sequence)
         if self._complex:
             # the mean as numpy's _methods._mean takes it, without its Python layer
-            return complex(np.add.reduce(self._product(sequence)) / self.count)
-        last = self._column(sequence[-1])
-        if len(sequence) == 1:
-            return complex(np.add.reduce(last) / self.count)
-        # one pass over both arrays, no temporary; einsum, not BLAS
-        return complex(np.einsum("i,i->", self._prefix(sequence), last) / self.count)
+            return complex(np.add.reduce(self._product(keys)) / self.count)
+        return complex(self._real_mean(keys))
+
+    def multiset_moments(self, rows) -> np.ndarray:
+        """``MomentProvider.multiset_moments``: for real samples, the mean
+        of each row's product taken as ``moment`` takes it, through the same
+        prefix products, so that a row that extends the row before it
+        multiplies only its new columns."""
+        if self._complex:
+            return super().multiset_moments(rows)
+        keys = self._keys(canonical(map(SiteRef, self.sites)))
+        mean = self._real_mean
+        return np.array([mean([keys[p] for p in row]) for row in rows], dtype=float)
 
     def moment_standard_error(self, sequence: IndexSequence) -> float:
-        return float(np.std(self._product(sequence)) / math.sqrt(self.count))
+        return float(np.std(self._product(self._keys(sequence))) / math.sqrt(self.count))
 
 
 def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,

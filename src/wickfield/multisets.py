@@ -47,9 +47,12 @@ class _OrderFill:
       orders 1 to ``whole`` are filled with ``_order_plan``.
     * On demand: every later order, and every order of a law that gives no
       moments by order.  A request fills the closure of its multisets, the
-      kappas and moments the recursion reads, one order at a time from
-      the lowest; each order's missing moments go to ``provider.moment`` in
-      rank order, so consecutive multisets share their prefixes.
+      kappas and moments the recursion reads, in one walk over every order
+      of a request's closure: the missing moments of all its orders go to
+      ``provider.multiset_moments`` in one call, in lexicographic order, so
+      that a multiset comes just before the ones that extend it and shares
+      their prefixes; the kappas are then folded one order at a time from
+      the lowest.
 
     Either way the row of a multiset holds its moment and then the
     recursion's terms, moment times kappa, one per subset of
@@ -61,10 +64,10 @@ class _OrderFill:
     """
 
     def __init__(self, provider):
-        self.refs = canonical(map(SiteRef, provider.sites))
+        refs = canonical(map(SiteRef, provider.sites))
         self.provider = provider
-        self.size = len(self.refs)
-        self._position = {ref.site: i for i, ref in enumerate(self.refs)}
+        self.size = len(refs)
+        self._position = {ref.site: i for i, ref in enumerate(refs)}
         self.moments, self.kappas = np.empty(0), np.empty(0)
         self.measured, self.known = np.empty(0, dtype=bool), np.empty(0, dtype=bool)
         self.order = self.whole = 0
@@ -124,9 +127,12 @@ class _OrderFill:
 
         From order k down, the missing kappas of each order add the
         sub-multisets their subsets pick to the orders below, and their
-        moments and those of the rest to the moments wanted; then, from the
-        lowest order up, each order's missing moments are measured in rank
-        order and its kappas folded from them."""
+        moments and those of the rest to the moments wanted.  The missing
+        moments of every order are then measured in one
+        ``provider.multiset_moments`` call, in lexicographic order of their
+        positions, so that each multiset comes just before the ones that
+        extend it; and from the lowest order up, each order's kappas are
+        folded from them."""
         kappas_wanted = {rows.shape[1]: [(rows, ranks)]}
         moments_wanted = {}
         folds = []
@@ -141,12 +147,16 @@ class _OrderFill:
                 self._want(moments_wanted, rows, others, comp[:, group], self.measured)
                 start = group.stop
             folds.append((j, ranks, sub, comp))
-        moment, refs = self.provider.moment, self.refs
+        rows, wanted = [], []
+        for j, *_ in folds:
+            missing, ranks = self._missing(moments_wanted.pop(j), self.measured, j)
+            rows += missing.tolist()
+            wanted += ranks.tolist()
+        walk = sorted(range(len(rows)), key=rows.__getitem__)
+        wanted = np.array(wanted, dtype=np.int64)[walk]
+        self.moments[wanted] = self.provider.multiset_moments([rows[i] for i in walk])
+        self.measured[wanted] = True
         for j, ranks, sub, comp in reversed(folds):
-            rows, wanted = self._missing(moments_wanted.pop(j), self.measured, j)
-            self.moments[wanted] = [moment(tuple(map(refs.__getitem__, row))).real
-                                    for row in rows.tolist()]
-            self.measured[wanted] = True
             self.kappas[ranks] = self._fold(self.moments[ranks], sub, comp)
             self.known[ranks] = True
 

@@ -300,11 +300,18 @@ COUPLINGS_MESSAGE = "couplings must be a non-empty list of finite numbers >= 0"
      "coupling is not a config key; give the list couplings"),
     # 10,000 members of 32^40 sites: no numpy array holds them
     (json.dumps({"dimension": 40}), "exceed numpy's largest array"),
+    # one-site lattices hold few values, but a member array of d + 1 axes and
+    # its complex standard error's float view of d + 2 pass numpy's 64 axes
+    (json.dumps({"dimension": 63, "length": 1, "n_samples": 2}),
+     "dimension must be <= 62"),
+    (json.dumps({"dimension": 70, "length": 1, "n_samples": 2}),
+     "dimension must be <= 62"),
 ], ids=["one-sample", "unknown-key", "negative-coupling", "no-couplings",
         "nan-coupling", "huge-coupling", "string-coupling", "no-zero-coupling",
         "string-n-samples", "zero-dt", "nan-beta", "huge-mu", "fractional-seed", "negative-seed",
         "not-an-object", "malformed-json", "coupling-above-one-over-dt",
-        "max-float-coupling", "single-coupling", "too-many-sites"])
+        "max-float-coupling", "single-coupling", "too-many-sites",
+        "too-many-axes-63", "too-many-axes-70"])
 def test_dnls_demo_rejects_bad_config(runner, tmp_path, text, message):
     _assert_config_rejected(runner, tmp_path, "dnls-demo", text, message)
 

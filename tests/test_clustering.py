@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickfield import clustering, cumulants
+from wickfield import clustering, cumulants, multisets
 from wickfield.clustering import (
     GAMMA,
     Observable,
@@ -36,6 +36,7 @@ from wickfield.fields import (
     sinc_coupling_example,
 )
 from wickfield.indexing import SiteRef, canonical
+from wickfield.multisets import _multisets
 
 from conftest import (
     direct_wick_product_expectation,
@@ -930,24 +931,52 @@ def test_p_is_refused_before_any_walk_or_row(p):
 
 def test_norms_at_every_p_fold_one_walk_per_anchor(monkeypatch):
     # magnitude constants at p = 1, inf and 2 on one table: the first run
-    # builds every anchor's walk of each order in one build of all anchors,
-    # the runs after it read them from the table and take no moment, and
-    # every norm is a fresh table's bit for bit
+    # builds every anchor's walk of each order in one build of all anchors
+    # and measures its moments in one walk, the runs after it read them
+    # from the table and measure nothing, and every norm is a fresh
+    # table's bit for bit
     est = sample_ensemble(sinc_coupling_example(), box=2, n_samples=200, seed=3)
     box = list(est.sites)
     table = CumulantTable(est)
-    builds, moments = [], []
+    builds, walks = [], []
     _count_calls(monkeypatch, CumulantTable, "_tensors", builds)
-    _count_calls(monkeypatch, est, "moment", moments)
+    _count_calls(monkeypatch, est, "multiset_moments", walks)
     for run, p in enumerate((1.0, math.inf, 2.0)):
         builds.clear()
-        moments.clear()
+        walks.clear()
         magnitude_constants(est, p, 4, box, table=table)
         assert [len(heads) for _, heads, *_ in builds] == ([len(box)] * 4 if run == 0 else [])
-        assert bool(moments) == (run == 0), p
+        assert len(walks) == (1 if run == 0 else 0), p
         for n in range(1, 5):
             shared = clustering_norm(est, n, p, box, table=table)
             assert repr(shared) == repr(clustering_norm(est, n, p, box)), (n, p)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_magnitude_constants_fill_every_order_in_one_walk(monkeypatch, N):
+    # the norm of order N comes first, and the closure of its cumulants
+    # holds every multiset of the box of orders 1..N: one fill measures
+    # them all; each norm is that of a table filled one order at a time,
+    # from order 1 up, bit for bit
+    est = sample_ensemble(sinc_coupling_example(), box=3, n_samples=300, seed=4)
+    box = [("psi", x) for x in range(3)] + [("phi", 0)]
+    table = CumulantTable(est)
+    fills = []
+    _count_calls(monkeypatch, multisets._OrderFill, "_fill", fills)
+    constants = magnitude_constants(est, 1.0, N, box, table=table)
+    assert len(fills) == 1
+    store = table._fill
+    positions = np.array(store.positions(SiteRef(s) for s in box))
+    for k in range(1, N + 1):
+        rows = np.sort(positions[_multisets(len(box), k)], axis=1)
+        assert store.known[store.index(rows)].all(), k
+    monkeypatch.undo()
+    ascending = CumulantTable(est)
+    norms = [clustering_norm(est, n, 1.0, box, table=ascending) for n in range(1, N + 1)]
+    for n, norm in enumerate(norms, start=1):
+        assert repr(clustering_norm(est, n, 1.0, box, table=table)) == repr(norm), n
+    fresh = magnitude_constants(est, 1.0, N, box, table=ascending)
+    assert repr(constants.values) == repr(fresh.values)
 
 
 def test_clustering_norm_accepts_p_at_the_ends(rng):

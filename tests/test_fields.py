@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import itertools
 import math
 import operator
 import re
@@ -455,6 +457,112 @@ def test_prefix_products_never_go_stale(kind):
     for est, m, copy in zip(estimators, samples, kept):
         assert np.array_equal(est.samples, copy)
         assert np.array_equal(m, copy)
+
+
+@contextlib.contextmanager
+def _prefix_multiplies(est):
+    """The list that gets one entry per multiply that writes one of the
+    estimator's prefix buffers while the context is open."""
+    counted = []
+    multiply = np.multiply
+
+    def counting(*args, out=None, **kwargs):
+        if any(out is buffer for buffer in est._prefixes):
+            counted.append(out)
+        return multiply(*args, out=out, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "multiply", counting)
+        yield counted
+
+
+def _distinct_prefixes(rows) -> set:
+    """The distinct prefixes of length 2 to n - 1 of rows of length n."""
+    return {tuple(row[:length]) for row in rows for length in range(2, len(row))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_sites=st.integers(1, 5), count=st.integers(5, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_multiset_moments_walk_equals_moment(data, n_sites, count, seed):
+    # the walk over a real estimator's multisets gives moment(...).real row
+    # by row, in any order of the rows, repeats included; in lexicographic
+    # order it forms each distinct prefix product once, and a table fills
+    # the closure of a request in one such walk; a moment, or a call that
+    # raises part-way, between two walks leaves no stale prefix
+    sites = data.draw(st.permutations(range(n_sites)))  # canonical order is 0, 1, ...
+    samples = np.random.default_rng(seed).normal(size=(count, n_sites))
+    refs = [SiteRef(s) for s in range(n_sites)]
+    row = st.lists(st.integers(0, n_sites - 1), min_size=1, max_size=8).map(sorted)
+    rows = data.draw(st.lists(row, min_size=1, max_size=20))
+    rows = data.draw(st.permutations(rows + data.draw(st.lists(st.sampled_from(rows),
+                                                               max_size=5))))
+    want = [EnsembleEstimator(sites, samples).moment(tuple(refs[p] for p in r)).real
+            for r in rows]
+    est = EnsembleEstimator(sites, samples)
+
+    def walk_matches():
+        got = est.multiset_moments(rows)
+        assert got.dtype == float and got.shape == (len(rows),)
+        assert all(g == w for g, w in zip(got.tolist(), want)), rows
+
+    walk_matches()
+    between = data.draw(st.lists(st.tuples(st.integers(0, n_sites - 1), st.booleans()),
+                                 min_size=1, max_size=8))
+    est.moment(tuple(SiteRef(s, conj) for s, conj in between))
+    walk_matches()
+    cut = data.draw(st.integers(0, len(rows)))
+    with pytest.raises(IndexError):
+        est.multiset_moments(rows[:cut] + [[0, n_sites]] + rows[cut:])
+    walk_matches()
+    with pytest.raises(KeyError):
+        est.moment(tuple(SiteRef(s) for s, _ in between) + (SiteRef("z"), refs[0]))
+    walk_matches()
+
+    fresh = EnsembleEstimator(sites, samples)
+    with _prefix_multiplies(fresh) as counted:
+        walked = fresh.multiset_moments(sorted(rows))
+    assert len(counted) == len(_distinct_prefixes(rows))
+    assert sorted(walked.tolist()) == sorted(want)
+
+    # one request of the longest row's kappa measures the moment of each of
+    # its sub-multisets once, in one walk
+    longest = max(rows, key=len)
+    closure = {tuple(sorted(sub)) for size in range(1, len(longest) + 1)
+               for sub in itertools.combinations(longest, size)}
+    fresh = EnsembleEstimator(sites, samples)
+    table = CumulantTable(fresh)
+    with _prefix_multiplies(fresh) as counted:
+        table.cumulant(tuple(refs[p] for p in longest))
+    assert int(table._fill.measured.sum()) == len(closure)
+    assert len(counted) == len(_distinct_prefixes(closure))
+
+
+def test_prefix_walk_that_fails_part_way_leaves_no_stale_prefix():
+    # a multiply that raises inside the walk, after an earlier one of the
+    # same walk has overwritten a kept prefix product: the next moments and
+    # walks are a fresh estimator's
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(50, 3))
+    est = EnsembleEstimator([0, 1, 2], samples)
+    a, b, c = (SiteRef(s) for s in range(3))
+    est.moment((a, b, c, a, b))
+    multiply = np.multiply
+
+    def failing(*args, out=None, **kwargs):
+        if out is est._prefixes[2]:
+            raise MemoryError
+        return multiply(*args, out=out, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "multiply", failing)
+        with pytest.raises(MemoryError):
+            est.moment((a, b, b, c, c))
+    for seq in [(a, b, c, a), (a, b, c, a, b), (a, b, b, c, c), (a, b, b, c), (a, b, a)]:
+        assert est.moment(seq) == EnsembleEstimator([0, 1, 2], samples).moment(seq), seq
+    rows = [[0, 1], [0, 1, 1, 2, 2], [0, 1, 2], [0, 0, 1, 2]]
+    fresh = EnsembleEstimator([0, 1, 2], samples)
+    assert est.multiset_moments(rows).tolist() == fresh.multiset_moments(rows).tolist()
 
 
 @settings(max_examples=60, deadline=None)
