@@ -79,12 +79,12 @@ class MomentProvider(ABC):
         provider's ``sites`` in ``canonical`` order, as ``order_moments``
         takes them, sorted.
 
-        ``CumulantTable`` fills a real law on demand through this hook, in
-        one walk over every order of a request's closure: one call, with
-        the rows in lexicographic order, so that a multiset comes just
-        before the ones that extend it.  Each entry must be ``==`` to
-        ``moment(...).real`` of its multiset in that order, which is what
-        this default, one ``moment`` call per row, gives.
+        ``CumulantTable`` fills a real law on demand through this hook:
+        one call per request, for every sub-multiset of its rows, in
+        lexicographic order, so that a multiset comes just before the ones
+        that extend it.  Each entry must be ``==`` to ``moment(...).real``
+        of its multiset in that order, which is what this default, one
+        ``moment`` call per row, gives.
         """
         refs = canonical(map(SiteRef, self.sites))
         return np.array([self.moment(tuple(map(refs.__getitem__, row))).real
@@ -121,16 +121,15 @@ class CumulantTable:
     multiset rank of its sites, grown one order at a time to the highest
     order a request has needed.  While ``order_moments`` gives an order's
     moments and its plan fits within ``_FILL_ENTRIES``, the store fills
-    that order whole,
-    with one array recursion; otherwise, as for a sampled ensemble, it
-    fills the multisets a request reads on demand, in one walk over every
-    order of a request's closure (``MomentProvider.multiset_moments``) and
-    then one array recursion per order.  ``cumulant`` and
+    that order whole, with one array recursion; otherwise, as for a
+    sampled ensemble, a request fills every sub-multiset of its rows, all
+    the recursion reads, with one ``MomentProvider.multiset_moments`` call
+    and then one array recursion per order.  ``cumulant`` and
     ``cumulant_tensors`` read the store by multiset rank, the latter for
     the tensors of many heads in one request; each value is ``==`` to the
-    one the recursion gives.  The
-    recursion stays for complex laws, for compound keys, and for an order
-    of more than ``_STORE_ENTRIES`` multisets.
+    one the recursion gives.  The recursion stays for complex laws, for
+    compound keys, and for an order of more than ``_STORE_ENTRIES``
+    multisets.
 
     ``cumulant_tensors`` lays the cumulants of fixed head variables and k
     box sites out over box^k, one tensor per head, the one source of the

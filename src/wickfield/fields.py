@@ -434,34 +434,33 @@ class EnsembleEstimator(MomentProvider):
     """Plug-in empirical moments from a matrix of realizations.
 
     ``samples`` has shape (count, n_sites), one realization per row; it must
-    have at least one row and only finite entries, and the site labels must
-    be distinct.  Estimated moments converge to the provider moments at the
+    have at least one row and one site, only finite entries, and distinct
+    site labels.  Estimated moments converge to the provider moments at the
     Monte Carlo rate O(N^-1/2).  Real samples make the estimator declare
     ``is_real``.
 
     The samples are kept once, as C-contiguous columns of shape
     (n_sites, count) in float64, or complex128 for complex samples;
-    ``samples`` is the transposed view of them.  A moment multiplies every
-    column of the sequence but the last left to right in that dtype,
-    conjugating only complex columns.  For real samples the last factor and
-    the sum are one ``einsum`` with that product, and an order-1 moment is
-    the real pairwise sum of its column.  For complex samples the last
-    factor goes into a complex buffer that numpy's complex pairwise
-    summation adds up, so such a moment is bit-identical to the mean of a
-    complex running product from 1.  A standard error is taken from the
-    full product in that complex buffer, the last factor written into its
-    real view for real samples, so it is bit-identical to that running
-    product's standard error for every kind of sample.  No reduction calls
-    BLAS, so no result depends on its thread count.
+    ``samples`` is the transposed view of them.  A sequence is read as
+    integer column keys, and a moment multiplies every column of it but
+    the last left to right in that dtype, conjugating only complex
+    columns.  For real samples the last factor and the sum are one
+    ``einsum`` with that product, and an order-1 moment is the real
+    pairwise sum of its column.  For complex samples numpy's complex
+    pairwise summation adds up the full product, so such a moment is
+    bit-identical to the mean of a complex running product from 1.  A
+    standard error is taken from the full product cast to complex, so it
+    is bit-identical to that running product's standard error for every
+    kind of sample.  No reduction calls BLAS, so no result depends on its
+    thread count.
 
-    The products of the prefixes of the last sequence are kept, one buffer
-    per prefix length, and a new sequence starts from the longest prefix it
-    shares with the last one; the sequence is read as integer column keys
-    first.  ``moment`` and ``multiset_moments`` both go through that one
-    prefix walk: a table fills a real estimator on demand with one walk over
-    every order of a request's closure, in lexicographic order, which forms
-    each distinct prefix product once.  These buffers make an estimator
-    unsafe to share across threads.
+    ``moment`` is one prefix walk over one sequence, and
+    ``multiset_moments`` one walk over its rows, in which a row starts from
+    the longest prefix it shares with the row before and multiplies only
+    its new columns: a table fills the closure of a request in one such
+    walk, in lexicographic order, which forms each distinct prefix product
+    once.  A walk keeps its buffers to itself and no call writes to the
+    estimator, so threads may share one.
     """
 
     def __init__(self, sites, samples: np.ndarray):
@@ -471,6 +470,8 @@ class EnsembleEstimator(MomentProvider):
             raise ValueError("samples must be (count, n_sites)")
         if samples.shape[0] == 0:
             raise ValueError("samples must hold at least one realization")
+        if not self.sites:
+            raise ValueError("samples must hold at least one site")
         dtype = complex if np.iscomplexobj(samples) else float
         self._columns = np.ascontiguousarray(samples.T, dtype=dtype)
         # NaN propagates through min and max, and an infinite entry is one
@@ -481,12 +482,6 @@ class EnsembleEstimator(MomentProvider):
         self._index = _site_index(self.sites)
         self._complex = dtype is complex
         self.is_real = not self._complex
-        # _prefix's state: the first n - 1 column keys of the last sequence
-        # and the products of its prefixes of length 2, 3, ...; _product's
-        # complex buffer, allocated on first use
-        self._path = ()
-        self._prefixes = []
-        self._out = None
 
     @property
     def samples(self) -> np.ndarray:
@@ -500,91 +495,77 @@ class EnsembleEstimator(MomentProvider):
     def _keys(self, sequence: IndexSequence) -> list:
         """The column key of each ref of the sequence: the column of its
         site, plus the number of sites if the samples are complex and the
-        ref conjugated; KeyError naming a site the estimator lacks."""
+        ref conjugated; KeyError naming the first site the estimator
+        lacks."""
         index = self._index
-        if self._complex:
-            return [index[ref.site] + (len(index) if ref.conj else 0) for ref in sequence]
-        return [index[ref.site] for ref in sequence]
+        try:
+            if self._complex:
+                return [index[ref.site] + (len(index) if ref.conj else 0) for ref in sequence]
+            return [index[ref.site] for ref in sequence]
+        except KeyError as missing:
+            raise KeyError(f"unknown site {missing.args[0]!r}") from None
 
     def _column(self, key: int) -> np.ndarray:
         """The column of a column key, conjugated past the last site."""
         columns = self._columns
         return columns[key] if key < len(columns) else np.conj(columns[key - len(columns)])
 
-    def _prefix(self, keys: list) -> np.ndarray:
-        """The product of every column of the keys but the last, n >= 2, in
-        a buffer that a later call may overwrite.
+    def _walk(self, rows):
+        """For each row of n >= 1 column keys in turn, the product of its
+        columns but the last, None for n = 1, and its last column.  A row
+        starts from the longest prefix it shares with the last row of
+        n >= 2, whose prefix products this walk keeps in buffers of its own
+        that a later row overwrites."""
+        path, prefixes = [], []
+        for keys in rows:
+            *head, last = keys
+            if not head:
+                yield None, self._column(last)
+                continue
+            shared = 0
+            for known, key in zip(path, head):
+                if known != key:
+                    break
+                shared += 1
+            prod = prefixes[shared - 2] if shared >= 2 else self._column(head[0])
+            for j in range(max(shared, 1), len(head)):
+                if j > len(prefixes):
+                    prefixes.append(np.empty(self.count, dtype=self._columns.dtype))
+                prod = np.multiply(prod, self._column(head[j]), out=prefixes[j - 1])
+            path = head
+            yield prod, self._column(last)
 
-        The prefix products of length 2 to n - 1 go to buffers allocated on
-        first use and kept for the next keys, which start from the longest
-        prefix they share with these.  The path is cut to the shared prefix
-        before any buffer is written, so a call that fails part-way leaves
-        no stale prefix behind.
-        """
-        n = len(keys)
-        path, prefixes = self._path, self._prefixes
-        shared = 0
-        for known, key in zip(path, keys[:n - 1]):
-            if known != key:
-                break
-            shared += 1
-        self._path = path[:shared]
-        prod = prefixes[shared - 2] if shared >= 2 else self._column(keys[0])
-        for j in range(max(shared, 1), n - 1):
-            if j > len(prefixes):
-                prefixes.append(np.empty(self.count, dtype=self._columns.dtype))
-            prod = np.multiply(prod, self._column(keys[j]), out=prefixes[j - 1])
-        self._path = tuple(keys[:n - 1])
-        return prod
-
-    def _product(self, keys: list) -> np.ndarray:
-        """The product of the columns of the keys as a complex array, in a
-        buffer that the next call overwrites."""
-        if self._out is None:
-            self._out = np.zeros(self.count, dtype=complex)
-        out = self._out
-        n = len(keys)
-        if n == 0:
-            out.fill(1)
-            return out
-        last = out if self._complex else out.real
-        if n == 1:
-            np.copyto(last, self._column(keys[0]))
-        else:
-            np.multiply(self._prefix(keys), self._column(keys[-1]), out=last)
-        return out
-
-    def _real_mean(self, keys: list) -> float:
-        """The mean of the product of the columns of n >= 1 keys of real
-        samples."""
-        last = self._columns[keys[-1]]
-        if len(keys) == 1:
-            return np.add.reduce(last) / self.count
+    def _means(self, rows) -> list:
+        """The mean of the product of the columns of each row of n >= 1
+        column keys, in one walk."""
+        count = self.count
+        if self._complex:
+            # the mean as numpy's _methods._mean takes it, without its Python layer
+            return [np.add.reduce(last if prod is None else np.multiply(prod, last)) / count
+                    for prod, last in self._walk(rows)]
         # one pass over both arrays, no temporary; einsum, not BLAS
-        return np.einsum("i,i->", self._prefix(keys), last) / self.count
+        return [(np.add.reduce(last) if prod is None else np.einsum("i,i->", prod, last)) / count
+                for prod, last in self._walk(rows)]
 
     def moment(self, sequence: IndexSequence) -> complex:
         if not sequence:
             return 1.0
-        keys = self._keys(sequence)
-        if self._complex:
-            # the mean as numpy's _methods._mean takes it, without its Python layer
-            return complex(np.add.reduce(self._product(keys)) / self.count)
-        return complex(self._real_mean(keys))
+        return complex(self._means([self._keys(sequence)])[0])
 
     def multiset_moments(self, rows) -> np.ndarray:
-        """``MomentProvider.multiset_moments``: for real samples, the mean
-        of each row's product taken as ``moment`` takes it, through the same
-        prefix products, so that a row that extends the row before it
-        multiplies only its new columns."""
-        if self._complex:
-            return super().multiset_moments(rows)
+        """``MomentProvider.multiset_moments``: the real part of each row's
+        mean as ``moment`` takes it, in one walk, so that a row that
+        extends the row before it multiplies only its new columns."""
         keys = self._keys(canonical(map(SiteRef, self.sites)))
-        mean = self._real_mean
-        return np.array([mean([keys[p] for p in row]) for row in rows], dtype=float)
+        means = self._means([keys[p] for p in row] for row in rows)
+        return np.array([mean.real for mean in means], dtype=float)
 
     def moment_standard_error(self, sequence: IndexSequence) -> float:
-        return float(np.std(self._product(self._keys(sequence))) / math.sqrt(self.count))
+        keys = self._keys(sequence)
+        prod = np.ones(self.count)
+        for prefix, last in self._walk([keys] if keys else []):
+            prod = last if prefix is None else np.multiply(prefix, last)
+        return float(np.std(prod.astype(complex)) / math.sqrt(self.count))
 
 
 def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
@@ -594,6 +575,8 @@ def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
     Deterministic given the seed.  Site labels are ("psi", x) and ("phi", x)
     for x in range(box).
     """
+    if isinstance(box, bool) or not isinstance(box, numbers.Integral) or box < 1:
+        raise ValueError(f"box must be an integer >= 1, not {box!r}")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)

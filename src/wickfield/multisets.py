@@ -46,13 +46,11 @@ class _OrderFill:
       ``order_moments`` and the order's plan fits within ``_FILL_ENTRIES``,
       orders 1 to ``whole`` are filled with ``_order_plan``.
     * On demand: every later order, and every order of a law that gives no
-      moments by order.  A request fills the closure of its multisets, the
-      kappas and moments the recursion reads, in one walk over every order
-      of a request's closure: the missing moments of all its orders go to
-      ``provider.multiset_moments`` in one call, in lexicographic order, so
-      that a multiset comes just before the ones that extend it and shares
-      their prefixes; the kappas are then folded one order at a time from
-      the lowest.
+      moments by order.  A request fills its multisets and every
+      sub-multiset of theirs of those orders, which is all the recursion
+      reads: their moments in one ``provider.multiset_moments`` call, in
+      lexicographic order, and their kappas one order at a time from the
+      lowest.
 
     Either way the row of a multiset holds its moment and then the
     recursion's terms, moment times kappa, one per subset of
@@ -122,73 +120,52 @@ class _OrderFill:
         return self.kappas[ranks]
 
     def _fill(self, rows: np.ndarray, ranks: np.ndarray):
-        """Fill kappa of the multiset in each row of order k, and of every
-        multiset of an order past ``whole`` that its recursion reads.
+        """Fill kappa of the multiset in each row of order k and of every
+        sub-multiset of theirs of an order past ``whole``, all that the
+        anchored recursion reads: the rows' own ``_subset_ranks`` name each
+        of them, the anchored ones in ``sub`` and the rest in ``comp``.
+        Their moments are measured in one ``provider.multiset_moments``
+        call, in lexicographic order, so that a multiset comes just before
+        the ones that extend it; then each order's kappas are folded, from
+        the lowest up."""
+        k = rows.shape[1]
+        rows, ranks = self._unknown(rows, np.arange(k)[None], ranks[:, None])
+        sub, comp = _subset_ranks(rows, self.size)
+        found = {}
+        start = 0
+        for chosen, others in _subset_columns(k):
+            group = slice(start, start + len(chosen))
+            for cols, picked in ((chosen, sub[:, group]), (others, comp[:, group])):
+                if cols.shape[1] > self.whole:
+                    found.setdefault(cols.shape[1], []).append(self._unknown(rows, cols, picked))
+            start = group.stop
+        members = []
+        for j in sorted(found):
+            keys, picked = (np.concatenate(parts) for parts in zip(*found[j]))
+            members.append(self._unknown(keys, np.arange(j)[None], picked[:, None]))
+        members.append((rows, ranks))
+        positions = [row for keys, _ in members for row in keys.tolist()]
+        walk = sorted(range(len(positions)), key=positions.__getitem__)
+        wanted = np.concatenate([ranks for _, ranks in members])[walk]
+        self.moments[wanted] = self.provider.multiset_moments([positions[i] for i in walk])
+        for keys, ranks in members:
+            plan = (sub, comp) if keys is rows else _subset_ranks(keys, self.size)
+            self.kappas[ranks] = self._fold(self.moments[ranks], *plan)
+            self.known[ranks] = self.measured[ranks] = True
 
-        From order k down, the missing kappas of each order add the
-        sub-multisets their subsets pick to the orders below, and their
-        moments and those of the rest to the moments wanted.  The missing
-        moments of every order are then measured in one
-        ``provider.multiset_moments`` call, in lexicographic order of their
-        positions, so that each multiset comes just before the ones that
-        extend it; and from the lowest order up, each order's kappas are
-        folded from them."""
-        kappas_wanted = {rows.shape[1]: [(rows, ranks)]}
-        moments_wanted = {}
-        folds = []
-        for j in range(rows.shape[1], self.whole, -1):
-            rows, ranks = self._missing(kappas_wanted.pop(j, ()), self.known, j)
-            moments_wanted.setdefault(j, []).append((rows, ranks))
-            sub, comp = _subset_ranks(rows, self.size)
-            start = 0
-            for chosen, others in _subset_columns(j):
-                group = slice(start, start + len(chosen))
-                self._want(kappas_wanted, rows, chosen, sub[:, group], self.known)
-                self._want(moments_wanted, rows, others, comp[:, group], self.measured)
-                start = group.stop
-            folds.append((j, ranks, sub, comp))
-        rows, wanted = [], []
-        for j, *_ in folds:
-            missing, ranks = self._missing(moments_wanted.pop(j), self.measured, j)
-            rows += missing.tolist()
-            wanted += ranks.tolist()
-        walk = sorted(range(len(rows)), key=rows.__getitem__)
-        wanted = np.array(wanted, dtype=np.int64)[walk]
-        self.moments[wanted] = self.provider.multiset_moments([rows[i] for i in walk])
-        self.measured[wanted] = True
-        for j, ranks, sub, comp in reversed(folds):
-            self.kappas[ranks] = self._fold(self.moments[ranks], sub, comp)
-            self.known[ranks] = True
-
-    def _want(self, wanted: dict, keys: np.ndarray, cols: np.ndarray, ranks: np.ndarray,
-              filled: np.ndarray):
-        """Add to ``wanted``, under their order, the distinct multisets that
-        the rows of ``cols`` pick from the rows of ``keys``, whose store
-        indices are ``ranks``, of shape (keys, cols), if their order is
-        past ``whole`` and ``filled`` does not mark them."""
-        if cols.shape[1] > self.whole:
-            picks = self._distinct(ranks, filled, cols.shape[1])
-            row, col = np.divmod(picks, len(cols))
-            wanted.setdefault(cols.shape[1], []).append((keys[row[:, None], cols[col]],
-                                                         ranks.ravel()[picks]))
-
-    def _missing(self, requests, filled, k: int) -> tuple:
-        """The distinct (rows, ranks) of the (positions, store indices)
-        requests of order k not marked in ``filled``, in rank order."""
-        rows = np.concatenate([np.empty((0, k), dtype=np.intp)] + [r for r, _ in requests])
-        ranks = np.concatenate([np.empty(0, dtype=np.int64)] + [r for _, r in requests])
-        picks = self._distinct(ranks, filled, k)
-        return rows[picks], ranks[picks]
-
-    def _distinct(self, ranks: np.ndarray, filled: np.ndarray, k: int) -> np.ndarray:
-        """The flat index in ``ranks``, store indices of order k, of one
-        entry per distinct index that ``filled`` does not mark, in rank
+    def _unknown(self, keys: np.ndarray, cols: np.ndarray, ranks: np.ndarray) -> tuple:
+        """The distinct multisets not yet known that the rows of ``cols``
+        pick from the rows of ``keys``, whose store indices are ``ranks``,
+        of shape (keys, cols): their positions and store indices, in rank
         order; a mark per multiset of the order stands in for a sort."""
+        k = cols.shape[1]
         start = _order_offset(self.size, k)
         at = np.full(math.comb(self.size + k - 1, k), -1, dtype=np.intp)
         at[ranks.ravel() - start] = np.arange(ranks.size)
-        at[filled[start:start + len(at)]] = -1
-        return at[at >= 0]
+        at[self.known[start:start + len(at)]] = -1
+        picks = at[at >= 0]
+        row, col = np.divmod(picks, len(cols))
+        return keys[row[:, None], cols[col]], ranks.ravel()[picks]
 
     def positions(self, refs) -> list:
         """The canonical position of the site of each ref; KeyError naming

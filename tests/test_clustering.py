@@ -2,6 +2,8 @@ import functools
 import math
 import operator
 import re
+import sys
+import threading
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -1461,3 +1463,45 @@ def test_divergence_probe_sinc():
     p2 = l1_divergence_probe(f, [100, 1000, 10000], exponent=2)
     assert p2.rows[-1][1] == pytest.approx(0.5, abs=1e-3)
     assert p2.odd_harmonic_coefficient is None
+
+
+def test_threads_may_share_an_estimator():
+    # three threads ask one real and one complex estimator at once, each
+    # through tables of its own, and switch often: every magnitude constant
+    # and joint report is repr-equal to a serial run's
+    rng = np.random.default_rng(9)
+    real = sample_ensemble(sinc_coupling_example(), box=3, n_samples=2000, seed=9)
+    complex_samples = rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))
+    estimators = [real, EnsembleEstimator(real.sites[:2] + real.sites[3:5], complex_samples)]
+
+    def reports(est):
+        table = CumulantTable(est)
+        psi = [site for site in est.sites if site[0] == "psi"]
+        phi = [site for site in est.sites if site[0] == "phi"]
+        out = [magnitude_constants(est, p, 6, psi, table=table).values for p in (1.0, math.inf)]
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                rep = joint_theorem_check(est, m, n, 1, psi[:2], phi, table=table)
+                out.append((rep.lhs, rep.rhs, rep.witnesses["witness"]))
+        return repr(out)
+
+    serial = [reports(est) for est in estimators]
+    start = threading.Barrier(3, timeout=60)
+    results = [None] * 3
+
+    def work(i):
+        start.wait()
+        results[i] = [reports(est) for est in estimators]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 3

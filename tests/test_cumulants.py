@@ -876,6 +876,40 @@ def test_order_fill_keeps_the_guards():
             table.cumulant(refs(*([0] * too_many)))
         with pytest.raises(OrderOverflowError):
             table.cumulant_tensor(((SiteRef(0),),) * (too_many - 1), 1, [0, 1])
+    # the providers themselves name the site, the estimator for real and
+    # complex samples, for a moment and a standard error
+    rng = np.random.default_rng(6)
+    complex_ensemble = EnsembleEstimator([0, 1], rng.normal(size=(20, 2)) + 1j)
+    for call in (lambda: law.moment(refs(0, "z")),
+                 lambda: hide_bulk(law).moment(refs(0, "z")),
+                 lambda: ensemble.moment(refs(0, "z", 1)),
+                 lambda: ensemble.moment_standard_error(refs(0, "z")),
+                 lambda: complex_ensemble.moment((SiteRef(0), SiteRef("z", True))),
+                 lambda: complex_ensemble.moment_standard_error(refs("z"))):
+        with pytest.raises(KeyError, match="^\"unknown site 'z'\"$"):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "hidden-bulk"])
+def test_a_request_fills_exactly_the_sub_multisets_of_its_rows(kind):
+    # the anchored recursion of a multiset reads only its sub-multisets, so
+    # one request on a fresh table, here the rows {2} + z of a tensor,
+    # fills the kappa and moment of each of those and of nothing else
+    law = random_discrete_field(np.random.default_rng(5), sites=[0, 1, 2, 3])
+    provider = (hide_bulk(law) if kind == "hidden-bulk" else
+                EnsembleEstimator([0, 1, 2, 3], np.random.default_rng(5).normal(size=(30, 4))))
+    table = CumulantTable(provider)
+    box = [0, 1, 3]
+    table.cumulant_tensor(((SiteRef(2),),), 3, box)
+    fill = table._fill
+    assert fill.whole == 0 and fill.order == 4
+    marked = np.zeros(len(fill.known), dtype=bool)
+    for z in itertools.combinations_with_replacement(box, 3):
+        row = sorted(fill.positions(refs(2, *z)))
+        for size in range(1, len(row) + 1):
+            marked[fill.index(np.array(list(itertools.combinations(row, size))))] = True
+    assert fill.known.tolist() == marked.tolist()
+    assert fill.measured.tolist() == marked.tolist()
 
 
 def test_order_fill_leaves_a_too_large_order_to_the_recursion():

@@ -420,9 +420,9 @@ def test_moment_equals_complex_running_product(kind, seed):
 def test_prefix_products_never_go_stale(kind):
     # sequences that share a prefix and then diverge, shrink, grow, drop to
     # order 1 and to the empty sequence, asked of two estimators in turn:
-    # each answer is the oracle's, so no kept prefix product outlives the
-    # path it belongs to, and the estimators share no buffer; a real moment
-    # is the answer of a fresh estimator, which keeps no prefix product
+    # each answer is the oracle's, so no prefix product outlives the call
+    # it belongs to, and the estimators share no buffer; a real moment is
+    # the answer of a fresh estimator
     rng = np.random.default_rng(7)
     sites = ["a", "b", "c", "d"]
     a, b, c, d = (SiteRef(s) for s in sites)
@@ -459,15 +459,21 @@ def test_prefix_products_never_go_stale(kind):
         assert np.array_equal(m, copy)
 
 
+def _writes_a_prefix(est, out) -> bool:
+    """Whether a multiply writes ``out`` as a prefix product of the
+    estimator: a 1-D array of one entry per realization."""
+    return isinstance(out, np.ndarray) and out.ndim == 1 and len(out) == est.count
+
+
 @contextlib.contextmanager
 def _prefix_multiplies(est):
-    """The list that gets one entry per multiply that writes one of the
-    estimator's prefix buffers while the context is open."""
+    """The list that gets one entry per multiply that writes a prefix
+    product of the estimator while the context is open."""
     counted = []
     multiply = np.multiply
 
     def counting(*args, out=None, **kwargs):
-        if any(out is buffer for buffer in est._prefixes):
+        if _writes_a_prefix(est, out):
             counted.append(out)
         return multiply(*args, out=out, **kwargs)
 
@@ -539,19 +545,22 @@ def test_multiset_moments_walk_equals_moment(data, n_sites, count, seed):
 
 
 def test_prefix_walk_that_fails_part_way_leaves_no_stale_prefix():
-    # a multiply that raises inside the walk, after an earlier one of the
-    # same walk has overwritten a kept prefix product: the next moments and
-    # walks are a fresh estimator's
+    # a multiply that raises inside the walk, at its third prefix product,
+    # after the earlier ones have been written: the next moments and walks
+    # are a fresh estimator's
     rng = np.random.default_rng(3)
     samples = rng.normal(size=(50, 3))
     est = EnsembleEstimator([0, 1, 2], samples)
     a, b, c = (SiteRef(s) for s in range(3))
     est.moment((a, b, c, a, b))
     multiply = np.multiply
+    writes = []
 
     def failing(*args, out=None, **kwargs):
-        if out is est._prefixes[2]:
-            raise MemoryError
+        if _writes_a_prefix(est, out):
+            writes.append(out)
+            if len(writes) == 3:
+                raise MemoryError
         return multiply(*args, out=out, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -563,6 +572,33 @@ def test_prefix_walk_that_fails_part_way_leaves_no_stale_prefix():
     rows = [[0, 1], [0, 1, 1, 2, 2], [0, 1, 2], [0, 0, 1, 2]]
     fresh = EnsembleEstimator([0, 1, 2], samples)
     assert est.multiset_moments(rows).tolist() == fresh.multiset_moments(rows).tolist()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_calls_write_nothing_to_the_estimator(kind):
+    # a moment, a walk, a standard error and calls that raise part-way
+    # leave every attribute as it was, the same names bound to the same
+    # objects: a walk's buffers are its own
+    est = EnsembleEstimator([0, 1, 2], _sample_matrix(np.random.default_rng(4), kind, 40, 3))
+    a, b, c = (SiteRef(s) for s in range(3))
+    before = dict(vars(est))
+
+    def unchanged():
+        after = vars(est)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+    est.moment((a, b, c, a))
+    unchanged()
+    est.multiset_moments([[0, 1], [0, 1, 2], [0, 1, 2, 2], [1, 1, 2]])
+    unchanged()
+    est.moment_standard_error((a, SiteRef(1, True), c, c))
+    unchanged()
+    with pytest.raises(KeyError, match="^\"unknown site 'z'\"$"):
+        est.moment((a, b, c, SiteRef("z"), a))
+    with pytest.raises(IndexError):
+        est.multiset_moments([[0, 1, 2, 2], [0, 1, 3]])
+    unchanged()
 
 
 @settings(max_examples=60, deadline=None)
@@ -603,6 +639,14 @@ def test_estimator_keeps_column_major_samples_without_copy():
 def test_ensemble_estimator_rejects_empty_ensemble():
     with pytest.raises(ValueError, match="at least one realization"):
         EnsembleEstimator(["a"], np.empty((0, 1)))
+    with pytest.raises(ValueError, match="^samples must hold at least one site$"):
+        EnsembleEstimator([], np.ones((3, 0)))
+
+
+@pytest.mark.parametrize("box", [0, -1, 2.0, True, "3"])
+def test_sample_ensemble_rejects_a_box_that_is_no_positive_integer(box):
+    with pytest.raises(ValueError, match=f"^box must be an integer >= 1, not {re.escape(repr(box))}$"):
+        sample_ensemble(sinc_coupling_example(), box=box, n_samples=10, seed=0)
 
 
 def test_ensemble_estimator_rejects_repeated_sites():
