@@ -35,6 +35,13 @@ def _as_ref(s) -> SiteRef:
     return s if isinstance(s, SiteRef) else SiteRef(s)
 
 
+def _require_integer(name: str, value, least: int) -> None:
+    """ValueError naming the value unless it is an integer >= ``least``;
+    a bool is no integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 def _site_index(sites: tuple) -> dict:
     """The column of each site label; ValueError if a label repeats."""
     index = {s: i for i, s in enumerate(sites)}
@@ -395,23 +402,47 @@ def sinc_coupling_example(grid: int = DEFAULT_GRID) -> SpectralGaussianField:
 # spectral sampling and empirical moments
 
 
-def _hermitian_unit_modes(rng, shape):
-    """Complex Gaussian modes z(k) with z(-k) = z(k)* and unit variance,
-    so the inverse FFT of sqrt(spectrum)-weighted modes is real."""
-    n_samples, length = shape
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    idx = (-np.arange(length)) % length
-    z = (z + np.conj(z[:, idx])) / math.sqrt(2)
-    return z
+def _hermitian_unit_modes(z: np.ndarray):
+    """Turn the complex (rows, length) buffer z of normal draws, in place,
+    into unit-variance modes with z(-k) = z(k)*, so that the inverse FFT
+    of sqrt(spectrum)-weighted modes is real: z / sqrt(2), then
+    (z(k) + z(-k)*) / sqrt(2), entry for entry as on fresh arrays."""
+    length = z.shape[1]
+    z /= math.sqrt(2)
+    # modes k and -k share one real sum; each imaginary difference needs
+    # the old parts of both, so one goes through a half-width temporary
+    pos, neg = z[:, 1:(length + 1) // 2], z[:, :length // 2:-1]
+    np.add(pos.real, neg.real, out=pos.real)
+    neg.real[...] = pos.real
+    diff = pos.imag - neg.imag
+    np.subtract(neg.imag, pos.imag, out=neg.imag)
+    pos.imag[...] = diff
+    # mode 0, and for an even length mode length / 2, is its own -k
+    own = z[:, ::length // 2] if length % 2 == 0 else z[:, :1]
+    np.add(own.real, own.real, out=own.real)
+    np.subtract(own.imag, own.imag, out=own.imag)
+    z /= math.sqrt(2)
 
 
-def sample_field_pair(field: SpectralGaussianField, length: int, n_samples: int,
-                      rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (psi, phi) realizations on a periodic box of ``length`` sites.
+#: the most complex entries (256 KiB) of one block of samples that the
+#: sampler transforms at a time
+_SAMPLE_BLOCK = 1 << 14
 
-    Per discrete mode the 2x2 spectral matrix [[F1, G], [G, F2]] is factored
-    (Cholesky-style, robust to the semi-definite boundary) and applied to two
-    independent hermitian-symmetric unit mode fields.
+
+def _pair_columns(field: SpectralGaussianField, length: int, n_samples: int,
+                  rng) -> np.ndarray:
+    """``sample_field_pair``'s draws as one C-ordered (2 * length,
+    n_samples) float array, filled in place: psi at site x in row x, phi
+    in row length + x.
+
+    The draws keep the order of two whole mode fields z1 and z2, real
+    parts first: z1's pass through phi's rows into one complex field, and
+    z2's real parts wait there.  Each block of whole samples is then
+    transformed and draws its z2 imaginary parts, in the generator's
+    sequence of one whole draw.  Every step is the ufunc that building
+    fresh arrays applies, on the same operands in the same order, so every
+    sample is bit-identical to that.  Besides the array only z1 and a
+    block's buffers are held.
     """
     k = _torus_frequencies(length)
     f1 = np.asarray(field.f1_hat(k), dtype=float)
@@ -422,12 +453,57 @@ def sample_field_pair(field: SpectralGaussianField, length: int, n_samples: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         a21 = np.where(a11 > 0, g / np.where(a11 > 0, a11, 1.0), 0.0)
     a22 = np.sqrt(np.maximum(f2 - a21 ** 2, 0.0))
-    z1 = _hermitian_unit_modes(rng, (n_samples, length))
-    z2 = _hermitian_unit_modes(rng, (n_samples, length))
+    columns = np.empty((2 * length, n_samples))
+    scratch = columns[length:].reshape(n_samples, length)
+    z1 = np.empty((n_samples, length), dtype=complex)
+    z1.real[...] = rng.standard_normal(out=scratch)
+    z1.imag[...] = rng.standard_normal(out=scratch)
+    z2_real = rng.standard_normal(out=scratch)
+    step = max(_SAMPLE_BLOCK // length, 1)
+    block = np.empty((min(step, n_samples), length), dtype=complex)
+    draws = np.empty(block.shape)
     scale = math.sqrt(length)
-    psi = np.fft.ifft(scale * a11 * z1, axis=1).real
-    phi = np.fft.ifft(scale * (a21 * z1 + a22 * z2), axis=1).real
-    return psi, phi
+    for start in range(0, n_samples, step):
+        rows = slice(start, start + step)
+        mode1 = z1[rows]
+        spectrum = block[:len(mode1)]
+        _hermitian_unit_modes(mode1)
+        # psi = ifft(scale * a11 * z1)
+        np.multiply(scale * a11, mode1, out=spectrum)
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        columns[:length, rows] = spectrum.real.T
+        # phi = ifft(scale * (a21 * z1 + a22 * z2)), z2 in the spectrum's buffer
+        mode2 = spectrum
+        mode2.real[...] = z2_real[rows]
+        mode2.imag[...] = rng.standard_normal(out=draws[:len(mode1)])
+        _hermitian_unit_modes(mode2)
+        np.multiply(a22, mode2, out=mode2)
+        np.multiply(a21, mode1, out=mode1)
+        np.add(mode1, mode2, out=spectrum)
+        np.multiply(scale, spectrum, out=spectrum)
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        # phi's own rows still hold later blocks' z2 real parts
+        mode1.real[...] = spectrum.real
+    columns[length:] = z1.real.T
+    return columns
+
+
+def sample_field_pair(field: SpectralGaussianField, length: int, n_samples: int,
+                      rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (psi, phi) realizations on a periodic box of ``length`` sites.
+
+    Per discrete mode the 2x2 spectral matrix [[F1, G], [G, F2]] is factored
+    (Cholesky-style, robust to the semi-definite boundary) and applied to two
+    independent hermitian-symmetric unit mode fields.  psi and phi are
+    (n_samples, length) views of one column array filled in place,
+    bit-identically to building each step as a new array, at a traced
+    peak under three times the array's bytes where new arrays take five.
+    ``length`` must be an integer >= 1 and ``n_samples`` one >= 0.
+    """
+    _require_integer("length", length, 1)
+    _require_integer("n_samples", n_samples, 0)
+    columns = _pair_columns(field, length, n_samples, rng)
+    return columns[:length].T, columns[length:].T
 
 
 class EnsembleEstimator(MomentProvider):
@@ -511,13 +587,16 @@ class EnsembleEstimator(MomentProvider):
         return columns[key] if key < len(columns) else np.conj(columns[key - len(columns)])
 
     def _walk(self, rows):
-        """For each row of n >= 1 column keys in turn, the product of its
-        columns but the last, None for n = 1, and its last column.  A row
-        starts from the longest prefix it shares with the last row of
-        n >= 2, whose prefix products this walk keeps in buffers of its own
-        that a later row overwrites."""
+        """For each row of n column keys in turn, the product of its
+        columns but the last, None for n <= 1, and its last column, None
+        for n = 0.  A row starts from the longest prefix it shares with the
+        last row of n >= 2, whose prefix products this walk keeps in
+        buffers of its own that a later row overwrites."""
         path, prefixes = [], []
         for keys in rows:
+            if not keys:
+                yield None, None
+                continue
             *head, last = keys
             if not head:
                 yield None, self._column(last)
@@ -536,16 +615,23 @@ class EnsembleEstimator(MomentProvider):
             yield prod, self._column(last)
 
     def _means(self, rows) -> list:
-        """The mean of the product of the columns of each row of n >= 1
-        column keys, in one walk."""
+        """The mean of the product of the columns of each row of column
+        keys, in one walk; exactly 1 for an empty row."""
         count = self.count
-        if self._complex:
-            # the mean as numpy's _methods._mean takes it, without its Python layer
-            return [np.add.reduce(last if prod is None else np.multiply(prod, last)) / count
-                    for prod, last in self._walk(rows)]
-        # one pass over both arrays, no temporary; einsum, not BLAS
-        return [(np.add.reduce(last) if prod is None else np.einsum("i,i->", prod, last)) / count
-                for prod, last in self._walk(rows)]
+        means = []
+        for prod, last in self._walk(rows):
+            if last is None:
+                # not a mean of ones: a complex one divides count by count inexactly
+                means.append(1.0)
+            elif prod is None:
+                means.append(np.add.reduce(last) / count)
+            elif self._complex:
+                # the mean as numpy's _methods._mean takes it, without its Python layer
+                means.append(np.add.reduce(np.multiply(prod, last)) / count)
+            else:
+                # one pass over both arrays, no temporary; einsum, not BLAS
+                means.append(np.einsum("i,i->", prod, last) / count)
+        return means
 
     def moment(self, sequence: IndexSequence) -> complex:
         if not sequence:
@@ -555,7 +641,8 @@ class EnsembleEstimator(MomentProvider):
     def multiset_moments(self, rows) -> np.ndarray:
         """``MomentProvider.multiset_moments``: the real part of each row's
         mean as ``moment`` takes it, in one walk, so that a row that
-        extends the row before it multiplies only its new columns."""
+        extends the row before it multiplies only its new columns; exactly
+        1.0 for an empty row."""
         keys = self._keys(canonical(map(SiteRef, self.sites)))
         means = self._means([keys[p] for p in row] for row in rows)
         return np.array([mean.real for mean in means], dtype=float)
@@ -573,19 +660,16 @@ def sample_ensemble(field: SpectralGaussianField, box: int, n_samples: int,
     """Spectral Monte Carlo ensemble of the (psi, phi) pair on a periodic box.
 
     Deterministic given the seed.  Site labels are ("psi", x) and ("phi", x)
-    for x in range(box).
+    for x in range(box), which must be an integer >= 1; ``n_samples`` must
+    be one >= 2 and the seed one >= 0, checked before the sampler
+    allocates.  The estimator keeps ``sample_field_pair``'s column array,
+    filled in place at under three times its bytes, without a copy.
     """
-    if isinstance(box, bool) or not isinstance(box, numbers.Integral) or box < 1:
-        raise ValueError(f"box must be an integer >= 1, not {box!r}")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    psi, phi = sample_field_pair(field, box, n_samples, rng)
+    _require_integer("box", box, 1)
+    _require_integer("n_samples", n_samples, 2)
+    _require_integer("seed", seed, 0)
+    columns = _pair_columns(field, box, n_samples, np.random.default_rng(seed))
     sites = [("psi", x) for x in range(box)] + [("phi", x) for x in range(box)]
-    # stacked as columns, so the estimator keeps this array and copies none;
-    # psi and phi are views that keep their complex FFT outputs alive
-    columns = np.concatenate([psi.T, phi.T])
-    del psi, phi
     return EnsembleEstimator(sites, columns.T)
 
 
@@ -647,8 +731,7 @@ def field_from_config(cfg: dict) -> SpectralGaussianField:
     """Build a spectral Gaussian field from a declarative config dict."""
     model = cfg.get("model", "spectral")
     grid = cfg.get("grid", DEFAULT_GRID)
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
-        raise ValueError(f"grid must be an integer >= 1, not {grid!r}")
+    _require_integer("grid", grid, 1)
     dimension = cfg.get("dimension", 1)
     if isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral):
         raise ValueError(f"dimension must be an integer, not {dimension!r}")

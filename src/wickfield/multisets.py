@@ -38,7 +38,7 @@ class _OrderFill:
     The multisets of an order are the rows of ``_multisets`` over the sites
     in ``canonical`` order.  ``moments`` and ``kappas`` hold orders 1 to
     ``order`` one after the other, order k from ``_order_offset``, and
-    ``measured`` and ``known`` mark the entries filled; the arrays grow one
+    ``known`` marks the entries filled; the arrays grow one
     order at a time, to the highest order a request has needed.  Each
     entry is filled once, in one of two ways:
 
@@ -67,7 +67,7 @@ class _OrderFill:
         self.size = len(refs)
         self._position = {ref.site: i for i, ref in enumerate(refs)}
         self.moments, self.kappas = np.empty(0), np.empty(0)
-        self.measured, self.known = np.empty(0, dtype=bool), np.empty(0, dtype=bool)
+        self.known = np.empty(0, dtype=bool)
         self.order = self.whole = 0
 
     def holds(self, order: int) -> bool:
@@ -92,7 +92,6 @@ class _OrderFill:
                 moments, kappas = np.empty(count), np.empty(count)
             self.moments = np.concatenate((self.moments, moments))
             self.kappas = np.concatenate((self.kappas, kappas))
-            self.measured = np.concatenate((self.measured, np.full(count, filled)))
             self.known = np.concatenate((self.known, np.full(count, filled)))
             self.whole += filled
             self.order = k
@@ -151,7 +150,7 @@ class _OrderFill:
         for keys, ranks in members:
             plan = (sub, comp) if keys is rows else _subset_ranks(keys, self.size)
             self.kappas[ranks] = self._fold(self.moments[ranks], *plan)
-            self.known[ranks] = self.measured[ranks] = True
+            self.known[ranks] = True
 
     def _unknown(self, keys: np.ndarray, cols: np.ndarray, ranks: np.ndarray) -> tuple:
         """The distinct multisets not yet known that the rows of ``cols``

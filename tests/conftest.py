@@ -38,6 +38,11 @@ The oracles deliberately avoid the library's own recursions:
   scan every sup over anchors one anchor at a time, each anchor folding
   its own cumulant tensor: the scan that one tensor of all anchors, folded
   row by row, stands in for.
+* ``reference_sample_field_pair`` draws a spectral (psi, phi) pair as
+  fresh arrays: each hermitian mode field from two whole normal draws,
+  paired with its modes at -k through a fancy-indexed copy, then one
+  FFT of a new array per field.  The library fills one column array
+  in place and must match it bit for bit.
 """
 
 import functools
@@ -235,6 +240,34 @@ def real_product_moment(samples, sites, sequence):
     for col in head[1:]:
         prod = prod * col
     return complex(np.einsum("i,i->", prod, last) / samples.shape[0])
+
+
+def _reference_hermitian_unit_modes(rng, shape):
+    length = shape[1]
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    idx = (-np.arange(length)) % length
+    return (z + np.conj(z[:, idx])) / math.sqrt(2)
+
+
+def reference_sample_field_pair(field, length, n_samples, rng):
+    """(psi, phi) realizations of a spectral field on a periodic box of
+    ``length`` sites, each of shape (n_samples, length), from the per-mode
+    lower-triangular factor of [[F1, G], [G, F2]]."""
+    k = np.arange(length) / length
+    k = np.where(k >= 0.5, k - 1.0, k)
+    f1 = np.asarray(field.f1_hat(k), dtype=float)
+    f2 = np.asarray(field.f2_hat(k), dtype=float)
+    g = np.asarray(field.g_hat(k), dtype=float)
+    a11 = np.sqrt(np.maximum(f1, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a21 = np.where(a11 > 0, g / np.where(a11 > 0, a11, 1.0), 0.0)
+    a22 = np.sqrt(np.maximum(f2 - a21 ** 2, 0.0))
+    z1 = _reference_hermitian_unit_modes(rng, (n_samples, length))
+    z2 = _reference_hermitian_unit_modes(rng, (n_samples, length))
+    scale = math.sqrt(length)
+    psi = np.fft.ifft(scale * a11 * z1, axis=1).real
+    phi = np.fft.ifft(scale * (a21 * z1 + a22 * z2), axis=1).real
+    return psi, phi
 
 
 def combinations_cumulant(provider, key, anchor=0, memo=None):

@@ -909,7 +909,6 @@ def test_a_request_fills_exactly_the_sub_multisets_of_its_rows(kind):
         for size in range(1, len(row) + 1):
             marked[fill.index(np.array(list(itertools.combinations(row, size))))] = True
     assert fill.known.tolist() == marked.tolist()
-    assert fill.measured.tolist() == marked.tolist()
 
 
 def test_order_fill_leaves_a_too_large_order_to_the_recursion():

@@ -4,11 +4,14 @@ import itertools
 import math
 import operator
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+from wickfield import fields
 from wickfield.clustering import clustering_norm
 from wickfield.cumulants import CumulantTable, cumulant
 from wickfield.fields import (
@@ -22,6 +25,7 @@ from wickfield.fields import (
     field_from_config,
     random_discrete_field,
     sample_ensemble,
+    sample_field_pair,
     sinc_coupling_example,
     spectrum_from_config,
 )
@@ -31,6 +35,7 @@ from conftest import (
     complex_product_moment,
     complex_product_standard_error,
     real_product_moment,
+    reference_sample_field_pair,
     refs,
 )
 
@@ -370,6 +375,69 @@ def test_sample_ensemble_covariances_within_error():
         assert abs(got - want) < 5 * se + 1e-3
 
 
+_SPECTRUM_CONFIGS = st.one_of(
+    st.builds(lambda value: {"name": "flat", "value": value}, st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+    st.builds(lambda height, halfwidth: {"name": "band", "height": height, "halfwidth": halfwidth},
+              st.sampled_from([0.0, 1.0, 1.5]), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5])),
+    st.just({"name": "zero"}))
+
+
+@st.composite
+def _spectral_fields(draw):
+    if draw(st.booleans()):
+        return sinc_coupling_example()
+    cfg = {"grid": 64, "f1": draw(_SPECTRUM_CONFIGS), "f2": draw(_SPECTRUM_CONFIGS),
+           "g": draw(_SPECTRUM_CONFIGS)}
+    try:
+        return field_from_config(cfg)
+    except PSDViolationError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=_spectral_fields(), length=st.integers(1, 9), n_samples=st.integers(2, 50),
+       seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 500))
+def test_sample_field_pair_is_the_reference_sampler_bit_for_bit(field, length, n_samples, seed,
+                                                                 block):
+    # odd and even lengths, so mode 0 and, for an even length, mode
+    # length / 2 pair with themselves; zero spectra give modes of weight 0;
+    # blocks of one row up to all rows, the last one short or full
+    with mock.patch.object(fields, "_SAMPLE_BLOCK", block):
+        psi, phi = sample_field_pair(field, length, n_samples, np.random.default_rng(seed))
+    want_psi, want_phi = reference_sample_field_pair(field, length, n_samples,
+                                                     np.random.default_rng(seed))
+    for got, want in ((psi, want_psi), (phi, want_phi)):
+        assert got.shape == want.shape == (n_samples, length)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # views of one array of columns, psi's rows first
+    assert psi.base is phi.base
+    assert np.array_equal(psi.base, np.concatenate([psi.T, phi.T]))
+
+
+def test_sample_ensemble_keeps_the_sampled_columns():
+    est = sample_ensemble(sinc_coupling_example(), box=5, n_samples=40, seed=3)
+    psi, phi = reference_sample_field_pair(sinc_coupling_example(), 5, 40,
+                                           np.random.default_rng(3))
+    assert np.array_equal(est.samples, np.hstack([psi, phi]))
+    assert est.sites == tuple([("psi", x) for x in range(5)] + [("phi", x) for x in range(5)])
+
+
+def test_sample_ensemble_peak_is_under_three_times_its_columns():
+    # the reference sampler's traced peak is five times its columns, and
+    # one that holds both mode fields whole 3.3 times; this one keeps one
+    # mode field as large as the columns and buffers of a block
+    field = sinc_coupling_example()
+    sample_ensemble(field, box=6, n_samples=20, seed=0)  # imports np.fft's modules
+    tracemalloc.start()
+    try:
+        est = sample_ensemble(field, box=6, n_samples=20_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est._columns.nbytes == 12 * 20_000 * 8
+    assert peak < 3 * est._columns.nbytes, peak / est._columns.nbytes
+
+
 def test_ensemble_estimator_moment_plugin():
     samples = np.array([[1.0], [3.0]])
     est = EnsembleEstimator(["a"], samples)
@@ -540,7 +608,7 @@ def test_multiset_moments_walk_equals_moment(data, n_sites, count, seed):
     table = CumulantTable(fresh)
     with _prefix_multiplies(fresh) as counted:
         table.cumulant(tuple(refs[p] for p in longest))
-    assert int(table._fill.measured.sum()) == len(closure)
+    assert int(table._fill.known.sum()) == len(closure)
     assert len(counted) == len(_distinct_prefixes(closure))
 
 
@@ -572,6 +640,20 @@ def test_prefix_walk_that_fails_part_way_leaves_no_stale_prefix():
     rows = [[0, 1], [0, 1, 1, 2, 2], [0, 1, 2], [0, 0, 1, 2]]
     fresh = EnsembleEstimator([0, 1, 2], samples)
     assert est.multiset_moments(rows).tolist() == fresh.multiset_moments(rows).tolist()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_multiset_moments_of_an_empty_row_is_exactly_one(kind):
+    # as MomentProvider's default hook gives it; a complex mean of 49 ones
+    # is 0.9999999999999999, so the walk must not take one
+    samples = _sample_matrix(np.random.default_rng(2), kind, 49, 3)
+    est = EnsembleEstimator(["a", "b", "c"], samples)
+    got = est.multiset_moments([[], [0, 1], [], [0, 1, 2], [2], []]).tolist()
+    assert got[0] == got[2] == got[5] == 1.0
+    assert [got[1], got[3], got[4]] == [est.moment(refs("a", "b")).real,
+                                        est.moment(refs("a", "b", "c")).real,
+                                        est.moment(refs("c")).real]
+    assert est.multiset_moments([[]]).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -647,6 +729,39 @@ def test_ensemble_estimator_rejects_empty_ensemble():
 def test_sample_ensemble_rejects_a_box_that_is_no_positive_integer(box):
     with pytest.raises(ValueError, match=f"^box must be an integer >= 1, not {re.escape(repr(box))}$"):
         sample_ensemble(sinc_coupling_example(), box=box, n_samples=10, seed=0)
+
+
+@pytest.mark.parametrize("name, least, value",
+                         [("n_samples", 2, v) for v in (2.5, 1000.0, True, 1, -3, "20")]
+                         + [("seed", 0, v) for v in (-1, 1.5, 3.0, True, None, "0")])
+def test_sample_ensemble_rejects_a_count_or_seed_that_is_no_integer_in_range(name, least, value):
+    args = {"box": 2, "n_samples": 10, "seed": 0, name: value}
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer >= {least}, not {re.escape(repr(value))}$"):
+        sample_ensemble(sinc_coupling_example(), **args)
+
+
+@pytest.mark.parametrize("length, n_samples, message", [
+    (0, 5, "length must be an integer >= 1, not 0"),
+    (2.0, 5, "length must be an integer >= 1, not 2.0"),
+    (True, 5, "length must be an integer >= 1, not True"),
+    (3, -1, "n_samples must be an integer >= 0, not -1"),
+    (3, 4.0, "n_samples must be an integer >= 0, not 4.0")])
+def test_sample_field_pair_rejects_a_box_or_count_that_is_no_integer(length, n_samples, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_field_pair(sinc_coupling_example(), length, n_samples, np.random.default_rng(0))
+
+
+def test_sample_field_pair_of_no_samples_is_empty():
+    psi, phi = sample_field_pair(sinc_coupling_example(), 3, 0, np.random.default_rng(0))
+    assert psi.shape == phi.shape == (0, 3)
+
+
+def test_sample_ensemble_takes_numpy_integers():
+    est = sample_ensemble(sinc_coupling_example(), box=np.int64(2), n_samples=np.int32(10),
+                          seed=np.uint8(4))
+    assert np.array_equal(est.samples,
+                          sample_ensemble(sinc_coupling_example(), box=2, n_samples=10, seed=4).samples)
 
 
 def test_ensemble_estimator_rejects_repeated_sites():
