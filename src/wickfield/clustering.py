@@ -9,8 +9,9 @@ chooses anchors.  Every sup over anchors is ``_first_max``, and the
 observable and joint bounds take their lhs from ``_weighted_l2``.  The
 walks of a clustering norm and the pinned psi x' of the joint bound take
 the tensors of every anchor in one call, ``CumulantTable.cumulant_tensors``,
-one tensor per anchor, and fold them one by one; a real law fills them
-in one request to its store, and the Phi_n rows read the same tensors.
+one tensor per anchor, and fold them one by one; a non-Gaussian law
+fills them in one request to its store, and the Phi_n rows read the same
+tensors.
 Lattice sums are truncated to caller-supplied boxes; no report bounds
 the tail beyond its box.
 

@@ -5,8 +5,9 @@ Cumulants follow the anchored recursion
     kappa[y_I] = E[y^I] - sum_{E: x in E, E proper subset of I} E[y^(I\\E)] kappa[y_E]
 
 with the anchor x always the first position in canonical order (any anchor
-gives the same value up to rounding, which the tests check).  Wick polynomials
-follow
+gives the same value up to rounding, which the tests check): in arrays for
+single field variables (``multisets._OrderFill``), per key for compound
+ones (``CumulantTable._recurse``).  Wick polynomials follow
 
     :y^I: = y^I - sum_{E proper subset of I} E[y^(I\\E)] :y^E:
 
@@ -25,12 +26,9 @@ from operator import itemgetter
 import numpy as np
 
 from .indexing import IndexSequence, SiteRef, canonical, seq_sort_key, subsequence
-from .multisets import _OrderFill, _anchored_subsets, _multiset_expansion
+from .multisets import (OrderOverflowError, _OrderFill, _anchored_subsets,
+                        _multiset_expansion, _store_refs)
 from .partitions import enumerate_partitions, enumerate_restricted
-
-
-class OrderOverflowError(ValueError):
-    """Requested cumulant/moment order exceeds the provider's declared max."""
 
 
 class MomentProvider(ABC):
@@ -52,10 +50,13 @@ class MomentProvider(ABC):
     translation_invariant: bool = False
     #: set by providers whose field variables are all real, so y(x)* = y(x):
     #: ``CumulantTable.cumulant_tensor`` then drops the conjugation flags of
-    #: a head, and a conjugated head reads the tensor of the plain one.  A
-    #: real provider lists its ``sites``: its table keeps the cumulants of
-    #: single field variables by multiset of them (``_OrderFill``)
+    #: a head, and a conjugated head reads the tensor of the plain one
     is_real: bool = False
+    #: the site labels, which a non-Gaussian provider must list: its table
+    #: keeps the cumulants of single field variables by multiset of their
+    #: refs (``multisets._store_refs``), each (site, flag) ref of a complex
+    #: law and each site of a real one
+    sites: tuple | None = None
 
     @abstractmethod
     def moment(self, sequence: IndexSequence) -> complex:
@@ -63,32 +64,31 @@ class MomentProvider(ABC):
 
     def order_moments(self, order: int) -> np.ndarray | None:
         """None, or the moments of every multiset of ``order`` >= 1 of the
-        provider's ``sites``, as one real array.
+        refs of ``_store_refs``, as one array, real for a real law.
 
-        A real law may return them: the multisets are those of
-        ``_multisets``, over the sites in ``canonical`` order, and each
-        entry must be ``==`` to ``moment`` of its multiset in that order.
-        ``CumulantTable`` then fills the cumulants of the law by whole
-        orders; a real law that returns None has them filled on demand.
+        The multisets are those of ``_multisets`` over those refs, and
+        each entry must be ``==`` to ``moment`` of its multiset in that
+        order.  ``CumulantTable`` then fills the cumulants of the law by
+        whole orders; a law that returns None has them filled on demand.
         """
         return None
 
     def multiset_moments(self, rows) -> np.ndarray:
-        """The real part of the moment of each multiset in ``rows``, as one
-        float array: each row is a sequence of positions into the
-        provider's ``sites`` in ``canonical`` order, as ``order_moments``
-        takes them, sorted.
+        """The moment of each multiset in ``rows``, as one array: each row
+        is a sorted sequence of positions into ``_store_refs``, as
+        ``order_moments`` takes them.
 
-        ``CumulantTable`` fills a real law on demand through this hook:
-        one call per request, for every sub-multiset of its rows, in
-        lexicographic order, so that a multiset comes just before the ones
-        that extend it.  Each entry must be ``==`` to ``moment(...).real``
-        of its multiset in that order, which is what this default, one
-        ``moment`` call per row, gives.
+        ``CumulantTable`` fills a law on demand through this hook: one call
+        per request, for every sub-multiset of its rows, in lexicographic
+        order, so that a multiset comes just before the ones that extend
+        it.  Each entry must be ``==`` to ``moment`` of its multiset in that
+        order, its real part as a float for a real law, which is what this
+        default, one ``moment`` call per row, gives.
         """
-        refs = canonical(map(SiteRef, self.sites))
-        return np.array([self.moment(tuple(map(refs.__getitem__, row))).real
-                         for row in rows], dtype=float)
+        refs = _store_refs(self)
+        moments = np.array([self.moment(tuple(map(refs.__getitem__, row))) for row in rows],
+                           dtype=complex)
+        return moments.real if self.is_real else moments
 
     def check_order(self, order: int):
         if order > self.max_order:
@@ -103,39 +103,32 @@ class CumulantTable:
     Entries are stored in one memo under the permutation-invariant
     canonical key: the sorted sequence for single field variables, the
     sorted canonical monomials, none equal to a SiteRef, for compound ones.
-    A compound key's sub-keys of single field variables only are kept under
-    their flat key, where ``cumulant`` reads them: the two keys would hold
-    the same value.  ``cumulant`` applies the Gaussian rule to one
-    collection of single field variables and ``cumulant_tensor`` to a
-    tensor of them, both by ``singletons_vanish``, and ``joint_cumulant``
-    hands ``cumulant`` every collection of single field variables.
-    Moments of products of the variables are memoized too, each under its
-    flat index sequence in the order the recursion builds it; that key is
-    deliberately not canonicalised, because a provider may round a product
-    differently in another factor order.  For the same reason the
-    recursion subtracts one term per subset in one fixed order, that of
-    ``_anchored_subsets``.
+    ``cumulant`` applies the Gaussian rule to one collection of single
+    field variables and ``cumulant_tensor`` to a tensor of them, both by
+    ``singletons_vanish``, and ``joint_cumulant`` hands ``cumulant`` every
+    collection of single field variables.
 
-    A real law keeps its cumulants of single field variables in a store
-    instead (``multisets._OrderFill``): kappa and moments by global
-    multiset rank of its sites, grown one order at a time to the highest
-    order a request has needed.  While ``order_moments`` gives an order's
-    moments and its plan fits within ``_FILL_ENTRIES``, the store fills
-    that order whole, with one array recursion; otherwise, as for a
-    sampled ensemble, a request fills every sub-multiset of its rows, all
-    the recursion reads, with one ``MomentProvider.multiset_moments`` call
-    and then one array recursion per order.  ``cumulant`` and
-    ``cumulant_tensors`` read the store by multiset rank, the latter for
-    the tensors of many heads in one request; each value is ``==`` to the
-    one the recursion gives.  The recursion stays for complex laws, for
-    compound keys, and for an order of more than ``_STORE_ENTRIES``
-    multisets.
+    A non-Gaussian law, real or complex, keeps its cumulants of single
+    field variables in one store, ``multisets._OrderFill``, by global
+    multiset rank of its ``_store_refs``, at any order: by whole orders
+    while ``order_moments`` gives them, else on demand, the closure of a
+    request's multisets in one ``multiset_moments`` call.  ``cumulant`` and
+    ``cumulant_tensors`` read it, the latter for many heads in one request.
+
+    Compound keys take the anchored recursion per key, ``_recurse``, which
+    reads its sub-keys of single field variables through ``cumulant``.
+    It memoizes each moment of a product of the variables under its flat
+    index sequence in the order the recursion builds it; that key is
+    deliberately not canonicalised, because a provider may round a product
+    differently in another factor order.  For the same reason both
+    recursions subtract one term per subset in one fixed order, that of
+    ``_anchored_subsets``.
 
     ``cumulant_tensors`` lays the cumulants of fixed head variables and k
     box sites out over box^k, one tensor per head, the one source of the
     arrays ``clustering`` folds; a Gaussian one is filled from covariance
-    rows and a real law's from its store, with no cumulant lookup per
-    entry, and a real provider's head is taken without its conjugation
+    rows and any other from the store, with no cumulant lookup per entry,
+    and a real provider's head is taken without its conjugation
     flags.  ``derived`` keeps each tensor, the SiteRefs and store positions
     of each box, and the values ``clustering`` builds from the tensors
     (clustering norms, magnitude constants, Phi_n rows and the stacks of
@@ -148,9 +141,8 @@ class CumulantTable:
         self._memo = {}
         self._moments = {}
         self._derived = {}
-        # the _OrderFill of a real law once a cumulant has asked for it,
-        # False for any other law
-        self._fill = None
+        # the store of a non-Gaussian law's cumulants of single field variables
+        self._fill = None if provider.is_gaussian else _OrderFill(provider)
 
     def derived(self, key, build):
         """The value ``build()`` returns, built once per table and ``key``.
@@ -186,26 +178,10 @@ class CumulantTable:
         hit = self._memo.get(key)
         if hit is None:
             self._check(len(key))
-            hit = self._single(key)
+            fill = self._fill
+            hit = self._memo[key] = complex(
+                fill.values(np.array([sorted(fill.positions(key))]))[0])
         return hit
-
-    def _single(self, key) -> complex:
-        """kappa of a canonical key of single field variables that is not
-        memoised yet, read from the store of a real law that holds its
-        order, else by the recursion; the value is memoised."""
-        fill = self._store(len(key))
-        if fill is None:
-            return self._recurse(key, True)
-        value = self._memo[key] = complex(
-            fill.values(np.array([sorted(fill.positions(key))]))[0])
-        return value
-
-    def _store(self, order: int):
-        """The ``_OrderFill`` of a real law, built on first use, if it holds
-        ``order``; None for any other law or order."""
-        if self._fill is None:
-            self._fill = self.provider.is_real and _OrderFill(self.provider)
-        return self._fill if self._fill and self._fill.holds(order) else None
 
     def _head(self, head) -> tuple:
         """The head as ``cumulant_tensor`` keys it: without its conjugation
@@ -233,8 +209,8 @@ class CumulantTable:
         indexes them with that expansion array.  The heads not built yet,
         each once in first-use order, take one ``_tensors`` call: Gaussian
         heads of single field variables take their values from
-        ``_covariance_values``, and a real law's from its store in one
-        request, by the rank of each multiset of head and box sites.  For a
+        ``_covariance_values``, and any other law's from its store in one
+        request, by the rank of each multiset of head and box refs.  For a
         provider that declares ``is_real`` a head's conjugation flags are
         dropped before its key, once per table and head, so
         kappa[y(a)*, ...] reads the tensor of kappa[y(a), ...]: the same
@@ -269,18 +245,13 @@ class CumulantTable:
     def _single_values(self, heads, k: int, box_sites, refs, multisets):
         """The values of ``cumulant_tensor`` for heads of as many single
         field variables, one row per head and column per row of
-        ``multisets``: the Gaussian ones, those of a real law's store, by
-        the rank of each multiset of head and box sites, in one request, or
-        else one ``cumulant`` per multiset."""
+        ``multisets``: the Gaussian ones, or those of the store, by the rank
+        of each multiset of head and box refs, in one request."""
         h = len(heads[0])
         self._check(h + k)
         if self.provider.is_gaussian:
             return [self._covariance_values(head, k, refs, len(multisets)) for head in heads]
-        fill = self._store(h + k)
-        if fill is None:
-            multisets = multisets.tolist()
-            return [[self.cumulant(head + tuple(refs[i] for i in ms)) for ms in multisets]
-                    for head in heads]
+        fill = self._fill
         box = self.derived(("box positions", box_sites),
                            lambda: np.array(fill.positions(refs), dtype=np.intp))
         sites = np.empty((len(heads), len(multisets), h + k), dtype=np.intp)
@@ -316,7 +287,7 @@ class CumulantTable:
         key = tuple(sorted(map(canonical, variables), key=seq_sort_key))
         self.provider.check_order(sum(map(len, key)))
         hit = self._memo.get(key)
-        return self._recurse(key, False) if hit is None else hit
+        return self._recurse(key) if hit is None else hit
 
     def _check(self, order: int):
         """Reject an empty collection and an order above the provider's
@@ -325,19 +296,18 @@ class CumulantTable:
             raise ValueError("cumulant of an empty collection is undefined")
         self.provider.check_order(order)
 
-    def _recurse(self, key, flat: bool) -> complex:
-        """kappa of the canonical key by the anchored recursion, for a key
-        that is not memoised yet; the value is memoised.
+    def _recurse(self, key) -> complex:
+        """kappa of the canonical compound key by the anchored recursion,
+        for a key that is not memoised yet; the value is memoised.
 
-        A ``flat`` key is its own moment key; a compound key's moment is
-        memoised under the flat sequence of its monomials in key order.
-        Every sub-key of single field variables only goes to ``_single``
-        under its flat key, so a real law's store gives it.  The moment and
-        memo probes are inline, so a hit costs no call.  One term is
-        subtracted per subset, in ``_anchored_subsets`` order.
+        Each moment is memoised under the flat sequence of its monomials in
+        key order.  Every sub-key of single field variables only goes to
+        ``cumulant`` under its flat key.  The moment and memo probes are
+        inline, so a hit costs no call.  One term is subtracted per subset,
+        in ``_anchored_subsets`` order.
         """
         moments, memo, moment = self._moments, self._memo, self.provider.moment
-        seq = key if flat else tuple(chain.from_iterable(key))
+        seq = tuple(chain.from_iterable(key))
         value = moments.get(seq)
         if value is None:
             value = moments[seq] = moment(seq)
@@ -345,19 +315,16 @@ class CumulantTable:
             # the positions increase, so the sub-key of the canonical key is
             # canonical already
             sub = sub_of(key)
-            if flat:
-                comp = comp_of(key)
-            else:
-                comp = tuple(chain.from_iterable(comp_of(key)))
-                if all(len(mono) == 1 for mono in sub):
-                    sub = tuple(mono[0] for mono in sub)
+            comp = tuple(chain.from_iterable(comp_of(key)))
             weight = moments.get(comp)
             if weight is None:
                 weight = moments[comp] = moment(comp)
-            kappa = memo.get(sub)
-            if kappa is None:
-                kappa = (self._single(sub) if flat or type(sub[0]) is SiteRef
-                         else self._recurse(sub, False))
+            if all(len(mono) == 1 for mono in sub):
+                kappa = self.cumulant(tuple(mono[0] for mono in sub))
+            else:
+                kappa = memo.get(sub)
+                if kappa is None:
+                    kappa = self._recurse(sub)
             value -= weight * kappa
         memo[key] = value
         return value

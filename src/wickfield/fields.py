@@ -22,7 +22,7 @@ import numpy as np
 
 from .cumulants import MomentProvider
 from .indexing import IndexSequence, SiteRef, canonical
-from .multisets import _multisets
+from .multisets import _multisets, _store_refs
 
 DEFAULT_GRID = 4096
 
@@ -443,7 +443,13 @@ def _pair_columns(field: SpectralGaussianField, length: int, n_samples: int,
     fresh arrays applies, on the same operands in the same order, so every
     sample is bit-identical to that.  Besides the array only z1 and a
     block's buffers are held.
+
+    PSDViolationError, before anything is allocated, if the spectra are
+    not positive semi-definite at the box's own frequencies.
     """
+    if not check_psd(field.f1_hat, field.f2_hat, field.g_hat, grid=length):
+        raise PSDViolationError(f"spectra violate F1>=0, F2>=0, |G|^2 <= F1*F2 "
+                                f"at the frequencies of box {length}")
     k = _torus_frequencies(length)
     f1 = np.asarray(field.f1_hat(k), dtype=float)
     f2 = np.asarray(field.f2_hat(k), dtype=float)
@@ -639,13 +645,13 @@ class EnsembleEstimator(MomentProvider):
         return complex(self._means([self._keys(sequence)])[0])
 
     def multiset_moments(self, rows) -> np.ndarray:
-        """``MomentProvider.multiset_moments``: the real part of each row's
-        mean as ``moment`` takes it, in one walk, so that a row that
-        extends the row before it multiplies only its new columns; exactly
-        1.0 for an empty row."""
-        keys = self._keys(canonical(map(SiteRef, self.sites)))
-        means = self._means([keys[p] for p in row] for row in rows)
-        return np.array([mean.real for mean in means], dtype=float)
+        """``MomentProvider.multiset_moments``: each row's mean as
+        ``moment`` takes it, its real part for real samples, in one walk,
+        so that a row that extends the row before it multiplies only its
+        new columns; exactly 1.0 for an empty row."""
+        keys = self._keys(_store_refs(self))
+        means = np.array(self._means([keys[p] for p in row] for row in rows), dtype=complex)
+        return means if self._complex else means.real
 
     def moment_standard_error(self, sequence: IndexSequence) -> float:
         keys = self._keys(sequence)

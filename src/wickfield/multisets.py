@@ -1,12 +1,12 @@
-"""Multisets of a law's sites by rank, and the store of a real law's
-cumulants.
+"""Multisets of a law's store refs by rank, and the store of a
+non-Gaussian law's cumulants.
 
 A multiset of k positions in range(size) is a sorted row of k ints, and
 the multisets of one order are ranked in ``combinations_with_replacement``
-order by the combinatorial number system (``_multiset_rank``); a store
-that holds orders 1, 2, ... one after the other indexes them from
-``_order_offset``.  ``_OrderFill`` is that store for the cumulants of a
-real law's single field variables, filled by the anchored recursion of
+order by the combinatorial number system (``_multiset_rank``); orders 1,
+2, ... follow one another in one global rank, order k from
+``_order_offset``.  ``_OrderFill`` is the store of the cumulants of a
+law's single field variables, filled by the anchored recursion of
 ``cumulants`` over the subsets of ``_anchored_subsets``.
 """
 
@@ -26,84 +26,103 @@ from .indexing import SiteRef, canonical
 #: order is filled on demand
 _FILL_ENTRIES = 1 << 18
 
-#: the most multisets of one order a store holds; a larger order, of a law
-#: of many sites, keeps the per-key recursion
-_STORE_ENTRIES = 1 << 20
+
+class OrderOverflowError(ValueError):
+    """Requested cumulant/moment order exceeds the provider's declared max,
+    or its multisets the store's int64 ranks."""
+
+
+def _store_refs(provider) -> tuple:
+    """The refs whose multisets a provider's store holds, in ``canonical``
+    order: a real law's plain site refs, else every (site, flag) ref, so
+    that a site's plain ref and its conjugate are neighbours."""
+    flags = (False,) if provider.is_real else (False, True)
+    return canonical(SiteRef(site, conj) for site in provider.sites for conj in flags)
 
 
 class _OrderFill:
-    """kappa and the moments of the multisets of a real law's sites, by
-    global multiset rank.
+    """kappa and the moments of the multisets of a law's ``_store_refs``,
+    complex for a complex law, by global multiset rank.
 
-    The multisets of an order are the rows of ``_multisets`` over the sites
-    in ``canonical`` order.  ``moments`` and ``kappas`` hold orders 1 to
-    ``order`` one after the other, order k from ``_order_offset``, and
-    ``known`` marks the entries filled; the arrays grow one
-    order at a time, to the highest order a request has needed.  Each
-    entry is filled once, in one of two ways:
+    ``ranks`` is the sorted int64 array of the ranks filled, and
+    ``moments`` and ``kappas`` hold their values slot for slot.  Each entry
+    is filled once, in one of two ways:
 
     * Whole orders: while the provider gives an order's moments by
       ``order_moments`` and the order's plan fits within ``_FILL_ENTRIES``,
-      orders 1 to ``whole`` are filled with ``_order_plan``.
+      orders 1 to ``whole`` are filled with ``_order_plan``.  They are the
+      leading run of ``ranks``, so a rank below its ``end`` is its own slot.
     * On demand: every later order, and every order of a law that gives no
       moments by order.  A request fills its multisets and every
-      sub-multiset of theirs of those orders, which is all the recursion
-      reads: their moments in one ``provider.multiset_moments`` call, in
-      lexicographic order, and their kappas one order at a time from the
-      lowest.
+      sub-multiset of theirs that the store lacks, all the recursion reads
+      (``_fill``); ``np.searchsorted`` finds their slots in ``ranks``.
 
     Either way the row of a multiset holds its moment and then the
     recursion's terms, moment times kappa, one per subset of
     ``_anchored_subsets`` in order, and one ``np.subtract.accumulate``
-    along the rows subtracts them left to right, as
-    ``CumulantTable._recurse`` does.  A
-    real product w * kappa is the real part of the recursion's complex
-    one, exactly, so each kappa is ``==`` to the recursion's.
+    along the rows subtracts them left to right, as the per-key recursion
+    does.  A real product w * kappa is the real part of the recursion's
+    complex one, exactly, and a complex one is written out in real parts
+    as Python's complex multiply forms it, so each kappa is ``==`` to the
+    recursion's.
     """
 
     def __init__(self, provider):
-        refs = canonical(map(SiteRef, provider.sites))
+        if provider.sites is None:
+            raise TypeError(f"{type(provider).__name__} lists no sites, and a "
+                            f"non-Gaussian law's cumulants are stored by them")
+        refs = _store_refs(provider)
         self.provider = provider
         self.size = len(refs)
-        self._position = {ref.site: i for i, ref in enumerate(refs)}
-        self.moments, self.kappas = np.empty(0), np.empty(0)
-        self.known = np.empty(0, dtype=bool)
-        self.order = self.whole = 0
-
-    def holds(self, order: int) -> bool:
-        """Whether the store keeps the multisets of ``order``: at most
-        ``_STORE_ENTRIES`` of them."""
-        return math.comb(self.size + order - 1, order) <= _STORE_ENTRIES
+        # a real law's refs read the same position with either flag
+        self._position = {SiteRef(ref.site, conj): i for i, ref in enumerate(refs)
+                          for conj in ((False, True) if provider.is_real else (ref.conj,))}
+        dtype = float if provider.is_real else complex
+        self.ranks = np.empty(0, dtype=np.int64)
+        self.moments, self.kappas = np.empty(0, dtype), np.empty(0, dtype)
+        self.order = self.whole = self.end = 0
 
     def _grow(self, order: int):
-        """Hold every order up to ``order``; an order after the whole ones
-        is filled whole if the provider gives its moments and its plan
-        fits, else left for requests to fill."""
+        """Take up every order up to ``order``: an order after the whole
+        ones is filled whole if the provider gives its moments and its
+        plan fits, else left for requests to fill.  OrderOverflowError if
+        the ranks of ``order`` pass int64."""
+        if _order_offset(self.size, order + 1) > np.iinfo(np.int64).max:
+            raise OrderOverflowError(f"the multisets of order {order} of {len(self.provider.sites)} "
+                                     f"sites overflow the store's int64 ranks")
         while self.order < order:
-            k = self.order + 1
+            k = self.order = self.order + 1
             count = math.comb(self.size + k - 1, k)
             moments = (self.provider.order_moments(k)
-                       if self.whole == self.order and count << (k - 1) <= _FILL_ENTRIES
+                       if self.whole == k - 1 and count << (k - 1) <= _FILL_ENTRIES
                        else None)
-            filled = moments is not None
-            if filled:
+            if moments is not None:
                 kappas = self._fold(moments, *_order_plan(self.size, k))
-            else:
-                moments, kappas = np.empty(count), np.empty(count)
-            self.moments = np.concatenate((self.moments, moments))
-            self.kappas = np.concatenate((self.kappas, kappas))
-            self.known = np.concatenate((self.known, np.full(count, filled)))
-            self.whole += filled
-            self.order = k
+                self.moments = np.concatenate((self.moments, moments))
+                self.kappas = np.concatenate((self.kappas, kappas))
+                self.end += count
+                self.ranks = np.arange(self.end, dtype=np.int64)
+                self.whole = k
 
     def _fold(self, moments: np.ndarray, sub: np.ndarray, comp: np.ndarray) -> np.ndarray:
         """kappa of the multisets of one order from their moments and the
-        store indices of their subsets' sub-multisets and rests, one row
-        per multiset and column per subset."""
+        slots of their subsets' sub-multisets and rests, one row per
+        multiset and column per subset."""
+        w, kappa = self.moments[comp], self.kappas[sub]
         rows = np.empty((len(moments), sub.shape[1] + 1))
-        rows[:, 0] = moments
-        np.multiply(self.moments[comp], self.kappas[sub], out=rows[:, 1:])
-        return np.subtract.accumulate(rows, axis=1)[:, -1]
+        if not np.iscomplexobj(moments):
+            rows[:, 0] = moments
+            np.multiply(w, kappa, out=rows[:, 1:])
+            return np.subtract.accumulate(rows, axis=1)[:, -1]
+        # numpy's complex multiply may fuse a product's two terms
+        folded = np.empty(len(moments), dtype=complex)
+        for part, first, terms in (
+                (folded.real, moments.real, w.real * kappa.real - w.imag * kappa.imag),
+                (folded.imag, moments.imag, w.real * kappa.imag + w.imag * kappa.real)):
+            rows[:, 0] = first
+            rows[:, 1:] = terms
+            part[...] = np.subtract.accumulate(rows, axis=1)[:, -1]
+        return folded
 
     def values(self, positions: np.ndarray) -> np.ndarray:
         """kappa of the multiset in each row of the int array of positions,
@@ -113,70 +132,66 @@ class _OrderFill:
             self._grow(k)
         ranks = self.index(positions)
         if k > self.whole:
-            missing = ~self.known[ranks]
-            if missing.any():
-                self._fill(positions[missing], ranks[missing])
+            self._fill(positions.reshape(-1, k), ranks.ravel())
+            ranks = np.searchsorted(self.ranks, ranks)
         return self.kappas[ranks]
 
     def _fill(self, rows: np.ndarray, ranks: np.ndarray):
-        """Fill kappa of the multiset in each row of order k and of every
-        sub-multiset of theirs of an order past ``whole``, all that the
-        anchored recursion reads: the rows' own ``_subset_ranks`` name each
-        of them, the anchored ones in ``sub`` and the rest in ``comp``.
-        Their moments are measured in one ``provider.multiset_moments``
-        call, in lexicographic order, so that a multiset comes just before
-        the ones that extend it; then each order's kappas are folded, from
-        the lowest up."""
-        k = rows.shape[1]
-        rows, ranks = self._unknown(rows, np.arange(k)[None], ranks[:, None])
-        sub, comp = _subset_ranks(rows, self.size)
-        found = {}
-        start = 0
-        for chosen, others in _subset_columns(k):
-            group = slice(start, start + len(chosen))
-            for cols, picked in ((chosen, sub[:, group]), (others, comp[:, group])):
-                if cols.shape[1] > self.whole:
-                    found.setdefault(cols.shape[1], []).append(self._unknown(rows, cols, picked))
-            start = group.stop
+        """Fill kappa of the multiset in each row and of every sub-multiset
+        of theirs that the store lacks.  The store holds every sub-multiset
+        of a multiset it holds, so those are found one order down at a
+        time, from the multisets it lacks one order up.  Their moments are
+        measured in one ``provider.multiset_moments`` call, in
+        lexicographic order, so that a multiset comes just before the ones
+        that extend it; then each order's kappas are folded, from the
+        lowest up."""
         members = []
-        for j in sorted(found):
-            keys, picked = (np.concatenate(parts) for parts in zip(*found[j]))
-            members.append(self._unknown(keys, np.arange(j)[None], picked[:, None]))
-        members.append((rows, ranks))
+        keys, ranks = self._lacking(rows, ranks)
+        while len(keys):
+            members.insert(0, (keys, ranks))
+            if keys.shape[1] <= self.whole + 1:
+                break
+            # dropping one position keeps a row sorted
+            keys = np.concatenate([np.delete(keys, p, axis=1) for p in range(keys.shape[1])])
+            keys, ranks = self._lacking(keys, self.index(keys))
+        if not members:
+            return
+        # orders ascend, and so do the ranks of each, so the new ranks are sorted
+        new = np.concatenate([ranks for _, ranks in members])
+        at = np.searchsorted(self.ranks, new)
+        self.ranks = np.insert(self.ranks, at, new)
+        self.moments = np.insert(self.moments, at, 0)
+        self.kappas = np.insert(self.kappas, at, 0)
+        slots = at + np.arange(len(new))
         positions = [row for keys, _ in members for row in keys.tolist()]
         walk = sorted(range(len(positions)), key=positions.__getitem__)
-        wanted = np.concatenate([ranks for _, ranks in members])[walk]
-        self.moments[wanted] = self.provider.multiset_moments([positions[i] for i in walk])
-        for keys, ranks in members:
-            plan = (sub, comp) if keys is rows else _subset_ranks(keys, self.size)
-            self.kappas[ranks] = self._fold(self.moments[ranks], *plan)
-            self.known[ranks] = True
+        self.moments[slots[walk]] = self.provider.multiset_moments([positions[i] for i in walk])
+        start = 0
+        for keys, _ in members:
+            these = slots[start:start + len(keys)]
+            plan = _subset_ranks(keys, self.size, np.int64)
+            self.kappas[these] = self._fold(self.moments[these],
+                                            *(np.searchsorted(self.ranks, r) for r in plan))
+            start += len(keys)
 
-    def _unknown(self, keys: np.ndarray, cols: np.ndarray, ranks: np.ndarray) -> tuple:
-        """The distinct multisets not yet known that the rows of ``cols``
-        pick from the rows of ``keys``, whose store indices are ``ranks``,
-        of shape (keys, cols): their positions and store indices, in rank
-        order; a mark per multiset of the order stands in for a sort."""
-        k = cols.shape[1]
-        start = _order_offset(self.size, k)
-        at = np.full(math.comb(self.size + k - 1, k), -1, dtype=np.intp)
-        at[ranks.ravel() - start] = np.arange(ranks.size)
-        at[self.known[start:start + len(at)]] = -1
-        picks = at[at >= 0]
-        row, col = np.divmod(picks, len(cols))
-        return keys[row[:, None], cols[col]], ranks.ravel()[picks]
+    def _lacking(self, keys: np.ndarray, ranks: np.ndarray) -> tuple:
+        """The distinct rows of ``keys``, whose ranks are ``ranks``, that
+        the store lacks: their positions and ranks, in rank order."""
+        ranks, at = np.unique(ranks, return_index=True)
+        lacking = np.append(self.ranks, -1)[np.searchsorted(self.ranks, ranks)] != ranks
+        return keys[at[lacking]], ranks[lacking]
 
     def positions(self, refs) -> list:
-        """The canonical position of the site of each ref; KeyError naming
-        the first site the law does not have."""
+        """The position of each ref in ``_store_refs``; KeyError naming the
+        first site the law does not have."""
         try:
-            return [self._position[ref.site] for ref in refs]
+            return [self._position[ref] for ref in refs]
         except KeyError as missing:
-            raise KeyError(f"unknown site {missing.args[0]!r}") from None
+            raise KeyError(f"unknown site {missing.args[0].site!r}") from None
 
     def index(self, positions: np.ndarray) -> np.ndarray:
-        """The index in ``kappas`` of the multiset in each row of the int
-        array of positions, sorted along its last axis."""
+        """The global rank of the multiset in each row of the int array of
+        positions, sorted along its last axis."""
         return _multiset_rank(positions, self.size,
                               _order_offset(self.size, positions.shape[-1]))
 
@@ -249,8 +264,8 @@ def _multiset_expansion(size: int, k: int) -> tuple:
 
 
 def _order_offset(size: int, order: int) -> int:
-    """Where the multisets of ``order`` >= 1 of ``size`` sites start in a
-    store that holds orders 1, 2, ... one after the other."""
+    """Where the multisets of ``order`` >= 1 of ``size`` positions start in
+    the global rank, which counts orders 1, 2, ... one after the other."""
     return math.comb(size + order - 1, order - 1) - 1
 
 
@@ -264,13 +279,13 @@ def _order_plan(size: int, k: int) -> tuple:
     return plan
 
 
-def _subset_ranks(keys: np.ndarray, size: int) -> tuple:
+def _subset_ranks(keys: np.ndarray, size: int, dtype=np.int32) -> tuple:
     """(sub, comp) for filling the multisets of k positions in range(size)
-    in the sorted rows of ``keys`` from a by-order store: for each row and
-    each subset of ``_anchored_subsets(k)``, one per column, the store
-    index of the sub-multiset the subset picks and of the multiset of the
-    rest, as int32 arrays; no column for k = 1."""
-    sub, comp = np.empty((2, len(keys), (1 << (keys.shape[1] - 1)) - 1), dtype=np.int32)
+    in the sorted rows of ``keys``: for each row and each subset of
+    ``_anchored_subsets(k)``, one per column, the global rank of the
+    sub-multiset the subset picks and of the multiset of the rest, as
+    arrays of ``dtype``; no column for k = 1."""
+    sub, comp = np.empty((2, len(keys), (1 << (keys.shape[1] - 1)) - 1), dtype=dtype)
     start = 0
     for chosen, others in _subset_columns(keys.shape[1]):
         group = slice(start, start + len(chosen))
@@ -281,7 +296,7 @@ def _subset_ranks(keys: np.ndarray, size: int) -> tuple:
 
 
 def _column_ranks(keys: np.ndarray, cols: np.ndarray, size: int, out: np.ndarray):
-    """Write to ``out``, of shape (keys, cols), the store index of the
+    """Write to ``out``, of shape (keys, cols), the global rank of the
     multiset that each row of ``cols`` picks from each row of ``keys``:
     ``_multiset_rank`` of keys[:, cols] from that order's offset, summed
     one position at a time, so that the picked positions are never held

@@ -5,13 +5,13 @@ import re
 import sys
 import threading
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickfield import clustering, cumulants, multisets
+from wickfield import clustering, cumulants
 from wickfield.clustering import (
     GAMMA,
     Observable,
@@ -62,11 +62,13 @@ class GrowingVarianceField(GaussianCovarianceField):
 
 class NonGaussianView(MomentProvider):
     """The same moments with the Gaussian flag off, which sends phi_kernel
-    down the restricted-partition expansion."""
+    down the restricted-partition expansion; the view lists the given
+    sites, over which its tables store the cumulants."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, sites):
         self.inner = inner
         self.max_order = inner.max_order
+        self.sites = tuple(dict.fromkeys(sites))
 
     def moment(self, sequence):
         return self.inner.moment(sequence)
@@ -78,7 +80,7 @@ class AnchorScanView(NonGaussianView):
     does for NonGaussianView, while the Gaussian rule still applies."""
 
     def __init__(self, inner):
-        super().__init__(inner)
+        super().__init__(inner, ())
         self.is_gaussian = inner.is_gaussian
 
     def covariance(self, a, b):
@@ -165,7 +167,7 @@ PAIRING_ROWS = {
 def test_phi_kernel_permanent_matches_restricted_expansion(name, n):
     provider, box, xprime = PAIRING_ROWS[name]
     fast = phi_kernel(provider, n, xprime[:n], box)
-    slow = phi_kernel(NonGaussianView(provider), n, xprime[:n], box)
+    slow = phi_kernel(NonGaussianView(provider, box + list(xprime)), n, xprime[:n], box)
     assert list(fast.values) == list(slow.values)
     for x, v in slow.values.items():
         assert abs(fast.values[x] - v) <= 1e-12, x
@@ -331,31 +333,31 @@ def test_phi_kernel_row_matches_direct_wick_product(seed, n_sites, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_phi_kernel_looks_up_each_block_cumulant_once(monkeypatch, n):
     # a row runs no restricted expansion per x: the block tensor of each set
-    # L of x' positions and number r of x positions looks up one cumulant
-    # per multiset of r box sites; complex atoms keep the conjugation flags
-    # that name L
-    expansions, lookups = [], []
+    # L of x' positions and number r of x positions is built once, from the
+    # store, with no cumulant lookup; complex atoms keep the conjugation
+    # flags that name L
+    expansions, lookups, builds = [], [], []
     _count_calls(monkeypatch, cumulants, "wick_product_expectation", expansions)
     _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
+    _count_calls(monkeypatch, CumulantTable, "_tensors", builds)
     f = _complex_discrete_field(np.random.default_rng(1), [0, 1, 2, 3])
     assert not f.is_real
     box = [0, 1, 2]
-    xprime = tuple(range(n))  # distinct sites, so a lookup names its L
+    xprime = tuple(range(n))  # distinct sites, so a head names its L
     row = phi_kernel(f, n, xprime, box)
     assert len(row.values) == len(box) ** n
-    assert expansions == []
-    tensors = {}
-    for _, sequence in lookups:
-        lefts = tuple(ref.site for ref in sequence if ref.conj)
-        z = tuple(ref.site for ref in sequence if not ref.conj)
-        tensors.setdefault((lefts, len(z)), []).append(z)
+    assert expansions == [] and lookups == []
+    tensors = []
+    for _, heads, r, box_sites in builds:
+        assert box_sites == tuple(box)
+        for head in heads:
+            assert all(ref.conj for (ref,) in head), head
+            tensors.append((tuple(ref.site for (ref,) in head), r))
     # a block holds L and r x positions; what it leaves must pair up, so
     # r < n unless L is all of x'
     want = {(lefts, r) for k in range(1, n) for lefts in combinations(range(n), k)
             for r in range(1, n)} | {(xprime, n)}
-    assert set(tensors) == want
-    for (lefts, r), multisets in tensors.items():
-        assert multisets == list(combinations_with_replacement(box, r)), (lefts, r)
+    assert sorted(tensors) == sorted(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -488,7 +490,7 @@ def test_anchor_tuples_pin():
     box = [3, 4, 5]
     assert _anchor_tuples(IidRealGaussianField(), box, 1) == [(3,)]
     assert _anchor_tuples(IidRealGaussianField(), box, 3) == [(3, 3, 3)]
-    view = NonGaussianView(IidRealGaussianField())
+    view = NonGaussianView(IidRealGaussianField(), box)
     assert _anchor_tuples(view, box, 1) == [(3,), (4,), (5,)]
     # one tuple per multiset, sorted by box position
     assert _anchor_tuples(view, box[:2], 2) == [(3, 3), (3, 4), (4, 4)]
@@ -502,7 +504,7 @@ def test_clustering_norm_vanishing_matches_recursion(name, n):
     # both views scan every anchor of the box
     provider, box, _, _ = SMALL_BOXES[name]
     fast = clustering_norm(AnchorScanView(provider), n, 1, box)
-    slow = clustering_norm(NonGaussianView(provider), n, 1, box)
+    slow = clustering_norm(NonGaussianView(provider, box), n, 1, box)
     assert abs(fast - slow) <= 1e-12
 
 
@@ -515,7 +517,7 @@ def test_theorem41_vanishing_matches_recursion(name, n, p, degree):
     site = small[0] if name == "iid-real" else ("psi", 0)
     X = Observable([(1.0, (SiteRef(site),) * degree)])
     fast = theorem41_check(AnchorScanView(provider), X, n, p, small)
-    slow = theorem41_check(NonGaussianView(provider), X, n, p, small)
+    slow = theorem41_check(NonGaussianView(provider, small + [site]), X, n, p, small)
     if degree == 1:
         assert fast.lhs == 0.0
     elif n == 2:
@@ -530,7 +532,8 @@ def test_theorem41_vanishing_matches_recursion(name, n, p, degree):
 def test_joint_theorem_vanishing_matches_recursion(name, m, n, p):
     provider, _, psi_sites, phi_box = SMALL_BOXES[name]
     fast = joint_theorem_check(AnchorScanView(provider), m, n, p, psi_sites, phi_box)
-    slow = joint_theorem_check(NonGaussianView(provider), m, n, p, psi_sites, phi_box)
+    slow = joint_theorem_check(NonGaussianView(provider, psi_sites + phi_box), m, n, p,
+                               psi_sites, phi_box)
     assert fast.lhs == 0.0
     assert abs(fast.lhs - slow.lhs) <= 1e-12
     assert fast.rhs == pytest.approx(slow.rhs, rel=1e-12, abs=1e-12)
@@ -957,21 +960,20 @@ def test_norms_at_every_p_fold_one_walk_per_anchor(monkeypatch):
 @pytest.mark.parametrize("N", [1, 2, 5])
 def test_magnitude_constants_fill_every_order_in_one_walk(monkeypatch, N):
     # the norm of order N comes first, and the closure of its cumulants
-    # holds every multiset of the box of orders 1..N: one fill measures
-    # them all; each norm is that of a table filled one order at a time,
-    # from order 1 up, bit for bit
+    # holds every multiset of the box of orders 1..N: one walk measures
+    # them all, each once; each norm is that of a table filled one order at
+    # a time, from order 1 up, bit for bit
     est = sample_ensemble(sinc_coupling_example(), box=3, n_samples=300, seed=4)
     box = [("psi", x) for x in range(3)] + [("phi", 0)]
     table = CumulantTable(est)
-    fills = []
-    _count_calls(monkeypatch, multisets._OrderFill, "_fill", fills)
+    walks = []
+    _count_calls(monkeypatch, est, "multiset_moments", walks)
     constants = magnitude_constants(est, 1.0, N, box, table=table)
-    assert len(fills) == 1
-    store = table._fill
-    positions = np.array(store.positions(SiteRef(s) for s in box))
-    for k in range(1, N + 1):
-        rows = np.sort(positions[_multisets(len(box), k)], axis=1)
-        assert store.known[store.index(rows)].all(), k
+    assert len(walks) == 1
+    positions = np.array(table._fill.positions(SiteRef(s) for s in box))
+    want = sorted(tuple(row) for k in range(1, N + 1)
+                  for row in np.sort(positions[_multisets(len(box), k)], axis=1).tolist())
+    assert sorted(map(tuple, walks[0][0])) == want
     monkeypatch.undo()
     ascending = CumulantTable(est)
     norms = [clustering_norm(est, n, 1.0, box, table=ascending) for n in range(1, N + 1)]
@@ -1196,10 +1198,10 @@ def _count_calls(monkeypatch, owner, attr, calls):
 
 def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
                                                              two_field_provider):
-    # counted on the law with its real flag off, where each cumulant is one
-    # lookup and each moment one call, on the law with its moments by order
-    # hidden, whose table measures its moments on demand, and on the law
-    # itself, whose table asks for its moments one whole order at a time
+    # counted on the law with its real flag off and on the law with its
+    # moments by order hidden, whose tables measure each moment by one call
+    # on demand, and on the law itself, whose table asks for its moments
+    # one whole order at a time; no check looks up a cumulant
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
     for f, hook in ((_flags_kept(two_field_provider), "moment"),
@@ -1210,7 +1212,7 @@ def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
         _count_calls(monkeypatch, f, hook, moments)
         table = CumulantTable(f)
         first = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
-        assert moments and bool(lookups) == (not f.is_real)
+        assert moments and not lookups
         lookups.clear()
         moments.clear()
         again = joint_theorem_check(f, 2, 2, 2, psi_sites, phi_sites, table=table)
@@ -1222,51 +1224,36 @@ def test_joint_theorem_repeat_on_shared_table_builds_nothing(monkeypatch,
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2)])
 def test_joint_theorem_p1_and_p2_build_one_kappa_map(monkeypatch, two_field_provider,
                                                       m, n):
-    # only the |kappa|^2 maps look up cumulants of psi and phi sites together
-    # (the norms take one field, the rows conjugate x'); there is one map
-    # per multiset of x', with one lookup per multiset of phi sites.  The
-    # lookups are counted on the law with its real flag off, whose tables
-    # look up each cumulant; a real law builds one tensor per multiset of x'
-    # from its store, and a head of conjugated psi sites reads that very
-    # tensor
-    f = _flags_kept(two_field_provider)
+    # only the |kappa|^2 maps take cumulants of psi and phi sites together
+    # (the norms take one field, the rows conjugate x'): one tensor of
+    # unconjugated psi sites over the phi box per multiset of x', which p = 2
+    # reads again, with no cumulant lookup.  On a real law a head of
+    # conjugated psi sites reads that very tensor; the law with its real
+    # flag off keeps its heads' flags
     psi_sites = [("psi", 0), ("psi", 1)]
     phi_sites = [("phi", 0), ("phi", 1)]
+    maps = math.comb(len(psi_sites) + m - 1, m)
     lookups = []
     _count_calls(monkeypatch, CumulantTable, "cumulant", lookups)
-    table = CumulantTable(f)
+    for f in (_flags_kept(two_field_provider), two_field_provider):
+        table = CumulantTable(f)
 
-    def mixed():
-        return [seq for _, seq in lookups
-                if {ref.site[0] for ref in seq} == {"psi", "phi"}
-                and not any(ref.conj for ref in seq)]
+        def mixed_tensors():
+            return {key: tensor for key, tensor in table._derived.items()
+                    if key[0] == "cumulant_tensor"
+                    and {ref.site[0] for v in key[1] for ref in v} == {"psi"}
+                    and not any(ref.conj for v in key[1] for ref in v)
+                    and {site[0] for site in key[3]} == {"phi"}}
 
-    joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
-    maps = math.comb(len(psi_sites) + m - 1, m)
-    assert len(mixed()) == maps * math.comb(len(phi_sites) + n - 1, n)
-    lookups.clear()
-    joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
-    assert mixed() == []
-
-    f = two_field_provider
-    table = CumulantTable(f)
-    lookups.clear()
-
-    def mixed_tensors():
-        return {key: tensor for key, tensor in table._derived.items()
-                if key[0] == "cumulant_tensor"
-                and {ref.site[0] for v in key[1] for ref in v} == {"psi"}
-                and {site[0] for site in key[3]} == {"phi"}}
-
-    joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
-    tensors = mixed_tensors()
-    assert len(tensors) == maps
-    joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
-    assert mixed_tensors() == tensors
-    for (_, head, k, box), tensor in tensors.items():
-        conj = tuple((ref.conjugate(),) for (ref,) in head)
-        assert table.cumulant_tensor(conj, k, box) is tensor
-    assert mixed() == []
+        joint_theorem_check(f, m, n, 1, psi_sites, phi_sites, table=table)
+        tensors = mixed_tensors()
+        assert len(tensors) == maps
+        joint_theorem_check(f, m, n, 2, psi_sites, phi_sites, table=table)
+        assert mixed_tensors() == tensors
+        for (_, head, k, box), tensor in tensors.items():
+            conj = tuple((ref.conjugate(),) for (ref,) in head)
+            assert (table.cumulant_tensor(conj, k, box) is tensor) == f.is_real
+        assert lookups == []
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 2)])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickfield import multisets
 from wickfield.clustering import magnitude_constants
 from wickfield.cumulants import (
     CumulantTable,
@@ -186,16 +185,14 @@ def _small_fields_and_sequences(draw):
 def test_flat_keys_match_the_nested_key_path(case):
     # cumulant memoises single field variables under their canonical
     # sequence itself; the value is, bit for bit (repr tells 0j from 0.0),
-    # the anchor-0 oracle's over the key of 1-tuples, the same recursion run
-    # on that nested key, and joint_cumulant's of the 1-tuples in every
-    # argument order, each on a fresh table
+    # the anchor-0 oracle's over the key of 1-tuples, and joint_cumulant's
+    # of the 1-tuples in every argument order, each on a fresh table
     provider, seq = case
     key = canonical(seq)
     table = CumulantTable(provider)
     got = table.cumulant(seq)
     assert key in table._memo
     assert repr(got) == repr(combinations_cumulant(provider, tuple(zip(key)), 0))
-    assert repr(got) == repr(CumulantTable(provider)._recurse(tuple(zip(key)), False))
     for perm in set(itertools.permutations(seq)):
         want = CumulantTable(provider).joint_cumulant(tuple((ref,) for ref in perm))
         assert repr(want) == repr(got), perm
@@ -391,6 +388,7 @@ def test_gaussian_fast_path_matches_generic_recursion():
 
     class NoFlag(IidRealGaussianField):
         is_gaussian = False
+        sites = (0,)
 
     plain = NoFlag(variance=1.7)
     for order in range(1, 7):
@@ -538,11 +536,13 @@ def test_wick_expansion_algebra():
 
 
 class CountingProvider(MomentProvider):
-    """Delegates moments to ``inner`` and counts the calls per sequence."""
+    """Delegates moments to ``inner``, whose sites it lists, and counts the
+    calls per sequence."""
 
     def __init__(self, inner):
         self.inner = inner
         self.max_order = inner.max_order
+        self.sites = inner.sites
         self.calls = Counter()
 
     def moment(self, sequence):
@@ -557,23 +557,28 @@ def test_table_evaluates_each_moment_once():
     sites = list(est.sites)
     for p in (1.0, math.inf):
         magnitude_constants(counting, p, 4, sites, table=table)
-    # one moment per multiset of the 4 sites of order 1..4: 4 + 10 + 20 + 35
+    # the store measures one moment per multiset of the 4 sites of order
+    # 1..4: 4 + 10 + 20 + 35
     assert len(counting.calls) == 69
-    # compound variables flatten out of canonical order; the memo keeps that
-    # order, in which the estimator multiplies and rounds
-    psi0, phi0, phi1 = SiteRef(("psi", 0)), SiteRef(("phi", 0)), SiteRef(("phi", 1))
-    for variables in (((phi1,), (phi0, psi0)), ((phi1,), (phi0, psi0), (phi1, phi1))):
-        table.joint_cumulant(variables)
-    assert any(flat != canonical(flat) for flat in counting.calls)
     assert set(counting.calls.values()) == {1}
-    assert table._moments.keys() == counting.calls.keys()
-    for flat, value in table._moments.items():
-        assert value == est.moment(flat), flat
+    # compound variables flatten out of canonical order; the recursion
+    # measures each product once more at most, in that order, in which the
+    # estimator multiplies and rounds, and gives the anchor-0 oracle's value
+    psi0, phi0, phi1 = SiteRef(("psi", 0)), SiteRef(("phi", 0)), SiteRef(("phi", 1))
+    compound = (((phi1,), (phi0, psi0)), ((phi1,), (phi0, psi0), (phi1, phi1)))
+    for variables in compound:
+        key = tuple(sorted(map(canonical, variables), key=seq_sort_key))
+        assert table.joint_cumulant(variables) == combinations_cumulant(est, key, 0), variables
+    assert any(flat != canonical(flat) for flat in counting.calls)
+    assert set(counting.calls.values()) == {1, 2}
+    measured = Counter(counting.calls)
+    for variables in compound:
+        table.joint_cumulant(variables)
     for order in (2, 3, 4):
         seq = canonical(SiteRef(s) for s in (sites * 2)[:order])
         assert moments_from_cumulants(table, seq) == pytest.approx(
             est.moment(seq), rel=1e-10, abs=1e-12)
-    assert set(counting.calls.values()) == {1}
+    assert counting.calls == measured
 
 
 class BrownianField(GaussianCovarianceField):
@@ -804,24 +809,28 @@ def _complex_law():
     lambda: EnsembleEstimator([0, 1, 2], np.random.default_rng(4).normal(size=(50, 3))),
     lambda: hide_bulk(random_discrete_field(np.random.default_rng(5), sites=[0, 1, 2])),
 ], ids=["complex-discrete", "real-ensemble", "hidden"])
-def test_laws_without_moments_by_order_take_the_recursion(monkeypatch, make):
-    # a complex law's variable count doubles under conjugation, so it keeps
-    # the per-key recursion; a real law without moments by order, an
-    # ensemble or a hidden-bulk law, fills its store on demand and recurses
-    # on no key of single field variables
+def test_laws_without_moments_by_order_fill_on_demand(monkeypatch, make):
+    # a complex law, whose store numbers each site's plain and conjugated
+    # refs, and a real law without moments by order, an ensemble or a
+    # hidden-bulk law, fill their store on demand: one walk per request,
+    # and every value is the anchor-0 oracle's, repr for repr; a complex
+    # head keeps its conjugation flag
     provider = make()
     assert provider.order_moments(2) is None
-    calls = []
-    original = CumulantTable._recurse
-    monkeypatch.setattr(CumulantTable, "_recurse",
-                        lambda self, key, flat: calls.append(key) or original(self, key, flat))
+    walks = []
+    original = provider.multiset_moments
+    monkeypatch.setattr(provider, "multiset_moments", lambda rows: (
+        walks.append(rows) or original(rows)))
     table = CumulantTable(provider)
-    table.cumulant(refs(0, 1, 1))
-    table.cumulant_tensor(((SiteRef(2),),), 2, [0, 1])
-    if provider.is_real:
-        assert calls == [] and table._fill.whole == 0 and table._fill.order == 3
-    else:
-        assert calls and table._fill is False
+    seq = (SiteRef(0), SiteRef(1, not provider.is_real), SiteRef(1))
+    assert repr(table.cumulant(seq)) == repr(
+        combinations_cumulant(provider, tuple(zip(canonical(seq)))))
+    head = (SiteRef(2, not provider.is_real),)
+    tensor = table.cumulant_tensor((head,), 2, [0, 1])
+    for x, got in zip(itertools.product([0, 1], repeat=2), tensor.tolist()):
+        want = combinations_cumulant(provider, tuple(zip(canonical(head + refs(*x)))))
+        assert repr(got) == repr(want), x
+    assert len(walks) == 2 and table._fill.whole == 0 and table._fill.order == 3
 
 
 @pytest.mark.parametrize("make", [
@@ -903,15 +912,22 @@ def test_a_request_fills_exactly_the_sub_multisets_of_its_rows(kind):
     table.cumulant_tensor(((SiteRef(2),),), 3, box)
     fill = table._fill
     assert fill.whole == 0 and fill.order == 4
-    marked = np.zeros(len(fill.known), dtype=bool)
-    for z in itertools.combinations_with_replacement(box, 3):
-        row = sorted(fill.positions(refs(2, *z)))
+    assert fill.ranks.tolist() == _closure_ranks(fill, [refs(2, *z) for z in
+                                                  itertools.combinations_with_replacement(box, 3)])
+
+
+def _closure_ranks(fill, sequences) -> list:
+    """The sorted global ranks of every sub-multiset of the sequences, as
+    the store ``fill`` numbers them."""
+    closure = set()
+    for seq in sequences:
+        row = sorted(fill.positions(seq))
         for size in range(1, len(row) + 1):
-            marked[fill.index(np.array(list(itertools.combinations(row, size))))] = True
-    assert fill.known.tolist() == marked.tolist()
+            closure.update(fill.index(np.array(list(itertools.combinations(row, size)))).tolist())
+    return sorted(closure)
 
 
-def test_order_fill_leaves_a_too_large_order_to_the_recursion():
+def test_order_fill_fills_a_too_large_order_on_demand():
     # seven sites of order 8 would make a plan of 3,003 multisets times 128
     # columns, past _FILL_ENTRIES: that order is filled on demand, only the
     # multisets a request reads, and the orders below it whole; every value
@@ -925,31 +941,98 @@ def test_order_fill_leaves_a_too_large_order_to_the_recursion():
         combinations_cumulant(law, tuple(zip(canonical(seq)))))
     fill = table._fill
     assert fill.whole == 7 and fill.order == 8 and canonical(seq) in table._memo
-    assert 0 < fill.known[fill.index(_multisets(7, 8))].sum() < math.comb(14, 8)
+    assert fill.ranks[:fill.end].tolist() == list(range(fill.end))
+    assert fill.end == math.comb(14, 7) - 1 and 0 < len(fill.ranks) - fill.end < math.comb(14, 8)
 
 
-def test_an_order_past_the_store_keeps_the_recursion(monkeypatch):
-    # a law of many sites would hold too many multisets of a high order:
-    # with room for 10 of one order, three sites keep order 3 (10
-    # multisets) in the store and take order 4 (15) by the recursion, which
-    # reads its sub-keys of lower orders from the store, and gives the
-    # anchor-0 recursion's values
-    monkeypatch.setattr(multisets, "_STORE_ENTRIES", 10)
-    law = EnsembleEstimator([0, 1, 2], np.random.default_rng(12).uniform(-1, 1, (30, 3)))
+def test_a_request_past_a_whole_order_store_fills_its_closure():
+    # 300 sites have 344,291,325 multisets of order 4, more than a store of
+    # whole orders could hold: an order-4 tensor request on a 3-site box
+    # fills exactly the sub-multisets of its rows, and every value is the
+    # anchor-0 recursion's, repr for repr
+    law = EnsembleEstimator(range(300), np.random.default_rng(9).uniform(-1, 1, (40, 300)))
+    assert math.comb(300 + 3, 4) == 344_291_325
     table, memo = CumulantTable(law), {}
-    seq = refs(2, 0, 1, 0)
-    calls = []
-    original = CumulantTable._recurse
-    monkeypatch.setattr(CumulantTable, "_recurse",
-                        lambda self, key, flat: calls.append(key) or original(self, key, flat))
-    assert repr(table.cumulant(seq)) == repr(
-        combinations_cumulant(law, tuple(zip(canonical(seq))), 0, memo))
-    assert calls == [canonical(seq)] and table._fill.order == 3
-    tensor = table.cumulant_tensor(((SiteRef(1),),), 3, [0, 1, 2])
-    for x, got in zip(itertools.product([0, 1, 2], repeat=3), tensor.tolist()):
+    box = [299, 0, 150]
+    tensor = table.cumulant_tensor(((SiteRef(7),),), 3, box)
+    for x, got in zip(itertools.product(box, repeat=3), tensor.tolist()):
         assert repr(got) == repr(combinations_cumulant(
-            law, tuple(zip(canonical(refs(1, *x)))), 0, memo)), x
-    assert table._fill.order == 3
+            law, tuple(zip(canonical(refs(7, *x)))), 0, memo)), x
+    fill = table._fill
+    assert fill.ranks.tolist() == _closure_ranks(
+        fill, [refs(7, *z) for z in itertools.combinations_with_replacement(box, 3)])
+
+
+def test_the_store_refuses_ranks_past_int64():
+    # the multisets of order 8 of 1,000 sites number more than int64 can
+    # rank; order 7 still fits
+    law = EnsembleEstimator(range(1000), np.random.default_rng(10).uniform(-1, 1, (3, 1000)))
+    table = CumulantTable(law)
+    assert table.cumulant(refs(*range(7))) == combinations_cumulant(
+        law, tuple(zip(canonical(refs(*range(7))))))
+    message = "^the multisets of order 8 of 1000 sites overflow the store's int64 ranks$"
+    with pytest.raises(OrderOverflowError, match=message):
+        table.cumulant(refs(*range(8)))
+    with pytest.raises(OrderOverflowError, match=message):
+        table.cumulant_tensor(((SiteRef(0),),), 7, [1, 2])
+
+
+def test_a_non_gaussian_provider_must_list_its_sites():
+    # its store numbers them; a Gaussian provider needs none
+    class Unlisted(MomentProvider):
+        def moment(self, sequence):
+            return 0.0
+
+    message = "^Unlisted lists no sites, and a non-Gaussian law's cumulants are stored by them$"
+    for call in (lambda table: table.cumulant(refs(0)),
+                 lambda table: table.cumulant_tensor(((SiteRef(0),),), 1, [0, 1]),
+                 lambda table: table.joint_cumulant(((SiteRef(0), SiteRef(1)), (SiteRef(0),)))):
+        with pytest.raises(TypeError, match=message):
+            call(CumulantTable(Unlisted()))
+    assert CumulantTable(IidRealGaussianField()).cumulant(refs(0, 0)) == 1.0
+
+
+@st.composite
+def _complex_laws(draw):
+    """A complex law on 1 to 4 sites: a finite law of 2 to 6 atoms, which
+    gives no moments by order, or an ensemble of 5 to 40 samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sites = [3, ("psi", 0), 0, 10][:draw(st.integers(1, 4))]
+    rows = draw(st.integers(2, 6) if draw(st.booleans()) else st.integers(5, 40))
+    values = rng.uniform(-1, 1, (rows, len(sites))) + 1j * rng.uniform(-1, 1, (rows, len(sites)))
+    if rows > 6:
+        return EnsembleEstimator(sites, values)
+    probs = rng.random(rows) + 0.05
+    return FiniteDiscreteField(sites, list(zip(probs / probs.sum(), map(tuple, values))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_complex_laws(), data=st.data())
+def test_complex_store_equals_the_anchor_zero_recursion(law, data):
+    # scalar and tensor requests of orders 1 to 5 on a complex law, plain
+    # and conjugated refs mixed, fill its store on demand; every value is
+    # the anchor-0 recursion's, repr for repr
+    assert not law.is_real
+    table, memo = CumulantTable(law), {}
+    ref = st.builds(SiteRef, st.sampled_from(law.sites), st.booleans())
+
+    def oracle(seq):
+        return combinations_cumulant(law, tuple(zip(canonical(seq))), 0, memo)
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        order = data.draw(st.integers(1, 5))
+        if data.draw(st.booleans()):
+            seq = tuple(data.draw(st.lists(ref, min_size=order, max_size=order)))
+            assert repr(table.cumulant(seq)) == repr(oracle(seq)), seq
+            continue
+        k = data.draw(st.integers(0, min(order, 3)))
+        head = tuple(data.draw(st.lists(ref, min_size=order - k, max_size=order - k)))
+        box = data.draw(st.permutations(law.sites))
+        tensor = table.cumulant_tensor(tuple(zip(head)), k, box)
+        for x, got in zip(itertools.product(box, repeat=k), tensor.tolist()):
+            seq = head + tuple(map(SiteRef, x))
+            assert repr(got) == repr(oracle(seq)), seq
+    assert table._fill.whole == 0
 
 
 @pytest.mark.parametrize("make", [

@@ -13,7 +13,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from wickfield import fields
 from wickfield.clustering import clustering_norm
-from wickfield.cumulants import CumulantTable, cumulant
+from wickfield.cumulants import CumulantTable, MomentProvider, cumulant
 from wickfield.fields import (
     EnsembleEstimator,
     FiniteDiscreteField,
@@ -180,6 +180,23 @@ def test_psd_check_rejects_overcoupling():
     assert not check_psd(one, one, big)
     with pytest.raises(PSDViolationError):
         SpectralGaussianField(one, one, big)
+
+
+def test_sampler_checks_the_spectra_at_the_box_frequencies():
+    # at 63 / 251 = 0.25099 the coupling band is on and the psi band off:
+    # the 64-point quadrature grid never sees that frequency, the 251 of
+    # the box do, and the sampler refuses them rather than clamp a22 to 0
+    f1 = spectrum_from_config({"name": "band", "halfwidth": 0.2505})
+    f2 = spectrum_from_config({"name": "flat"})
+    g = spectrum_from_config({"name": "band", "halfwidth": 0.252})
+    assert check_psd(f1, f2, g, grid=64) and not check_psd(f1, f2, g, grid=251)
+    field = SpectralGaussianField(f1, f2, g, grid=64)
+    message = "^spectra violate F1>=0, F2>=0, \\|G\\|\\^2 <= F1\\*F2 at the frequencies of box 251$"
+    with pytest.raises(PSDViolationError, match=message):
+        sample_ensemble(field, box=251, n_samples=10, seed=0)
+    with pytest.raises(PSDViolationError, match=message):
+        sample_field_pair(field, 251, 10, np.random.default_rng(0))
+    assert sample_ensemble(field, box=64, n_samples=10, seed=0).samples.shape == (10, 128)
 
 
 def test_sinc_closed_form_covariances():
@@ -608,7 +625,7 @@ def test_multiset_moments_walk_equals_moment(data, n_sites, count, seed):
     table = CumulantTable(fresh)
     with _prefix_multiplies(fresh) as counted:
         table.cumulant(tuple(refs[p] for p in longest))
-    assert int(table._fill.known.sum()) == len(closure)
+    assert len(table._fill.ranks) == len(closure)
     assert len(counted) == len(_distinct_prefixes(closure))
 
 
@@ -645,14 +662,15 @@ def test_prefix_walk_that_fails_part_way_leaves_no_stale_prefix():
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_multiset_moments_of_an_empty_row_is_exactly_one(kind):
     # as MomentProvider's default hook gives it; a complex mean of 49 ones
-    # is 0.9999999999999999, so the walk must not take one
+    # is 0.9999999999999999, so the walk must not take one.  Every row is
+    # the default hook's, over the plain refs of real samples and the
+    # plain and conjugated refs of complex ones
     samples = _sample_matrix(np.random.default_rng(2), kind, 49, 3)
     est = EnsembleEstimator(["a", "b", "c"], samples)
-    got = est.multiset_moments([[], [0, 1], [], [0, 1, 2], [2], []]).tolist()
+    rows = [[], [0, 1], [], [0, 1, 2], [2], []]
+    got = est.multiset_moments(rows).tolist()
     assert got[0] == got[2] == got[5] == 1.0
-    assert [got[1], got[3], got[4]] == [est.moment(refs("a", "b")).real,
-                                        est.moment(refs("a", "b", "c")).real,
-                                        est.moment(refs("c")).real]
+    assert got == MomentProvider.multiset_moments(est, rows).tolist()
     assert est.multiset_moments([[]]).tolist() == [1.0]
 
 
@@ -679,7 +697,7 @@ def test_calls_write_nothing_to_the_estimator(kind):
     with pytest.raises(KeyError, match="^\"unknown site 'z'\"$"):
         est.moment((a, b, c, SiteRef("z"), a))
     with pytest.raises(IndexError):
-        est.multiset_moments([[0, 1, 2, 2], [0, 1, 3]])
+        est.multiset_moments([[0, 1, 2, 2], [0, 1, 6]])
     unchanged()
 
 
