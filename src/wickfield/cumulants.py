@@ -75,14 +75,11 @@ class MomentProvider(ABC):
 
     def multiset_moments(self, rows) -> np.ndarray:
         """The moment of each multiset in ``rows``, as one array: each row
-        is a sorted sequence of positions into ``_store_refs``, as
-        ``order_moments`` takes them.
-
-        ``CumulantTable`` fills a law on demand through this hook: one call
-        per request, for every sub-multiset of its rows, in lexicographic
-        order, so that a multiset comes just before the ones that extend
-        it.  Each entry must be ``==`` to ``moment`` of its multiset in that
-        order, its real part as a float for a real law, which is what this
+        is a sorted sequence of positions into ``_store_refs``.
+        ``CumulantTable`` fills a law on demand through this hook, one call
+        per request for every sub-multiset of its rows, in lexicographic
+        order.  Each entry must be ``==`` to ``moment`` of its multiset in
+        that order, its real part as a float for a real law, as this
         default, one ``moment`` call per row, gives.
         """
         refs = _store_refs(self)
@@ -116,13 +113,13 @@ class CumulantTable:
     ``cumulant_tensors`` read it, the latter for many heads in one request.
 
     Compound keys take the anchored recursion per key, ``_recurse``, which
-    reads its sub-keys of single field variables through ``cumulant``.
-    It memoizes each moment of a product of the variables under its flat
-    index sequence in the order the recursion builds it; that key is
-    deliberately not canonicalised, because a provider may round a product
-    differently in another factor order.  For the same reason both
-    recursions subtract one term per subset in one fixed order, that of
-    ``_anchored_subsets``.
+    reads its sub-keys of single field variables through ``cumulant``.  It
+    memoizes each moment of a product under its flat index sequence in the
+    order the recursion builds it, not canonicalised, because a provider
+    may round a product differently in another factor order; a complex
+    law's store gives a canonical one it has measured.  For the same reason
+    both recursions subtract one term per subset in one fixed order, that
+    of ``_anchored_subsets``.
 
     ``cumulant_tensors`` lays the cumulants of fixed head variables and k
     box sites out over box^k, one tensor per head, the one source of the
@@ -296,17 +293,23 @@ class CumulantTable:
             raise ValueError("cumulant of an empty collection is undefined")
         self.provider.check_order(order)
 
+    def _moment(self, seq) -> complex:
+        """The moment of a flat sequence: a complex law's store holds the
+        provider's of a canonical one, if it has measured it."""
+        if not self.provider.is_real and self._fill and seq == canonical(seq):
+            value = self._fill.moment(seq)
+            if value is not None:
+                return value
+        return self.provider.moment(seq)
+
     def _recurse(self, key) -> complex:
         """kappa of the canonical compound key by the anchored recursion,
-        for a key that is not memoised yet; the value is memoised.
-
-        Each moment is memoised under the flat sequence of its monomials in
-        key order.  Every sub-key of single field variables only goes to
-        ``cumulant`` under its flat key.  The moment and memo probes are
-        inline, so a hit costs no call.  One term is subtracted per subset,
-        in ``_anchored_subsets`` order.
+        for a key that is not memoised yet; the value is memoised.  Each
+        moment, from ``_moment``, is memoised under the flat sequence of its
+        monomials in key order, and a sub-key of single field variables is
+        read under its flat key; a hit costs no call.
         """
-        moments, memo, moment = self._moments, self._memo, self.provider.moment
+        moments, memo, moment = self._moments, self._memo, self._moment
         seq = tuple(chain.from_iterable(key))
         value = moments.get(seq)
         if value is None:
@@ -320,11 +323,10 @@ class CumulantTable:
             if weight is None:
                 weight = moments[comp] = moment(comp)
             if all(len(mono) == 1 for mono in sub):
-                kappa = self.cumulant(tuple(mono[0] for mono in sub))
-            else:
-                kappa = memo.get(sub)
-                if kappa is None:
-                    kappa = self._recurse(sub)
+                sub = tuple(mono[0] for mono in sub)
+            kappa = memo.get(sub)
+            if kappa is None:
+                kappa = self.cumulant(sub) if type(sub[0]) is SiteRef else self._recurse(sub)
             value -= weight * kappa
         memo[key] = value
         return value

@@ -51,20 +51,18 @@ class _OrderFill:
     * Whole orders: while the provider gives an order's moments by
       ``order_moments`` and the order's plan fits within ``_FILL_ENTRIES``,
       orders 1 to ``whole`` are filled with ``_order_plan``.  They are the
-      leading run of ``ranks``, so a rank below its ``end`` is its own slot.
+      leading run of ``ranks``, so each of their ranks is its own slot.
     * On demand: every later order, and every order of a law that gives no
       moments by order.  A request fills its multisets and every
       sub-multiset of theirs that the store lacks, all the recursion reads
       (``_fill``); ``np.searchsorted`` finds their slots in ``ranks``.
 
-    Either way the row of a multiset holds its moment and then the
-    recursion's terms, moment times kappa, one per subset of
-    ``_anchored_subsets`` in order, and one ``np.subtract.accumulate``
-    along the rows subtracts them left to right, as the per-key recursion
-    does.  A real product w * kappa is the real part of the recursion's
-    complex one, exactly, and a complex one is written out in real parts
-    as Python's complex multiply forms it, so each kappa is ``==`` to the
-    recursion's.
+    Either way ``_fold`` subtracts a multiset's recursion terms, moment
+    times kappa, one per subset of ``_anchored_subsets``, left to right
+    from its moment, as the per-key recursion does.  A real product is the
+    real part of that recursion's complex one, exactly, and a complex one
+    is written out in real parts as Python's complex multiply forms it, so
+    each kappa is ``==`` to the per-key recursion's.
     """
 
     def __init__(self, provider):
@@ -80,7 +78,7 @@ class _OrderFill:
         dtype = float if provider.is_real else complex
         self.ranks = np.empty(0, dtype=np.int64)
         self.moments, self.kappas = np.empty(0, dtype), np.empty(0, dtype)
-        self.order = self.whole = self.end = 0
+        self.order = self.whole = 0
 
     def _grow(self, order: int):
         """Take up every order up to ``order``: an order after the whole
@@ -92,37 +90,15 @@ class _OrderFill:
                                      f"sites overflow the store's int64 ranks")
         while self.order < order:
             k = self.order = self.order + 1
-            count = math.comb(self.size + k - 1, k)
-            moments = (self.provider.order_moments(k)
-                       if self.whole == k - 1 and count << (k - 1) <= _FILL_ENTRIES
-                       else None)
+            fits = math.comb(self.size + k - 1, k) << (k - 1) <= _FILL_ENTRIES
+            moments = self.provider.order_moments(k) if self.whole == k - 1 and fits else None
             if moments is not None:
-                kappas = self._fold(moments, *_order_plan(self.size, k))
-                self.moments = np.concatenate((self.moments, moments))
-                self.kappas = np.concatenate((self.kappas, kappas))
-                self.end += count
-                self.ranks = np.arange(self.end, dtype=np.int64)
-                self.whole = k
-
-    def _fold(self, moments: np.ndarray, sub: np.ndarray, comp: np.ndarray) -> np.ndarray:
-        """kappa of the multisets of one order from their moments and the
-        slots of their subsets' sub-multisets and rests, one row per
-        multiset and column per subset."""
-        w, kappa = self.moments[comp], self.kappas[sub]
-        rows = np.empty((len(moments), sub.shape[1] + 1))
-        if not np.iscomplexobj(moments):
-            rows[:, 0] = moments
-            np.multiply(w, kappa, out=rows[:, 1:])
-            return np.subtract.accumulate(rows, axis=1)[:, -1]
-        # numpy's complex multiply may fuse a product's two terms
-        folded = np.empty(len(moments), dtype=complex)
-        for part, first, terms in (
-                (folded.real, moments.real, w.real * kappa.real - w.imag * kappa.imag),
-                (folded.imag, moments.imag, w.real * kappa.imag + w.imag * kappa.real)):
-            rows[:, 0] = first
-            rows[:, 1:] = terms
-            part[...] = np.subtract.accumulate(rows, axis=1)[:, -1]
-        return folded
+                sub, comp = _order_plan(self.size, k)
+                kappas = _fold(moments, self.moments[comp], self.kappas[sub])
+                # one assignment, so that a failure leaves the store as it was
+                self.moments, self.kappas, self.ranks, self.whole = (
+                    np.concatenate((self.moments, moments)), np.concatenate((self.kappas, kappas)),
+                    np.arange(len(self.ranks) + len(moments), dtype=np.int64), k)
 
     def values(self, positions: np.ndarray) -> np.ndarray:
         """kappa of the multiset in each row of the int array of positions,
@@ -136,15 +112,24 @@ class _OrderFill:
             ranks = np.searchsorted(self.ranks, ranks)
         return self.kappas[ranks]
 
+    def moment(self, refs) -> complex | None:
+        """The moment the store has measured for the refs, in canonical
+        order, None if it has not filled their multiset."""
+        positions = [self._position.get(ref) for ref in refs]
+        if len(positions) > self.order or None in positions:
+            return None
+        rank = self.index(np.array(positions))
+        slot = np.searchsorted(self.ranks, rank)
+        held = slot < len(self.ranks) and self.ranks[slot] == rank
+        return complex(self.moments[slot]) if held else None
+
     def _fill(self, rows: np.ndarray, ranks: np.ndarray):
         """Fill kappa of the multiset in each row and of every sub-multiset
-        of theirs that the store lacks.  The store holds every sub-multiset
-        of a multiset it holds, so those are found one order down at a
-        time, from the multisets it lacks one order up.  Their moments are
-        measured in one ``provider.multiset_moments`` call, in
+        of theirs that the store lacks, found one order down at a time, as
+        the store holds the sub-multisets of each multiset it holds.  Their
+        moments take one ``provider.multiset_moments`` call, in
         lexicographic order, so that a multiset comes just before the ones
-        that extend it; then each order's kappas are folded, from the
-        lowest up."""
+        that extend it; then each order is folded, from the lowest up."""
         members = []
         keys, ranks = self._lacking(rows, ranks)
         while len(keys):
@@ -156,23 +141,24 @@ class _OrderFill:
             keys, ranks = self._lacking(keys, self.index(keys))
         if not members:
             return
-        # orders ascend, and so do the ranks of each, so the new ranks are sorted
+        # orders ascend, and so do the ranks of each, so the new ranks are
+        # sorted; the store takes them only once all are filled, so a call
+        # that raises leaves it as it was
         new = np.concatenate([ranks for _, ranks in members])
         at = np.searchsorted(self.ranks, new)
-        self.ranks = np.insert(self.ranks, at, new)
-        self.moments = np.insert(self.moments, at, 0)
-        self.kappas = np.insert(self.kappas, at, 0)
+        ranks, moments, kappas = (np.insert(a, at, v) for a, v in (
+            (self.ranks, new), (self.moments, 0), (self.kappas, 0)))
         slots = at + np.arange(len(new))
         positions = [row for keys, _ in members for row in keys.tolist()]
         walk = sorted(range(len(positions)), key=positions.__getitem__)
-        self.moments[slots[walk]] = self.provider.multiset_moments([positions[i] for i in walk])
+        moments[slots[walk]] = self.provider.multiset_moments([positions[i] for i in walk])
         start = 0
         for keys, _ in members:
             these = slots[start:start + len(keys)]
-            plan = _subset_ranks(keys, self.size, np.int64)
-            self.kappas[these] = self._fold(self.moments[these],
-                                            *(np.searchsorted(self.ranks, r) for r in plan))
+            sub, comp = (np.searchsorted(ranks, r) for r in _subset_ranks(keys, self.size, np.int64))
+            kappas[these] = _fold(moments[these], moments[comp], kappas[sub])
             start += len(keys)
+        self.ranks, self.moments, self.kappas = ranks, moments, kappas
 
     def _lacking(self, keys: np.ndarray, ranks: np.ndarray) -> tuple:
         """The distinct rows of ``keys``, whose ranks are ``ranks``, that
@@ -194,6 +180,28 @@ class _OrderFill:
         positions, sorted along its last axis."""
         return _multiset_rank(positions, self.size,
                               _order_offset(self.size, positions.shape[-1]))
+
+
+def _fold(moments: np.ndarray, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """kappa of the multisets of one order from their moments, the moments
+    w of the rests of their subsets and the kappas of the sub-multisets the
+    subsets pick, one row per multiset and column per subset: the rows hold
+    the moment and then each w * kappa, and one ``np.subtract.accumulate``
+    subtracts them left to right."""
+    rows = np.empty((len(moments), w.shape[1] + 1))
+    if not np.iscomplexobj(moments):
+        rows[:, 0] = moments
+        np.multiply(w, kappa, out=rows[:, 1:])
+        return np.subtract.accumulate(rows, axis=1)[:, -1]
+    # numpy's complex multiply may fuse a product's two terms
+    folded = np.empty(len(moments), dtype=complex)
+    for part, first, terms in (
+            (folded.real, moments.real, w.real * kappa.real - w.imag * kappa.imag),
+            (folded.imag, moments.imag, w.real * kappa.imag + w.imag * kappa.real)):
+        rows[:, 0] = first
+        rows[:, 1:] = terms
+        part[...] = np.subtract.accumulate(rows, axis=1)[:, -1]
+    return folded
 
 
 def _multiset_rank(x: np.ndarray, size: int, start: int = 0) -> np.ndarray:

@@ -33,7 +33,8 @@ from wickfield.fields import (
     sinc_coupling_example,
 )
 from wickfield.indexing import SiteRef, canonical, seq_sort_key
-from wickfield.multisets import _anchored_subsets, _multiset_expansion, _multisets, _order_plan
+from wickfield.multisets import (_anchored_subsets, _multiset_expansion, _multisets,
+                                 _order_offset, _order_plan)
 
 from conftest import (
     combinations_cumulant,
@@ -562,15 +563,16 @@ def test_table_evaluates_each_moment_once():
     assert len(counting.calls) == 69
     assert set(counting.calls.values()) == {1}
     # compound variables flatten out of canonical order; the recursion
-    # measures each product once more at most, in that order, in which the
-    # estimator multiplies and rounds, and gives the anchor-0 oracle's value
+    # measures each product in that order, in which the estimator multiplies
+    # and rounds, reads one in canonical order from the store, and gives the
+    # anchor-0 oracle's value
     psi0, phi0, phi1 = SiteRef(("psi", 0)), SiteRef(("phi", 0)), SiteRef(("phi", 1))
     compound = (((phi1,), (phi0, psi0)), ((phi1,), (phi0, psi0), (phi1, phi1)))
     for variables in compound:
         key = tuple(sorted(map(canonical, variables), key=seq_sort_key))
         assert table.joint_cumulant(variables) == combinations_cumulant(est, key, 0), variables
     assert any(flat != canonical(flat) for flat in counting.calls)
-    assert set(counting.calls.values()) == {1, 2}
+    assert set(counting.calls.values()) == {1}
     measured = Counter(counting.calls)
     for variables in compound:
         table.joint_cumulant(variables)
@@ -941,8 +943,33 @@ def test_order_fill_fills_a_too_large_order_on_demand():
         combinations_cumulant(law, tuple(zip(canonical(seq)))))
     fill = table._fill
     assert fill.whole == 7 and fill.order == 8 and canonical(seq) in table._memo
-    assert fill.ranks[:fill.end].tolist() == list(range(fill.end))
-    assert fill.end == math.comb(14, 7) - 1 and 0 < len(fill.ranks) - fill.end < math.comb(14, 8)
+    end = _order_offset(fill.size, fill.whole + 1)
+    assert fill.ranks[:end].tolist() == list(range(end))
+    assert end == math.comb(14, 7) - 1 and 0 < len(fill.ranks) - end < math.comb(14, 8)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_fill_that_raises_leaves_the_store_as_it_was(kind):
+    # multiset_moments raises once, part way through a request: the store
+    # keeps none of its multisets, and the same request, asked again, fills
+    # them and gives the anchor-0 oracle's value
+    rng = np.random.default_rng(4)
+    samples = rng.normal(size=(40, 3))
+    if kind == "complex":
+        samples = samples + 1j * rng.normal(size=(40, 3))
+    est = EnsembleEstimator([0, 1, 2], samples)
+    table = CumulantTable(est)
+    table.cumulant(refs(0, 1))
+    fill = table._fill
+    held = fill.ranks.tolist(), fill.moments.tolist(), fill.kappas.tolist()
+    seq = (SiteRef(0), SiteRef(1, True), SiteRef(2), SiteRef(2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(est, "multiset_moments", lambda rows: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            table.cumulant(seq)
+    assert (fill.ranks.tolist(), fill.moments.tolist(), fill.kappas.tolist()) == held
+    key = canonical(seq)
+    assert repr(table.cumulant(seq)) == repr(combinations_cumulant(est, tuple(zip(key)), 0))
 
 
 def test_a_request_past_a_whole_order_store_fills_its_closure():
